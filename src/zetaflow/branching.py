@@ -31,6 +31,9 @@ from .weights import (
 
 _MAX_PEELS = 64
 
+# exterior_decomposition results by (n, p); at most 2n + 1 entries per rank
+_exterior_cache: dict[tuple[int, int], tuple[tuple[Weight, int], ...]] = {}
+
 
 @dataclass(frozen=True)
 class VirtualRep:
@@ -180,11 +183,18 @@ def exterior_decomposition(gd: GroupData, p: int) -> list[tuple[Weight, int]]:
 
     Peels the lexicographically largest dominant weight remaining in the
     exact weight multiset until it is exhausted; a dimension count guards
-    the result.
+    the result. Computed once per (n, p); each call returns a new list.
     """
     n = gd.n
     if not 0 <= p <= 2 * n:
         raise ValidationError(f"exterior power degree {p} outside [0, {2 * n}]")
+    cached = _exterior_cache.get((n, p))
+    if cached is None:
+        cached = _exterior_cache[n, p] = tuple(_peel_exterior_power(n, p))
+    return list(cached)
+
+
+def _peel_exterior_power(n: int, p: int) -> list[tuple[Weight, int]]:
     zero = tuple(Fraction(0) for _ in range(n))
     basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
     lines = basis + [tuple(-c for c in b) for b in basis]

@@ -258,10 +258,15 @@ def weyl_character(
     angles : array-like with trailing axis of length n; a bare length-n
         vector yields a scalar.
     family : "B" or "D".
-    route : force "alternant" or "weights"; default picks per point,
+    route : force "alternant" or "weights"; default (None) picks per point,
         falling back to the exact weight expansion wherever the alternant
-        denominator is smaller than a fixed threshold.
+        denominator is smaller than a fixed threshold. Any other value
+        raises ValidationError.
     """
+    if route not in (None, "alternant", "weights"):
+        raise ValidationError(
+            f"unknown character route {route!r}; expected 'alternant' or 'weights'"
+        )
     lam = as_weight(weight)
     validate_dominant(lam, family, "weight")
     n = len(lam)

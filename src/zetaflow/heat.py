@@ -20,7 +20,7 @@ from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum, certify_twist_growth
 from .summation import block_sum
-from .zeta import TruncationPolicy, _char_product, _counting_constant, _det_term_many, _sigma_table
+from .zeta import TruncationPolicy, _char_product, _sigma_table
 
 _HERMITE_DEGREE_CUTOFF = 40
 _hermgauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -75,8 +75,8 @@ def _hyperbolic_base(ls: LengthSpectrum, sigma: Sequence[object], lmax: float) -
     table = ls.power_table(lmax)
     if not table.size:
         return np.empty(0, dtype=complex)
-    key = ("hyperbolic_base", ls.gd.validate_m_weight(sigma))
-    cached = table.char_cache.get(key)
+    key = ls.gd.validate_m_weight(sigma)
+    cached = table.heat_bases.get(key)
     if cached is not None:
         return cached
     chars = _char_product(table, (_sigma_table(ls, sigma),))
@@ -85,14 +85,16 @@ def _hyperbolic_base(ls: LengthSpectrum, sigma: Sequence[object], lmax: float) -
         * table.chi_trace
         * chars
         * np.exp(-float(ls.gd.rho_norm) * table.length)
-        / _det_term_many(table.length, table.angles)
+        / table.det
     )
-    table.char_cache[key] = base
+    table.heat_bases[key] = base
     return base
 
 
 def _hyperbolic_tail(ls: LengthSpectrum, sigma_dim: float, t: float, policy: TruncationPolicy) -> float:
-    """Certified bound on the dropped powers of the Gaussian-damped series."""
+    """Certified bound on the dropped powers of the Gaussian-damped series,
+    from the plan's certificate (K, k) and counting constant C'; C' is
+    observed only up to lmax, as for the zeta tails."""
     table = ls.power_table(policy.lmax)
     if not table.size:
         return 0.0
@@ -110,7 +112,7 @@ def _hyperbolic_tail(ls: LengthSpectrum, sigma_dim: float, t: float, policy: Tru
         )
     dmin = (1.0 - math.exp(-ls.systole)) ** (2 * gd.n)
     B = cert.K * sigma_dim / dmin
-    cprime = _counting_constant(table, b)
+    cprime = table.counting_constant
     i1 = math.exp(-beta * lmax) * (lmax / beta + 1.0 / beta**2)
     i2 = math.exp(-beta * lmax) * (lmax**2 / beta + 2.0 * lmax / beta**2 + 2.0 / beta**3)
     tail = cprime * B * (i2 / (2.0 * t) + rho * i1) / math.sqrt(4.0 * math.pi * t)

@@ -8,6 +8,13 @@ round-trip through JSON documents with full validation, and a synthesizer
 produces reproducible fake spectra with the right counting growth for
 tests and demos.
 
+Every evaluation at a cutoff lmax reads one prepared plan per
+(spectrum, lmax), returned by LengthSpectrum.power_table: the power
+enumeration as array columns plus everything that does not depend on the
+evaluation point (twist certificate, counting constant, det terms,
+character products). A spectrum keeps its few most recently used plans,
+and the twist growth rate, which no cutoff affects, once.
+
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) at
 construction time, which fixes the spin lift once; the angles of the j-th
 power are j times the primitive angles, never reduced mod 2 pi, since
@@ -19,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,27 +72,6 @@ class ClassPower:
     chi_trace: complex
 
 
-class _PowerTable:
-    """Array-of-columns view of all powers up to a cutoff, sorted by
-    (length, class index, j). Internal fast path for the series kernels."""
-
-    __slots__ = ("length", "l0", "j", "inv_j", "class_index", "chi_trace", "angles", "char_cache")
-
-    def __init__(self, length, l0, j, class_index, chi_trace, angles):
-        self.length = length
-        self.l0 = l0
-        self.j = j
-        self.inv_j = 1.0 / j if len(j) else np.empty(0)
-        self.class_index = class_index
-        self.chi_trace = chi_trace
-        self.angles = angles
-        self.char_cache: dict = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.length)
-
-
 def _trace_powers(chi: np.ndarray, jmax: int) -> np.ndarray:
     """tr(chi^j) for j = 1..jmax.
 
@@ -117,6 +104,88 @@ def _max_power(l0: float, lmax: float) -> int:
     return int(math.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12))
 
 
+# plans kept per spectrum; the least recently used one is evicted first
+_PLANS_PER_SPECTRUM = 4
+
+
+class _PowerTable:
+    """Prepared plan for one (spectrum, lmax).
+
+    Holds every power of length <= lmax as array columns sorted by
+    (length, class index, j), together with the s-independent data that
+    the series and heat evaluators read at every point: the twist
+    certificate (K, k), the counting constant C' for b = 2|rho|, the det
+    terms, the character products of the series kernels and the
+    t-independent prefactors of the heat route. Each derived quantity is
+    built on first use and kept for the life of the plan.
+    """
+
+    def __init__(self, ls: "LengthSpectrum", lmax: float):
+        self.dim_chi = ls.dim_chi
+        self.rate = ls.twist_rate
+        self.b = 2.0 * ls.gd.rho_norm
+        lengths, l0s, js, idxs, traces, angs = [], [], [], [], [], []
+        for i, c in enumerate(ls.classes):
+            jmax = _max_power(c.l0, lmax)
+            if jmax < 1:
+                continue
+            jj = np.arange(1, jmax + 1, dtype=float)
+            lengths.append(jj * c.l0)
+            l0s.append(np.full(jmax, c.l0))
+            js.append(jj)
+            idxs.append(np.full(jmax, i, dtype=np.int64))
+            traces.append(_trace_powers(c.chi, jmax))
+            angs.append(jj[:, None] * np.asarray(c.angles)[None, :])
+        if lengths:
+            length = np.concatenate(lengths)
+            order = np.lexsort((np.concatenate(js), np.concatenate(idxs), length))
+            self.length = length[order]
+            self.l0 = np.concatenate(l0s)[order]
+            self.j = np.concatenate(js)[order]
+            self.class_index = np.concatenate(idxs)[order]
+            self.chi_trace = np.concatenate(traces)[order]
+            self.angles = np.concatenate(angs)[order]
+        else:
+            self.length = self.l0 = self.j = np.empty(0)
+            self.class_index = np.empty(0, dtype=np.int64)
+            self.chi_trace = np.empty(0, dtype=complex)
+            self.angles = np.empty((0, ls.gd.n))
+        self.inv_j = 1.0 / self.j if len(self.j) else np.empty(0)
+        # products of character tables at the power angles, keyed by the
+        # tables' ((family, highest), ...)
+        self.char_products: dict[tuple, np.ndarray] = {}
+        # heat route: l0 tr chi char_sigma e^{-|rho| L} / det, keyed by sigma
+        self.heat_bases: dict[tuple, np.ndarray] = {}
+
+    @property
+    def size(self) -> int:
+        return len(self.length)
+
+    @cached_property
+    def cert(self) -> "TwistGrowthCert":
+        K = float(self.dim_chi)
+        if self.size:
+            observed = np.abs(self.chi_trace) * np.exp(-self.rate * self.length)
+            K = max(K, float(observed.max()))
+        return TwistGrowthCert(K=K, k=self.rate)
+
+    @cached_property
+    def counting_constant(self) -> float:
+        """C' = max over the enumerated powers of N(L) exp(-b L), the
+        constant of the counting majorant N(L) <= C' exp(b L). Observed
+        up to lmax only."""
+        if not self.size:
+            return 0.0
+        counts = np.arange(1, self.size + 1, dtype=float)
+        return float(np.max(counts * np.exp(-self.b * self.length)))
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        """prod_j (1 - 2 e^{-L} cos(j-th angle) + e^{-2L}) per power."""
+        e = np.exp(-self.length)[:, None]
+        return np.prod(1.0 - 2.0 * e * np.cos(self.angles) + e * e, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class LengthSpectrum:
     """Primitive length data plus the global constants of the quotient."""
@@ -125,7 +194,7 @@ class LengthSpectrum:
     classes: tuple[PrimitiveClass, ...]
     volume: float
     dim_chi: int
-    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -157,44 +226,31 @@ class LengthSpectrum:
             raise ValidationError("empty spectrum has no systole")
         return min(c.l0 for c in self.classes)
 
+    @cached_property
+    def twist_rate(self) -> float:
+        """The rate k = max over classes of log(max(1, ||chi_c||)) / l0_c,
+        independent of any cutoff; one batched spectral norm per spectrum."""
+        if not self.classes:
+            return 0.0
+        norms = np.linalg.norm(np.stack([c.chi for c in self.classes]), 2, axis=(1, 2))
+        k = 0.0
+        # unitary twists come back as 1 + eps; do not let rounding leak into k
+        for i in np.flatnonzero(norms > 1.0 + 1e-12):
+            k = max(k, math.log(float(norms[i])) / self.classes[i].l0)
+        return k
+
     def power_table(self, lmax: float) -> _PowerTable:
+        """The prepared plan of this spectrum at cutoff lmax. The last
+        _PLANS_PER_SPECTRUM plans are kept and reused."""
         if not (math.isfinite(lmax) and lmax > 0):
             raise ValidationError(f"length cutoff must be positive and finite, got {lmax!r}")
-        cached = self._table_cache.get(lmax)
-        if cached is not None:
-            return cached
-        lengths, l0s, js, idxs, traces, angs = [], [], [], [], [], []
-        n = self.gd.n
-        for i, c in enumerate(self.classes):
-            jmax = _max_power(c.l0, lmax)
-            if jmax < 1:
-                continue
-            jj = np.arange(1, jmax + 1, dtype=float)
-            lengths.append(jj * c.l0)
-            l0s.append(np.full(jmax, c.l0))
-            js.append(jj)
-            idxs.append(np.full(jmax, i, dtype=np.int64))
-            traces.append(_trace_powers(c.chi, jmax))
-            angs.append(jj[:, None] * np.asarray(c.angles)[None, :])
-        if lengths:
-            length = np.concatenate(lengths)
-            order = np.lexsort((np.concatenate(js), np.concatenate(idxs), length))
-            table = _PowerTable(
-                length[order],
-                np.concatenate(l0s)[order],
-                np.concatenate(js)[order],
-                np.concatenate(idxs)[order],
-                np.concatenate(traces)[order],
-                np.concatenate(angs)[order],
-            )
-        else:
-            table = _PowerTable(
-                np.empty(0), np.empty(0), np.empty(0),
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=complex),
-                np.empty((0, n)),
-            )
-        self._table_cache[lmax] = table
-        return table
+        plan = self._plans.pop(lmax, None)
+        if plan is None:
+            plan = _PowerTable(self, lmax)
+            if len(self._plans) >= _PLANS_PER_SPECTRUM:
+                del self._plans[next(iter(self._plans))]
+        self._plans[lmax] = plan
+        return plan
 
 
 def powers_up_to(ls: LengthSpectrum, lmax: float) -> list[ClassPower]:
@@ -229,30 +285,24 @@ class TwistGrowthCert:
 
 
 def certify_twist_growth(ls: LengthSpectrum, lmax: float | None = None) -> TwistGrowthCert:
-    """Growth certificate for the twist traces.
+    """Growth certificate for the twist traces: the one held by the
+    prepared plan of (ls, lmax), built once per plan.
 
     k is driven by spectral norms: ||chi^j|| <= ||chi||^j makes
     k = max_c log(max(1, ||chi_c||)) / l0_c valid for every power, not just
     the enumerated ones. K starts at dim_chi (which already dominates
     |tr chi^j| exp(-k j l0)) and is raised to the observed supremum if
-    rounding ever pushes a sample above it.
+    rounding ever pushes a sample above it. The tail bounds built from
+    this certificate also use the counting constant C' of the same plan,
+    which is observed only on the powers up to lmax: "certified" beyond
+    lmax rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
+    continuing past the cutoff.
     """
     if not ls.classes:
         raise ValidationError("cannot certify an empty spectrum")
-    k = 0.0
-    for c in ls.classes:
-        norm = float(np.linalg.norm(c.chi, 2))
-        # unitary twists come back as 1 + eps; do not let rounding leak into k
-        if norm > 1.0 + 1e-12:
-            k = max(k, math.log(norm) / c.l0)
     if lmax is None:
         lmax = 4.0 * max(c.l0 for c in ls.classes)
-    t = ls.power_table(lmax)
-    K = float(ls.dim_chi)
-    if t.size:
-        observed = np.abs(t.chi_trace) * np.exp(-k * t.length)
-        K = max(K, float(observed.max()))
-    return TwistGrowthCert(K=K, k=k)
+    return ls.power_table(lmax).cert
 
 
 def validate_cert(cert: TwistGrowthCert, ls: LengthSpectrum, lmax: float) -> bool:

@@ -180,10 +180,10 @@ def suite_characters(seed: int = 0) -> list[CheckResult]:
             for w in weights:
                 th = rng.uniform(0.3, 2.8, size=(25, n))
                 alt = weyl_character(w, th, family, route="alternant")
-                tab = weyl_character(w, th, family, route="table")
+                tab = weyl_character(w, th, family, route="weights")
                 scale = np.maximum(1.0, np.abs(tab))
                 route_err = max(route_err, float(np.max(np.abs(alt - tab) / scale)))
-                at_zero = complex(weyl_character(w, np.zeros(n), family, route="table"))
+                at_zero = complex(weyl_character(w, np.zeros(n), family, route="weights"))
                 dim = weyl_dim(tuple(Fraction(c) for c in w), family)
                 dim_err = max(dim_err, abs(at_zero - dim))
     return [

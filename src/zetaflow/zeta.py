@@ -6,7 +6,10 @@ its terms together with a certified tail bound obtained from the twist
 growth certificate, the fitted counting constant, and integration by parts
 against the majorant; the convergence abscissa is enforced by the bound
 itself (the tail formula degenerates exactly when the series stops
-converging absolutely, and that raises).
+converging absolutely, and that raises). Everything that does not depend
+on s (power columns, certificate, counting constant, det terms, character
+products) comes from the prepared plan of (spectrum, lmax), so a grid of
+s-points pays for it once.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -69,11 +72,6 @@ def det_term(gd: GroupData, length: float, angles: Sequence[float]) -> float:
     return out
 
 
-def _det_term_many(length: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    e = np.exp(-length)[:, None]
-    return np.prod(1.0 - 2.0 * e * np.cos(angles) + e * e, axis=1)
-
-
 def L_sym(gd: GroupData, cp: ClassPower, sigma: Sequence[object]) -> complex:
     """Per-power symbol: tr chi times char_sigma at the power angles times
     exp(-|rho| length) over the det term."""
@@ -88,21 +86,14 @@ def L_sym(gd: GroupData, cp: ClassPower, sigma: Sequence[object]) -> complex:
 
 def _char_product(table: _PowerTable, tables: tuple[CharacterTable, ...]) -> np.ndarray:
     key = tuple((t.family, t.highest) for t in tables)
-    cached = table.char_cache.get(key)
+    cached = table.char_products.get(key)
     if cached is not None:
         return cached
     acc = np.ones(table.size, dtype=complex)
     for t in tables:
         acc = acc * t.evaluate(table.angles)
-    table.char_cache[key] = acc
+    table.char_products[key] = acc
     return acc
-
-
-def _counting_constant(table: _PowerTable, b: float) -> float:
-    if not table.size:
-        return 0.0
-    counts = np.arange(1, table.size + 1, dtype=float)
-    return float(np.max(counts * np.exp(-b * table.length)))
 
 
 def _tail_bound(
@@ -114,6 +105,10 @@ def _tail_bound(
     kind: str,
     dim_eff: float,
 ) -> float:
+    """Certified bound on the powers beyond policy.lmax, from the plan's
+    certificate (K, k) and counting constant C'. C' is observed only up
+    to lmax, so the bound rests on the prime-geodesic growth
+    N(L) <= C' exp(2|rho| L) continuing past the cutoff."""
     if not table.size:
         return 0.0
     cert = certify_twist_growth(ls, policy.lmax)
@@ -136,7 +131,7 @@ def _tail_bound(
     if kind != "ruelle":
         dmin = (1.0 - math.exp(-ls.systole)) ** (2 * gd.n)
         B /= dmin
-    cprime = _counting_constant(table, b)
+    cprime = table.counting_constant
     if gap <= 0:
         tail = math.inf
     elif kind == "logderiv":
@@ -178,7 +173,7 @@ def _series_value(
             * table.chi_trace
             * chars
             * np.exp(-(s + rho) * table.length)
-            / _det_term_many(table.length, table.angles)
+            / table.det
         )
     elif kind == "ruelle":
         terms = -table.inv_j * table.chi_trace * chars * np.exp(-s * table.length)
@@ -188,7 +183,7 @@ def _series_value(
             * table.chi_trace
             * chars
             * np.exp(-(s + rho) * table.length)
-            / _det_term_many(table.length, table.angles)
+            / table.det
         )
     else:
         raise ValidationError(f"unknown series kind {kind!r}")
@@ -227,12 +222,12 @@ def abscissa_estimate(
     2|rho| + k for Ruelle, where k is the certified twist growth rate."""
     if not ls.classes:
         return -math.inf
-    cert = certify_twist_growth(ls)
+    k = ls.twist_rate
     rho = ls.gd.rho_norm
     if kind == "ruelle":
-        return 2.0 * rho + cert.k
+        return 2.0 * rho + k
     if kind in ("selberg", "logderiv"):
-        return float(rho) + cert.k
+        return float(rho) + k
     raise ValidationError(f"unknown series kind {kind!r}")
 
 

@@ -194,3 +194,24 @@ def resolvent_kernel_mp(s: complex, length: float, dps: int = 30) -> complex:
 def fd_derivative(f, s: complex, h: float = 1e-2) -> complex:
     """Five-point central difference, O(h^4)."""
     return (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h) - f(s + 2 * h)) / (12 * h)
+
+
+def twist_growth_cert_loop(ls, lmax: float) -> tuple[float, float]:
+    """(K, k) of the twist growth certificate, one class at a time.
+
+    k takes one spectral norm per class in a Python loop, in class order,
+    with the same 1 + 1e-12 guard against unitary rounding; K takes one
+    sample |tr chi^j| exp(-k j l0) per enumerated power.
+    """
+    k = 0.0
+    for c in ls.classes:
+        norm = float(np.linalg.norm(c.chi, 2))
+        if norm > 1.0 + 1e-12:
+            k = max(k, math.log(norm) / c.l0)
+    K = float(ls.dim_chi)
+    for c in ls.classes:
+        chi_j = np.eye(ls.dim_chi, dtype=complex)
+        for j in range(1, int(lmax / c.l0) + 1):
+            chi_j = chi_j @ c.chi
+            K = max(K, abs(np.trace(chi_j)) * math.exp(-k * j * c.l0))
+    return K, k

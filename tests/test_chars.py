@@ -126,3 +126,8 @@ def test_rank_mismatch_rejected():
         weyl_character((1, 0), np.zeros(3), "B")
     with pytest.raises(ValidationError):
         weyl_character((1, 2), np.zeros(2), "B")
+
+
+def test_unknown_route_rejected():
+    with pytest.raises(ValidationError, match="table"):
+        weyl_character((2, 1), np.full(2, 0.4), "B", route="table")

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import twist_growth_cert_loop
 from zetaflow import (
     EigenSpectrum,
     GroupData,
+    TruncationPolicy,
     ValidationError,
     certify_twist_growth,
     counting_function,
@@ -14,10 +16,12 @@ from zetaflow import (
     load_length_spectrum,
     powers_up_to,
     save,
+    selberg_log,
     synthesize,
     validate_cert,
 )
 from zetaflow.spectra import (
+    _PLANS_PER_SPECTRUM,
     canonicalize_angles,
     eigen_spectrum_from_dict,
     length_spectrum_from_dict,
@@ -104,6 +108,32 @@ def test_growth_certificate(ls3, ls3_twisted):
         assert validate_cert(cert, ls, lmax=12.0)
     # unitary twists stay bounded, so no exponential rate is needed
     assert certify_twist_growth(ls3).k == 0.0
+
+
+def test_plan_certificate_matches_scalar_oracle(gd3):
+    ls = synthesize(gd3, 400, systole=0.5, seed=21, dim_chi=3, chi_norm=1.3)
+    for lmax in (4.0, 9.0):
+        cert = certify_twist_growth(ls, lmax)
+        assert cert is ls.power_table(lmax).cert
+        assert cert.k > 0.0
+        assert (cert.K, cert.k) == twist_growth_cert_loop(ls, lmax)
+    assert ls.twist_rate == cert.k
+
+
+def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
+    ls = synthesize(gd3, 60, systole=0.5, seed=22, dim_chi=2, chi_norm=1.1)
+    cutoffs = [6.0 + 0.25 * i for i in range(50)]
+
+    def evaluate(lmax):
+        plan = ls.power_table(lmax)
+        value = selberg_log(4.0, (0,), ls, TruncationPolicy(lmax=lmax, tail_eps=1.0))
+        return certify_twist_growth(ls, lmax), plan.counting_constant, plan.size, value
+
+    first = {lmax: evaluate(lmax) for lmax in cutoffs}
+    assert list(ls._plans) == cutoffs[-_PLANS_PER_SPECTRUM:]
+    for lmax in cutoffs[:3]:
+        assert evaluate(lmax) == first[lmax]
+    assert len(ls._plans) == _PLANS_PER_SPECTRUM
 
 
 def test_save_and_load_round_trip(tmp_path, ls3_twisted):

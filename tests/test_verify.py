@@ -1,5 +1,6 @@
 import pytest
 
+from zetaflow import chars
 from zetaflow import CheckResult, ValidationError, fitted_growth_exponent, run_suite, synthesize
 from zetaflow.verify import SUITES, format_results
 
@@ -49,3 +50,18 @@ def test_fitted_growth_exponent(gd3):
     assert abs(fit - 2.0) <= 0.3
     with pytest.raises(ValidationError):
         fitted_growth_exponent(synthesize(gd3, 5, systole=0.5, seed=9))
+
+
+def test_characters_suite_fails_on_a_perturbed_weight_table(monkeypatch):
+    original = chars.weight_multiplicities
+
+    def flipped(family, lam):
+        system = dict(original(family, lam))
+        mu = min(system)
+        system[mu] = -system[mu]
+        return system
+
+    monkeypatch.setattr(chars, "weight_multiplicities", flipped)
+    monkeypatch.setattr(chars, "_table_cache", {})
+    results = run_suite("characters")
+    assert [r.passed for r in results] == [False, False]

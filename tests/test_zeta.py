@@ -7,6 +7,9 @@ import pytest
 from oracles import fd_derivative, selberg_log_product
 from zetaflow import (
     DomainError,
+    geometric_heat_trace,
+    load_length_spectrum,
+    save,
     GroupData,
     LengthSpectrum,
     PrimitiveClass,
@@ -190,3 +193,24 @@ def test_z_p_log_shifts_into_selberg_series(ls3):
 def test_series_kind_validation(ls3):
     with pytest.raises(ValidationError):
         abscissa_estimate(ls3, (0,), "other")
+
+
+def test_warm_plan_matches_cold_evaluation(tmp_path, gd5):
+    ls = synthesize(gd5, 80, systole=0.6, seed=23, dim_chi=2, chi_norm=1.05)
+    path = tmp_path / "spectrum.json"
+    save(ls, path)
+    tp = TruncationPolicy(lmax=14.0, tail_eps=1e-4)
+    sigma = (0, 0)
+    ops = (selberg_log, ruelle_log, log_derivative)
+    grid = [complex(6.5 + 0.1 * i, 0.3 * i - 2.0) for i in range(25)]
+    warm = load_length_spectrum(path)
+    for i, s in enumerate(grid):
+        for op in ops:
+            op(s, sigma, warm, tp)
+        geometric_heat_trace(warm, sigma, 0.1 + 0.01 * i, tp)
+    for s in (grid[0], grid[12], grid[-1]):
+        for op in ops:
+            cold = load_length_spectrum(path)
+            assert op(s, sigma, warm, tp) == op(s, sigma, cold, tp)
+    cold = load_length_spectrum(path)
+    assert geometric_heat_trace(warm, sigma, 0.2, tp) == geometric_heat_trace(cold, sigma, 0.2, tp)
