@@ -22,7 +22,6 @@ from .continuation import (
     ContinuedL,
     anchor_set,
     cauchy_plancherel_identity,
-    continued_L,
     continued_from,
     contour_residue,
     heat_resolvent_identity,
@@ -97,7 +96,6 @@ __all__ = [
     "cauchy_plancherel_identity",
     "certify_twist_growth",
     "character_table",
-    "continued_L",
     "continued_from",
     "contour_residue",
     "counting_function",

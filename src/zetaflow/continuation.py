@@ -160,11 +160,6 @@ def continued_from(
     )
 
 
-def continued_L(cl: ContinuedL, s: complex) -> complex:
-    """Closed-form continued log derivative at s."""
-    return cl(s)
-
-
 def singularities(cl: ContinuedL) -> tuple[tuple[complex, int], ...]:
     """Poles of the continuation with their integer residues, aggregated:
     +-i sqrt(t_k) with residue m_k each, and 2 m(0) at the origin."""
@@ -372,8 +367,10 @@ def resolvent_trace_via_heat(
     """Anchored resolvent trace by integrating the anchor combination
     against the geometric heat trace over (0, infinity). Needs more than
     d/2 anchors for integrability at t = 0 and anchors with Re(s^2) > 0
-    for integrability at infinity. Returns the value and the quadrature's
-    last refinement difference."""
+    for integrability at infinity. Nodes where w(t) is exactly 0 (every
+    exp(-t s_i^2) underflows) contribute exactly 0 and are not sent to the
+    heat trace. Returns the value and the quadrature's last refinement
+    difference."""
     if 2 * aset.size <= ls.gd.d:
         raise DomainError(
             f"need more than {ls.gd.d / 2:g} anchors to cancel the small-time "
@@ -384,6 +381,10 @@ def resolvent_trace_via_heat(
             raise DomainError(f"anchor {a} has Re(s^2) <= 0; the time integral diverges", s=a)
 
     def f(t: np.ndarray) -> np.ndarray:
-        return small_t_combination(aset, t) * heat_totals(ls, sigma, t, tp)
+        w = small_t_combination(aset, t)
+        live = w != 0
+        if live.any():
+            w[live] *= heat_totals(ls, sigma, t[live], tp)
+        return w
 
     return half_line_integral(f, rel_tol=rel_tol)

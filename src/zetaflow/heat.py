@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,11 @@ from .summation import block_sum
 from .zeta import TruncationPolicy, _char_product, _sigma_table
 
 _HERMITE_DEGREE_CUTOFF = 40
-_hermgauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+@lru_cache(maxsize=1)
+def _hermgauss200() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(200)
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,7 @@ def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
         for m, c in enumerate(P.coeffs):
             acc += c * (-1) ** m * math.gamma(m + 0.5) * t ** (-(m + 0.5))
         return acc
-    nodes = _hermgauss_cache.get(200)
-    if nodes is None:
-        nodes = np.polynomial.hermite.hermgauss(200)
-        _hermgauss_cache[200] = nodes
-    x, w = nodes
+    x, w = _hermgauss200()
     vals = P.evaluate_many(1j * x / math.sqrt(t))
     return complex((w * vals).sum() / math.sqrt(t))
 
@@ -150,9 +151,12 @@ def heat_totals(
 ) -> np.ndarray:
     """Vector of geometric heat trace totals over a time grid.
 
-    Fast path for quadratures: one pass over the power table per chunk of
-    times, same summation order as the scalar evaluator. Tail bounds are
-    not re-certified per time; callers quantify their own error budget.
+    Each entry equals ``geometric_heat_trace(...).total`` exactly: one time
+    at a time, the identity part plus the power sum in the scalar
+    evaluator's summation order. The power sum is skipped at a time where
+    exp(-lmin^2 / 4t) underflows to 0, since the lengths ascend and every
+    kernel term is then exactly 0. Tail bounds are not re-certified per
+    time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
     if (ts <= 0).any():
@@ -170,6 +174,8 @@ def heat_totals(
     tflat = ts.ravel()
     for i in range(tflat.size):
         t = float(tflat[i])
+        if lsq.size and math.exp(-lsq[0] / (4.0 * t)) == 0.0:
+            continue
         kernel = np.exp(-lsq / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
         flat[i] += block_sum(base * kernel)
     return out

@@ -124,8 +124,11 @@ def half_line_integral(
     The window expands at the coarse step until the transformed integrand
     g(u) = f(e^u) e^u has decayed by 22 digits relative to its peak on both
     sides, then the step is halved until two consecutive refinements agree
-    to rel_tol. Returns the value and the last refinement difference as an
-    error proxy. Integrands must vectorize over a float array of times.
+    to rel_tol. Each node is evaluated once: the window samples are the
+    coarse rule's nodes, and a halving evaluates g only at the new
+    midpoints. Returns the value and the last refinement difference as an
+    error proxy. Integrands must vectorize over a float array of times,
+    elementwise.
     """
 
     def g(u: np.ndarray) -> np.ndarray:
@@ -134,33 +137,40 @@ def half_line_integral(
 
     # expand the window at the coarse step until both tails are dead
     block = 16
-    lo, hi = 0.0, 0.0
-    gmax = abs(complex(g(np.array([0.0]))[0]))
+    centre = g(np.array([0.0]))
+    gmax = abs(complex(centre[0]))
+    sides = []
     for direction in (-1.0, 1.0):
         edge = 0.0
         quiet = 0
+        chunks = []
         while quiet < 2 and abs(edge) < u_cap:
             us = edge + direction * h0 * (1 + np.arange(block))
             edge = float(us[-1])
-            chunk = np.abs(g(us))
-            if not np.isfinite(chunk).all():
+            vals = g(us)
+            chunks.append(vals)
+            mag = np.abs(vals)
+            if not np.isfinite(mag).all():
                 raise DomainError("half-line integrand produced non-finite values")
-            gmax = max(gmax, float(chunk.max()))
-            quiet = quiet + 1 if float(chunk.max()) <= 1e-22 * gmax else 0
-        if direction < 0:
-            lo = edge
-        else:
-            hi = edge
-
-    def trap(h: float) -> complex:
-        us = np.arange(lo, hi + 0.5 * h, h)
-        return h * complex(np.sum(g(us)))
-
-    prev = trap(h0)
+            gmax = max(gmax, float(mag.max()))
+            quiet = quiet + 1 if float(mag.max()) <= 1e-22 * gmax else 0
+        sides.append((edge, chunks))
+    (lo, left), (hi, right) = sides
+    # the window samples are g on the h0 grid lo, lo + h0, ..., hi; with a
+    # dyadic h0 (the default 0.5) every node is an exact binary fraction, so
+    # lo + i h == lo + 2i (h/2) and each refinement sums the same nodes in
+    # the same order as a freshly evaluated rule would
+    vals = np.concatenate([c[::-1] for c in reversed(left)] + [centre] + right)
+    prev = h0 * complex(np.sum(vals))
+    h = h0
     diff = math.inf
     for _ in range(max_halvings):
-        h0 *= 0.5
-        cur = trap(h0)
+        h *= 0.5
+        finer = np.empty(2 * vals.size - 1, dtype=complex)
+        finer[0::2] = vals
+        finer[1::2] = g(np.arange(lo, hi + 0.5 * h, h)[1::2])
+        vals = finer
+        cur = h * complex(np.sum(vals))
         diff = abs(cur - prev)
         if diff <= rel_tol * max(abs(cur), 1e-300):
             return cur, diff

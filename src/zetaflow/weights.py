@@ -218,14 +218,6 @@ class GroupData:
     def rho_m(self) -> Weight:
         return weyl_vector("D", self.n)
 
-    def validate_k_weight(self, w: Sequence[object]) -> Weight:
-        """Dominance for the rank-n factor of type B (highest weights of Spin(d))."""
-        ww = as_weight(w)
-        if len(ww) != self.n:
-            raise ValidationError(f"expected rank {self.n} weight, got rank {len(ww)}")
-        validate_dominant(ww, "B", "weight")
-        return ww
-
     def validate_m_weight(self, w: Sequence[object]) -> Weight:
         """Dominance for the rank-n factor of type D (highest weights of Spin(d-1))."""
         ww = as_weight(w)

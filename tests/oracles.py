@@ -215,3 +215,56 @@ def twist_growth_cert_loop(ls, lmax: float) -> tuple[float, float]:
             chi_j = chi_j @ c.chi
             K = max(K, abs(np.trace(chi_j)) * math.exp(-k * j * c.l0))
     return K, k
+
+
+def half_line_integral_reeval(f, rel_tol: float = 1e-9, h0: float = 0.5,
+                              max_halvings: int = 8, u_cap: float = 690.0):
+    """Log-axis trapezoid over (0, infinity) that re-evaluates every node.
+
+    Same window expansion, node grid and summation as
+    ``zetaflow.quadrature.half_line_integral``, but each refinement calls
+    the integrand on the whole grid again instead of reusing the nodes of
+    the coarser rule.
+    """
+    from zetaflow import DomainError
+
+    def g(u):
+        t = np.exp(u)
+        return np.asarray(f(t), dtype=complex) * t
+
+    block = 16
+    lo, hi = 0.0, 0.0
+    gmax = abs(complex(g(np.array([0.0]))[0]))
+    for direction in (-1.0, 1.0):
+        edge = 0.0
+        quiet = 0
+        while quiet < 2 and abs(edge) < u_cap:
+            us = edge + direction * h0 * (1 + np.arange(block))
+            edge = float(us[-1])
+            chunk = np.abs(g(us))
+            if not np.isfinite(chunk).all():
+                raise DomainError("half-line integrand produced non-finite values")
+            gmax = max(gmax, float(chunk.max()))
+            quiet = quiet + 1 if float(chunk.max()) <= 1e-22 * gmax else 0
+        if direction < 0:
+            lo = edge
+        else:
+            hi = edge
+
+    def trap(h):
+        us = np.arange(lo, hi + 0.5 * h, h)
+        return h * complex(np.sum(g(us)))
+
+    prev = trap(h0)
+    diff = math.inf
+    for _ in range(max_halvings):
+        h0 *= 0.5
+        cur = trap(h0)
+        diff = abs(cur - prev)
+        if diff <= rel_tol * max(abs(cur), 1e-300):
+            return cur, diff
+        prev = cur
+    raise DomainError(
+        f"half-line quadrature did not converge to rel_tol {rel_tol:g} "
+        f"(last refinement difference {diff:.2e})"
+    )

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import resolvent_kernel_mp, vandermonde_coeffs
+from oracles import half_line_integral_reeval, resolvent_kernel_mp, vandermonde_coeffs
 from zetaflow import (
     DomainError,
     EigenSpectrum,
@@ -15,10 +15,10 @@ from zetaflow import (
     ValidationError,
     anchor_set,
     cauchy_plancherel_identity,
-    continued_L,
     continued_from,
     contour_residue,
     heat_resolvent_identity,
+    heat_totals,
     log_zeta_ratio,
     moment_sum,
     partial_fraction_coeffs,
@@ -126,7 +126,7 @@ def test_continued_L_closed_form():
     for s in (1.3, 2.0 + 1.0j, 0.4 - 0.2j):
         want = 2 * s * (1 / (s * s) + 2 / (s * s + 2) + 1 / (s * s + 5))
         want -= 2 * math.pi * 1 * 2.0 * P(s)
-        assert continued_L(cl, s) == pytest.approx(want, rel=1e-13), s
+        assert cl(s) == pytest.approx(want, rel=1e-13), s
 
 
 def test_continued_L_refuses_poles():
@@ -235,3 +235,19 @@ def test_cauchy_plancherel_for_quadratic_density():
             lhs, rhs = cauchy_plancherel_identity(s, P)
             scale = max(abs(rhs), abs(P(s)) * math.pi / abs(s), 1e-3)
             assert abs(lhs - rhs) <= 1e-6 * scale, (sigma, s)
+
+
+@pytest.mark.parametrize(
+    "d, sigma, dim_chi, chi_norm, anchors",
+    [(3, (0,), 1, 1.0, [2.5, 3.5]), (5, (1, 0), 2, 1.02, [4.0, 4.5, 5.5])],
+)
+def test_heat_route_matches_the_unskipped_reevaluating_rule(d, sigma, dim_chi, chi_norm, anchors):
+    # skipping nodes where w(t) == 0 and reusing the coarser nodes leaves
+    # value and refinement difference bit-identical
+    ls = synthesize(GroupData(d), 60, systole=0.5, seed=15, dim_chi=dim_chi, chi_norm=chi_norm)
+    tp = TruncationPolicy(lmax=30.0, tail_eps=1e-6)
+    aset = anchor_set(anchors)
+    want = half_line_integral_reeval(
+        lambda t: small_t_combination(aset, t) * heat_totals(ls, sigma, t, tp)
+    )
+    assert resolvent_trace_via_heat(ls, sigma, aset, tp) == want

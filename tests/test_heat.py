@@ -106,3 +106,20 @@ def test_time_validation(ls3):
         geometric_heat_trace(ls3, (0,), 0.0, TruncationPolicy(lmax=10.0))
     with pytest.raises(ValidationError):
         heat_totals(ls3, (0,), np.array([0.1, -0.2]), TruncationPolicy(lmax=10.0))
+
+
+def test_heat_totals_below_the_kernel_underflow(ls3):
+    # below t = lmin^2 / 2980 every exp(-L^2 / 4t) underflows and only the
+    # identity part is left
+    sigma = (0,)
+    tp = TruncationPolicy(lmax=10.0, tail_eps=1.0)
+    lmin = float(ls3.power_table(tp.lmax).length[0])
+    ts = np.geomspace(1e-6, 0.5, 13)
+    dead = np.exp(-(lmin**2) / (4.0 * ts)) == 0.0
+    assert dead.any() and not dead.all()
+    grid = heat_totals(ls3, sigma, ts, tp)
+    P = plancherel_polynomial(ls3.gd, sigma)
+    for t, v in zip(ts[dead], grid[dead]):
+        assert v == ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, float(t))
+    for t, v in zip(ts, grid):
+        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).total

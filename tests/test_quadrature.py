@@ -4,8 +4,21 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import half_line_integral_reeval
 from zetaflow import DomainError
 from zetaflow.quadrature import half_line_integral, path_integral, segment_integral
+
+HALF_LINE_CASES = [
+    (lambda t: np.exp(-t) + 0j, 1e-9),
+    (lambda t: t * np.exp(-t) + 0j, 1e-9),
+    (lambda t: np.sqrt(t) * np.exp(-t) + 0j, 1e-9),
+    # the kernel of heat_resolvent_identity at s = 1.7 - 0.4i, length 2.3
+    (
+        lambda t: np.exp(-t * (1.7 - 0.4j) ** 2 - 2.3**2 / (4.0 * t))
+        / np.sqrt(4.0 * math.pi * t),
+        1e-11,
+    ),
+]
 
 
 def test_polynomials_integrate_exactly():
@@ -73,3 +86,25 @@ def test_half_line_integrals():
     assert val.real == pytest.approx(1.0, rel=1e-9)
     val, _ = half_line_integral(lambda t: np.sqrt(t) * np.exp(-t) + 0j)
     assert val.real == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
+
+
+def test_half_line_matches_the_reevaluating_rule_bitwise():
+    for f, rel_tol in HALF_LINE_CASES:
+        assert half_line_integral(f, rel_tol=rel_tol) == half_line_integral_reeval(
+            f, rel_tol=rel_tol
+        )
+
+
+def test_half_line_evaluates_each_node_once():
+    for f, rel_tol in HALF_LINE_CASES:
+        seen = []
+
+        def counted(t, f=f):
+            seen.extend(np.log(t).tolist())
+            return f(t)
+
+        half_line_integral(counted, rel_tol=rel_tol)
+        assert len(seen) == len(set(seen))
+        # every node of the finest rule was evaluated: the grid has no gaps
+        steps = np.diff(np.sort(seen))
+        assert steps.max() == pytest.approx(steps.min(), rel=1e-9)
