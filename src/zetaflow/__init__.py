@@ -4,8 +4,8 @@ The library evaluates the convergent log series of the zeta functions of a
 compact hyperbolic manifold of odd dimension, factorizes the Ruelle zeta
 through Selberg factors, computes geometric heat and resolvent traces, and
 continues the zeta log derivative through its poles from eigenvalue data.
-Everything is deterministic: seeded randomness, fixed summation order, and
-results independent of worker count.
+Everything is deterministic: seeded randomness and a fixed, serial
+summation order.
 """
 
 from .branching import (
@@ -47,7 +47,6 @@ from .spectra import (
     counting_function,
     load_eigen_spectrum,
     load_length_spectrum,
-    powers_up_to,
     save,
     synthesize,
     validate_cert,
@@ -59,7 +58,6 @@ from .zeta import (
     TruncationPolicy,
     abscissa_estimate,
     det_term,
-    L_sym,
     log_derivative,
     ruelle_factorized_log,
     ruelle_log,
@@ -79,7 +77,6 @@ __all__ = [
     "GroupData",
     "HeatEvaluation",
     "LengthSpectrum",
-    "L_sym",
     "PlancherelPolynomial",
     "PrimitiveClass",
     "SeriesValue",
@@ -113,7 +110,6 @@ __all__ = [
     "moment_sum",
     "partial_fraction_coeffs",
     "plancherel_polynomial",
-    "powers_up_to",
     "residue_order",
     "resolvent_trace_geometric",
     "resolvent_trace_spectral",

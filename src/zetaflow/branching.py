@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .chars import weight_multiplicities
@@ -30,9 +31,6 @@ from .weights import (
 )
 
 _MAX_PEELS = 64
-
-# exterior_decomposition results by (n, p); at most 2n + 1 entries per rank
-_exterior_cache: dict[tuple[int, int], tuple[tuple[Weight, int], ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -188,13 +186,11 @@ def exterior_decomposition(gd: GroupData, p: int) -> list[tuple[Weight, int]]:
     n = gd.n
     if not 0 <= p <= 2 * n:
         raise ValidationError(f"exterior power degree {p} outside [0, {2 * n}]")
-    cached = _exterior_cache.get((n, p))
-    if cached is None:
-        cached = _exterior_cache[n, p] = tuple(_peel_exterior_power(n, p))
-    return list(cached)
+    return list(_peel_exterior_power(n, p))
 
 
-def _peel_exterior_power(n: int, p: int) -> list[tuple[Weight, int]]:
+@lru_cache
+def _peel_exterior_power(n: int, p: int) -> tuple[tuple[Weight, int], ...]:
     zero = tuple(Fraction(0) for _ in range(n))
     basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
     lines = basis + [tuple(-c for c in b) for b in basis]
@@ -219,4 +215,4 @@ def _peel_exterior_power(n: int, p: int) -> list[tuple[Weight, int]]:
         total += weyl_dim(psi, "D")
     if total != math.comb(2 * n, p):
         raise ZetaflowError("exterior power dimensions do not add up")
-    return out
+    return tuple(out)

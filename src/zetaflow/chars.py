@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,9 +41,6 @@ from .weights import (
 )
 
 _SINGULAR_TOL = 1e-4
-
-_mult_cache: dict[tuple[str, Weight], dict[Weight, int]] = {}
-_table_cache: dict[tuple[str, Weight], "CharacterTable"] = {}
 
 
 def _in_positive_cone(delta: Sequence[Fraction], family: str) -> bool:
@@ -93,20 +91,16 @@ def _dominant_candidates(family: str, lam: Weight) -> list[Weight]:
     return out
 
 
+@lru_cache
 def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of the irreducible with highest
     weight ``lam``, computed by the Freudenthal recursion in exact arithmetic.
+    The result is memoized and shared: callers must not mutate it.
     """
-    key = (family, lam)
-    cached = _mult_cache.get(key)
-    if cached is not None:
-        return cached
     validate_dominant(lam, family, "highest weight")
     n = len(lam)
     if family == "D" and n == 1:
-        result = {lam: 1}
-        _mult_cache[key] = result
-        return result
+        return {lam: 1}
 
     rho = weyl_vector(family, n)
     roots = positive_roots(family, n)
@@ -148,9 +142,7 @@ def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
         mults[mu] = value
         return value
 
-    result = {mu: m for mu in candidates if (m := mult(mu)) != 0}
-    _mult_cache[key] = result
-    return result
+    return {mu: m for mu in candidates if (m := mult(mu)) != 0}
 
 
 def weight_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
@@ -174,7 +166,7 @@ class CharacterTable:
 
     Stores the full weight system as float arrays. Evaluation loops over
     weights with vectorized elementwise work per weight, which keeps the
-    reduction order fixed regardless of worker count.
+    reduction order fixed.
     """
 
     __slots__ = ("family", "rank", "highest", "dim", "_weights", "_mults")
@@ -206,13 +198,12 @@ class CharacterTable:
 
 
 def character_table(family: str, weight: Sequence[object]) -> CharacterTable:
-    lam = as_weight(weight)
-    key = (family, lam)
-    cached = _table_cache.get(key)
-    if cached is None:
-        cached = CharacterTable(family, lam, weight_multiplicities(family, lam))
-        _table_cache[key] = cached
-    return cached
+    return _character_table(family, as_weight(weight))
+
+
+@lru_cache
+def _character_table(family: str, lam: Weight) -> CharacterTable:
+    return CharacterTable(family, lam, weight_multiplicities(family, lam))
 
 
 def _batched_det(entries: np.ndarray) -> np.ndarray:

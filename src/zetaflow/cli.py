@@ -10,9 +10,10 @@ check, 2 on a numerical domain refusal (the message names the offending
 point and what to change).
 
 All output is deterministic for a fixed command line: random draws are
-seeded, summation order is fixed, and worker count (ZETAFLOW_THREADS) does
-not affect results. The --deterministic flag asserts this contract; it is
-accepted on every command for batch-harness compatibility.
+seeded and every series is summed serially in a fixed order; no
+environment variable is read. The --deterministic flag asserts this
+contract; it is accepted on every command for batch-harness
+compatibility.
 
 A JSON config file may supply any long option (keys use underscores in
 place of dashes); explicit flags win on conflict.

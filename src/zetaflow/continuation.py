@@ -58,7 +58,7 @@ def anchor_set(anchors: Sequence[complex]) -> AnchorSet:
     return AnchorSet(anchors=pts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def partial_fraction_coeffs(aset: AnchorSet) -> tuple[complex, ...]:
     """c_i = prod_{j != i} (s_j^2 - s_i^2)^{-1}, so that
     sum_i c_i / (x + s_i^2) = prod_i (x + s_i^2)^{-1}."""
@@ -174,17 +174,14 @@ def singularities(cl: ContinuedL) -> tuple[tuple[complex, int], ...]:
     return tuple(sorted(acc.items(), key=lambda kv: (kv[0].real, kv[0].imag)))
 
 
-def contour_residue(cl: ContinuedL, point: complex, radius: float | None = None) -> complex:
+def contour_residue(cl: ContinuedL, point: complex) -> complex:
     """(1/2 pi i) times the contour integral of the continuation around
     ``point``, by a 64-node trapezoid circle of radius half the distance to
     the nearest other singularity (0.5 when there is none). The trapezoid
     rule on a circle converges geometrically for meromorphic integrands."""
     point = complex(point)
-    if radius is None:
-        others = [p for p, _ in singularities(cl) if abs(p - point) > 1e-9]
-        radius = 0.5 if not others else 0.5 * min(abs(p - point) for p in others)
-    if radius <= 0:
-        raise ValidationError(f"contour radius must be positive, got {radius!r}")
+    others = [p for p, _ in singularities(cl) if abs(p - point) > 1e-9]
+    radius = 0.5 if not others else 0.5 * min(abs(p - point) for p in others)
     theta = 2.0 * math.pi * np.arange(64) / 64.0
     ring = np.exp(1j * theta)
     vals = cl(point + radius * ring)
@@ -229,7 +226,6 @@ def log_zeta_ratio(
     s1: complex,
     L: ContinuedL | Callable[[np.ndarray], np.ndarray],
     path: Sequence[complex] | None = None,
-    rel_tol: float = 1e-11,
 ) -> complex:
     """Integral of the log derivative along a polyline from s0 to s1;
     equals log Z(s1) - log Z(s0) for any path avoiding the poles."""
@@ -242,18 +238,16 @@ def log_zeta_ratio(
                         f"integration path passes within {_PATH_MARGIN:g} of the pole at {p}",
                         s=p,
                     )
-    return path_integral(L, vertices, rel_tol=rel_tol)
+    return path_integral(L, vertices)
 
 
-def cauchy_plancherel_identity(
-    s: complex, P: PlancherelPolynomial, window: float | None = None
-) -> tuple[complex, complex]:
+def cauchy_plancherel_identity(s: complex, P: PlancherelPolynomial) -> tuple[complex, complex]:
     """Both sides of the regularized Cauchy integral of the Plancherel
     density: left, the numerical integral of
-    P(i lambda)/(lambda^2 + s^2) - Q(lambda^2) over a finite window (Q the
-    polynomial quotient of the division by lambda^2 + s^2, which subtracts
-    the divergent part) plus the analytic tail of the remainder term;
-    right, (pi/s) P(s)."""
+    P(i lambda)/(lambda^2 + s^2) - Q(lambda^2) over the window
+    |lambda| <= 50 (1 + |s|) (Q the polynomial quotient of the division by
+    lambda^2 + s^2, which subtracts the divergent part) plus the analytic
+    tail of the remainder term; right, (pi/s) P(s)."""
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"identity requires Re(s) > 0, got s = {s}", s=s)
@@ -278,7 +272,7 @@ def cauchy_plancherel_identity(
             qval = qval * u + c
         return rval / (u + s * s) - qval
 
-    lam_max = window if window is not None else 50.0 * (1.0 + abs(s))
+    lam_max = 50.0 * (1.0 + abs(s))
     rhs = (math.pi / s) * P(s)
     # the integrand cancels two large polynomial evaluations, so its noise
     # floor is set by their amplitude, not by the (possibly zero) integral;
@@ -362,7 +356,6 @@ def resolvent_trace_via_heat(
     sigma: Sequence[object],
     aset: AnchorSet,
     tp: TruncationPolicy,
-    rel_tol: float = 1e-9,
 ) -> tuple[complex, float]:
     """Anchored resolvent trace by integrating the anchor combination
     against the geometric heat trace over (0, infinity). Needs more than
@@ -370,7 +363,7 @@ def resolvent_trace_via_heat(
     for integrability at infinity. Nodes where w(t) is exactly 0 (every
     exp(-t s_i^2) underflows) contribute exactly 0 and are not sent to the
     heat trace. Returns the value and the quadrature's last refinement
-    difference."""
+    difference at relative tolerance 1e-9."""
     if 2 * aset.size <= ls.gd.d:
         raise DomainError(
             f"need more than {ls.gd.d / 2:g} anchors to cancel the small-time "
@@ -387,4 +380,4 @@ def resolvent_trace_via_heat(
             w[live] *= heat_totals(ls, sigma, t[live], tp)
         return w
 
-    return half_line_integral(f, rel_tol=rel_tol)
+    return half_line_integral(f)

@@ -112,28 +112,34 @@ def path_integral(
     return total
 
 
+# log-axis trapezoid: coarse step (dyadic, so every node is an exact binary
+# fraction), number of halvings, and the |u| where window expansion stops
+_H0 = 0.5
+_MAX_HALVINGS = 8
+_U_CAP = 690.0
+
+
 def half_line_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    rel_tol: float = 1e-9,
-    h0: float = 0.5,
-    max_halvings: int = 8,
-    u_cap: float = 690.0,
+    f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-9
 ) -> tuple[complex, float]:
     """Integral of f over (0, infinity) by trapezoid on the u = log t axis.
 
-    The window expands at the coarse step until the transformed integrand
-    g(u) = f(e^u) e^u has decayed by 22 digits relative to its peak on both
-    sides, then the step is halved until two consecutive refinements agree
-    to rel_tol. Each node is evaluated once: the window samples are the
-    coarse rule's nodes, and a halving evaluates g only at the new
-    midpoints. Returns the value and the last refinement difference as an
-    error proxy. Integrands must vectorize over a float array of times,
-    elementwise.
+    The window expands at the coarse step h0 = 0.5 until the transformed
+    integrand g(u) = f(e^u) e^u has decayed by 22 digits relative to its
+    peak on both sides, then the step is halved until two consecutive
+    refinements agree to rel_tol. Each node is evaluated once: the window
+    samples are the coarse rule's nodes, and a halving evaluates g only at
+    the new midpoints. Any non-finite sample raises DomainError. Returns
+    the value and the last refinement difference as an error proxy.
+    Integrands must vectorize over a float array of times, elementwise.
     """
 
     def g(u: np.ndarray) -> np.ndarray:
         t = np.exp(u)
-        return np.asarray(f(t), dtype=complex) * t
+        vals = np.asarray(f(t), dtype=complex) * t
+        if not np.isfinite(np.abs(vals)).all():
+            raise DomainError("half-line integrand produced non-finite values")
+        return vals
 
     # expand the window at the coarse step until both tails are dead
     block = 16
@@ -144,27 +150,25 @@ def half_line_integral(
         edge = 0.0
         quiet = 0
         chunks = []
-        while quiet < 2 and abs(edge) < u_cap:
-            us = edge + direction * h0 * (1 + np.arange(block))
+        while quiet < 2 and abs(edge) < _U_CAP:
+            us = edge + direction * _H0 * (1 + np.arange(block))
             edge = float(us[-1])
             vals = g(us)
             chunks.append(vals)
             mag = np.abs(vals)
-            if not np.isfinite(mag).all():
-                raise DomainError("half-line integrand produced non-finite values")
             gmax = max(gmax, float(mag.max()))
             quiet = quiet + 1 if float(mag.max()) <= 1e-22 * gmax else 0
         sides.append((edge, chunks))
     (lo, left), (hi, right) = sides
-    # the window samples are g on the h0 grid lo, lo + h0, ..., hi; with a
-    # dyadic h0 (the default 0.5) every node is an exact binary fraction, so
-    # lo + i h == lo + 2i (h/2) and each refinement sums the same nodes in
-    # the same order as a freshly evaluated rule would
+    # the window samples are g on the h0 grid lo, lo + h0, ..., hi; every
+    # node is an exact binary fraction, so lo + i h == lo + 2i (h/2) and
+    # each refinement sums the same nodes in the same order as a freshly
+    # evaluated rule would
     vals = np.concatenate([c[::-1] for c in reversed(left)] + [centre] + right)
-    prev = h0 * complex(np.sum(vals))
-    h = h0
+    prev = _H0 * complex(np.sum(vals))
+    h = _H0
     diff = math.inf
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         h *= 0.5
         finer = np.empty(2 * vals.size - 1, dtype=complex)
         finer[0::2] = vals

@@ -61,17 +61,6 @@ class PrimitiveClass:
         object.__setattr__(self, "l0", float(self.l0))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassPower:
-    """The j-th power of a primitive class, with derived data."""
-
-    class_index: int
-    j: int
-    length: float
-    angles: tuple[float, ...]
-    chi_trace: complex
-
-
 def _trace_powers(chi: np.ndarray, jmax: int) -> np.ndarray:
     """tr(chi^j) for j = 1..jmax.
 
@@ -251,22 +240,6 @@ class LengthSpectrum:
                 del self._plans[next(iter(self._plans))]
         self._plans[lmax] = plan
         return plan
-
-
-def powers_up_to(ls: LengthSpectrum, lmax: float) -> list[ClassPower]:
-    """All powers of all primitive classes with length <= lmax, sorted by
-    (length, class index, j). Growing lmax extends the list prefix-stably."""
-    t = ls.power_table(lmax)
-    return [
-        ClassPower(
-            class_index=int(t.class_index[i]),
-            j=int(t.j[i]),
-            length=float(t.length[i]),
-            angles=tuple(float(a) for a in t.angles[i]),
-            chi_trace=complex(t.chi_trace[i]),
-        )
-        for i in range(t.size)
-    ]
 
 
 def counting_function(ls: LengthSpectrum, r: float) -> int:

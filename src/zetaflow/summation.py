@@ -1,28 +1,17 @@
 """Deterministic series reduction.
 
-Terms are summed in fixed 4096-element blocks: pairwise summation inside a
-block, Neumaier compensation across block partials in index order. Worker
-threads (ZETAFLOW_THREADS) only parallelize the independent block partials,
-so the result is bit-identical for any worker count. Hot reductions avoid
-BLAS on purpose; its internal blocking can vary with thread count.
+Terms are summed serially in fixed 4096-element blocks: pairwise summation
+inside a block, Neumaier compensation across block partials in index
+order. The order depends only on the array, so the result is bit-identical
+from run to run. Hot reductions avoid BLAS on purpose; its internal
+blocking can vary with thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 BLOCK = 4096
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ZETAFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _neumaier(parts: list[float]) -> float:
@@ -38,19 +27,12 @@ def _neumaier(parts: list[float]) -> float:
     return s + c
 
 
-def block_sum(values: np.ndarray, threads: int | None = None) -> complex:
+def block_sum(values: np.ndarray) -> complex:
     """Sum a 1-d array deterministically; see module docstring."""
     v = np.asarray(values)
     if v.size == 0:
         return 0j
-    blocks = [v[i : i + BLOCK] for i in range(0, v.size, BLOCK)]
-    if threads is None:
-        threads = worker_count()
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            partials = list(ex.map(np.sum, blocks))
-    else:
-        partials = [np.sum(b) for b in blocks]
+    partials = [np.sum(v[i : i + BLOCK]) for i in range(0, v.size, BLOCK)]
     re = _neumaier([float(np.real(p)) for p in partials])
     im = _neumaier([float(np.imag(p)) for p in partials])
     return complex(re, im)

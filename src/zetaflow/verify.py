@@ -85,8 +85,9 @@ def _loglog_slope(ts: np.ndarray, ws: np.ndarray) -> float:
     return float(np.polyfit(np.log(ts), np.log(np.abs(ws)), 1)[0])
 
 
-def fitted_growth_exponent(ls: LengthSpectrum, points: int = 40) -> float:
-    """Slope of log N(R) against R over the upper half of the length range.
+def fitted_growth_exponent(ls: LengthSpectrum) -> float:
+    """Slope of log N(R) against R at 40 radii over the upper half of the
+    length range.
 
     The lower half is skipped because the counting function there is too
     coarse to fit; the top of the range keeps the full population.
@@ -95,7 +96,7 @@ def fitted_growth_exponent(ls: LengthSpectrum, points: int = 40) -> float:
     if len(lengths) < 10:
         raise ValidationError("need at least 10 primitive classes to fit a growth exponent")
     lo, hi = lengths[len(lengths) // 2], lengths[-1]
-    rs = np.linspace(lo, hi, points)
+    rs = np.linspace(lo, hi, 40)
     counts = np.array([counting_function(ls, float(r)) for r in rs], dtype=float)
     return float(np.polyfit(rs, np.log(counts), 1)[0])
 

@@ -28,7 +28,7 @@ import numpy as np
 from .branching import exterior_decomposition
 from .chars import CharacterTable, character_table, weyl_character
 from .errors import DomainError, ValidationError
-from .spectra import ClassPower, LengthSpectrum, certify_twist_growth, _PowerTable
+from .spectra import LengthSpectrum, certify_twist_growth, _PowerTable
 from .summation import block_sum
 from .weights import GroupData
 
@@ -70,18 +70,6 @@ def det_term(gd: GroupData, length: float, angles: Sequence[float]) -> float:
     for th in angles:
         out *= 1.0 - 2.0 * e * math.cos(th) + e * e
     return out
-
-
-def L_sym(gd: GroupData, cp: ClassPower, sigma: Sequence[object]) -> complex:
-    """Per-power symbol: tr chi times char_sigma at the power angles times
-    exp(-|rho| length) over the det term."""
-    char = weyl_character(sigma, np.asarray(cp.angles), "D")
-    return (
-        cp.chi_trace
-        * char
-        * math.exp(-gd.rho_norm * cp.length)
-        / det_term(gd, cp.length, cp.angles)
-    )
 
 
 def _char_product(table: _PowerTable, tables: tuple[CharacterTable, ...]) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -267,4 +268,53 @@ def half_line_integral_reeval(f, rel_tol: float = 1e-9, h0: float = 0.5,
     raise DomainError(
         f"half-line quadrature did not converge to rel_tol {rel_tol:g} "
         f"(last refinement difference {diff:.2e})"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ClassPower:
+    """The j-th power of a primitive class, with derived data."""
+
+    class_index: int
+    j: int
+    length: float
+    angles: tuple[float, ...]
+    chi_trace: complex
+
+
+def powers_up_to(ls, lmax: float) -> list[ClassPower]:
+    """All powers of all primitive classes with length <= lmax, sorted by
+    (length, class index, j). Growing lmax extends the list prefix-stably.
+
+    One scalar record per power, for per-power loops over the columns the
+    library's prepared plan evaluates as whole arrays.
+    """
+    t = ls.power_table(lmax)
+    return [
+        ClassPower(
+            class_index=int(t.class_index[i]),
+            j=int(t.j[i]),
+            length=float(t.length[i]),
+            angles=tuple(float(a) for a in t.angles[i]),
+            chi_trace=complex(t.chi_trace[i]),
+        )
+        for i in range(t.size)
+    ]
+
+
+def L_sym(gd, cp: ClassPower, sigma) -> complex:
+    """Per-power symbol: tr chi times char_sigma at the power angles times
+    exp(-|rho| length) over the det term.
+
+    Scalar route, one power at a time, against the library's batched
+    series kernels.
+    """
+    from zetaflow import det_term, weyl_character
+
+    char = weyl_character(sigma, np.asarray(cp.angles), "D")
+    return (
+        cp.chi_trace
+        * char
+        * math.exp(-gd.rho_norm * cp.length)
+        / det_term(gd, cp.length, cp.angles)
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import heat_integral_mp
+from oracles import L_sym, heat_integral_mp, powers_up_to
 from zetaflow import (
     DomainError,
     EigenSpectrum,
@@ -16,8 +16,6 @@ from zetaflow import (
     spectral_heat_trace,
 )
 from zetaflow.heat import plancherel_heat_integral
-from zetaflow.spectra import powers_up_to
-from zetaflow.zeta import L_sym
 
 
 def test_spectral_trace_is_a_plain_sum():

@@ -108,3 +108,22 @@ def test_half_line_evaluates_each_node_once():
         # every node of the finest rule was evaluated: the grid has no gaps
         steps = np.diff(np.sort(seen))
         assert steps.max() == pytest.approx(steps.min(), rel=1e-9)
+
+
+def _nan_at(t0):
+    def f(t):
+        return np.where(np.abs(t - t0) < 1e-12, np.nan, np.exp(-t)) + 0j
+
+    return f
+
+
+def test_half_line_rejects_a_non_finite_centre_sample():
+    # t = 1 is the window's first sample (u = 0), before any expansion
+    with pytest.raises(DomainError, match="non-finite"):
+        half_line_integral(_nan_at(1.0))
+
+
+def test_half_line_rejects_a_non_finite_midpoint():
+    # t = e^0.25 is first evaluated as a midpoint of the first halving
+    with pytest.raises(DomainError, match="non-finite"):
+        half_line_integral(_nan_at(math.exp(0.25)))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import twist_growth_cert_loop
+from oracles import powers_up_to, twist_growth_cert_loop
 from zetaflow import (
     EigenSpectrum,
     GroupData,
@@ -14,7 +14,6 @@ from zetaflow import (
     counting_function,
     load_eigen_spectrum,
     load_length_spectrum,
-    powers_up_to,
     save,
     selberg_log,
     synthesize,

@@ -62,6 +62,10 @@ def test_characters_suite_fails_on_a_perturbed_weight_table(monkeypatch):
         return system
 
     monkeypatch.setattr(chars, "weight_multiplicities", flipped)
-    monkeypatch.setattr(chars, "_table_cache", {})
-    results = run_suite("characters")
+    # tables built from the flipped systems must not outlive this test
+    chars._character_table.cache_clear()
+    try:
+        results = run_suite("characters")
+    finally:
+        chars._character_table.cache_clear()
     assert [r.passed for r in results] == [False, False]

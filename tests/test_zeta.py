@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_derivative, selberg_log_product
+from oracles import L_sym, fd_derivative, powers_up_to, selberg_log_product
 from zetaflow import (
     DomainError,
     geometric_heat_trace,
@@ -24,8 +24,7 @@ from zetaflow import (
     synthesize,
     z_p_log,
 )
-from zetaflow.spectra import powers_up_to
-from zetaflow.zeta import L_sym, exterior_class_sum
+from zetaflow.zeta import exterior_class_sum
 
 # one class, l0 = 0.8, theta = 0.9, untwisted; references computed with
 # 50-digit mpmath sums of the defining series and Euler product
