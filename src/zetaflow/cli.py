@@ -15,8 +15,9 @@ environment variable is read. The --deterministic flag asserts this
 contract; it is accepted on every command for batch-harness
 compatibility.
 
-A JSON config file may supply any long option (keys use underscores in
-place of dashes); explicit flags win on conflict.
+A JSON config file may supply any long option of the command (keys use
+underscores in place of dashes), but not the command itself; explicit
+flags win on conflict.
 """
 
 from __future__ import annotations
@@ -153,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     eigen = _Parser(add_help=False)
     eigen.add_argument("--eigen", dest="eigen_path", help="eigenvalue spectrum JSON file")
     eigen.add_argument("--d", type=int, help="ambient odd dimension")
-    eigen.add_argument("--dim-chi", type=int, help="twist dimension (default 1)")
-    eigen.add_argument("--volume", type=float, help="manifold volume (default 1)")
+
+    continued = _Parser(add_help=False, parents=[eigen])
+    continued.add_argument("--dim-chi", type=int, help="twist dimension (default 1)")
+    continued.add_argument("--volume", type=float, help="manifold volume (default 1)")
 
     p = _Parser(prog="zetaflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -198,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "continue",
-        parents=[common, grid, sigma, eigen],
+        parents=[common, grid, sigma, continued],
         help="evaluate the continued log derivative from eigenvalue data",
     )
 
     sub.add_parser(
         "residues",
-        parents=[common, sigma, eigen],
+        parents=[common, sigma, continued],
         help="contour residues at the continuation poles; rows hold the pole, "
         "the measured residue, and its distance to the nearest integer",
     )
@@ -240,7 +243,7 @@ def _merge_config(ns: argparse.Namespace) -> JobConfig:
             "sigma": _parse_sigma,
         }
         for key, value in doc.items():
-            if key not in values:
+            if key not in values or key == "command":
                 raise ValidationError(f"config key {key!r} is not an option of {ns.command}")
             if values[key] is None:
                 values[key] = parsers[key](value) if key in parsers else value

@@ -17,11 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .chars import CharacterTable, character_table
 from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
-from .spectra import EigenSpectrum, LengthSpectrum, certify_twist_growth
+from .spectra import EigenSpectrum, LengthSpectrum
 from .summation import block_sum
-from .zeta import TruncationPolicy, _char_product, _sigma_table
+from .zeta import TruncationPolicy
 
 _HERMITE_DEGREE_CUTOFF = 40
 
@@ -71,38 +72,16 @@ def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
     return complex((w * vals).sum() / math.sqrt(t))
 
 
-def _hyperbolic_base(ls: LengthSpectrum, sigma: Sequence[object], lmax: float) -> np.ndarray:
-    """t-independent per-power prefactor l0 tr chi char_sigma e^{-rho L}/det."""
-    table = ls.power_table(lmax)
-    if not table.size:
-        return np.empty(0, dtype=complex)
-    key = ls.gd.validate_m_weight(sigma)
-    cached = table.heat_bases.get(key)
-    if cached is not None:
-        return cached
-    chars = _char_product(table, (_sigma_table(ls, sigma),))
-    base = (
-        table.l0
-        * table.chi_trace
-        * chars
-        * np.exp(-float(ls.gd.rho_norm) * table.length)
-        / table.det
-    )
-    table.heat_bases[key] = base
-    return base
-
-
-def _hyperbolic_tail(ls: LengthSpectrum, sigma_dim: float, t: float, policy: TruncationPolicy) -> float:
+def _hyperbolic_tail(plan, sigma_dim: float, t: float, policy: TruncationPolicy) -> float:
     """Certified bound on the dropped powers of the Gaussian-damped series,
-    from the plan's certificate (K, k) and counting constant C'; C' is
-    observed only up to lmax, as for the zeta tails."""
-    table = ls.power_table(policy.lmax)
-    if not table.size:
+    from the plan (ls.power_table(policy.lmax)): its certificate (K, k),
+    counting constant C' and det floor; C' is observed only up to lmax, as
+    for the zeta tails."""
+    if not plan.size:
         return 0.0
-    gd = ls.gd
-    cert = certify_twist_growth(ls, policy.lmax)
-    b = 2.0 * gd.rho_norm
-    rho = float(gd.rho_norm)
+    cert = plan.cert
+    b = plan.b
+    rho = float(plan.gd.rho_norm)
     lmax = policy.lmax
     beta = lmax / (4.0 * t) - (b + cert.k - rho)
     if beta <= 0:
@@ -111,9 +90,8 @@ def _hyperbolic_tail(ls: LengthSpectrum, sigma_dim: float, t: float, policy: Tru
             f"need lmax > {4.0 * t * (b + cert.k - rho):g}",
             s=None,
         )
-    dmin = (1.0 - math.exp(-ls.systole)) ** (2 * gd.n)
-    B = cert.K * sigma_dim / dmin
-    cprime = table.counting_constant
+    B = cert.K * sigma_dim / plan.det_floor
+    cprime = plan.counting_constant
     i1 = math.exp(-beta * lmax) * (lmax / beta + 1.0 / beta**2)
     i2 = math.exp(-beta * lmax) * (lmax**2 / beta + 2.0 * lmax / beta**2 + 2.0 / beta**3)
     tail = cprime * B * (i2 / (2.0 * t) + rho * i1) / math.sqrt(4.0 * math.pi * t)
@@ -126,6 +104,17 @@ def _hyperbolic_tail(ls: LengthSpectrum, sigma_dim: float, t: float, policy: Tru
     return tail
 
 
+def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
+    """The hyperbolic contribution at time t: the plan's heat prefactors
+    against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t), block
+    summed. Exactly 0 where exp(-lmin^2 / 4t) underflows to 0: the lengths
+    ascend, so every kernel term is then 0."""
+    if not plan.size or math.exp(-(plan.length[0] * plan.length[0]) / (4.0 * t)) == 0.0:
+        return 0j
+    kernel = np.exp(-plan.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    return block_sum(plan.heat_base(sigma_table) * kernel)
+
+
 def geometric_heat_trace(
     ls: LengthSpectrum, sigma: Sequence[object], t: float, tp: TruncationPolicy
 ) -> HeatEvaluation:
@@ -135,14 +124,10 @@ def geometric_heat_trace(
         raise ValidationError(f"heat time must be positive, got {t!r}")
     P = plancherel_polynomial(ls.gd, sigma)
     identity = ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
-    if not ls.classes:
-        return HeatEvaluation(t=t, identity_part=identity, hyperbolic_part=0j, tail_bound=0.0)
-    base = _hyperbolic_base(ls, sigma, tp.lmax)
-    table = ls.power_table(tp.lmax)
-    sigma_dim = _sigma_table(ls, sigma).norm_bound()
-    tail = _hyperbolic_tail(ls, sigma_dim, t, tp)
-    kernel = np.exp(-table.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    hyp = block_sum(base * kernel)
+    plan = ls.power_table(tp.lmax)
+    sig = character_table("D", ls.gd.validate_m_weight(sigma))
+    tail = _hyperbolic_tail(plan, sig.norm_bound(), t, tp)
+    hyp = _hyperbolic_sum(plan, sig, t)
     return HeatEvaluation(t=t, identity_part=identity, hyperbolic_part=hyp, tail_bound=tail)
 
 
@@ -151,31 +136,19 @@ def heat_totals(
 ) -> np.ndarray:
     """Vector of geometric heat trace totals over a time grid.
 
-    Each entry equals ``geometric_heat_trace(...).total`` exactly: one time
-    at a time, the identity part plus the power sum in the scalar
-    evaluator's summation order. The power sum is skipped at a time where
-    exp(-lmin^2 / 4t) underflows to 0, since the lengths ascend and every
-    kernel term is then exactly 0. Tail bounds are not re-certified per
-    time; callers quantify their own error budget.
+    Each entry is the identity part plus the hyperbolic sum of
+    ``geometric_heat_trace`` at that time, by the same routine, so it
+    equals ``geometric_heat_trace(...).total`` exactly. Tail bounds are not
+    re-certified per time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
     if (ts <= 0).any():
         raise ValidationError("heat times must be positive")
     P = plancherel_polynomial(ls.gd, sigma)
-    out = np.empty(ts.shape, dtype=complex)
-    for i, t in enumerate(ts.ravel()):
-        out.ravel()[i] = ls.dim_chi * ls.volume * plancherel_heat_integral(P, float(t))
-    if not ls.classes:
-        return out
-    base = _hyperbolic_base(ls, sigma, tp.lmax)
-    table = ls.power_table(tp.lmax)
-    lsq = table.length**2
-    flat = out.ravel()
-    tflat = ts.ravel()
-    for i in range(tflat.size):
-        t = float(tflat[i])
-        if lsq.size and math.exp(-lsq[0] / (4.0 * t)) == 0.0:
-            continue
-        kernel = np.exp(-lsq / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-        flat[i] += block_sum(base * kernel)
-    return out
+    plan = ls.power_table(tp.lmax)
+    sig = character_table("D", ls.gd.validate_m_weight(sigma))
+    totals = [
+        ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) + _hyperbolic_sum(plan, sig, t)
+        for t in map(float, ts.ravel())
+    ]
+    return np.array(totals, dtype=complex).reshape(ts.shape)

@@ -11,9 +11,11 @@ tests and demos.
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
 enumeration as array columns plus everything that does not depend on the
-evaluation point (twist certificate, counting constant, det terms,
-character products). A spectrum keeps its few most recently used plans,
-and the twist growth rate, which no cutoff affects, once.
+evaluation point (twist certificate, counting constant, det terms and
+their floor, character products, heat prefactors); the evaluators only
+read it. A spectrum keeps its few most recently used plans, a plan those
+products and prefactors for its most recently used twists, and the
+spectrum the twist growth rate, which no cutoff affects, once.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) at
 construction time, which fixes the spin lift once; the angles of the j-th
@@ -32,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .chars import CharacterTable
 from .errors import ValidationError
 from .weights import GroupData
 
@@ -93,23 +96,40 @@ def _max_power(l0: float, lmax: float) -> int:
     return int(math.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12))
 
 
-# plans kept per spectrum; the least recently used one is evicted first
+# plans kept per spectrum, and character products and heat prefactors kept
+# per plan; the least recently used entry is evicted first
 _PLANS_PER_SPECTRUM = 4
+_PRODUCTS_PER_PLAN = 16
+
+
+def _lru(memo: dict, key, build, limit: int):
+    """memo[key], made by build() on a miss. The memo holds at most limit
+    entries in order of use; a miss evicts the least recently used one."""
+    value = memo.pop(key, None)
+    if value is None:
+        value = build()
+        if len(memo) >= limit:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 class _PowerTable:
     """Prepared plan for one (spectrum, lmax).
 
     Holds every power of length <= lmax as array columns sorted by
-    (length, class index, j), together with the s-independent data that
-    the series and heat evaluators read at every point: the twist
+    (length, class index, j), together with the point-independent data
+    that the series and heat evaluators read at every s or t: the twist
     certificate (K, k), the counting constant C' for b = 2|rho|, the det
-    terms, the character products of the series kernels and the
-    t-independent prefactors of the heat route. Each derived quantity is
-    built on first use and kept for the life of the plan.
+    terms and their floor, the character products of the series kernels
+    and the t-independent prefactors of the heat route. Each is built on
+    first use; the products and prefactors, one per twist, are kept for
+    the _PRODUCTS_PER_PLAN most recently used twists, the rest for the
+    life of the plan.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
+        self.gd = ls.gd
         self.dim_chi = ls.dim_chi
         self.rate = ls.twist_rate
         self.b = 2.0 * ls.gd.rho_norm
@@ -140,11 +160,8 @@ class _PowerTable:
             self.chi_trace = np.empty(0, dtype=complex)
             self.angles = np.empty((0, ls.gd.n))
         self.inv_j = 1.0 / self.j if len(self.j) else np.empty(0)
-        # products of character tables at the power angles, keyed by the
-        # tables' ((family, highest), ...)
-        self.char_products: dict[tuple, np.ndarray] = {}
-        # heat route: l0 tr chi char_sigma e^{-|rho| L} / det, keyed by sigma
-        self.heat_bases: dict[tuple, np.ndarray] = {}
+        self._char_products: dict[tuple, np.ndarray] = {}
+        self._heat_bases: dict[tuple, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -173,6 +190,36 @@ class _PowerTable:
         """prod_j (1 - 2 e^{-L} cos(j-th angle) + e^{-2L}) per power."""
         e = np.exp(-self.length)[:, None]
         return np.prod(1.0 - 2.0 * e * np.cos(self.angles) + e * e, axis=1)
+
+    @cached_property
+    def det_floor(self) -> float:
+        """(1 - e^{-systole})^(2n), a lower bound of every det term. Read
+        on a non-empty plan only: its first power is the shortest class
+        itself, at the exact length l0 (the j = 1 power)."""
+        return (1.0 - math.exp(-float(self.length[0]))) ** (2 * self.gd.n)
+
+    def chars(self, tables: Sequence[CharacterTable]) -> np.ndarray:
+        """Product of the character tables at the power angles, multiplied
+        in table order; memoized by the tables' ((family, highest), ...)."""
+        def build() -> np.ndarray:
+            acc = np.ones(self.size, dtype=complex)
+            for t in tables:
+                acc = acc * t.evaluate(self.angles)
+            return acc
+
+        key = tuple((t.family, t.highest) for t in tables)
+        return _lru(self._char_products, key, build, _PRODUCTS_PER_PLAN)
+
+    def heat_base(self, sigma_table: CharacterTable) -> np.ndarray:
+        """t-independent heat prefactor l0 tr chi char_sigma e^{-|rho| L} / det
+        per power; memoized by the table's (family, highest)."""
+        def build() -> np.ndarray:
+            chars = self.chars((sigma_table,))
+            rho = float(self.gd.rho_norm)
+            return self.l0 * self.chi_trace * chars * np.exp(-rho * self.length) / self.det
+
+        key = (sigma_table.family, sigma_table.highest)
+        return _lru(self._heat_bases, key, build, _PRODUCTS_PER_PLAN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,13 +280,7 @@ class LengthSpectrum:
         _PLANS_PER_SPECTRUM plans are kept and reused."""
         if not (math.isfinite(lmax) and lmax > 0):
             raise ValidationError(f"length cutoff must be positive and finite, got {lmax!r}")
-        plan = self._plans.pop(lmax, None)
-        if plan is None:
-            plan = _PowerTable(self, lmax)
-            if len(self._plans) >= _PLANS_PER_SPECTRUM:
-                del self._plans[next(iter(self._plans))]
-        self._plans[lmax] = plan
-        return plan
+        return _lru(self._plans, lmax, lambda: _PowerTable(self, lmax), _PLANS_PER_SPECTRUM)
 
 
 def counting_function(ls: LengthSpectrum, r: float) -> int:

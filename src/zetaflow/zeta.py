@@ -7,9 +7,9 @@ growth certificate, the fitted counting constant, and integration by parts
 against the majorant; the convergence abscissa is enforced by the bound
 itself (the tail formula degenerates exactly when the series stops
 converging absolutely, and that raises). Everything that does not depend
-on s (power columns, certificate, counting constant, det terms, character
-products) comes from the prepared plan of (spectrum, lmax), so a grid of
-s-points pays for it once.
+on s (power columns, certificate, counting constant, det terms and their
+floor, character products) comes from the prepared plan of (spectrum,
+lmax), looked up once per point, so a grid of s-points pays for it once.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -28,7 +28,7 @@ import numpy as np
 from .branching import exterior_decomposition
 from .chars import CharacterTable, character_table, weyl_character
 from .errors import DomainError, ValidationError
-from .spectra import LengthSpectrum, certify_twist_growth, _PowerTable
+from .spectra import LengthSpectrum
 from .summation import block_sum
 from .weights import GroupData
 
@@ -72,41 +72,22 @@ def det_term(gd: GroupData, length: float, angles: Sequence[float]) -> float:
     return out
 
 
-def _char_product(table: _PowerTable, tables: tuple[CharacterTable, ...]) -> np.ndarray:
-    key = tuple((t.family, t.highest) for t in tables)
-    cached = table.char_products.get(key)
-    if cached is not None:
-        return cached
-    acc = np.ones(table.size, dtype=complex)
-    for t in tables:
-        acc = acc * t.evaluate(table.angles)
-    table.char_products[key] = acc
-    return acc
-
-
 def _tail_bound(
-    ls: LengthSpectrum,
-    table: _PowerTable,
-    policy: TruncationPolicy,
-    s: complex,
-    *,
-    kind: str,
-    dim_eff: float,
+    ls: LengthSpectrum, plan, policy: TruncationPolicy, s: complex, *, kind: str, dim_eff: float
 ) -> float:
-    """Certified bound on the powers beyond policy.lmax, from the plan's
-    certificate (K, k) and counting constant C'. C' is observed only up
-    to lmax, so the bound rests on the prime-geodesic growth
-    N(L) <= C' exp(2|rho| L) continuing past the cutoff."""
-    if not table.size:
+    """Certified bound on the powers beyond policy.lmax, from the plan
+    (ls.power_table(policy.lmax)): its certificate (K, k), counting
+    constant C' and det floor. C' is observed only up to lmax, so the
+    bound rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
+    continuing past the cutoff."""
+    if not plan.size:
         return 0.0
-    cert = certify_twist_growth(ls, policy.lmax)
-    gd = ls.gd
-    b = 2.0 * gd.rho_norm
+    cert = plan.cert
     if kind == "ruelle":
         a = s.real - cert.k
     else:
-        a = s.real + gd.rho_norm - cert.k
-    gap = a - b
+        a = s.real + ls.gd.rho_norm - cert.k
+    gap = a - plan.b
     if gap + policy.abscissa_margin <= 0:
         raise DomainError(
             f"series for kind {kind!r} does not converge at s = {s}: "
@@ -117,9 +98,8 @@ def _tail_bound(
         )
     B = cert.K * dim_eff
     if kind != "ruelle":
-        dmin = (1.0 - math.exp(-ls.systole)) ** (2 * gd.n)
-        B /= dmin
-    cprime = table.counting_constant
+        B /= plan.det_floor
+    cprime = plan.counting_constant
     if gap <= 0:
         tail = math.inf
     elif kind == "logderiv":
@@ -146,33 +126,20 @@ def _series_value(
 ) -> SeriesValue:
     if not ls.classes:
         return SeriesValue(0j, 0.0)
-    table = ls.power_table(policy.lmax)
+    plan = ls.power_table(policy.lmax)
     dim_eff = 1.0
     for t in tables:
         dim_eff *= t.norm_bound()
-    tail = _tail_bound(ls, table, policy, s, kind=kind, dim_eff=dim_eff)
-    if not table.size:
+    tail = _tail_bound(ls, plan, policy, s, kind=kind, dim_eff=dim_eff)
+    if not plan.size:
         return SeriesValue(0j, tail)
-    chars = _char_product(table, tables)
+    chars = plan.chars(tables)
     rho = float(ls.gd.rho_norm)
-    if kind == "selberg":
-        terms = (
-            -table.inv_j
-            * table.chi_trace
-            * chars
-            * np.exp(-(s + rho) * table.length)
-            / table.det
-        )
-    elif kind == "ruelle":
-        terms = -table.inv_j * table.chi_trace * chars * np.exp(-s * table.length)
-    elif kind == "logderiv":
-        terms = (
-            table.l0
-            * table.chi_trace
-            * chars
-            * np.exp(-(s + rho) * table.length)
-            / table.det
-        )
+    if kind == "ruelle":
+        terms = -plan.inv_j * plan.chi_trace * chars * np.exp(-s * plan.length)
+    elif kind in ("selberg", "logderiv"):
+        weight = -plan.inv_j if kind == "selberg" else plan.l0
+        terms = weight * plan.chi_trace * chars * np.exp(-(s + rho) * plan.length) / plan.det
     else:
         raise ValidationError(f"unknown series kind {kind!r}")
     return SeriesValue(block_sum(terms), tail)

@@ -138,6 +138,13 @@ def test_resolvent_eigen_route(workdir, capsys):
     assert code == 0
     val = float(out.splitlines()[1].split(",")[2])
     assert val == pytest.approx(2 / ((2 + 1) * (2 + 4)) + 1 / ((5 + 1) * (5 + 4)), rel=1e-12)
+    # neither route reads the continuation options, so they are not accepted
+    for flag, value in (("--volume", "2"), ("--dim-chi", "2")):
+        code, out, err = _run(capsys, [
+            "resolvent", "--eigen", str(workdir / "eig.json"),
+            "--anchor", "1", "--anchor", "2", flag, value,
+        ])
+        assert code == 1 and out == "" and flag in err
 
 
 def test_continue_and_residues(workdir, capsys):
@@ -222,6 +229,13 @@ def test_config_file_merge(workdir, capsys, tmp_path):
         "--s", "3",
     ])
     assert code == 1 and "no_such_option" in err
+    # the command comes from the command line, never from the file
+    cmd = tmp_path / "cmd.json"
+    cmd.write_text(json.dumps({"command": "ruelle"}))
+    code, out, err = _run(capsys, [
+        "gen-spectrum", "--d", "3", "--count", "4", "--config", str(cmd),
+    ])
+    assert code == 1 and out == "" and "'command'" in err
 
 
 def test_deterministic_flag_and_worker_invariance(workdir, capsys, monkeypatch):

@@ -8,19 +8,27 @@ from oracles import powers_up_to, twist_growth_cert_loop
 from zetaflow import (
     EigenSpectrum,
     GroupData,
+    LengthSpectrum,
     TruncationPolicy,
     ValidationError,
+    abscissa_estimate,
     certify_twist_growth,
     counting_function,
+    geometric_heat_trace,
     load_eigen_spectrum,
     load_length_spectrum,
+    log_derivative,
+    ruelle_factorized_log,
+    ruelle_log,
     save,
     selberg_log,
     synthesize,
     validate_cert,
 )
+from zetaflow.chars import CharacterTable
 from zetaflow.spectra import (
     _PLANS_PER_SPECTRUM,
+    _PRODUCTS_PER_PLAN,
     canonicalize_angles,
     eigen_spectrum_from_dict,
     length_spectrum_from_dict,
@@ -133,6 +141,79 @@ def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
     for lmax in cutoffs[:3]:
         assert evaluate(lmax) == first[lmax]
     assert len(ls._plans) == _PLANS_PER_SPECTRUM
+
+
+def test_plan_memos_are_bounded_and_products_survive_eviction(gd3):
+    ls = synthesize(gd3, 60, systole=0.5, seed=24)
+    tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    plan = ls.power_table(tp.lmax)
+    sigmas = [(k,) for k in range(_PRODUCTS_PER_PLAN + 4)]
+
+    def evaluate(sigma):
+        return selberg_log(4.0, sigma, ls, tp), geometric_heat_trace(ls, sigma, 0.5, tp)
+
+    first = evaluate(sigmas[0])
+    key = next(iter(plan._char_products))
+    product = plan._char_products[key].copy()
+    for sigma in sigmas[1:]:
+        evaluate(sigma)
+    assert len(plan._char_products) == _PRODUCTS_PER_PLAN
+    assert len(plan._heat_bases) == _PRODUCTS_PER_PLAN
+    assert key not in plan._char_products
+    assert evaluate(sigmas[0]) == first
+    assert plan._char_products[key].tobytes() == product.tobytes()
+    assert ls.power_table(tp.lmax) is plan
+
+
+def test_one_plan_lookup_and_no_systole_scan_per_point(gd3, monkeypatch):
+    ls = synthesize(gd3, 60, systole=0.5, seed=25, dim_chi=2, chi_norm=1.1)
+    tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    lookups, systole_reads = [], []
+    power_table = LengthSpectrum.power_table
+
+    def counted_lookup(self, lmax):
+        lookups.append(lmax)
+        return power_table(self, lmax)
+
+    def counted_systole(self):
+        systole_reads.append(self)
+        return min(c.l0 for c in self.classes)
+
+    monkeypatch.setattr(LengthSpectrum, "power_table", counted_lookup)
+    monkeypatch.setattr(LengthSpectrum, "systole", property(counted_systole))
+    # cold and warm plan alike
+    for point in (lambda: selberg_log(4.0, (0,), ls, tp),
+                  lambda: log_derivative(4.5, (0,), ls, tp),
+                  lambda: geometric_heat_trace(ls, (0,), 0.5, tp)) * 2:
+        lookups.clear()
+        point()
+        assert lookups == [tp.lmax]
+    assert systole_reads == []
+
+
+def test_second_factorization_point_evaluates_no_character(monkeypatch):
+    ls = synthesize(GroupData(7), 40, systole=0.6, seed=26)
+    tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    sigma = (0, 0, 0)
+    s = abscissa_estimate(ls, sigma, kind="ruelle") + 2.0
+    calls = []
+    evaluate = CharacterTable.evaluate
+
+    def counted(self, angles):
+        calls.append((self.family, self.highest))
+        return evaluate(self, angles)
+
+    def factorization_check(s):
+        return ruelle_log(s, sigma, ls, tp), ruelle_factorized_log(s, sigma, ls, tp)
+
+    monkeypatch.setattr(CharacterTable, "evaluate", counted)
+    factorization_check(s)
+    # sigma alone for the Ruelle series, sigma with each distinct exterior piece
+    products = ls.power_table(tp.lmax)._char_products
+    assert len(products) == 6 <= _PRODUCTS_PER_PLAN
+    first = len(calls)
+    factorization_check(s + 0.5j)
+    assert len(calls) == first
 
 
 def test_save_and_load_round_trip(tmp_path, ls3_twisted):

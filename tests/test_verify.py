@@ -1,6 +1,6 @@
 import pytest
 
-from zetaflow import chars
+from zetaflow import chars, spectra, zeta
 from zetaflow import CheckResult, ValidationError, fitted_growth_exponent, run_suite, synthesize
 from zetaflow.verify import SUITES, format_results
 
@@ -69,3 +69,35 @@ def test_characters_suite_fails_on_a_perturbed_weight_table(monkeypatch):
     finally:
         chars._character_table.cache_clear()
     assert [r.passed for r in results] == [False, False]
+
+
+def test_growth_suite_fails_without_the_twist_rate(monkeypatch):
+    # k = 0 certifies only the traces seen up to the default cutoff
+    monkeypatch.setattr(spectra.LengthSpectrum, "twist_rate", property(lambda self: 0.0))
+    try:
+        results = run_suite("growth")
+    finally:
+        monkeypatch.undo()
+    assert [(r.name, r.passed) for r in results] == [
+        ("counting exponent vs 2|rho|", True),
+        ("growth certificate validates", False),
+    ]
+
+
+def test_zeta_suite_fails_on_a_dropped_exterior_piece(monkeypatch):
+    original = zeta.exterior_decomposition
+
+    def dropped(gd, p):
+        pieces = original(gd, p)
+        return pieces[:-1] if p == 1 else pieces
+
+    monkeypatch.setattr(zeta, "exterior_decomposition", dropped)
+    try:
+        results = run_suite("zeta")
+    finally:
+        monkeypatch.undo()
+    assert [(r.name, r.passed) for r in results] == [
+        ("log derivative vs finite differences", True),
+        ("ruelle factorization", False),
+        ("per-class factorization bracket", False),
+    ]
