@@ -26,7 +26,6 @@ from .weights import (
     check_integrality,
     is_dominant,
     validate_dominant,
-    weyl_action,
     weyl_dim,
 )
 

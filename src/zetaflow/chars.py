@@ -35,7 +35,6 @@ from .weights import (
     norm_sq,
     positive_roots,
     validate_dominant,
-    weyl_dim,
     weyl_orbit_signs,
     weyl_vector,
 )

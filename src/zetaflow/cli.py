@@ -290,8 +290,8 @@ def _policy(cfg: JobConfig, ls: LengthSpectrum | None = None) -> TruncationPolic
     lmax = cfg.lmax
     if lmax is None:
         lmax = 30.0
-        if ls is not None and ls.classes:
-            lmax = max(lmax, 4.0 * max(c.l0 for c in ls.classes))
+        if ls is not None and ls.l0.size:
+            lmax = max(lmax, 4.0 * float(ls.l0.max()))
     return TruncationPolicy(
         lmax=lmax, tail_eps=cfg.tail_eps, abscissa_margin=cfg.abscissa_margin
     )

@@ -1,8 +1,9 @@
 """Length spectra, their power enumerations, and eigenvalue spectra.
 
 The geometric side of every identity in this package consumes a
-LengthSpectrum: primitive classes carrying a length, holonomy angles for
-the rank-n torus, and a twist matrix. The spectral side consumes an
+LengthSpectrum: columns of class lengths l0 (N,), holonomy angles for the
+rank-n torus (N, n) and twist matrices chi (N, dim_chi, dim_chi), built
+and read as whole arrays. The spectral side consumes an
 EigenSpectrum of complex eigenvalue parameters with multiplicities. Both
 round-trip through JSON documents with full validation, and a synthesizer
 produces reproducible fake spectra with the right counting growth for
@@ -17,10 +18,10 @@ read it. A spectrum keeps its few most recently used plans, a plan those
 products and prefactors for its most recently used twists, and the
 spectrum the twist growth rate, which no cutoff affects, once.
 
-Angle conventions: primitive angles are canonicalized into [0, 2 pi) at
-construction time, which fixes the spin lift once; the angles of the j-th
-power are j times the primitive angles, never reduced mod 2 pi, since
-reduction would flip the sign of half-integral characters.
+Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
+a spectrum is loaded or synthesized, which fixes the spin lift once; the
+angles of the j-th power are j times the primitive angles, never reduced
+mod 2 pi, since reduction would flip the sign of half-integral characters.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,59 +43,45 @@ from .weights import GroupData
 TWO_PI = 2.0 * math.pi
 
 
-def canonicalize_angles(angles: Iterable[float]) -> tuple[float, ...]:
-    """Reduce each angle into [0, 2 pi)."""
+def canonicalize_angles(angles) -> np.ndarray:
+    """Reduce each angle into [0, 2 pi); any array shape."""
     out = np.mod(np.asarray(angles, dtype=float), TWO_PI)
     out[out >= TWO_PI] -= TWO_PI
-    return tuple(float(a) for a in out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class PrimitiveClass:
-    """One primitive class: length, torus angles, twist matrix."""
+    """One primitive class of LengthSpectrum.classes: length, angles, twist."""
 
     l0: float
     angles: tuple[float, ...]
     chi: np.ndarray
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.chi, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "chi", mat)
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        object.__setattr__(self, "l0", float(self.l0))
 
-
-def _trace_powers(chi: np.ndarray, jmax: int) -> np.ndarray:
-    """tr(chi^j) for j = 1..jmax.
-
-    Eigenvalue route when the eigenvector basis is well conditioned,
-    repeated multiplication otherwise; the two agree to rounding and are
-    cross-checked in tests.
-    """
-    if jmax < 1:
-        return np.empty(0, dtype=complex)
-    if chi.shape == (1, 1):
-        lam = complex(chi[0, 0])
-        return lam ** np.arange(1, jmax + 1)
+def _power_traces(chi: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """tr(chi[index]^j) per (class, power) pair, each class's powers in
+    ascending j. Twists of dimension > 1 take their eigenvalues' powers
+    from one batched eigendecomposition where the eigenvector basis is well
+    conditioned, repeated multiplication elsewhere."""
+    if chi.shape[1] == 1:
+        return chi[index, 0, 0] ** j
+    out = np.empty(index.size, dtype=complex)
     vals, vecs = np.linalg.eig(chi)
     with np.errstate(all="ignore"):
         cond = np.linalg.cond(vecs)
-    if np.isfinite(cond) and cond < 1e8:
-        powers = vals[None, :] ** np.arange(1, jmax + 1)[:, None]
-        return powers.sum(axis=1)
-    out = np.empty(jmax, dtype=complex)
-    acc = np.array(chi)
-    out[0] = np.trace(acc)
-    for i in range(1, jmax):
-        acc = acc @ chi
-        out[i] = np.trace(acc)
+    good = (np.isfinite(cond) & (cond < 1e8))[index]
+    out[good] = (vals[index[good]] ** j[good, None]).sum(axis=1)
+    for i in np.unique(index[~good]):
+        rows = np.flatnonzero(index == i)
+        powers = list(accumulate(repeat(chi[i], rows.size), np.matmul))
+        out[rows] = np.trace(powers, axis1=1, axis2=2)
     return out
 
 
-def _max_power(l0: float, lmax: float) -> int:
-    # relative guard so j * l0 == lmax survives rounding of the quotient
-    return int(math.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12))
+def _max_power(l0: np.ndarray, lmax: float) -> np.ndarray:
+    # largest j with j * l0 <= lmax; relative guard so j * l0 == lmax survives rounding
+    return np.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12).astype(np.int64)
 
 
 # plans kept per spectrum, and character products and heat prefactors kept
@@ -118,8 +106,9 @@ class _PowerTable:
     """Prepared plan for one (spectrum, lmax).
 
     Holds every power of length <= lmax as array columns sorted by
-    (length, class index, j), together with the point-independent data
-    that the series and heat evaluators read at every s or t: the twist
+    (length, class index, j), built by whole-array operations on the class
+    columns, with the point-independent data the series and heat
+    evaluators read at every s or t: the twist
     certificate (K, k), the counting constant C' for b = 2|rho|, the det
     terms and their floor, the character products of the series kernels
     and the t-independent prefactors of the heat route. Each is built on
@@ -133,33 +122,22 @@ class _PowerTable:
         self.dim_chi = ls.dim_chi
         self.rate = ls.twist_rate
         self.b = 2.0 * ls.gd.rho_norm
-        lengths, l0s, js, idxs, traces, angs = [], [], [], [], [], []
-        for i, c in enumerate(ls.classes):
-            jmax = _max_power(c.l0, lmax)
-            if jmax < 1:
-                continue
-            jj = np.arange(1, jmax + 1, dtype=float)
-            lengths.append(jj * c.l0)
-            l0s.append(np.full(jmax, c.l0))
-            js.append(jj)
-            idxs.append(np.full(jmax, i, dtype=np.int64))
-            traces.append(_trace_powers(c.chi, jmax))
-            angs.append(jj[:, None] * np.asarray(c.angles)[None, :])
-        if lengths:
-            length = np.concatenate(lengths)
-            order = np.lexsort((np.concatenate(js), np.concatenate(idxs), length))
-            self.length = length[order]
-            self.l0 = np.concatenate(l0s)[order]
-            self.j = np.concatenate(js)[order]
-            self.class_index = np.concatenate(idxs)[order]
-            self.chi_trace = np.concatenate(traces)[order]
-            self.angles = np.concatenate(angs)[order]
-        else:
-            self.length = self.l0 = self.j = np.empty(0)
-            self.class_index = np.empty(0, dtype=np.int64)
-            self.chi_trace = np.empty(0, dtype=complex)
-            self.angles = np.empty((0, ls.gd.n))
-        self.inv_j = 1.0 / self.j if len(self.j) else np.empty(0)
+        # the powers j = 1..jmax of class 0, then of class 1, ...
+        counts = _max_power(ls.l0, lmax)
+        index = np.repeat(np.arange(counts.size), counts)
+        j = np.arange(1, index.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        traces = _power_traces(ls.chi, index, j)
+        j = j.astype(float)
+        length = j * ls.l0[index]
+        # stable, so equal lengths keep their (class index, j) order
+        order = np.argsort(length, kind="stable")
+        self.length = length[order]
+        self.j = j[order]
+        self.class_index = index[order]
+        self.l0 = ls.l0[self.class_index]
+        self.chi_trace = traces[order]
+        self.angles = self.j[:, None] * ls.angles[self.class_index]
+        self.inv_j = 1.0 / self.j
         self._char_products: dict[tuple, np.ndarray] = {}
         self._heat_bases: dict[tuple, np.ndarray] = {}
 
@@ -224,55 +202,64 @@ class _PowerTable:
 
 @dataclass(frozen=True, eq=False)
 class LengthSpectrum:
-    """Primitive length data plus the global constants of the quotient."""
+    """Primitive class columns, row i of each is class i, plus the global
+    constants of the quotient."""
 
     gd: GroupData
-    classes: tuple[PrimitiveClass, ...]
+    l0: np.ndarray
+    angles: np.ndarray
+    chi: np.ndarray
     volume: float
     dim_chi: int
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        n = self.gd.n
         if not (isinstance(self.dim_chi, int) and self.dim_chi >= 1):
             raise ValidationError(f"dim_chi: expected a positive integer, got {self.dim_chi!r}")
         if not (math.isfinite(self.volume) and self.volume > 0):
             raise ValidationError(f"volume: expected a positive finite number, got {self.volume!r}")
-        for i, c in enumerate(self.classes):
-            if not (math.isfinite(c.l0) and c.l0 > 0):
-                raise ValidationError(f"classes[{i}].l0: expected a positive length, got {c.l0!r}")
-            if len(c.angles) != n:
-                raise ValidationError(
-                    f"classes[{i}].angles: expected {n} entries, got {len(c.angles)}"
-                )
-            if not all(math.isfinite(a) for a in c.angles):
-                raise ValidationError(f"classes[{i}].angles: non-finite entry")
-            if c.chi.shape != (self.dim_chi, self.dim_chi):
-                raise ValidationError(
-                    f"classes[{i}].chi: expected shape {(self.dim_chi, self.dim_chi)},"
-                    f" got {c.chi.shape}"
-                )
-            if not np.isfinite(c.chi).all():
-                raise ValidationError(f"classes[{i}].chi: non-finite entry")
+        count, dim = np.size(self.l0), self.dim_chi
+        for name, dtype, shape in (("l0", float, (count,)), ("angles", float, (count, self.gd.n)),
+                                   ("chi", complex, (count, dim, dim))):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            if column.shape != shape:
+                raise ValidationError(f"{name}: expected shape {shape}, got {column.shape}")
+            object.__setattr__(self, name, column)
+        bad_l0 = ~(np.isfinite(self.l0) & (self.l0 > 0))
+        bad_angles = ~np.isfinite(self.angles).all(axis=1)
+        bad = np.flatnonzero(bad_l0 | bad_angles | ~np.isfinite(self.chi).all(axis=(1, 2)))
+        if bad.size:
+            i = int(bad[0])
+            error = (f"l0: expected a positive length, got {float(self.l0[i])!r}" if bad_l0[i]
+                     else f"{'angles' if bad_angles[i] else 'chi'}: non-finite entry")
+            raise ValidationError(f"classes[{i}].{error}")
+
+    @cached_property
+    def classes(self) -> tuple[PrimitiveClass, ...]:
+        """One PrimitiveClass per class, built on first read, for callers
+        that iterate over classes; no evaluation path reads it."""
+        angles = map(tuple, self.angles.tolist())
+        return tuple(map(PrimitiveClass, self.l0.tolist(), angles, self.chi))
 
     @property
     def systole(self) -> float:
-        if not self.classes:
+        if not self.l0.size:
             raise ValidationError("empty spectrum has no systole")
-        return min(c.l0 for c in self.classes)
+        return float(self.l0.min())
 
     @cached_property
     def twist_rate(self) -> float:
         """The rate k = max over classes of log(max(1, ||chi_c||)) / l0_c,
         independent of any cutoff; one batched spectral norm per spectrum."""
-        if not self.classes:
-            return 0.0
-        norms = np.linalg.norm(np.stack([c.chi for c in self.classes]), 2, axis=(1, 2))
+        # the Frobenius norm bounds the spectral norm, so only the classes it
+        # lets pass the guard below, with room for rounding, need an SVD
+        rows = np.flatnonzero(np.linalg.norm(self.chi, axis=(1, 2)) > 1.0 + 0.9e-12)
+        norms = np.linalg.norm(self.chi[rows], 2, axis=(1, 2))
         k = 0.0
         # unitary twists come back as 1 + eps; do not let rounding leak into k
         for i in np.flatnonzero(norms > 1.0 + 1e-12):
-            k = max(k, math.log(float(norms[i])) / self.classes[i].l0)
+            k = max(k, math.log(float(norms[i])) / float(self.l0[rows[i]]))
         return k
 
     def power_table(self, lmax: float) -> _PowerTable:
@@ -285,9 +272,7 @@ class LengthSpectrum:
 
 def counting_function(ls: LengthSpectrum, r: float) -> int:
     """Number of powers (primitive or not) with length <= r."""
-    if r <= 0 or not ls.classes:
-        return 0
-    return sum(_max_power(c.l0, r) for c in ls.classes)
+    return int(_max_power(ls.l0, r).sum()) if r > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -312,10 +297,10 @@ def certify_twist_growth(ls: LengthSpectrum, lmax: float | None = None) -> Twist
     lmax rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
     continuing past the cutoff.
     """
-    if not ls.classes:
+    if not ls.l0.size:
         raise ValidationError("cannot certify an empty spectrum")
     if lmax is None:
-        lmax = 4.0 * max(c.l0 for c in ls.classes)
+        lmax = 4.0 * float(ls.l0.max())
     return ls.power_table(lmax).cert
 
 
@@ -375,9 +360,6 @@ def synthesize(
         raise ValidationError(f"chi_norm: expected >= 1, got {chi_norm}")
     rng = np.random.default_rng(seed)
     volume = float(rng.uniform(0.5, 5.0))
-    if count == 0:
-        return LengthSpectrum(gd=gd, classes=(), volume=volume, dim_chi=dim_chi)
-
     b = 2.0 * gd.rho_norm
     jitter = rng.uniform(-0.35, 0.35, size=count)
     targets = np.arange(count) + 0.5 + jitter
@@ -385,16 +367,10 @@ def synthesize(
     lengths = np.log(np.exp(b * systole) + b * targets) / b
 
     angles = rng.uniform(0.0, TWO_PI, size=(count, gd.n))
-    classes = []
-    for i in range(count):
-        classes.append(
-            PrimitiveClass(
-                l0=float(lengths[i]),
-                angles=canonicalize_angles(angles[i]),
-                chi=_random_twist(rng, dim_chi, chi_norm),
-            )
-        )
-    return LengthSpectrum(gd=gd, classes=tuple(classes), volume=volume, dim_chi=dim_chi)
+    # one twist per class, drawn in class order
+    chi = np.array([_random_twist(rng, dim_chi, chi_norm) for _ in range(count)], dtype=complex)
+    return LengthSpectrum(gd=gd, l0=lengths, angles=canonicalize_angles(angles),
+                          chi=chi.reshape(count, dim_chi, dim_chi), volume=volume, dim_chi=dim_chi)
 
 
 def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -427,19 +403,70 @@ def _real(value: object, path: str) -> float:
 
 
 def length_spectrum_to_dict(ls: LengthSpectrum) -> dict:
-    return {
-        "d": ls.gd.d,
-        "volume": ls.volume,
-        "dim_chi": ls.dim_chi,
-        "classes": [
-            {
-                "l0": c.l0,
-                "angles": list(c.angles),
-                "chi": [[[z.real, z.imag] for z in row] for row in c.chi],
-            }
-            for c in ls.classes
-        ],
-    }
+    cells = np.stack([ls.chi.real, ls.chi.imag], axis=-1).tolist()
+    classes = [{"l0": l0, "angles": angles, "chi": chi}
+               for l0, angles, chi in zip(ls.l0.tolist(), ls.angles.tolist(), cells)]
+    return {"d": ls.gd.d, "volume": ls.volume, "dim_chi": ls.dim_chi, "classes": classes}
+
+
+def _check_class(raw: object, path: str, n: int, dim_chi: int) -> None:
+    """Raise the first error of one document class, in document order."""
+    _expect(isinstance(raw, dict), path, "expected an object")
+    for key in ("l0", "angles", "chi"):
+        _expect(key in raw, f"{path}.{key}", "missing required field")
+    _expect(_real(raw["l0"], f"{path}.l0") > 0, f"{path}.l0", "expected a positive length")
+    angles = raw["angles"]
+    _expect(isinstance(angles, list), f"{path}.angles", "expected a list")
+    _expect(len(angles) == n, f"{path}.angles", f"expected {n} entries, got {len(angles)}")
+    for k, a in enumerate(angles):
+        _real(a, f"{path}.angles[{k}]")
+    chi = raw["chi"]
+    _expect(isinstance(chi, list) and len(chi) == dim_chi,
+            f"{path}.chi", f"expected {dim_chi} rows")
+    for r, row in enumerate(chi):
+        _expect(isinstance(row, list) and len(row) == dim_chi,
+                f"{path}.chi[{r}]", f"expected {dim_chi} entries")
+        for s, cell in enumerate(row):
+            _expect(isinstance(cell, list) and len(cell) == 2,
+                    f"{path}.chi[{r}][{s}]", "expected [re, im]")
+            for k, part in enumerate(cell):
+                _real(part, f"{path}.chi[{r}][{s}][{k}]")
+
+
+def _class_columns(raws: list, n: int, dim_chi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The l0, angle and chi columns of the document classes. The checks of
+    _check_class run over whole columns, each distinct type tested once;
+    only if one fails does _check_class walk the classes in order and raise
+    the document's first error."""
+    def all_are(values: list, kind) -> bool:
+        # isinstance(v, kind) for every value; a bool is no number
+        return all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, values)))
+
+    def flatten(values: list, size: int) -> list:
+        if not (all_are(values, list) and set(map(len, values)) <= {size}):
+            raise ValueError
+        return list(chain.from_iterable(values))
+
+    def numbers(values: list) -> np.ndarray:
+        if not all_are(values, (int, float)):
+            raise ValueError
+        return np.array(values, dtype=float)
+
+    try:
+        if not all_are(raws, dict):
+            raise ValueError
+        l0 = numbers([r["l0"] for r in raws])  # a missing field raises KeyError
+        if not (l0 > 0).all():
+            raise ValueError
+        angles = numbers(flatten([r["angles"] for r in raws], n))
+        cells = flatten(flatten([r["chi"] for r in raws], dim_chi), dim_chi)
+        parts = numbers(flatten(cells, 2))
+    except (ValueError, KeyError, OverflowError):
+        for i, raw in enumerate(raws):
+            _check_class(raw, f"classes[{i}]", n, dim_chi)
+        raise
+    chi = parts.reshape(len(raws), dim_chi, dim_chi, 2).view(complex)[..., 0]
+    return l0, angles.reshape(len(raws), n), chi
 
 
 def length_spectrum_from_dict(doc: object) -> LengthSpectrum:
@@ -454,34 +481,9 @@ def length_spectrum_from_dict(doc: object) -> LengthSpectrum:
     _expect(isinstance(dim_chi, int) and not isinstance(dim_chi, bool) and dim_chi >= 1,
             "dim_chi", "expected a positive integer")
     _expect(isinstance(doc["classes"], list), "classes", "expected a list")
-    classes = []
-    for i, raw in enumerate(doc["classes"]):
-        path = f"classes[{i}]"
-        _expect(isinstance(raw, dict), path, "expected an object")
-        for key in ("l0", "angles", "chi"):
-            _expect(key in raw, f"{path}.{key}", "missing required field")
-        l0 = _real(raw["l0"], f"{path}.l0")
-        _expect(l0 > 0, f"{path}.l0", "expected a positive length")
-        _expect(isinstance(raw["angles"], list), f"{path}.angles", "expected a list")
-        _expect(len(raw["angles"]) == gd.n, f"{path}.angles",
-                f"expected {gd.n} entries, got {len(raw['angles'])}")
-        angles = canonicalize_angles(
-            [_real(a, f"{path}.angles[{k}]") for k, a in enumerate(raw["angles"])]
-        )
-        chi_raw = raw["chi"]
-        _expect(isinstance(chi_raw, list) and len(chi_raw) == dim_chi,
-                f"{path}.chi", f"expected {dim_chi} rows")
-        mat = np.zeros((dim_chi, dim_chi), dtype=complex)
-        for r, row in enumerate(chi_raw):
-            _expect(isinstance(row, list) and len(row) == dim_chi,
-                    f"{path}.chi[{r}]", f"expected {dim_chi} entries")
-            for s, cell in enumerate(row):
-                _expect(isinstance(cell, list) and len(cell) == 2,
-                        f"{path}.chi[{r}][{s}]", "expected [re, im]")
-                mat[r, s] = complex(_real(cell[0], f"{path}.chi[{r}][{s}][0]"),
-                                    _real(cell[1], f"{path}.chi[{r}][{s}][1]"))
-        classes.append(PrimitiveClass(l0=l0, angles=angles, chi=mat))
-    return LengthSpectrum(gd=gd, classes=tuple(classes), volume=volume, dim_chi=dim_chi)
+    l0, angles, chi = _class_columns(doc["classes"], gd.n, dim_chi)
+    return LengthSpectrum(gd=gd, l0=l0, angles=canonicalize_angles(angles), chi=chi,
+                          volume=volume, dim_chi=dim_chi)
 
 
 def eigen_spectrum_to_dict(es: EigenSpectrum) -> dict:

@@ -92,7 +92,7 @@ def fitted_growth_exponent(ls: LengthSpectrum) -> float:
     The lower half is skipped because the counting function there is too
     coarse to fit; the top of the range keeps the full population.
     """
-    lengths = sorted(c.l0 for c in ls.classes)
+    lengths = np.sort(ls.l0)
     if len(lengths) < 10:
         raise ValidationError("need at least 10 primitive classes to fit a growth exponent")
     lo, hi = lengths[len(lengths) // 2], lengths[-1]
@@ -390,7 +390,7 @@ def suite_growth(seed: int = 0) -> list[CheckResult]:
     cert_err = 0
     for spectrum in (ls, twisted):
         cert = certify_twist_growth(spectrum)
-        lmax = 6.0 * max(c.l0 for c in spectrum.classes)
+        lmax = 6.0 * float(spectrum.l0.max())
         cert_err = max(cert_err, int(not validate_cert(cert, spectrum, lmax)))
 
     return [

@@ -124,7 +124,7 @@ def _series_value(
     policy: TruncationPolicy,
     kind: str,
 ) -> SeriesValue:
-    if not ls.classes:
+    if not ls.l0.size:
         return SeriesValue(0j, 0.0)
     plan = ls.power_table(policy.lmax)
     dim_eff = 1.0
@@ -175,7 +175,7 @@ def abscissa_estimate(
 ) -> float:
     """Abscissa of absolute convergence: |rho| + k for Selberg-type series,
     2|rho| + k for Ruelle, where k is the certified twist growth rate."""
-    if not ls.classes:
+    if not ls.l0.size:
         return -math.inf
     k = ls.twist_rate
     rho = ls.gd.rho_norm

@@ -318,3 +318,67 @@ def L_sym(gd, cp: ClassPower, sigma) -> complex:
         * math.exp(-gd.rho_norm * cp.length)
         / det_term(gd, cp.length, cp.angles)
     )
+
+
+def trace_powers(chi: np.ndarray, jmax: int) -> np.ndarray:
+    """tr(chi^j) for j = 1..jmax of one twist matrix.
+
+    Eigenvalue route when the eigenvector basis is well conditioned,
+    repeated multiplication otherwise; one eigendecomposition per class,
+    against the library's single batched one.
+    """
+    if jmax < 1:
+        return np.empty(0, dtype=complex)
+    if chi.shape == (1, 1):
+        lam = complex(chi[0, 0])
+        return lam ** np.arange(1, jmax + 1)
+    vals, vecs = np.linalg.eig(chi)
+    with np.errstate(all="ignore"):
+        cond = np.linalg.cond(vecs)
+    if np.isfinite(cond) and cond < 1e8:
+        powers = vals[None, :] ** np.arange(1, jmax + 1)[:, None]
+        return powers.sum(axis=1)
+    out = np.empty(jmax, dtype=complex)
+    acc = np.array(chi)
+    out[0] = np.trace(acc)
+    for i in range(1, jmax):
+        acc = acc @ chi
+        out[i] = np.trace(acc)
+    return out
+
+
+def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:
+    """The power columns of the prepared plan, built one class at a time.
+
+    For each PrimitiveClass of ``ls.classes``: its powers j = 1..jmax as
+    arrays, traces by ``trace_powers``; then one lexsort by
+    (length, class index, j) over the concatenation.
+    """
+    lengths, l0s, js, idxs, traces, angs = [], [], [], [], [], []
+    for i, c in enumerate(ls.classes):
+        jmax = int(math.floor(lmax / c.l0 * (1.0 + 1e-12) + 1e-12))
+        if jmax < 1:
+            continue
+        jj = np.arange(1, jmax + 1, dtype=float)
+        lengths.append(jj * c.l0)
+        l0s.append(np.full(jmax, c.l0))
+        js.append(jj)
+        idxs.append(np.full(jmax, i, dtype=np.int64))
+        traces.append(trace_powers(c.chi, jmax))
+        angs.append(jj[:, None] * np.asarray(c.angles)[None, :])
+    if not lengths:
+        return {
+            "length": np.empty(0), "l0": np.empty(0), "j": np.empty(0),
+            "class_index": np.empty(0, dtype=np.int64),
+            "chi_trace": np.empty(0, dtype=complex), "angles": np.empty((0, ls.gd.n)),
+        }
+    length = np.concatenate(lengths)
+    order = np.lexsort((np.concatenate(js), np.concatenate(idxs), length))
+    return {
+        "length": length[order],
+        "l0": np.concatenate(l0s)[order],
+        "j": np.concatenate(js)[order],
+        "class_index": np.concatenate(idxs)[order],
+        "chi_trace": np.concatenate(traces)[order],
+        "angles": np.concatenate(angs)[order],
+    }

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from zetaflow import (

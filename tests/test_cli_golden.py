@@ -1,8 +1,10 @@
-"""Golden digests of the evaluation commands.
+"""Golden digests of the evaluation commands and of the generated spectra.
 
 Each command runs in-process on a small seeded spectrum, and the sha256
 of its full stdout (all five table columns) is compared against a digest
-recorded before the per-(spectrum, lmax) plan was introduced. Any change
+recorded before the per-(spectrum, lmax) plan was introduced. The sha256
+of each ``gen-spectrum`` file was recorded before the spectrum was stored
+as columns, so a shifted draw or float repr moves it. Any change
 to a value, a tail bound or the table layout moves a digest; a deliberate
 change of output must update the table below and say why in CHANGES.md.
 """
@@ -55,6 +57,11 @@ DIGESTS = {
         "3b867ca51529932ea19d5feb5d0c3e4712ab646a77611a676e57d8df0eef7b44",
 }
 
+SPECTRUM_DIGESTS = {
+    "d3": "3cfb8f332befcc02f600cb611dbabd98361fc5206d19128581a936c141f29460",
+    "d5": "4cb94802cf7ac5c5f15dbe22ee54056d4fea3e4e181b1788f4c7d36fbc10ad3b",
+}
+
 
 @pytest.fixture(scope="module")
 def spectra(tmp_path_factory):
@@ -73,3 +80,9 @@ def test_stdout_matches_recorded_digest(spectra, capsys, spec, command):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == DIGESTS[spec, command]
+
+
+@pytest.mark.parametrize("spec", sorted(SPECTRUM_DIGESTS))
+def test_generated_spectrum_matches_recorded_digest(spectra, spec):
+    digest = hashlib.sha256(spectra[spec].read_bytes()).hexdigest()
+    assert digest == SPECTRUM_DIGESTS[spec]

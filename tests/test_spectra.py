@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import powers_up_to, twist_growth_cert_loop
+from oracles import power_table_loop, powers_up_to, twist_growth_cert_loop
 from zetaflow import (
     EigenSpectrum,
     GroupData,
     LengthSpectrum,
+    PrimitiveClass,
     TruncationPolicy,
     ValidationError,
     abscissa_estimate,
@@ -26,6 +27,7 @@ from zetaflow import (
     validate_cert,
 )
 from zetaflow.chars import CharacterTable
+from zetaflow.cli import main
 from zetaflow.spectra import (
     _PLANS_PER_SPECTRUM,
     _PRODUCTS_PER_PLAN,
@@ -107,6 +109,67 @@ def test_power_traces_match_matrix_powers(ls3_twisted):
         assert cp.chi_trace == pytest.approx(want, rel=1e-10)
 
 
+def _edited(ls: LengthSpectrum, column: str, edit) -> LengthSpectrum:
+    """ls with one class column replaced by edit(copy of the column)."""
+    columns = {"l0": ls.l0, "angles": ls.angles, "chi": ls.chi}
+    columns[column] = edit(columns[column].copy())
+    return LengthSpectrum(gd=ls.gd, volume=ls.volume, dim_chi=ls.dim_chi, **columns)
+
+
+def _jordan_block(chi):
+    # class 3 gets a non-diagonalizable twist: its eigenvector basis is singular
+    lam = np.exp(0.3j)
+    chi[3] = [[lam, 1.0], [0.0, lam]]
+    return chi
+
+
+def _tied_lengths(l0):
+    # powers of equal length in different classes: 2 l0[0] = 1 * l0[10], ...
+    l0[10], l0[11], l0[12] = 2.0 * l0[0], l0[0], 3.0 * l0[1]
+    return l0
+
+
+PLAN_SPECTRA = {
+    "d3 dim_chi 1": lambda: synthesize(GroupData(3), 150, systole=0.5, seed=11),
+    "d7 dim_chi 1": lambda: synthesize(GroupData(7), 80, systole=0.6, seed=27),
+    "d3 dim_chi 2": lambda: synthesize(GroupData(3), 100, systole=0.5, seed=12,
+                                       dim_chi=2, chi_norm=1.2),
+    "d5 dim_chi 2": lambda: synthesize(GroupData(5), 60, systole=0.6, seed=28,
+                                       dim_chi=2, chi_norm=1.02),
+    "d3 dim_chi 3": lambda: synthesize(GroupData(3), 60, systole=0.5, seed=21,
+                                       dim_chi=3, chi_norm=1.3),
+    "d3 Jordan block": lambda: _edited(
+        synthesize(GroupData(3), 40, systole=0.5, seed=29, dim_chi=2), "chi", _jordan_block),
+    "d3 tied lengths": lambda: _edited(
+        synthesize(GroupData(3), 50, systole=0.5, seed=30), "l0", _tied_lengths),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_SPECTRA))
+def test_plan_columns_equal_the_per_class_loop(name):
+    ls = PLAN_SPECTRA[name]()
+    for lmax in (0.3, 4.0, 9.5):
+        plan = ls.power_table(lmax)
+        want = power_table_loop(ls, lmax)
+        for column, expected in want.items():
+            got = getattr(plan, column)
+            assert got.dtype == expected.dtype, (column, lmax)
+            assert got.shape == expected.shape, (column, lmax)
+            assert np.array_equal(got, expected), (column, lmax)
+    assert ls.power_table(0.3).size == 0
+
+
+def test_jordan_block_takes_the_multiplication_route():
+    ls = PLAN_SPECTRA["d3 Jordan block"]()
+    _, vecs = np.linalg.eig(ls.chi[3])
+    with np.errstate(all="ignore"):
+        assert not np.linalg.cond(vecs) < 1e8
+    plan = ls.power_table(6.0)
+    rows = plan.class_index == 3
+    powers = [np.trace(np.linalg.matrix_power(ls.chi[3], int(j))) for j in plan.j[rows]]
+    assert np.allclose(plan.chi_trace[rows], powers, rtol=1e-12)
+
+
 def test_growth_certificate(ls3, ls3_twisted):
     for ls in (ls3, ls3_twisted):
         cert = certify_twist_growth(ls)
@@ -125,6 +188,18 @@ def test_plan_certificate_matches_scalar_oracle(gd3):
         assert cert.k > 0.0
         assert (cert.K, cert.k) == twist_growth_cert_loop(ls, lmax)
     assert ls.twist_rate == cert.k
+
+
+def test_twist_rate_matches_scalar_oracle_near_the_guard(gd3):
+    # norms just above and just below the 1 + 1e-12 guard of the rate
+    def scaled(chi):
+        chi[0::3] *= 1.0 + 1.05e-12
+        chi[1::3] *= 1.0 + 0.95e-12
+        return chi
+
+    ls = _edited(synthesize(gd3, 90, systole=0.5, seed=31), "chi", scaled)
+    k = twist_growth_cert_loop(ls, 4.0)[1]
+    assert ls.twist_rate == k > 0.0
 
 
 def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
@@ -252,6 +327,126 @@ def test_validation_of_documents():
         eigen_spectrum_from_dict({"entries": [{"t": [1.0, 0.0], "m": 0}]})
     with pytest.raises(ValidationError):
         eigen_spectrum_from_dict({"entries": "nope"})
+
+
+def _set(path, value):
+    """Edit of a document: set the entry at path (keys and indices) to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _append(path, value):
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(value)
+    return edit
+
+
+# message of each bad d = 5, dim_chi 2 document, recorded from the
+# per-class validator this package used before the columns
+DOCUMENT_ERRORS = {
+    "non-object class": ([_set(("classes", 1), [1.0])], "classes[1]: expected an object"),
+    "missing chi": ([_drop(("classes", 1, "chi"))], "classes[1].chi: missing required field"),
+    "bool l0": ([_set(("classes", 1, "l0"), True)], "classes[1].l0: expected a number"),
+    "string angle": ([_set(("classes", 1, "angles", 1), "0.5")],
+                     "classes[1].angles[1]: expected a number"),
+    "angles not a list": ([_set(("classes", 1, "angles"), 0.5)],
+                          "classes[1].angles: expected a list"),
+    "angle count": ([_append(("classes", 1, "angles"), 0.1)],
+                    "classes[1].angles: expected 2 entries, got 3"),
+    "chi row count": ([_drop(("classes", 1, "chi", 1))], "classes[1].chi: expected 2 rows"),
+    "ragged chi row": ([_drop(("classes", 1, "chi", 1, 1))], "classes[1].chi[1]: expected 2 entries"),
+    "three-part cell": ([_append(("classes", 1, "chi", 0, 1), 0.0)],
+                        "classes[1].chi[0][1]: expected [re, im]"),
+    "bool cell part": ([_set(("classes", 1, "chi", 1, 0, 1), False)],
+                       "classes[1].chi[1][0][1]: expected a number"),
+    "string cell part": ([_set(("classes", 1, "chi", 1, 1, 0), "1")],
+                         "classes[1].chi[1][1][0]: expected a number"),
+    "negative l0": ([_set(("classes", 1, "l0"), -1)], "classes[1].l0: expected a positive length"),
+    "nan l0": ([_set(("classes", 1, "l0"), math.nan)], "classes[1].l0: expected a positive length"),
+    "infinite l0": ([_set(("classes", 1, "l0"), math.inf)],
+                    "classes[1].l0: expected a positive length, got inf"),
+    "nan angle": ([_set(("classes", 1, "angles", 0), math.nan)],
+                  "classes[1].angles: non-finite entry"),
+    "infinite chi cell": ([_set(("classes", 1, "chi", 0, 0, 0), math.inf)],
+                          "classes[1].chi: non-finite entry"),
+    "infinite volume": ([_set(("volume",), math.inf)],
+                        "volume: expected a positive finite number, got inf"),
+    # precedence: every parse error comes before the volume and finiteness
+    # checks, and parse errors come in document order
+    "bad volume and later bad class": (
+        [_set(("volume",), -2.0), _set(("classes", 2, "l0"), "x")],
+        "classes[2].l0: expected a number"),
+    "nan angle and later parse error": (
+        [_set(("classes", 0, "angles", 0), math.nan), _set(("classes", 2, "angles", 0), None)],
+        "classes[2].angles[0]: expected a number"),
+    "bad cell before a later negative l0": (
+        [_set(("classes", 2, "l0"), -1.0), _set(("classes", 1, "chi", 0, 0), [1.0])],
+        "classes[1].chi[0][0]: expected [re, im]"),
+    "l0 before angles in one class": (
+        [_set(("classes", 1, "l0"), 0), _set(("classes", 1, "angles", 0), "a")],
+        "classes[1].l0: expected a positive length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_ERRORS))
+def test_document_error_messages(case):
+    edits, message = DOCUMENT_ERRORS[case]
+    doc = length_spectrum_to_dict(synthesize(GroupData(5), 3, systole=0.5, seed=1, dim_chi=2))
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(ValidationError) as info:
+        length_spectrum_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_constructor_checks_column_shapes_and_values(gd5):
+    good = {"l0": [0.7, 0.9], "angles": [[0.1, 0.2], [0.3, 0.4]], "chi": np.ones((2, 1, 1))}
+    cases = [
+        ({"angles": [[0.1], [0.3]]}, "angles: expected shape (2, 2), got (2, 1)"),
+        ({"chi": np.ones((2, 2, 2))}, "chi: expected shape (2, 1, 1), got (2, 2, 2)"),
+        ({"l0": 0.7}, "l0: expected shape (1,), got ()"),
+        ({"l0": [0.7, math.inf]}, "classes[1].l0: expected a positive length, got inf"),
+        ({"angles": [[0.1, 0.2], [math.nan, 0.4]]}, "classes[1].angles: non-finite entry"),
+        ({"chi": [[[1.0]], [[math.inf]]]}, "classes[1].chi: non-finite entry"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValidationError) as info:
+            LengthSpectrum(gd=gd5, volume=1.0, dim_chi=1, **{**good, **change})
+        assert str(info.value) == message
+    ls = LengthSpectrum(gd=gd5, volume=1.0, dim_chi=1, **good)
+    assert ls.l0.dtype == float and ls.chi.dtype == complex
+    assert not (ls.l0.flags.writeable or ls.angles.flags.writeable or ls.chi.flags.writeable)
+
+
+def test_loaded_selberg_builds_no_primitive_class(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "spec.json"
+    assert main(["gen-spectrum", "--d", "3", "--count", "2000", "--seed", "5",
+                 "--output", str(path)]) == 0
+    built = []
+    init = PrimitiveClass.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimitiveClass, "__init__", counted)
+    assert main(["selberg", "--spectrum", str(path), "--s", "4.0"]) == 0
+    assert built == []
+    # the counter sees the view when a caller does iterate
+    assert len(load_length_spectrum(path).classes) == len(built) == 2000
 
 
 def test_missing_file_is_a_validation_error(tmp_path):

@@ -1,5 +1,5 @@
 """Guards on the package surface: no environment reads or thread pools,
-only bounded memos, and an ``__all__`` that resolves."""
+only bounded memos, no unused imports, and an ``__all__`` that resolves."""
 
 import ast
 import importlib
@@ -64,3 +64,31 @@ def test_module_memos_are_bounded_lru_caches():
 def test_public_names_resolve():
     for name in zetaflow.__all__:
         assert hasattr(zetaflow, name), name
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a source file imports and never reads; a name listed in its
+    ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text())
+    imported: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_no_unused_imports():
+    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert not _unused_imports(path), (path.name, _unused_imports(path))

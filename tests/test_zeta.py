@@ -10,9 +10,7 @@ from zetaflow import (
     geometric_heat_trace,
     load_length_spectrum,
     save,
-    GroupData,
     LengthSpectrum,
-    PrimitiveClass,
     TruncationPolicy,
     ValidationError,
     abscissa_estimate,
@@ -34,8 +32,8 @@ SINGLE_LOGDERIV_S3 = 0.051914903452785631025
 
 
 def _single_class(gd):
-    cls = PrimitiveClass(l0=0.8, angles=(0.9,), chi=np.ones((1, 1)))
-    return LengthSpectrum(gd=gd, classes=(cls,), volume=1.0, dim_chi=1)
+    return LengthSpectrum(gd=gd, l0=[0.8], angles=[[0.9]], chi=np.ones((1, 1, 1)),
+                          volume=1.0, dim_chi=1)
 
 
 def test_single_class_reference_values(gd3):
@@ -129,7 +127,8 @@ def test_tail_eps_gate(ls3):
 
 
 def test_empty_spectrum_gives_zero(gd3):
-    ls = LengthSpectrum(gd=gd3, classes=(), volume=1.0, dim_chi=1)
+    ls = LengthSpectrum(gd=gd3, l0=np.empty(0), angles=np.empty((0, 1)),
+                        chi=np.empty((0, 1, 1)), volume=1.0, dim_chi=1)
     tp = TruncationPolicy(lmax=10.0)
     for fn in (selberg_log, ruelle_log, log_derivative):
         out = fn(2.0, (0,), ls, tp)
