@@ -41,7 +41,6 @@ from .plancherel import PlancherelPolynomial, c_sigma, plancherel_polynomial
 from .spectra import (
     EigenSpectrum,
     LengthSpectrum,
-    PrimitiveClass,
     TwistGrowthCert,
     certify_twist_growth,
     counting_function,
@@ -78,7 +77,6 @@ __all__ = [
     "HeatEvaluation",
     "LengthSpectrum",
     "PlancherelPolynomial",
-    "PrimitiveClass",
     "SeriesValue",
     "TruncationPolicy",
     "TwistGrowthCert",

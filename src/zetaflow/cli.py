@@ -11,13 +11,18 @@ point and what to change).
 
 All output is deterministic for a fixed command line: random draws are
 seeded and every series is summed serially in a fixed order; no
-environment variable is read. The --deterministic flag asserts this
-contract; it is accepted on every command for batch-harness
-compatibility.
+environment variable is read. Every command accepts --deterministic for
+batch-harness compatibility; it changes nothing. Each command accepts
+only the options it reads: --seed only gen-spectrum and verify, --format
+only the nine table commands.
 
-A JSON config file may supply any long option of the command (keys use
-underscores in place of dashes), but not the command itself; explicit
-flags win on conflict.
+A JSON config file may supply any option of the command but not the
+command itself; explicit flags win on conflict. Its keys are the option
+dests: the long flag with underscores in place of dashes, except s_grid
+(--s), t_grid (--t), anchors (--anchor), spectrum_path (--spectrum) and
+eigen_path (--eigen). Each value goes through its flag's own parser: a
+string or number stands for the flag's text, a list for a repeatable
+flag's values, true for --deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -61,7 +66,10 @@ from .zeta import (
     selberg_log,
 )
 
-_EVAL_COMMANDS = ("plancherel", "selberg", "ruelle", "log-derivative", "continue")
+# the config keys that differ from their flag; every other key is the
+# long flag with underscores in place of dashes
+_FLAGS = {"s_grid": "--s", "t_grid": "--t", "anchors": "--anchor",
+          "spectrum_path": "--spectrum", "eigen_path": "--eigen"}
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,6 @@ class JobConfig:
     anchors: tuple[complex, ...] = ()
     lmax: float | None = None
     tail_eps: float = 1e-8
-    abscissa_margin: float = 0.0
     output: str | None = None
     format: str = "csv"
     seed: int = 0
@@ -118,23 +125,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON file of option defaults; flags win")
     common.add_argument("--output", help="destination path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
-    common.add_argument("--seed", type=int, help="seed for commands that draw randomness")
     common.add_argument(
         "--deterministic",
         action="store_const",
         const=True,
-        help="assert byte-identical output across runs and worker counts (always holds)",
+        help="accepted for batch harnesses; changes nothing, output is always deterministic",
     )
+
+    table = _Parser(add_help=False, parents=[common])
+    table.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
+
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, help="seed of the random draws (default 0)")
 
     trunc = _Parser(add_help=False)
     trunc.add_argument("--lmax", type=float, help="length cutoff (default: 4x longest primitive)")
     trunc.add_argument("--tail-eps", type=float, help="certified tail budget (default 1e-8)")
-    trunc.add_argument(
-        "--abscissa-margin",
-        type=float,
-        help="slack past the convergence abscissa estimate before refusal (default 0)",
-    )
 
     grid = _Parser(add_help=False)
     grid.add_argument(
@@ -162,25 +168,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="zetaflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-spectrum", parents=[common], help="synthesize a length spectrum")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--count", type=int, required=True, help="number of primitive classes")
+    g = sub.add_parser("gen-spectrum", parents=[seeded], help="synthesize a length spectrum")
+    g.add_argument("--d", type=int)
+    g.add_argument("--count", type=int, help="number of primitive classes")
     g.add_argument("--systole", type=float, help="shortest primitive length (default 0.5)")
     g.add_argument("--dim-chi", type=int, help="twist dimension (default 1)")
     g.add_argument("--chi-norm", type=float, help="twist operator norm bound (default 1)")
 
-    g = sub.add_parser("plancherel", parents=[common, grid, sigma], help="evaluate the density")
-    g.add_argument("--d", type=int, required=True)
+    g = sub.add_parser("plancherel", parents=[table, grid, sigma], help="evaluate the density")
+    g.add_argument("--d", type=int)
 
     for name, doc in (
         ("selberg", "log of the twisted Selberg zeta"),
         ("ruelle", "log of the twisted Ruelle zeta"),
         ("log-derivative", "logarithmic derivative of the Selberg zeta"),
     ):
-        sub.add_parser(name, parents=[common, grid, sigma, spectrum, trunc], help=doc)
+        sub.add_parser(name, parents=[table, grid, sigma, spectrum, trunc], help=doc)
 
     g = sub.add_parser(
-        "heat-trace", parents=[common, sigma, spectrum, trunc], help="geometric heat trace"
+        "heat-trace", parents=[table, sigma, spectrum, trunc], help="geometric heat trace"
     )
     g.add_argument(
         "--t", dest="t_grid", action="append", type=float, metavar="T",
@@ -189,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser(
         "resolvent",
-        parents=[common, sigma, spectrum, eigen, trunc],
+        parents=[table, sigma, spectrum, eigen, trunc],
         help="anchored resolvent trace; rows are the geometric then the heat "
         "route for a length spectrum, one spectral row for an eigen file; "
         "the s columns echo the first anchor",
@@ -201,61 +207,73 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "continue",
-        parents=[common, grid, sigma, continued],
+        parents=[table, grid, sigma, continued],
         help="evaluate the continued log derivative from eigenvalue data",
     )
 
     sub.add_parser(
         "residues",
-        parents=[common, sigma, continued],
+        parents=[table, sigma, continued],
         help="contour residues at the continuation poles; rows hold the pole, "
         "the measured residue, and its distance to the nearest integer",
     )
 
     g = sub.add_parser(
         "factorization-check",
-        parents=[common, grid, sigma, spectrum, trunc],
+        parents=[table, grid, sigma, spectrum, trunc],
         help="Ruelle zeta against its alternating Selberg factorization",
     )
     g.add_argument("--tol", type=float, help="largest allowed difference (default 1e-8)")
 
-    g = sub.add_parser("verify", parents=[common], help="run numerical verification suites")
+    g = sub.add_parser("verify", parents=[seeded], help="run numerical verification suites")
     g.add_argument("--suite", help="suite name or 'all' (default)")
 
     return p
 
 
-def _merge_config(ns: argparse.Namespace) -> JobConfig:
-    values = {k: v for k, v in vars(ns).items() if k != "config"}
-    if getattr(ns, "config", None):
+def _config_value(parser: argparse.ArgumentParser, command: str, key: str, value: object):
+    """The config value of option key, parsed by the option's flag as the
+    command line would parse it."""
+    flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+    items = value if isinstance(value, list) else [value]
+    if value is True:
+        tokens = [flag]
+    elif all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+        tokens = [f"{flag}={v}" for v in items]
+    else:
+        raise ValidationError(f"config key {key!r}: cannot use {json.dumps(value)}")
+    try:
+        parsed = getattr(parser.parse_args([command, *tokens]), key)
+    except ValidationError as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from None
+    if parsed is not None and isinstance(parsed, list) != isinstance(value, list):
+        raise ValidationError(
+            f"config key {key!r}: expected " + ("a list" if isinstance(parsed, list) else "one value")
+        )
+    return parsed
+
+
+def _merge_config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> JobConfig:
+    values = vars(ns)
+    path = values.pop("config", None)
+    if path:
         try:
-            doc = json.loads(Path(ns.config).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise ValidationError(f"cannot read config file {ns.config}: {exc}") from exc
+            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {ns.config} is not valid JSON: {exc}") from exc
+            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError("config file must hold a JSON object")
-        parsers = {
-            "s_grid": lambda v: tuple(_parse_complex(x) for x in v),
-            "anchors": lambda v: tuple(_parse_complex(x) for x in v),
-            "t_grid": lambda v: tuple(float(x) for x in v),
-            "sigma": _parse_sigma,
-        }
         for key, value in doc.items():
             if key not in values or key == "command":
                 raise ValidationError(f"config key {key!r} is not an option of {ns.command}")
+            value = _config_value(parser, ns.command, key, value)
             if values[key] is None:
-                values[key] = parsers[key](value) if key in parsers else value
-    known = {f.name for f in fields(JobConfig)}
-    values = {k: v for k, v in values.items() if v is not None and k in known}
-    for key in ("s_grid", "t_grid", "anchors"):
-        if key in values:
-            values[key] = tuple(values[key])
-    try:
-        return JobConfig(**values)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
+                values[key] = value
+    return JobConfig(**{
+        k: tuple(v) if isinstance(v, list) else v for k, v in values.items() if v is not None
+    })
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -286,15 +304,13 @@ def _length_spectrum(cfg: JobConfig) -> LengthSpectrum:
     return ls
 
 
-def _policy(cfg: JobConfig, ls: LengthSpectrum | None = None) -> TruncationPolicy:
+def _policy(cfg: JobConfig, ls: LengthSpectrum) -> TruncationPolicy:
     lmax = cfg.lmax
     if lmax is None:
         lmax = 30.0
-        if ls is not None and ls.l0.size:
+        if ls.l0.size:
             lmax = max(lmax, 4.0 * float(ls.l0.max()))
-    return TruncationPolicy(
-        lmax=lmax, tail_eps=cfg.tail_eps, abscissa_margin=cfg.abscissa_margin
-    )
+    return TruncationPolicy(lmax=lmax, tail_eps=cfg.tail_eps)
 
 
 def _grid(cfg: JobConfig) -> tuple[complex, ...]:
@@ -324,10 +340,11 @@ def _cmd_series(cfg: JobConfig) -> int:
     op = {"selberg": selberg_log, "ruelle": ruelle_log, "log-derivative": log_derivative}[
         cfg.command
     ]
+    grid = _grid(cfg)
     ls = _length_spectrum(cfg)
     sigma = _sigma_for(cfg, ls.gd)
     tp = _policy(cfg, ls)
-    rows = [ResultRow(s, *op(s, sigma, ls, tp)) for s in _grid(cfg)]
+    rows = [ResultRow(s, *op(s, sigma, ls, tp)) for s in grid]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 
@@ -376,8 +393,9 @@ def _continued(cfg: JobConfig):
 
 
 def _cmd_continue(cfg: JobConfig) -> int:
+    grid = _grid(cfg)
     cl = _continued(cfg)
-    rows = [ResultRow(s, cl(s), 0.0) for s in _grid(cfg)]
+    rows = [ResultRow(s, cl(s), 0.0) for s in grid]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 
@@ -393,12 +411,13 @@ def _cmd_residues(cfg: JobConfig) -> int:
 
 
 def _cmd_factorization_check(cfg: JobConfig) -> int:
+    grid = _grid(cfg)
     ls = _length_spectrum(cfg)
     sigma = _sigma_for(cfg, ls.gd)
     tp = _policy(cfg, ls)
     rows = []
     worst = 0.0
-    for s in _grid(cfg):
+    for s in grid:
         direct = ruelle_log(s, sigma, ls, tp)
         split = ruelle_factorized_log(s, sigma, ls, tp)
         diff = direct.value - split.value
@@ -439,15 +458,13 @@ def run(config: JobConfig) -> int:
     """Execute one configured command and return its exit status."""
     if config.command not in _HANDLERS:
         raise ValidationError(f"unknown command {config.command!r}")
-    if config.command in _EVAL_COMMANDS and not config.s_grid:
-        raise ValidationError(f"{config.command} requires at least one --s point")
     return _HANDLERS[config.command](config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-        return run(_merge_config(ns))
+        parser = build_parser()
+        return run(_merge_config(parser, parser.parse_args(argv)))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

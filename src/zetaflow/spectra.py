@@ -50,15 +50,6 @@ def canonicalize_angles(angles) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PrimitiveClass:
-    """One primitive class of LengthSpectrum.classes: length, angles, twist."""
-
-    l0: float
-    angles: tuple[float, ...]
-    chi: np.ndarray
-
-
 def _power_traces(chi: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarray:
     """tr(chi[index]^j) per (class, power) pair, each class's powers in
     ascending j. Twists of dimension > 1 take their eigenvalues' powers
@@ -236,19 +227,6 @@ class LengthSpectrum:
             raise ValidationError(f"classes[{i}].{error}")
 
     @cached_property
-    def classes(self) -> tuple[PrimitiveClass, ...]:
-        """One PrimitiveClass per class, built on first read, for callers
-        that iterate over classes; no evaluation path reads it."""
-        angles = map(tuple, self.angles.tolist())
-        return tuple(map(PrimitiveClass, self.l0.tolist(), angles, self.chi))
-
-    @property
-    def systole(self) -> float:
-        if not self.l0.size:
-            raise ValidationError("empty spectrum has no systole")
-        return float(self.l0.min())
-
-    @cached_property
     def twist_rate(self) -> float:
         """The rate k = max over classes of log(max(1, ||chi_c||)) / l0_c,
         independent of any cutoff; one batched spectral norm per spectrum."""
@@ -399,7 +377,10 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 def _real(value: object, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{path}: integer out of float range") from None
 
 
 def length_spectrum_to_dict(ls: LengthSpectrum) -> dict:
@@ -505,6 +486,7 @@ def eigen_spectrum_from_dict(doc: object) -> EigenSpectrum:
         m = raw["m"]
         _expect(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
                 f"{path}.m", "expected a positive integer")
+        _real(m, f"{path}.m")  # the evaluators take m as a float
         entries.append((complex(_real(t[0], f"{path}.t[0]"), _real(t[1], f"{path}.t[1]")), m))
     return EigenSpectrum(entries=tuple(entries))
 

@@ -39,21 +39,16 @@ class TruncationPolicy:
 
     lmax: include powers of length <= lmax.
     tail_eps: largest acceptable certified tail bound.
-    abscissa_margin: slack permitted to the left of the abscissa estimate
-        before refusing outright; the tail bound still gates the result.
     """
 
     lmax: float
     tail_eps: float = 1e-8
-    abscissa_margin: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lmax) and self.lmax > 0):
             raise ValidationError(f"lmax: expected positive and finite, got {self.lmax!r}")
         if not (self.tail_eps > 0):
             raise ValidationError(f"tail_eps: expected positive, got {self.tail_eps!r}")
-        if not math.isfinite(self.abscissa_margin):
-            raise ValidationError(f"abscissa_margin: expected finite, got {self.abscissa_margin!r}")
 
 
 class SeriesValue(NamedTuple):
@@ -79,30 +74,28 @@ def _tail_bound(
     (ls.power_table(policy.lmax)): its certificate (K, k), counting
     constant C' and det floor. C' is observed only up to lmax, so the
     bound rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
-    continuing past the cutoff."""
-    if not plan.size:
-        return 0.0
+    continuing past the cutoff. The abscissa refusal holds at every cutoff,
+    an lmax below the shortest class included."""
     cert = plan.cert
     if kind == "ruelle":
         a = s.real - cert.k
     else:
         a = s.real + ls.gd.rho_norm - cert.k
     gap = a - plan.b
-    if gap + policy.abscissa_margin <= 0:
+    if gap <= 0:
         raise DomainError(
             f"series for kind {kind!r} does not converge at s = {s}: "
-            f"Re(s) = {s.real:.6g} is left of the abscissa estimate "
-            f"{abscissa_estimate(ls, None, kind=kind):.6g} by more than the "
-            f"margin {policy.abscissa_margin:g}",
+            f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate "
+            f"{abscissa_estimate(ls, None, kind=kind):.6g}",
             s=s,
         )
+    if not plan.size:
+        return 0.0
     B = cert.K * dim_eff
     if kind != "ruelle":
         B /= plan.det_floor
     cprime = plan.counting_constant
-    if gap <= 0:
-        tail = math.inf
-    elif kind == "logderiv":
+    if kind == "logderiv":
         tail = a * B * cprime * math.exp(-gap * policy.lmax) * (
             policy.lmax / gap + 1.0 / (gap * gap)
         )

@@ -136,7 +136,7 @@ def selberg_log_product(s: complex, m_twist: int, ls, cutoff: float) -> complex:
     (s + 1 + a + b) l0 > cutoff are dropped.
     """
     total = 0.0 + 0.0j
-    for c in ls.classes:
+    for c in classes(ls):
         if c.chi.shape != (1, 1):
             raise AssertionError("product oracle needs one-dimensional twists")
         w = complex(c.chi[0, 0])
@@ -205,12 +205,12 @@ def twist_growth_cert_loop(ls, lmax: float) -> tuple[float, float]:
     sample |tr chi^j| exp(-k j l0) per enumerated power.
     """
     k = 0.0
-    for c in ls.classes:
+    for c in classes(ls):
         norm = float(np.linalg.norm(c.chi, 2))
         if norm > 1.0 + 1e-12:
             k = max(k, math.log(norm) / c.l0)
     K = float(ls.dim_chi)
-    for c in ls.classes:
+    for c in classes(ls):
         chi_j = np.eye(ls.dim_chi, dtype=complex)
         for j in range(1, int(lmax / c.l0) + 1):
             chi_j = chi_j @ c.chi
@@ -269,6 +269,22 @@ def half_line_integral_reeval(f, rel_tol: float = 1e-9, h0: float = 0.5,
         f"half-line quadrature did not converge to rel_tol {rel_tol:g} "
         f"(last refinement difference {diff:.2e})"
     )
+
+
+@dataclass(frozen=True, eq=False)
+class PrimitiveClass:
+    """One primitive class of a length spectrum as scalars: length, angles, twist."""
+
+    l0: float
+    angles: tuple[float, ...]
+    chi: np.ndarray
+
+
+def classes(ls) -> tuple[PrimitiveClass, ...]:
+    """One PrimitiveClass per class, row i of the spectrum's columns, for
+    per-class loops over data the library holds only as whole columns."""
+    angles = map(tuple, ls.angles.tolist())
+    return tuple(map(PrimitiveClass, ls.l0.tolist(), angles, ls.chi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,12 +366,12 @@ def trace_powers(chi: np.ndarray, jmax: int) -> np.ndarray:
 def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:
     """The power columns of the prepared plan, built one class at a time.
 
-    For each PrimitiveClass of ``ls.classes``: its powers j = 1..jmax as
+    For each class of ``classes(ls)``: its powers j = 1..jmax as
     arrays, traces by ``trace_powers``; then one lexsort by
     (length, class index, j) over the concatenation.
     """
     lengths, l0s, js, idxs, traces, angs = [], [], [], [], [], []
-    for i, c in enumerate(ls.classes):
+    for i, c in enumerate(classes(ls)):
         jmax = int(math.floor(lmax / c.l0 * (1.0 + 1e-12) + 1e-12))
         if jmax < 1:
             continue

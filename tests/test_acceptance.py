@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import fd_derivative, plancherel_coeffs_symbolic
+from oracles import classes, fd_derivative, plancherel_coeffs_symbolic
 from zetaflow import (
     EigenSpectrum,
     GroupData,
@@ -250,11 +250,11 @@ def test_criterion_11_growth_certification():
         ls = synthesize(GroupData(3), 5000, systole=0.5, seed=23)
         fit = fitted_growth_exponent(ls)
         assert abs(fit - 2.0) <= 0.15 * 2.0, fit
-        lmax = 6.0 * max(c.l0 for c in ls.classes)
+        lmax = 6.0 * max(c.l0 for c in classes(ls))
         cert = certify_twist_growth(ls, lmax)
         assert validate_cert(cert, ls, lmax)
         twisted = synthesize(GroupData(3), 400, systole=0.5, seed=24, dim_chi=3, chi_norm=1.3)
-        lmax = 6.0 * max(c.l0 for c in twisted.classes)
+        lmax = 6.0 * max(c.l0 for c in classes(twisted))
         cert = certify_twist_growth(twisted, lmax)
         assert validate_cert(cert, twisted, lmax)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from zetaflow import (
     save,
     selberg_log,
 )
-from zetaflow.cli import JobConfig, main, run
+from zetaflow.cli import _FLAGS, JobConfig, build_parser, main, run
 from zetaflow.tables import read_table
 
 
@@ -275,3 +276,125 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "s.json").read_text())["d"] == 3
+
+
+# the option dests each command accepts: every one is read by its handler
+# (--deterministic, accepted everywhere, changes nothing)
+_COMMON = {"config", "output", "deterministic"}
+_TABLE = _COMMON | {"format"}
+_SEEDED = _COMMON | {"seed"}
+_TRUNC = {"lmax", "tail_eps"}
+_SERIES = _TABLE | _TRUNC | {"s_grid", "sigma", "spectrum_path"}
+OPTIONS = {
+    "gen-spectrum": _SEEDED | {"d", "count", "systole", "dim_chi", "chi_norm"},
+    "plancherel": _TABLE | {"s_grid", "sigma", "d"},
+    "selberg": _SERIES,
+    "ruelle": _SERIES,
+    "log-derivative": _SERIES,
+    "heat-trace": _TABLE | _TRUNC | {"sigma", "spectrum_path", "t_grid"},
+    "resolvent": _TABLE | _TRUNC | {"sigma", "spectrum_path", "eigen_path", "d", "anchors"},
+    "continue": _TABLE | {"s_grid", "sigma", "eigen_path", "d", "dim_chi", "volume"},
+    "residues": _TABLE | {"sigma", "eigen_path", "d", "dim_chi", "volume"},
+    "factorization-check": _SERIES | {"tol"},
+    "verify": _SEEDED | {"suite"},
+}
+
+TABLE_COMMANDS = sorted(c for c, dests in OPTIONS.items() if "format" in dests)
+TRUNCATED_COMMANDS = sorted(c for c, dests in OPTIONS.items() if "lmax" in dests)
+# (command, flag, value) of every option taken off a command that never read it
+REMOVED = (
+    [(c, "--seed", "3") for c in TABLE_COMMANDS]
+    + [(c, "--format", "json") for c in ("gen-spectrum", "verify")]
+    + [(c, "--abscissa-margin", "0.5") for c in TRUNCATED_COMMANDS]
+)
+
+
+def _command_parsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_command_accepts_exactly_the_options_it_reads():
+    accepted = {
+        command: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        for command, p in _command_parsers().items()
+    }
+    assert accepted == OPTIONS
+    assert sum(map(len, accepted.values())) == 97
+    assert len(TABLE_COMMANDS) == 9 and len(REMOVED) == 17
+
+
+def test_config_keys_are_the_option_dests():
+    for command, p in _command_parsers().items():
+        for a in p._actions:
+            if a.option_strings and a.dest not in ("help", "config"):
+                flag = _FLAGS.get(a.dest, "--" + a.dest.replace("_", "-"))
+                assert a.option_strings == [flag], (command, a.dest)
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED)
+def test_removed_option_is_rejected(tmp_path, capsys, command, flag, value):
+    code, out, err = _run(capsys, [command, flag, value])
+    assert code == 1 and out == "" and flag in err
+    key = flag[2:].replace("-", "_")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    code, out, err = _run(capsys, [command, "--config", str(conf)])
+    assert code == 1 and out == "" and repr(key) in err
+
+
+def test_no_tail_budget_admits_a_point_left_of_the_abscissa(workdir, capsys):
+    # unitary twists in d = 3: the Selberg abscissa is 1
+    code, out, err = _run(capsys, [
+        "selberg", "--spectrum", str(workdir / "spectrum.json"), "--s", "0.9",
+        "--tail-eps", "inf",
+    ])
+    assert code == 2 and out == "" and "abscissa" in err
+
+
+def test_config_file_supplies_required_options(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"d": 3, "count": 4, "seed": 7}))
+    assert main(["gen-spectrum", "--config", str(conf), "--output", str(tmp_path / "a")]) == 0
+    assert main(["gen-spectrum", "--d", "3", "--count", "4", "--seed", "7",
+                 "--output", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_config_values_parse_like_their_flags(workdir, capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({
+        "tail_eps": "1e-3", "lmax": 25, "s_grid": ["4", 4.5], "sigma": 0,
+        "deterministic": True, "format": "json",
+    }))
+    spectrum = ["--spectrum", str(workdir / "spectrum.json")]
+    code, from_file, _ = _run(capsys, ["selberg", *spectrum, "--config", str(conf)])
+    assert code == 0
+    code, from_flags, _ = _run(capsys, [
+        "selberg", *spectrum, "--tail-eps", "1e-3", "--lmax", "25", "--s", "4", "--s", "4.5",
+        "--sigma", "0", "--deterministic", "--format", "json",
+    ])
+    assert code == 0 and from_file == from_flags
+
+
+@pytest.mark.parametrize("key,value", [
+    ("lmax", "abc"),
+    ("lmax", True),
+    ("lmax", None),
+    ("lmax", [25.0]),
+    ("tail_eps", {"value": 1e-3}),
+    ("s_grid", 3),
+    ("s_grid", ["3", "x"]),
+    ("sigma", [0]),
+    ("format", "xml"),
+    ("deterministic", False),
+    ("output", ["a", "b"]),
+])
+def test_bad_config_value_is_rejected(workdir, capsys, tmp_path, key, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    code, out, err = _run(capsys, [
+        "selberg", "--spectrum", str(workdir / "spectrum.json"), "--config", str(conf),
+    ])
+    assert code == 1 and out == "" and err.startswith("error: ") and repr(key) in err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import L_sym, heat_integral_mp, powers_up_to
+from oracles import L_sym, classes, heat_integral_mp, powers_up_to
 from zetaflow import (
     DomainError,
     EigenSpectrum,
@@ -55,9 +55,10 @@ def test_geometric_trace_assembles_identity_and_classes(ls3):
         ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, t), rel=1e-14
     )
     manual = 0j
+    cs = classes(ls3)
     for cp in powers_up_to(ls3, 12.0):
         manual += (
-            ls3.classes[cp.class_index].l0
+            cs[cp.class_index].l0
             * L_sym(ls3.gd, cp, sigma)
             * math.exp(-cp.length**2 / (4 * t))
         )

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from zetaflow import chars, spectra, zeta
+from zetaflow import chars, continuation, plancherel, spectra, verify, zeta
 from zetaflow import CheckResult, ValidationError, fitted_growth_exponent, run_suite, synthesize
 from zetaflow.verify import SUITES, format_results
 
@@ -100,4 +101,81 @@ def test_zeta_suite_fails_on_a_dropped_exterior_piece(monkeypatch):
         ("log derivative vs finite differences", True),
         ("ruelle factorization", False),
         ("per-class factorization bracket", False),
+    ]
+
+
+def _outcomes_under(monkeypatch, suite, *patches):
+    """(name, passed) per check of run_suite(suite) with every
+    (owner, attribute, value) of patches in place; undone in a finally."""
+    try:
+        for owner, name, value in patches:
+            monkeypatch.setattr(owner, name, value)
+        return [(r.name, r.passed) for r in run_suite(suite)]
+    finally:
+        monkeypatch.undo()
+
+
+def test_lemma6_suite_fails_on_perturbed_anchor_combinations(monkeypatch):
+    coeffs = continuation.partial_fraction_coeffs
+    combination = continuation.small_t_combination
+
+    def scaled(aset):
+        return tuple(c * (1 + 1e-6) for c in coeffs(aset))
+
+    # both bindings: verify reads the coefficients, moment_sum its own copy
+    assert _outcomes_under(monkeypatch, "lemma6", (verify, "partial_fraction_coeffs", scaled),
+                           (continuation, "partial_fraction_coeffs", scaled)) == [
+        ("matrix partial fractions (N=2..6)", False),
+        ("anchor moment vanishing", False),
+        ("small-time combination decay", True),
+    ]
+
+    def floored(aset, t):
+        return combination(aset, t) + 1e-9 * coeffs(aset)[0]
+
+    assert _outcomes_under(monkeypatch, "lemma6", (verify, "small_t_combination", floored)) == [
+        ("matrix partial fractions (N=2..6)", True),
+        ("anchor moment vanishing", True),
+        ("small-time combination decay", False),
+    ]
+
+
+def test_plancherel_suite_fails_on_a_perturbed_density(monkeypatch):
+    call = plancherel.PlancherelPolynomial.__call__
+    exact = plancherel._exact_coeffs
+    heat_integral = verify.plancherel_heat_integral
+    names = ["rank one closed form", "evenness in z", "heat integral vs quadrature"]
+
+    def doubled(gd, sigma):
+        return tuple(2 * c for c in exact(gd, sigma)) if gd.n == 1 else exact(gd, sigma)
+
+    for patch, failing in (
+        ((plancherel.PlancherelPolynomial, "__call__", lambda P, z: call(P, z) + 1e-3 * z),
+         "evenness in z"),
+        ((plancherel, "_exact_coeffs", doubled), "rank one closed form"),
+        ((verify, "plancherel_heat_integral", lambda P, t: heat_integral(P, t) * (1 + 1e-6)),
+         "heat integral vs quadrature"),
+    ):
+        assert _outcomes_under(monkeypatch, "plancherel", patch) == [
+            (name, name != failing) for name in names
+        ]
+
+
+def test_heat_suite_fails_on_a_tilted_heat_trace(monkeypatch):
+    totals = verify.heat_totals
+
+    def tilted(ls, sigma, ts, policy):
+        return totals(ls, sigma, ts, policy) * np.asarray(ts) ** 0.1
+
+    assert _outcomes_under(monkeypatch, "heat", (verify, "heat_totals", tilted)) == [
+        ("small-time heat trace slopes", False),
+    ]
+
+
+def test_residues_suite_fails_on_a_shifted_residue(monkeypatch):
+    residue = verify.contour_residue
+    shifted = (verify, "contour_residue", lambda cl, point: residue(cl, point) + 0.6)
+    assert _outcomes_under(monkeypatch, "residues", shifted) == [
+        ("residues recover multiplicities", False),
+        ("residue contour residual", False),
     ]

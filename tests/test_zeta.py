@@ -103,7 +103,7 @@ def test_tail_bound_is_honest(ls3):
         assert abs(short.value - long.value) <= short.tail_bound + 1e-15
 
 
-def test_abscissa_refusal_and_margin(ls3):
+def test_abscissa_refusal(ls3):
     a = abscissa_estimate(ls3, (0,), "selberg")
     assert a == pytest.approx(1.0)  # unitary twists: |rho| exactly
     assert abscissa_estimate(ls3, (0,), "ruelle") == pytest.approx(2.0)
@@ -111,12 +111,16 @@ def test_abscissa_refusal_and_margin(ls3):
     with pytest.raises(DomainError) as info:
         selberg_log(0.5, (0,), ls3, tp)
     assert "0.5" in str(info.value)
-    # a margin admits the point; below the abscissa no finite tail can be
-    # certified, so the bound comes back infinite and the gate must be off
-    relaxed = TruncationPolicy(lmax=60.0, tail_eps=math.inf, abscissa_margin=0.6)
-    val = selberg_log(0.5, (0,), ls3, relaxed)
-    assert np.isfinite(val.value.real)
-    assert val.tail_bound == math.inf
+    # no policy admits a point at or left of the abscissa: not an unlimited
+    # tail budget, and not a cutoff below the shortest class
+    for policy in (TruncationPolicy(lmax=60.0, tail_eps=math.inf),
+                   TruncationPolicy(lmax=0.1, tail_eps=math.inf)):
+        for s in (0.5, 1.0, 0.9 + 3j):
+            with pytest.raises(DomainError) as info:
+                selberg_log(s, (0,), ls3, policy)
+            assert "abscissa" in str(info.value)
+    with pytest.raises(DomainError):
+        ruelle_log(2.0, (0,), ls3, TruncationPolicy(lmax=0.1, tail_eps=math.inf))
 
 
 def test_tail_eps_gate(ls3):
