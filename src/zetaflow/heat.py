@@ -22,7 +22,7 @@ from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
 from .summation import block_sum
-from .zeta import TruncationPolicy
+from .zeta import TruncationPolicy, empty_plan_error
 
 _HERMITE_DEGREE_CUTOFF = 40
 
@@ -72,12 +72,15 @@ def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
     return complex((w * vals).sum() / math.sqrt(t))
 
 
-def _hyperbolic_tail(plan, sigma_dim: float, t: float, policy: TruncationPolicy) -> float:
+def _hyperbolic_tail(
+    ls: LengthSpectrum, plan, sigma_dim: float, t: float, policy: TruncationPolicy
+) -> float:
     """Certified bound on the dropped powers of the Gaussian-damped series,
     from the plan (ls.power_table(policy.lmax)): its certificate (K, k),
     counting constant C' and det floor; C' is observed only up to lmax, as
-    for the zeta tails."""
-    if not plan.size:
+    for the zeta tails. 0 for an empty spectrum; after the check that the
+    tail is controllable at t, an lmax below the shortest class is refused."""
+    if not ls.l0.size:
         return 0.0
     cert = plan.cert
     b = plan.b
@@ -90,6 +93,8 @@ def _hyperbolic_tail(plan, sigma_dim: float, t: float, policy: TruncationPolicy)
             f"need lmax > {4.0 * t * (b + cert.k - rho):g}",
             s=None,
         )
+    if not plan.size:
+        raise empty_plan_error(ls, lmax, None)
     B = cert.K * sigma_dim / plan.det_floor
     cprime = plan.counting_constant
     i1 = math.exp(-beta * lmax) * (lmax / beta + 1.0 / beta**2)
@@ -126,7 +131,7 @@ def geometric_heat_trace(
     identity = ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
     plan = ls.power_table(tp.lmax)
     sig = character_table("D", ls.gd.validate_m_weight(sigma))
-    tail = _hyperbolic_tail(plan, sig.norm_bound(), t, tp)
+    tail = _hyperbolic_tail(ls, plan, sig.norm_bound(), t, tp)
     hyp = _hyperbolic_sum(plan, sig, t)
     return HeatEvaluation(t=t, identity_part=identity, hyperbolic_part=hyp, tail_bound=tail)
 

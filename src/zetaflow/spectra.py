@@ -72,7 +72,13 @@ def _power_traces(chi: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarr
 
 def _max_power(l0: np.ndarray, lmax: float) -> np.ndarray:
     # largest j with j * l0 <= lmax; relative guard so j * l0 == lmax survives rounding
-    return np.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12).astype(np.int64)
+    counts = np.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12)
+    if not counts.sum() < 2.0**63:
+        raise ValidationError(
+            f"length cutoff {lmax:g} is too large: it takes more than 2^63 powers "
+            f"of the classes, the shortest of length {float(l0.min()):g}"
+        )
+    return counts.astype(np.int64)
 
 
 # plans kept per spectrum, and character products and heat prefactors kept
@@ -326,7 +332,9 @@ def synthesize(
     sorted and the counting function tracks exp(2|rho| R) up to the +-1
     stratum wiggle. Angles are uniform on [0, 2 pi); twists are Haar-like
     unitaries, scaled into [1, chi_norm] when asked to grow. All draws come
-    from one seeded generator.
+    from one seeded generator. The unitaries come from one stacked QR of
+    all classes' draws; a unit twist's draws are one array, while a growing
+    twist draws u, v and its singular values class by class, in class order.
     """
     if count < 0:
         raise ValidationError(f"count: expected >= 0, got {count}")
@@ -345,26 +353,32 @@ def synthesize(
     lengths = np.log(np.exp(b * systole) + b * targets) / b
 
     angles = rng.uniform(0.0, TWO_PI, size=(count, gd.n))
-    # one twist per class, drawn in class order
-    chi = np.array([_random_twist(rng, dim_chi, chi_norm) for _ in range(count)], dtype=complex)
-    return LengthSpectrum(gd=gd, l0=lengths, angles=canonicalize_angles(angles),
-                          chi=chi.reshape(count, dim_chi, dim_chi), volume=volume, dim_chi=dim_chi)
-
-
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
-
-
-def _random_twist(rng: np.random.Generator, dim: int, chi_norm: float) -> np.ndarray:
-    u = _haar_unitary(rng, dim)
     if chi_norm == 1.0:
-        return u
-    v = _haar_unitary(rng, dim)
-    svals = rng.uniform(1.0, chi_norm, size=dim)
-    return u @ np.diag(svals) @ v
+        # per class the real, then the imaginary part of one matrix
+        chi = _haar_unitaries(rng.normal(size=(count, 2, dim_chi, dim_chi)))
+    else:
+        # per class the parts of u, then of v, then the singular values:
+        # normal and uniform draws interleave, so they are drawn in class order
+        parts = np.empty((count, 2, 2, dim_chi, dim_chi))
+        svals = np.empty((count, dim_chi))
+        for i in range(count):
+            parts[i] = rng.normal(size=parts.shape[1:])
+            svals[i] = rng.uniform(1.0, chi_norm, size=dim_chi)
+        uv = _haar_unitaries(parts)
+        # u @ diag(s) @ v with full diagonal matrices, multiplied in that
+        # order, rounds exactly as one class at a time
+        chi = uv[:, 0] @ (svals[:, :, None] * np.eye(dim_chi)) @ uv[:, 1]
+    return LengthSpectrum(gd=gd, l0=lengths, angles=canonicalize_angles(angles),
+                          chi=chi, volume=volume, dim_chi=dim_chi)
+
+
+def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the standard normal draws (..., 2, dim, dim) of
+    their real and imaginary parts: one stacked QR, with each column's
+    phase fixed by the matching diagonal entry of R."""
+    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -364,10 +364,12 @@ def suite_zeta(seed: int = 0) -> list[CheckResult]:
     bracket_err = 0.0
     for d in (3, 5):
         gdd = GroupData(d)
+        lengths, angles = [], []
         for _ in range(500):
-            length = float(rng.uniform(0.4, 4.0))
-            th = rng.uniform(0.0, 2.0 * math.pi, size=gdd.n)
-            bracket_err = max(bracket_err, abs(exterior_class_sum(gdd, length, th) - 1.0))
+            lengths.append(float(rng.uniform(0.4, 4.0)))
+            angles.append(rng.uniform(0.0, 2.0 * math.pi, size=gdd.n))
+        brackets = exterior_class_sum(gdd, lengths, angles).tolist()
+        bracket_err = max(bracket_err, *(abs(b - 1.0) for b in brackets))
 
     return [
         _check("log derivative vs finite differences", fd_err, 1e-6),

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .branching import exterior_decomposition
-from .chars import CharacterTable, character_table, weyl_character
+from .chars import CharacterTable, character_table
 from .errors import DomainError, ValidationError
 from .spectra import LengthSpectrum
 from .summation import block_sum
@@ -74,8 +74,9 @@ def _tail_bound(
     (ls.power_table(policy.lmax)): its certificate (K, k), counting
     constant C' and det floor. C' is observed only up to lmax, so the
     bound rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
-    continuing past the cutoff. The abscissa refusal holds at every cutoff,
-    an lmax below the shortest class included."""
+    continuing past the cutoff. The abscissa refusal holds at every cutoff
+    and comes first; an lmax below the shortest class of a non-empty
+    spectrum is refused next, as nothing would be summed."""
     cert = plan.cert
     if kind == "ruelle":
         a = s.real - cert.k
@@ -90,7 +91,7 @@ def _tail_bound(
             s=s,
         )
     if not plan.size:
-        return 0.0
+        raise empty_plan_error(ls, policy.lmax, s)
     B = cert.K * dim_eff
     if kind != "ruelle":
         B /= plan.det_floor
@@ -110,6 +111,16 @@ def _tail_bound(
     return tail
 
 
+def empty_plan_error(ls: LengthSpectrum, lmax: float, s: complex | None) -> DomainError:
+    """The refusal of a cutoff below the shortest class: no power would be
+    summed, and no tail bound covers every power."""
+    return DomainError(
+        f"no power has length at or below lmax = {lmax:g}; the shortest class has "
+        f"length {float(ls.l0.min()):g}, raise lmax to at least that",
+        s=s,
+    )
+
+
 def _series_value(
     ls: LengthSpectrum,
     tables: tuple[CharacterTable, ...],
@@ -124,8 +135,6 @@ def _series_value(
     for t in tables:
         dim_eff *= t.norm_bound()
     tail = _tail_bound(ls, plan, policy, s, kind=kind, dim_eff=dim_eff)
-    if not plan.size:
-        return SeriesValue(0j, tail)
     chars = plan.chars(tables)
     rho = float(ls.gd.rho_norm)
     if kind == "ruelle":
@@ -212,18 +221,36 @@ def ruelle_factorized_log(
     return SeriesValue(total, tail)
 
 
-def exterior_class_sum(gd: GroupData, length: float, angles: Sequence[float]) -> complex:
+def exterior_class_sum(
+    gd: GroupData, length: float | Sequence[float], angles: Sequence[float] | np.ndarray
+):
     """The per-class factorization bracket
     sum_p (-1)^p sum_psi e^{(p - 2n) length} char_psi(angles) / det_term,
-    identically 1 for every length and angle vector."""
+    identically 1 for every length and angle vector.
+
+    Takes one class, a length with an n-vector of angles, and returns a
+    complex; or N classes, lengths (N,) with angles (N, n), and returns
+    their brackets (N,). Each exterior piece is evaluated once on all rows;
+    the sum over the pieces runs per class.
+    """
     # The alternating sum cancels all the way down to det_term, so the
     # characters come from the exact weight expansion; alternant rounding
     # near its singular set would otherwise dominate the residual.
     th = np.asarray(angles, dtype=float)
-    terms = []
-    for p in range(0, 2 * gd.n + 1):
-        for psi, _lam in exterior_decomposition(gd, p):
-            char = weyl_character(psi, th, "D", route="weights")
-            terms.append((-1) ** p * math.exp((p - 2 * gd.n) * length) * char)
-    num = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    return num / det_term(gd, length, tuple(th))
+    lengths = np.asarray(length, dtype=float).reshape(-1)
+    if th.shape[-1:] != (gd.n,) or th.size != lengths.size * gd.n:
+        raise ValidationError(
+            f"expected {lengths.size} angle vectors of rank {gd.n}, got shape {th.shape}"
+        )
+    rows = th.reshape(-1, gd.n)
+    pieces = [
+        ((-1) ** p, p - 2 * gd.n, character_table("D", psi).evaluate(rows).tolist())
+        for p in range(0, 2 * gd.n + 1)
+        for psi, _lam in exterior_decomposition(gd, p)
+    ]
+    out = []
+    for i, (L, row) in enumerate(zip(lengths.tolist(), rows.tolist())):
+        terms = [sign * math.exp(shift * L) * chars[i] for sign, shift, chars in pieces]
+        num = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        out.append(num / det_term(gd, L, row))
+    return out[0] if th.ndim == 1 else np.array(out, dtype=complex)

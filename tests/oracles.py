@@ -398,3 +398,40 @@ def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:
         "chi_trace": np.concatenate(traces)[order],
         "angles": np.concatenate(angs)[order],
     }
+
+
+def synthesize_loop(gd, count: int, systole: float, seed: int, dim_chi: int = 1,
+                    chi_norm: float = 1.0):
+    """``zetaflow.synthesize`` with its twists drawn one class at a time.
+
+    Same generator and draw order: volume, jitter, angles, then per class
+    the real and imaginary parts of u, for a growing twist those of v and
+    the singular values, each Haar unitary from its own QR.
+    """
+    from zetaflow import LengthSpectrum
+    from zetaflow.spectra import canonicalize_angles
+
+    def haar_unitary(rng, dim):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))[None, :]
+
+    def random_twist(rng, dim):
+        u = haar_unitary(rng, dim)
+        if chi_norm == 1.0:
+            return u
+        v = haar_unitary(rng, dim)
+        svals = rng.uniform(1.0, chi_norm, size=dim)
+        return u @ np.diag(svals) @ v
+
+    rng = np.random.default_rng(seed)
+    volume = float(rng.uniform(0.5, 5.0))
+    b = 2.0 * gd.rho_norm
+    jitter = rng.uniform(-0.35, 0.35, size=count)
+    targets = np.arange(count) + 0.5 + jitter
+    lengths = np.log(np.exp(b * systole) + b * targets) / b
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(count, gd.n))
+    chi = np.array([random_twist(rng, dim_chi) for _ in range(count)], dtype=complex)
+    return LengthSpectrum(gd=gd, l0=lengths, angles=canonicalize_angles(angles),
+                          chi=chi.reshape(count, dim_chi, dim_chi), volume=volume, dim_chi=dim_chi)

@@ -207,6 +207,31 @@ def test_domain_failures_exit_two(workdir, capsys):
     assert "t_k" in err
 
 
+def test_cutoff_past_int64_powers_exits_one(workdir, capsys, tmp_path):
+    spectrum = workdir / "spectrum.json"
+    code, _, err = _run(capsys, ["selberg", "--spectrum", str(spectrum), "--s", "4",
+                                 "--lmax", "1e300"])
+    assert code == 1
+    assert "error: length cutoff 1e+300 is too large" in err
+    # the default cutoff, 4x the longest class, reaches the same limit
+    doc = json.loads(spectrum.read_text())
+    doc["classes"][3]["l0"] = 1e300
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["selberg", "--spectrum", str(huge), "--s", "4"])
+    assert code == 1
+    assert "error: length cutoff 4e+300 is too large" in err
+
+
+def test_cutoff_below_the_shortest_class_exits_two(workdir, capsys):
+    spectrum = str(workdir / "spectrum.json")
+    for argv in (["selberg", "--s", "4"], ["heat-trace", "--t", "0.01"]):
+        code, out, err = _run(capsys, [*argv, "--spectrum", spectrum, "--lmax", "0.1"])
+        assert code == 2 and out == ""
+        assert "no power has length at or below lmax = 0.1" in err
+        assert "shortest class has length" in err
+
+
 def test_config_file_merge(workdir, capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"sigma": "0", "s_grid": ["3.5"], "lmax": 25.0}))

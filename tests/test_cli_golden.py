@@ -4,7 +4,10 @@ Each command runs in-process on a small seeded spectrum, and the sha256
 of its full stdout (all five table columns) is compared against a digest
 recorded before the per-(spectrum, lmax) plan was introduced. The sha256
 of each ``gen-spectrum`` file was recorded before the spectrum was stored
-as columns, so a shifted draw or float repr moves it. Any change
+as columns (d3, d5), or before the twists were drawn as whole arrays (d7,
+whose 3x3 twists take the stacked QR above 2x2), so a shifted draw or
+float repr moves it. The sha256 of ``verify --suite all --seed 0`` stdout
+was recorded before the factorization bracket was batched. Any change
 to a value, a tail bound or the table layout moves a digest; a deliberate
 change of output must update the table below and say why in CHANGES.md.
 """
@@ -19,6 +22,7 @@ SPECTRA = {
     "d3": ["--d", "3", "--count", "40", "--systole", "0.6", "--seed", "7"],
     "d5": ["--d", "5", "--count", "30", "--systole", "0.6", "--seed", "8",
            "--dim-chi", "2", "--chi-norm", "1.02"],
+    "d7": ["--d", "7", "--count", "30", "--systole", "0.6", "--seed", "9", "--dim-chi", "3"],
 }
 
 JOBS = {
@@ -60,7 +64,11 @@ DIGESTS = {
 SPECTRUM_DIGESTS = {
     "d3": "3cfb8f332befcc02f600cb611dbabd98361fc5206d19128581a936c141f29460",
     "d5": "4cb94802cf7ac5c5f15dbe22ee54056d4fea3e4e181b1788f4c7d36fbc10ad3b",
+    "d7": "98d9c51627a3843c35e5f895c08e02f8c2764f5d01c38c75caaf466233cea49d",
 }
+
+VERIFY_ARGS = ["verify", "--suite", "all", "--seed", "0"]
+VERIFY_DIGEST = "522dd118c9f26ab91b45a59afd2d647c36ea102be4dd817cf23366fd9d30dae1"
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +94,11 @@ def test_stdout_matches_recorded_digest(spectra, capsys, spec, command):
 def test_generated_spectrum_matches_recorded_digest(spectra, spec):
     digest = hashlib.sha256(spectra[spec].read_bytes()).hexdigest()
     assert digest == SPECTRUM_DIGESTS[spec]
+
+
+def test_verify_stdout_matches_recorded_digest(capsys):
+    capsys.readouterr()
+    code = main(VERIFY_ARGS)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_DIGEST

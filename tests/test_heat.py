@@ -8,6 +8,7 @@ from zetaflow import (
     DomainError,
     EigenSpectrum,
     GroupData,
+    LengthSpectrum,
     TruncationPolicy,
     ValidationError,
     geometric_heat_trace,
@@ -98,6 +99,20 @@ def test_large_time_needs_large_lmax(ls3):
     # at t = 5 the Gaussian no longer kills the far powers under lmax = 6
     with pytest.raises(DomainError):
         geometric_heat_trace(ls3, (0,), 5.0, TruncationPolicy(lmax=6.0, tail_eps=1e-10))
+
+
+def test_cutoff_below_the_shortest_class_is_refused(ls3):
+    shortest = float(ls3.l0.min())
+    tp = TruncationPolicy(lmax=0.5 * shortest, tail_eps=1.0)
+    with pytest.raises(DomainError, match=f"shortest class has length {shortest:g}"):
+        geometric_heat_trace(ls3, (0,), 0.01, tp)
+    # the check that the tail is controllable at t still comes first
+    with pytest.raises(DomainError, match="not controllable"):
+        geometric_heat_trace(ls3, (0,), 1.0, tp)
+    # an empty spectrum has nothing to drop
+    empty = LengthSpectrum(gd=ls3.gd, l0=[], angles=np.empty((0, 1)), chi=np.empty((0, 1, 1)),
+                           volume=1.0, dim_chi=1)
+    assert geometric_heat_trace(empty, (0,), 0.01, tp).tail_bound == 0.0
 
 
 def test_time_validation(ls3):

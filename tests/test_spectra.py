@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import classes, power_table_loop, powers_up_to, twist_growth_cert_loop
+from oracles import (
+    classes,
+    power_table_loop,
+    powers_up_to,
+    synthesize_loop,
+    twist_growth_cert_loop,
+)
 from zetaflow import (
     EigenSpectrum,
     GroupData,
@@ -42,6 +48,22 @@ def test_synthesize_is_reproducible(gd3):
     assert length_spectrum_to_dict(a) == length_spectrum_to_dict(b)
     c = synthesize(gd3, 60, systole=0.5, seed=43)
     assert length_spectrum_to_dict(a) != length_spectrum_to_dict(c)
+
+
+@pytest.mark.parametrize("count", [0, 1, 257])
+@pytest.mark.parametrize("chi_norm", [1.0, 1.3])
+@pytest.mark.parametrize("dim_chi", [1, 2, 3])
+def test_synthesize_matches_the_per_class_loop(gd3, dim_chi, chi_norm, count):
+    # stacked draws and QRs against one draw and one QR per class, bit for bit
+    got = synthesize(gd3, count, systole=0.5, seed=40 + dim_chi, dim_chi=dim_chi,
+                     chi_norm=chi_norm)
+    want = synthesize_loop(gd3, count, systole=0.5, seed=40 + dim_chi, dim_chi=dim_chi,
+                           chi_norm=chi_norm)
+    assert got.volume == want.volume
+    for name in ("l0", "angles", "chi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_synthesize_basic_shape(ls3, ls3_twisted):

@@ -7,6 +7,7 @@ import pytest
 from oracles import L_sym, fd_derivative, powers_up_to, selberg_log_product
 from zetaflow import (
     DomainError,
+    GroupData,
     geometric_heat_trace,
     load_length_spectrum,
     save,
@@ -172,6 +173,41 @@ def test_exterior_class_sum_is_one(gd3, gd5):
             length = rng.uniform(0.4, 4.0)
             th = rng.uniform(0, 2 * np.pi, gd.n)
             assert abs(exterior_class_sum(gd, length, th) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_batched_exterior_class_sum_equals_the_scalar_calls(d):
+    gd = GroupData(d)
+    rng = np.random.default_rng(33 + d)
+    lengths = rng.uniform(0.05, 6.0, size=60)
+    angles = rng.uniform(-7.0, 14.0, size=(60, gd.n))
+    angles[:5] = 0.0  # fully singular, where the alternant would divide by 0
+    batched = exterior_class_sum(gd, lengths, angles)
+    assert batched.shape == (60,) and batched.dtype == complex
+    for length, th, value in zip(lengths, angles, batched):
+        one = exterior_class_sum(gd, float(length), th)
+        assert type(one) is complex
+        assert one == value
+    assert exterior_class_sum(gd, lengths[:0], angles[:0]).shape == (0,)
+    with pytest.raises(ValidationError):
+        exterior_class_sum(gd, lengths, angles[:-1])
+    with pytest.raises(ValidationError):
+        exterior_class_sum(gd, 1.0, np.zeros(gd.n + 1))
+
+
+def test_cutoff_below_the_shortest_class_is_refused(ls3):
+    # nothing would be summed, so neither 0 nor a tail of 0 is an answer
+    shortest = float(ls3.l0.min())
+    tp = TruncationPolicy(lmax=0.5 * shortest, tail_eps=1.0)
+    for op in (selberg_log, ruelle_log, log_derivative):
+        with pytest.raises(DomainError, match=f"shortest class has length {shortest:g}"):
+            op(6.0, (0,), ls3, tp)
+    # the abscissa refusal still comes first
+    with pytest.raises(DomainError, match="does not converge"):
+        selberg_log(0.5, (0,), ls3, tp)
+    # at the shortest length its first power is summed
+    at = selberg_log(6.0, (0,), ls3, TruncationPolicy(lmax=shortest, tail_eps=1.0))
+    assert at.value != 0
 
 
 def test_ruelle_factorizes_through_exterior_powers(ls3, ls5):
