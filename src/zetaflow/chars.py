@@ -186,9 +186,19 @@ class CharacterTable:
             raise ValidationError(
                 f"angle vectors of rank {th.shape[-1]} passed to a rank {self.rank} character"
             )
+        cols = np.moveaxis(th, -1, 0)
         out = np.zeros(th.shape[:-1], dtype=complex)
+        # buffers shared by all weights, so the loop allocates nothing
+        phase, product = np.empty(out.shape), np.empty(out.shape)
+        term = np.empty_like(out)
         for mu, m in zip(self._weights, self._mults):
-            out += m * np.exp(1j * (th * mu).sum(axis=-1))
+            # <mu, theta> adds the column products left to right, the order
+            # numpy sums so short an axis in
+            np.multiply(cols[0], mu[0], out=phase)
+            for col, c in zip(cols[1:], mu[1:]):
+                phase += np.multiply(col, c, out=product)
+            np.exp(np.multiply(phase, 1j, out=term), out=term)
+            out += np.multiply(term, m, out=term)
         return out
 
     def norm_bound(self) -> float:

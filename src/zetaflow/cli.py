@@ -50,7 +50,7 @@ from .heat import geometric_heat_trace
 from .plancherel import plancherel_polynomial
 from .spectra import (
     LengthSpectrum,
-    length_spectrum_to_dict,
+    length_spectrum_to_json,
     load_eigen_spectrum,
     load_length_spectrum,
     synthesize,
@@ -320,11 +320,14 @@ def _grid(cfg: JobConfig) -> tuple[complex, ...]:
 
 
 def _cmd_gen_spectrum(cfg: JobConfig) -> int:
+    """Write a synthetic spectrum's document: byte for byte what
+    json.dumps(doc, indent=1) writes, plus a final newline, so any JSON
+    tool may re-serialize it."""
     gd = _group(cfg)
     if cfg.count is None:
         raise ValidationError("gen-spectrum requires --count")
     ls = synthesize(gd, cfg.count, cfg.systole, cfg.seed, cfg.dim_chi, cfg.chi_norm)
-    _write_text(json.dumps(length_spectrum_to_dict(ls), indent=1) + "\n", cfg.output)
+    _write_text(length_spectrum_to_json(ls) + "\n", cfg.output)
     return 0
 
 

@@ -70,17 +70,22 @@ def _power_traces(chi: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarr
     return out
 
 
-def _max_power(l0: np.ndarray, lmax: float) -> np.ndarray:
-    # largest j with j * l0 <= lmax; relative guard so j * l0 == lmax survives rounding
+def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
+    """Largest j with j * l0 <= lmax per class; a cutoff that takes 2^bits
+    powers or more in all is refused."""
+    # relative guard so j * l0 == lmax survives rounding
     counts = np.floor(lmax / l0 * (1.0 + 1e-12) + 1e-12)
-    if not counts.sum() < 2.0**63:
+    if not counts.sum() < 2.0**bits:
         raise ValidationError(
-            f"length cutoff {lmax:g} is too large: it takes more than 2^63 powers "
+            f"length cutoff {lmax:g} is too large: it takes 2^{bits} powers or more "
             f"of the classes, the shortest of length {float(l0.min()):g}"
         )
     return counts.astype(np.int64)
 
 
+# a plan holds fewer than 2^_PLAN_POWER_BITS powers, about 2 GB of columns;
+# a longer cutoff is refused before the plan allocates anything
+_PLAN_POWER_BITS = 24
 # plans kept per spectrum, and character products and heat prefactors kept
 # per plan; the least recently used entry is evicted first
 _PLANS_PER_SPECTRUM = 4
@@ -120,7 +125,7 @@ class _PowerTable:
         self.rate = ls.twist_rate
         self.b = 2.0 * ls.gd.rho_norm
         # the powers j = 1..jmax of class 0, then of class 1, ...
-        counts = _max_power(ls.l0, lmax)
+        counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
         index = np.repeat(np.arange(counts.size), counts)
         j = np.arange(1, index.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
         traces = _power_traces(ls.chi, index, j)
@@ -397,11 +402,37 @@ def _real(value: object, path: str) -> float:
         raise ValidationError(f"{path}: integer out of float range") from None
 
 
-def length_spectrum_to_dict(ls: LengthSpectrum) -> dict:
-    cells = np.stack([ls.chi.real, ls.chi.imag], axis=-1).tolist()
-    classes = [{"l0": l0, "angles": angles, "chi": chi}
-               for l0, angles, chi in zip(ls.l0.tolist(), ls.angles.tolist(), cells)]
-    return {"d": ls.gd.d, "volume": ls.volume, "dim_chi": ls.dim_chi, "classes": classes}
+def _list_template(shape: tuple[int, ...], level: int) -> str:
+    """The text json.dumps(indent=1) writes for a nested list of this shape
+    opened at nesting level ``level``, with a %r slot per number."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    pad = "\n" + " " * (level + 1)
+    item = _list_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * level + "]"
+
+
+def length_spectrum_to_json(ls: LengthSpectrum) -> str:
+    """The spectrum's JSON document, byte for byte the text of
+    json.dumps(doc, indent=1) for doc = {"d", "volume", "dim_chi",
+    "classes": [{"l0", "angles", "chi": [[[re, im], ...], ...]}, ...]}.
+
+    One %r template per (n, dim_chi) is filled once per class from one
+    row of numbers; json writes a finite float as float.__repr__, and the
+    columns hold finite floats only. The header scalars go through
+    json.dumps, so an int or numpy volume reads as json writes it."""
+    head = (f'{{\n "d": {json.dumps(ls.gd.d)},\n "volume": {json.dumps(ls.volume)},\n'
+            f' "dim_chi": {json.dumps(ls.dim_chi)},\n "classes": ')
+    if not ls.l0.size:
+        return head + "[]\n}"
+    dim = ls.dim_chi
+    template = ('{\n   "l0": %r,\n   "angles": ' + _list_template((ls.gd.n,), 3)
+                + ',\n   "chi": ' + _list_template((dim, dim, 2), 3) + "\n  }")
+    parts = np.stack([ls.chi.real, ls.chi.imag], axis=-1).reshape(ls.l0.size, -1)
+    rows = np.concatenate([ls.l0[:, None], ls.angles, parts], axis=1).tolist()
+    return head + "[\n  " + ",\n  ".join(map(template.__mod__, map(tuple, rows))) + "\n ]\n}"
 
 
 def _check_class(raw: object, path: str, n: int, dim_chi: int) -> None:
@@ -506,14 +537,16 @@ def eigen_spectrum_from_dict(doc: object) -> EigenSpectrum:
 
 
 def save(value: LengthSpectrum | EigenSpectrum, path: str | Path) -> None:
-    """Write either spectrum kind as a JSON document."""
+    """Write either spectrum kind as a JSON document, byte for byte what
+    json.dumps(doc, indent=1) writes, plus a final newline; a length
+    spectrum goes through length_spectrum_to_json."""
     if isinstance(value, LengthSpectrum):
-        doc = length_spectrum_to_dict(value)
+        text = length_spectrum_to_json(value)
     elif isinstance(value, EigenSpectrum):
-        doc = eigen_spectrum_to_dict(value)
+        text = json.dumps(eigen_spectrum_to_dict(value), indent=1)
     else:
         raise ValidationError(f"cannot serialize {type(value).__name__}")
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _load_doc(path: str | Path) -> object:

@@ -287,6 +287,16 @@ def classes(ls) -> tuple[PrimitiveClass, ...]:
     return tuple(map(PrimitiveClass, ls.l0.tolist(), angles, ls.chi))
 
 
+def length_spectrum_to_dict(ls) -> dict:
+    """The spectrum's JSON document as Python objects, built class by class;
+    ``zetaflow.spectra.length_spectrum_to_json`` must write exactly
+    ``json.dumps`` of it with ``indent=1``."""
+    cells = np.stack([ls.chi.real, ls.chi.imag], axis=-1).tolist()
+    classes = [{"l0": l0, "angles": angles, "chi": chi}
+               for l0, angles, chi in zip(ls.l0.tolist(), ls.angles.tolist(), cells)]
+    return {"d": ls.gd.d, "volume": ls.volume, "dim_chi": ls.dim_chi, "classes": classes}
+
+
 @dataclass(frozen=True, eq=False)
 class ClassPower:
     """The j-th power of a primitive class, with derived data."""

@@ -121,6 +121,24 @@ def test_character_table_bound_and_evaluate():
     assert np.abs(vals - direct).max() == 0.0
 
 
+def test_evaluate_is_bit_identical_to_the_summed_phase():
+    # <mu, theta> as explicit column products against the reduction
+    # (theta * mu).sum(axis=-1), compared bit for bit
+    rng = np.random.default_rng(6)
+    for fam, ws in (("B", B_WEIGHTS), ("D", D_WEIGHTS)):
+        for w in ws:
+            items = sorted(weight_multiplicities(fam, as_weight(w)).items())
+            weights = np.array([[float(c) for c in mu] for mu, _ in items])
+            th = rng.uniform(-40.0, 40.0, size=(4000, len(w)))
+            th[:20] = 0.0
+            th[20:40, 0] = -0.0
+            want = np.zeros(len(th), dtype=complex)
+            for mu, (_, m) in zip(weights, items):
+                want += float(m) * np.exp(1j * (th * mu).sum(axis=-1))
+            got = character_table(fam, w).evaluate(th)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (fam, w)
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(ValidationError):
         weyl_character((1, 0), np.zeros(3), "B")

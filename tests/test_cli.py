@@ -223,6 +223,15 @@ def test_cutoff_past_int64_powers_exits_one(workdir, capsys, tmp_path):
     assert "error: length cutoff 4e+300 is too large" in err
 
 
+def test_cutoff_past_the_plan_size_exits_one(workdir, capsys):
+    # about 5e13 powers of the 40 classes: far under 2^63, refused from the
+    # per-class counts before the plan allocates anything
+    code, out, err = _run(capsys, ["selberg", "--spectrum", str(workdir / "spectrum.json"),
+                                   "--s", "4", "--lmax", "1e12"])
+    assert code == 1 and out == ""
+    assert "error: length cutoff 1e+12 is too large: it takes 2^24 powers or more" in err
+
+
 def test_cutoff_below_the_shortest_class_exits_two(workdir, capsys):
     spectrum = str(workdir / "spectrum.json")
     for argv in (["selberg", "--s", "4"], ["heat-trace", "--t", "0.01"]):

@@ -4,9 +4,11 @@ Each command runs in-process on a small seeded spectrum, and the sha256
 of its full stdout (all five table columns) is compared against a digest
 recorded before the per-(spectrum, lmax) plan was introduced. The sha256
 of each ``gen-spectrum`` file was recorded before the spectrum was stored
-as columns (d3, d5), or before the twists were drawn as whole arrays (d7,
-whose 3x3 twists take the stacked QR above 2x2), so a shifted draw or
-float repr moves it. The sha256 of ``verify --suite all --seed 0`` stdout
+as columns (d3, d5), before the twists were drawn as whole arrays (d7,
+whose 3x3 twists take the stacked QR above 2x2), or before the documents
+were written from a per-class template instead of json's indent encoder
+(d5-empty, a spectrum with no classes), so a shifted draw or float repr
+moves it. The sha256 of ``verify --suite all --seed 0`` stdout
 was recorded before the factorization bracket was batched. Any change
 to a value, a tail bound or the table layout moves a digest; a deliberate
 change of output must update the table below and say why in CHANGES.md.
@@ -23,6 +25,8 @@ SPECTRA = {
     "d5": ["--d", "5", "--count", "30", "--systole", "0.6", "--seed", "8",
            "--dim-chi", "2", "--chi-norm", "1.02"],
     "d7": ["--d", "7", "--count", "30", "--systole", "0.6", "--seed", "9", "--dim-chi", "3"],
+    "d5-empty": ["--d", "5", "--count", "0", "--systole", "0.6", "--seed", "8",
+                 "--dim-chi", "2"],
 }
 
 JOBS = {
@@ -65,6 +69,7 @@ SPECTRUM_DIGESTS = {
     "d3": "3cfb8f332befcc02f600cb611dbabd98361fc5206d19128581a936c141f29460",
     "d5": "4cb94802cf7ac5c5f15dbe22ee54056d4fea3e4e181b1788f4c7d36fbc10ad3b",
     "d7": "98d9c51627a3843c35e5f895c08e02f8c2764f5d01c38c75caaf466233cea49d",
+    "d5-empty": "3b07ef524627cfb7fab7c5678c2001ff39dd0670074e586eb9061762f9a25856",
 }
 
 VERIFY_ARGS = ["verify", "--suite", "all", "--seed", "0"]

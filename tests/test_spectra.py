@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     classes,
+    length_spectrum_to_dict,
     power_table_loop,
     powers_up_to,
     synthesize_loop,
@@ -38,7 +39,7 @@ from zetaflow.spectra import (
     canonicalize_angles,
     eigen_spectrum_from_dict,
     length_spectrum_from_dict,
-    length_spectrum_to_dict,
+    length_spectrum_to_json,
 )
 
 
@@ -310,10 +311,37 @@ def test_second_factorization_point_evaluates_no_character(monkeypatch):
 def test_save_and_load_round_trip(tmp_path, ls3_twisted):
     p = tmp_path / "spec.json"
     save(ls3_twisted, p)
+    assert p.read_text(encoding="utf-8") == length_spectrum_to_json(ls3_twisted) + "\n"
     back = load_length_spectrum(p)
     assert length_spectrum_to_dict(back) == length_spectrum_to_dict(ls3_twisted)
+    for name in ("l0", "angles", "chi"):
+        assert np.array_equal(getattr(back, name), getattr(ls3_twisted, name)), name
     save(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("dim_chi", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_json_writer_is_byte_identical_to_json_dumps(d, dim_chi):
+    for count in (0, 1, 257):
+        for chi_norm in (1.0, 1.3):
+            ls = synthesize(GroupData(d), count, systole=0.5, seed=d + dim_chi,
+                            dim_chi=dim_chi, chi_norm=chi_norm)
+            want = json.dumps(length_spectrum_to_dict(ls), indent=1)
+            assert length_spectrum_to_json(ls) == want, (count, chi_norm)
+
+
+@pytest.mark.parametrize("volume", [2, np.float64(2.75), 1e-300])
+def test_json_writer_header_and_signed_zero(gd5, volume):
+    # complex arithmetic would lose the signs of zero parts: set each part
+    chi = np.empty((2, 2, 2), dtype=complex)
+    chi.real = [[1.0, -0.0], [0.0, -1.0]]
+    chi.imag = [[-0.0, 0.0], [-0.0, 0.0]]
+    ls = LengthSpectrum(gd=gd5, l0=[0.5, 1e-7], angles=[[-0.0, 3.0], [1e22, 0.1]], chi=chi,
+                        volume=volume, dim_chi=2)
+    text = length_spectrum_to_json(ls)
+    assert text == json.dumps(length_spectrum_to_dict(ls), indent=1)
+    assert text.count("-0.0") == 7
 
 
 def test_eigen_round_trip(tmp_path):

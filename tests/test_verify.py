@@ -179,3 +179,34 @@ def test_residues_suite_fails_on_a_shifted_residue(monkeypatch):
         ("residues recover multiplicities", False),
         ("residue contour residual", False),
     ]
+
+
+def test_branching_suite_fails_on_each_mutated_quantity(monkeypatch):
+    names = ["restriction preserves dimension",
+             "plus/minus split restricts to sigma + w sigma",
+             "restriction inversion delta",
+             "exterior power decomposition dimensions"]
+    weights = verify.branch_weights
+    split = verify.tau_pm_split
+    coeffs = verify.m_tau_coeffs
+    decomposition = verify.exterior_decomposition
+
+    def doubled_plus(sigma):
+        plus, minus = split(sigma)
+        return [(t, 2 * c) for t, c in plus], minus
+
+    def dropped_piece(gd, p):
+        pieces = decomposition(gd, p)
+        return pieces[:-1] if p == 1 else pieces
+
+    # verify's own bindings only, so no lru_cache behind them sees a mutation
+    for patch, failing in (
+        ((verify, "branch_weights", lambda tau: list(weights(tau))[:-1]), names[0]),
+        ((verify, "tau_pm_split", doubled_plus), names[1]),
+        ((verify, "m_tau_coeffs", lambda sigma: [(t, 2 * c) for t, c in coeffs(sigma)]),
+         names[2]),
+        ((verify, "exterior_decomposition", dropped_piece), names[3]),
+    ):
+        assert _outcomes_under(monkeypatch, "branching", patch) == [
+            (name, name != failing) for name in names
+        ]
