@@ -21,10 +21,12 @@ from .chars import CharacterTable, character_table
 from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
-from .summation import block_sum
+from .summation import chunked_sum
 from .zeta import TruncationPolicy, empty_plan_error
 
 _HERMITE_DEGREE_CUTOFF = 40
+# exp(x) is exactly 0 in double precision for every x below this
+_EXP_UNDERFLOW = -746.0
 
 
 @lru_cache(maxsize=1)
@@ -111,13 +113,17 @@ def _hyperbolic_tail(
 
 def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     """The hyperbolic contribution at time t: the plan's heat prefactors
-    against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t), block
-    summed. Exactly 0 where exp(-lmin^2 / 4t) underflows to 0: the lengths
-    ascend, so every kernel term is then 0."""
+    against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t), summed
+    one plan chunk at a time. The lengths ascend, so once the kernel
+    underflows to 0 it stays 0: the sum is exactly 0 where it underflows at
+    lmin, and stops at the first chunk whose first exponent is below
+    _EXP_UNDERFLOW, as every later term is 0."""
     if not plan.size or math.exp(-(plan.length[0] * plan.length[0]) / (4.0 * t)) == 0.0:
         return 0j
-    kernel = np.exp(-plan.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    return block_sum(plan.heat_base(sigma_table) * kernel)
+    base = plan.heat_base(sigma_table)
+    scale = math.sqrt(4.0 * math.pi * t)
+    live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= _EXP_UNDERFLOW]
+    return chunked_sum(base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live)
 
 
 def geometric_heat_trace(

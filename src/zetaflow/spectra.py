@@ -11,11 +11,15 @@ tests and demos.
 
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
-enumeration as array columns plus everything that does not depend on the
-evaluation point (twist certificate, counting constant, det terms and
-their floor, character products, heat prefactors); the evaluators only
-read it. A spectrum keeps its few most recently used plans, a plan those
-products and prefactors for its most recently used twists, and the
+enumeration plus everything that does not depend on the evaluation point
+(twist certificate, counting constant, det terms and their floor,
+character products, heat prefactors); the evaluators only read it. The
+plan stores four columns per power: length, j, class index and twist
+trace. The class length l0, 1/j and the power angles j * theta are
+rebuilt from them for one chunk of summation.CHUNK powers at a time, by
+the same arithmetic, so every plan-sized computation holds temporaries of
+one chunk only. A spectrum keeps its few most recently used plans, a plan
+those products and prefactors for its most recently used twists, and the
 spectrum the twist growth rate, which no cutoff affects, once.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
@@ -38,6 +42,7 @@ import numpy as np
 
 from .chars import CharacterTable
 from .errors import ValidationError
+from .summation import CHUNK
 from .weights import GroupData
 
 TWO_PI = 2.0 * math.pi
@@ -61,12 +66,15 @@ def _power_traces(chi: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarr
     vals, vecs = np.linalg.eig(chi)
     with np.errstate(all="ignore"):
         cond = np.linalg.cond(vecs)
-    good = (np.isfinite(cond) & (cond < 1e8))[index]
+    good_class = np.isfinite(cond) & (cond < 1e8)
+    good = good_class[index]
     out[good] = (vals[index[good]] ** j[good, None]).sum(axis=1)
-    for i in np.unique(index[~good]):
+    # by class, not np.unique, which imports numpy.ma
+    for i in np.flatnonzero(~good_class):
         rows = np.flatnonzero(index == i)
-        powers = list(accumulate(repeat(chi[i], rows.size), np.matmul))
-        out[rows] = np.trace(powers, axis1=1, axis2=2)
+        if rows.size:
+            powers = list(accumulate(repeat(chi[i], rows.size), np.matmul))
+            out[rows] = np.trace(powers, axis1=1, axis2=2)
     return out
 
 
@@ -83,8 +91,10 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-# a plan holds fewer than 2^_PLAN_POWER_BITS powers, about 2 GB of columns;
-# a longer cutoff is refused before the plan allocates anything
+# a plan holds fewer than 2^_PLAN_POWER_BITS powers at 40 bytes each in its
+# four columns, about 670 MB, plus 8 bytes for the det terms and 16 per kept
+# product or prefactor; a longer cutoff is refused before the plan allocates
+# anything
 _PLAN_POWER_BITS = 24
 # plans kept per spectrum, and character products and heat prefactors kept
 # per plan; the least recently used entry is evicted first
@@ -107,16 +117,20 @@ def _lru(memo: dict, key, build, limit: int):
 class _PowerTable:
     """Prepared plan for one (spectrum, lmax).
 
-    Holds every power of length <= lmax as array columns sorted by
-    (length, class index, j), built by whole-array operations on the class
-    columns, with the point-independent data the series and heat
-    evaluators read at every s or t: the twist
-    certificate (K, k), the counting constant C' for b = 2|rho|, the det
-    terms and their floor, the character products of the series kernels
-    and the t-independent prefactors of the heat route. Each is built on
-    first use; the products and prefactors, one per twist, are kept for
-    the _PRODUCTS_PER_PLAN most recently used twists, the rest for the
-    life of the plan.
+    Stores every power of length <= lmax as four columns sorted by
+    (length, class index, j): length, j, class_index and chi_trace, built
+    by whole-array operations on the class columns. The per-power l0, 1/j
+    and angles j * theta are derived for any rows by the methods of those
+    names, bit for bit the values of whole columns; every plan-sized
+    computation runs over chunks(), so its temporaries hold one chunk.
+    Alongside sits the point-independent data the series and heat
+    evaluators read at every s or t: the twist certificate (K, k), the
+    counting constant C' for b = 2|rho|, the det terms and their floor,
+    the character products of the series kernels and the t-independent
+    prefactors of the heat route. Each is built on first use; the
+    products and prefactors, one per twist, are kept for the
+    _PRODUCTS_PER_PLAN most recently used twists, the rest for the life of
+    the plan.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -124,22 +138,24 @@ class _PowerTable:
         self.dim_chi = ls.dim_chi
         self.rate = ls.twist_rate
         self.b = 2.0 * ls.gd.rho_norm
+        self._class_l0 = ls.l0
+        self._class_angles = ls.angles
         # the powers j = 1..jmax of class 0, then of class 1, ...
         counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
         index = np.repeat(np.arange(counts.size), counts)
         j = np.arange(1, index.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        traces = _power_traces(ls.chi, index, j)
-        j = j.astype(float)
-        length = j * ls.l0[index]
-        # stable, so equal lengths keep their (class index, j) order
+        length = j.astype(float) * ls.l0[index]
+        # stable, so equal lengths keep their (class index, j) order; a class's
+        # lengths rise with j, so its powers stay in ascending j, as
+        # _power_traces needs. The traces are made in sorted order, after the
+        # unsorted columns are freed, so no unsorted complex column exists.
         order = np.argsort(length, kind="stable")
         self.length = length[order]
-        self.j = j[order]
         self.class_index = index[order]
-        self.l0 = ls.l0[self.class_index]
-        self.chi_trace = traces[order]
-        self.angles = self.j[:, None] * ls.angles[self.class_index]
-        self.inv_j = 1.0 / self.j
+        j = j[order]
+        del length, index, order
+        self.chi_trace = _power_traces(ls.chi, self.class_index, j)
+        self.j = j.astype(float)
         self._char_products: dict[tuple, np.ndarray] = {}
         self._heat_bases: dict[tuple, np.ndarray] = {}
 
@@ -147,12 +163,33 @@ class _PowerTable:
     def size(self) -> int:
         return len(self.length)
 
+    def chunks(self) -> list[slice]:
+        """The rows of the plan as consecutive block-aligned slices of
+        summation.CHUNK powers, the last one shorter."""
+        return [slice(start, start + CHUNK) for start in range(0, self.size, CHUNK)]
+
+    def l0(self, rows: slice = slice(None)) -> np.ndarray:
+        """The length of each power's primitive class, for the given rows."""
+        return self._class_l0[self.class_index[rows]]
+
+    def inv_j(self, rows: slice = slice(None)) -> np.ndarray:
+        """1 / j per power, for the given rows."""
+        return 1.0 / self.j[rows]
+
+    def angles(self, rows: slice = slice(None)) -> np.ndarray:
+        """The angles j * theta of each power, (rows, n), never reduced mod
+        2 pi."""
+        return self.j[rows, None] * self._class_angles[self.class_index[rows]]
+
     @cached_property
     def cert(self) -> "TwistGrowthCert":
         K = float(self.dim_chi)
         if self.size:
-            observed = np.abs(self.chi_trace) * np.exp(-self.rate * self.length)
-            K = max(K, float(observed.max()))
+            # np.max of the chunk maxima: a NaN anywhere comes out as from
+            # one whole-array max
+            observed = [(np.abs(self.chi_trace[r]) * np.exp(-self.rate * self.length[r])).max()
+                        for r in self.chunks()]
+            K = max(K, float(np.max(observed)))
         return TwistGrowthCert(K=K, k=self.rate)
 
     @cached_property
@@ -162,14 +199,20 @@ class _PowerTable:
         up to lmax only."""
         if not self.size:
             return 0.0
-        counts = np.arange(1, self.size + 1, dtype=float)
-        return float(np.max(counts * np.exp(-self.b * self.length)))
+        return float(np.max([
+            (np.arange(r.start + 1, min(r.stop, self.size) + 1, dtype=float)
+             * np.exp(-self.b * self.length[r])).max()
+            for r in self.chunks()
+        ]))
 
     @cached_property
     def det(self) -> np.ndarray:
         """prod_j (1 - 2 e^{-L} cos(j-th angle) + e^{-2L}) per power."""
-        e = np.exp(-self.length)[:, None]
-        return np.prod(1.0 - 2.0 * e * np.cos(self.angles) + e * e, axis=1)
+        out = np.empty(self.size)
+        for rows in self.chunks():
+            e = np.exp(-self.length[rows])[:, None]
+            out[rows] = np.prod(1.0 - 2.0 * e * np.cos(self.angles(rows)) + e * e, axis=1)
+        return out
 
     @cached_property
     def det_floor(self) -> float:
@@ -182,10 +225,14 @@ class _PowerTable:
         """Product of the character tables at the power angles, multiplied
         in table order; memoized by the tables' ((family, highest), ...)."""
         def build() -> np.ndarray:
-            acc = np.ones(self.size, dtype=complex)
-            for t in tables:
-                acc = acc * t.evaluate(self.angles)
-            return acc
+            out = np.empty(self.size, dtype=complex)
+            for rows in self.chunks():
+                angles = self.angles(rows)
+                acc = np.ones(len(angles), dtype=complex)
+                for t in tables:
+                    acc = acc * t.evaluate(angles)
+                out[rows] = acc
+            return out
 
         key = tuple((t.family, t.highest) for t in tables)
         return _lru(self._char_products, key, build, _PRODUCTS_PER_PLAN)
@@ -196,7 +243,11 @@ class _PowerTable:
         def build() -> np.ndarray:
             chars = self.chars((sigma_table,))
             rho = float(self.gd.rho_norm)
-            return self.l0 * self.chi_trace * chars * np.exp(-rho * self.length) / self.det
+            out = np.empty(self.size, dtype=complex)
+            for r in self.chunks():
+                out[r] = (self.l0(r) * self.chi_trace[r] * chars[r]
+                          * np.exp(-rho * self.length[r]) / self.det[r])
+            return out
 
         key = (sigma_table.family, sigma_table.highest)
         return _lru(self._heat_bases, key, build, _PRODUCTS_PER_PLAN)
@@ -218,8 +269,18 @@ class LengthSpectrum:
     def __post_init__(self) -> None:
         if not (isinstance(self.dim_chi, int) and self.dim_chi >= 1):
             raise ValidationError(f"dim_chi: expected a positive integer, got {self.dim_chi!r}")
-        if not (math.isfinite(self.volume) and self.volume > 0):
-            raise ValidationError(f"volume: expected a positive finite number, got {self.volume!r}")
+        volume = self.volume
+        number = (isinstance(volume, (int, float, np.integer, np.floating))
+                  and not isinstance(volume, bool))
+        try:
+            valid = number and math.isfinite(volume) and volume > 0
+        except OverflowError:  # an int past the float range
+            valid = False
+        if not valid:
+            raise ValidationError(f"volume: expected a positive finite number, got {volume!r}")
+        # as the JSON-native type, so save() writes a volume the loader reads
+        native = float if isinstance(volume, (float, np.floating)) else int
+        object.__setattr__(self, "volume", native(volume))
         count, dim = np.size(self.l0), self.dim_chi
         for name, dtype, shape in (("l0", float, (count,)), ("angles", float, (count, self.gd.n)),
                                    ("chi", complex, (count, dim, dim))):
@@ -296,10 +357,10 @@ def certify_twist_growth(ls: LengthSpectrum, lmax: float | None = None) -> Twist
 def validate_cert(cert: TwistGrowthCert, ls: LengthSpectrum, lmax: float) -> bool:
     """Re-check the certificate against a (possibly denser) enumeration."""
     t = ls.power_table(lmax)
-    if not t.size:
-        return True
-    bound = cert.K * np.exp(cert.k * t.length) * (1.0 + 1e-9)
-    return bool((np.abs(t.chi_trace) <= bound).all())
+    return all(
+        (np.abs(t.chi_trace[r]) <= cert.K * np.exp(cert.k * t.length[r]) * (1.0 + 1e-9)).all()
+        for r in t.chunks()
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,37 +2,52 @@
 
 Terms are summed serially in fixed 4096-element blocks: pairwise summation
 inside a block, Neumaier compensation across block partials in index
-order. The order depends only on the array, so the result is bit-identical
+order. The order depends only on the terms, so the result is bit-identical
 from run to run. Hot reductions avoid BLAS on purpose; its internal
 blocking can vary with thread count.
+
+A series too long to hold at once is reduced in chunks of CHUNK terms.
+CHUNK is a whole number of blocks, so the chunks are block-aligned: every
+block partial, and hence the sum, is the same as for the whole array, and
+block_sum is the one-chunk case.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 BLOCK = 4096
+# terms per chunk of a plan-sized kernel: bounds its temporaries to a few
+# hundred kB whatever the number of powers
+CHUNK = 4 * BLOCK
 
 
-def _neumaier(parts: list[float]) -> float:
-    s = 0.0
-    c = 0.0
-    for x in parts:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
+def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
+    """One compensated step: the running sum s and its correction c after
+    adding x."""
+    t = s + x
+    if abs(s) >= abs(x):
+        c += (s - t) + x
+    else:
+        c += (x - t) + s
+    return t, c
+
+
+def chunked_sum(chunks: Iterable[np.ndarray]) -> complex:
+    """Sum the concatenation of 1-d chunks deterministically, reading one
+    chunk at a time. Every chunk but the last must be a whole number of
+    blocks long; see module docstring."""
+    re = im = (0.0, 0.0)
+    for v in chunks:
+        for i in range(0, v.size, BLOCK):
+            p = np.sum(v[i : i + BLOCK])
+            re = _neumaier(*re, float(np.real(p)))
+            im = _neumaier(*im, float(np.imag(p)))
+    return complex(re[0] + re[1], im[0] + im[1])
 
 
 def block_sum(values: np.ndarray) -> complex:
     """Sum a 1-d array deterministically; see module docstring."""
-    v = np.asarray(values)
-    if v.size == 0:
-        return 0j
-    partials = [np.sum(v[i : i + BLOCK]) for i in range(0, v.size, BLOCK)]
-    re = _neumaier([float(np.real(p)) for p in partials])
-    im = _neumaier([float(np.imag(p)) for p in partials])
-    return complex(re, im)
+    return chunked_sum((np.asarray(values),))

@@ -10,6 +10,7 @@ converging absolutely, and that raises). Everything that does not depend
 on s (power columns, certificate, counting constant, det terms and their
 floor, character products) comes from the prepared plan of (spectrum,
 lmax), looked up once per point, so a grid of s-points pays for it once.
+The terms are formed and summed one plan chunk at a time.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -29,7 +30,7 @@ from .branching import exterior_decomposition
 from .chars import CharacterTable, character_table
 from .errors import DomainError, ValidationError
 from .spectra import LengthSpectrum
-from .summation import block_sum
+from .summation import chunked_sum
 from .weights import GroupData
 
 
@@ -138,13 +139,16 @@ def _series_value(
     chars = plan.chars(tables)
     rho = float(ls.gd.rho_norm)
     if kind == "ruelle":
-        terms = -plan.inv_j * plan.chi_trace * chars * np.exp(-s * plan.length)
+        def terms(r: slice) -> np.ndarray:
+            return -plan.inv_j(r) * plan.chi_trace[r] * chars[r] * np.exp(-s * plan.length[r])
     elif kind in ("selberg", "logderiv"):
-        weight = -plan.inv_j if kind == "selberg" else plan.l0
-        terms = weight * plan.chi_trace * chars * np.exp(-(s + rho) * plan.length) / plan.det
+        def terms(r: slice) -> np.ndarray:
+            weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
+            return (weight * plan.chi_trace[r] * chars[r]
+                    * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
     else:
         raise ValidationError(f"unknown series kind {kind!r}")
-    return SeriesValue(block_sum(terms), tail)
+    return SeriesValue(chunked_sum(map(terms, plan.chunks())), tail)
 
 
 def _sigma_table(ls: LengthSpectrum, sigma: Sequence[object]) -> CharacterTable:

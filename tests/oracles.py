@@ -316,12 +316,13 @@ def powers_up_to(ls, lmax: float) -> list[ClassPower]:
     library's prepared plan evaluates as whole arrays.
     """
     t = ls.power_table(lmax)
+    angles = t.angles()
     return [
         ClassPower(
             class_index=int(t.class_index[i]),
             j=int(t.j[i]),
             length=float(t.length[i]),
-            angles=tuple(float(a) for a in t.angles[i]),
+            angles=tuple(float(a) for a in angles[i]),
             chi_trace=complex(t.chi_trace[i]),
         )
         for i in range(t.size)
@@ -445,3 +446,90 @@ def synthesize_loop(gd, count: int, systole: float, seed: int, dim_chi: int = 1,
     chi = np.array([random_twist(rng, dim_chi) for _ in range(count)], dtype=complex)
     return LengthSpectrum(gd=gd, l0=lengths, angles=canonicalize_angles(angles),
                           chi=chi.reshape(count, dim_chi, dim_chi), volume=volume, dim_chi=dim_chi)
+
+
+def block_sum_whole(values) -> complex:
+    """The block sum of one whole array: the 4096-element np.sum partial of
+    every block, then one Neumaier pass over their real parts and one over
+    their imaginary parts."""
+    v = np.asarray(values)
+    if v.size == 0:
+        return 0j
+
+    def neumaier(parts):
+        s = c = 0.0
+        for x in parts:
+            t = s + x
+            c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+            s = t
+        return s + c
+
+    partials = [np.sum(v[i : i + 4096]) for i in range(0, v.size, 4096)]
+    return complex(neumaier([float(np.real(p)) for p in partials]),
+                   neumaier([float(np.imag(p)) for p in partials]))
+
+
+class WholeArrayPlan:
+    """The prepared plan's derived columns and kernels as whole-array
+    formulas over its four stored columns, every plan-sized temporary alive
+    at once: the reference for the plan's chunked evaluation."""
+
+    def __init__(self, ls, lmax: float):
+        t = ls.power_table(lmax)
+        self.gd = ls.gd
+        self.dim_chi = ls.dim_chi
+        self.rate = ls.twist_rate
+        self.b = 2.0 * ls.gd.rho_norm
+        self.size = t.size
+        self.length, self.j, self.chi_trace = t.length, t.j, t.chi_trace
+        self.l0 = ls.l0[t.class_index]
+        self.angles = t.j[:, None] * ls.angles[t.class_index]
+        self.inv_j = 1.0 / t.j
+        e = np.exp(-self.length)[:, None]
+        self.det = np.prod(1.0 - 2.0 * e * np.cos(self.angles) + e * e, axis=1)
+
+    def cert_K(self) -> float:
+        K = float(self.dim_chi)
+        if self.size:
+            observed = np.abs(self.chi_trace) * np.exp(-self.rate * self.length)
+            K = max(K, float(observed.max()))
+        return K
+
+    def counting_constant(self) -> float:
+        if not self.size:
+            return 0.0
+        counts = np.arange(1, self.size + 1, dtype=float)
+        return float(np.max(counts * np.exp(-self.b * self.length)))
+
+    def cert_holds(self, K: float, k: float) -> bool:
+        bound = K * np.exp(k * self.length) * (1.0 + 1e-9)
+        return bool((np.abs(self.chi_trace) <= bound).all())
+
+    def chars(self, tables) -> np.ndarray:
+        acc = np.ones(self.size, dtype=complex)
+        for t in tables:
+            acc = acc * t.evaluate(self.angles)
+        return acc
+
+    def heat_base(self, sigma_table) -> np.ndarray:
+        chars = self.chars((sigma_table,))
+        rho = float(self.gd.rho_norm)
+        return self.l0 * self.chi_trace * chars * np.exp(-rho * self.length) / self.det
+
+    def series(self, tables, s: complex, kind: str) -> complex:
+        """The truncated series value of zeta._series_value."""
+        chars = self.chars(tables)
+        rho = float(self.gd.rho_norm)
+        if kind == "ruelle":
+            terms = -self.inv_j * self.chi_trace * chars * np.exp(-s * self.length)
+        else:
+            weight = -self.inv_j if kind == "selberg" else self.l0
+            terms = weight * self.chi_trace * chars * np.exp(-(s + rho) * self.length) / self.det
+        return block_sum_whole(terms)
+
+    def hyperbolic_sum(self, sigma_table, t: float) -> complex:
+        """The hyperbolic heat contribution at time t of heat._hyperbolic_sum."""
+        if not self.size or math.exp(-(self.length[0] * self.length[0]) / (4.0 * t)) == 0.0:
+            return 0j
+        kernel = np.exp(-self.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+        return block_sum_whole(self.heat_base(sigma_table) * kernel)

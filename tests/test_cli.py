@@ -3,15 +3,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zetaflow import (
     EigenSpectrum,
+    GroupData,
+    LengthSpectrum,
     TruncationPolicy,
     ValidationError,
     load_length_spectrum,
     save,
     selberg_log,
+    synthesize,
 )
 from zetaflow.cli import _FLAGS, JobConfig, build_parser, main, run
 from zetaflow.tables import read_table
@@ -310,6 +314,23 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "s.json").read_text())["d"] == 3
+
+
+def test_a_twisted_selberg_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma takes 10-25 ms and about 1.5 MB to import, and no command
+    # needs it; class 3 gets a Jordan block, so the plan build also takes
+    # its per-class multiplication route
+    ls = synthesize(GroupData(3), 40, systole=0.5, seed=29, dim_chi=2)
+    chi = ls.chi.copy()
+    chi[3] = [[np.exp(0.3j), 1.0], [0.0, np.exp(0.3j)]]
+    save(LengthSpectrum(gd=ls.gd, l0=ls.l0, angles=ls.angles, chi=chi, volume=ls.volume,
+                        dim_chi=2), tmp_path / "twisted.json")
+    argv = ["selberg", "--spectrum", str(tmp_path / "twisted.json"), "--s", "4",
+            "--lmax", "20", "--tail-eps", "1"]
+    code = ("import sys; from zetaflow.cli import main; "
+            f"status = main({argv!r}); print(status, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 # the option dests each command accepts: every one is read by its handler

@@ -1,0 +1,187 @@
+"""The prepared plan evaluates every plan-sized kernel in block-aligned
+chunks: each derived column, kernel array and sum must be bit for bit the
+whole-array formula's (oracles.WholeArrayPlan), at every plan size around
+a block or chunk edge, and the memory one point needs must not grow with
+the plan."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from oracles import WholeArrayPlan, block_sum_whole
+from zetaflow import (
+    DomainError,
+    GroupData,
+    TruncationPolicy,
+    geometric_heat_trace,
+    log_derivative,
+    ruelle_log,
+    selberg_log,
+    synthesize,
+    validate_cert,
+    z_p_log,
+)
+from zetaflow.branching import exterior_decomposition
+from zetaflow.chars import character_table
+from zetaflow.spectra import TwistGrowthCert
+from zetaflow.summation import BLOCK, CHUNK, block_sum, chunked_sum
+
+SIZES = [0, 1, BLOCK - 1, BLOCK, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+SIGMA = (1, 0)
+
+
+def bits(x) -> np.ndarray:
+    """The bytes of a float or complex array or scalar as uint64 words."""
+    return np.ascontiguousarray(np.asarray(x)).reshape(-1).view(np.uint64)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(bits(a), bits(b))
+
+
+@pytest.fixture(scope="module")
+def ls():
+    return synthesize(GroupData(5), 10000, systole=0.5, seed=3, dim_chi=2)
+
+
+def cutoff_for(ls, size: int) -> float:
+    """A cutoff whose plan holds exactly size powers: halfway between the
+    size-th and the next power length of a longer plan."""
+    length = ls.power_table(15.0).length
+    assert length.size > size
+    if size == 0:
+        return 0.5 * float(length[0])
+    return 0.5 * float(length[size - 1] + length[size])
+
+
+@pytest.fixture(scope="module", params=SIZES, ids=[f"size{n}" for n in SIZES])
+def sized(request, ls):
+    lmax = cutoff_for(ls, request.param)
+    assert ls.power_table(lmax).size == request.param
+    return lmax, ls.power_table(lmax), WholeArrayPlan(ls, lmax)
+
+
+def test_chunks_are_block_aligned_and_cover_the_plan(sized):
+    _, plan, _ = sized
+    rows = plan.chunks()
+    assert CHUNK % BLOCK == 0
+    assert [r.start for r in rows] == list(range(0, plan.size, CHUNK))
+    assert sum(len(range(plan.size)[r]) for r in rows) == plan.size
+
+
+def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
+    lmax, plan, whole = sized
+    assert same_bits(plan.l0(), whole.l0)
+    assert same_bits(plan.inv_j(), whole.inv_j)
+    assert same_bits(plan.angles(), whole.angles)
+    assert plan.angles().shape == whole.angles.shape == (plan.size, ls.gd.n)
+    assert same_bits(plan.det, whole.det)
+    assert same_bits(plan.cert.K, whole.cert_K())
+    assert same_bits(plan.counting_constant, whole.counting_constant())
+    sig = character_table("D", SIGMA)
+    psi = character_table("D", exterior_decomposition(ls.gd, 1)[0][0])
+    for tables in ((sig,), (sig, psi)):
+        assert same_bits(plan.chars(tables), whole.chars(tables))
+    assert same_bits(plan.heat_base(sig), whole.heat_base(sig))
+    for K in (plan.cert.K, 0.5 * plan.cert.K, 1.0):
+        cert = TwistGrowthCert(K=K, k=plan.cert.k)
+        assert validate_cert(cert, ls, lmax) == whole.cert_holds(K, cert.k)
+
+
+def test_series_values_equal_the_whole_array_formulas(ls, sized):
+    lmax, plan, whole = sized
+    tp = TruncationPolicy(lmax=lmax, tail_eps=math.inf)
+    sig = character_table("D", SIGMA)
+    s = complex(ls.gd.rho_norm + ls.twist_rate + 1.5, 0.7)
+    if not plan.size:
+        with pytest.raises(DomainError, match="no power has length"):
+            selberg_log(s, SIGMA, ls, tp)
+        return
+    for evaluate, kind in ((selberg_log, "selberg"), (log_derivative, "logderiv")):
+        assert same_bits(evaluate(s, SIGMA, ls, tp).value, whole.series((sig,), s, kind))
+    s_ruelle = s + ls.gd.rho_norm
+    assert same_bits(ruelle_log(s_ruelle, SIGMA, ls, tp).value,
+                     whole.series((sig,), s_ruelle, "ruelle"))
+    p = 1
+    shifted = s_ruelle + ls.gd.rho_norm - p
+    want = 0j
+    for psi, _ in exterior_decomposition(ls.gd, p):
+        want += whole.series((sig, character_table("D", psi)), shifted, "selberg")
+    assert same_bits(z_p_log(s_ruelle, p, SIGMA, ls, tp).value, want)
+
+
+def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls, sized):
+    lmax, plan, whole = sized
+    tp = TruncationPolicy(lmax=lmax, tail_eps=math.inf)
+    sig = character_table("D", SIGMA)
+    if not plan.size:
+        with pytest.raises(DomainError, match="no power has length"):
+            geometric_heat_trace(ls, SIGMA, 0.01, tp)
+        return
+    # the kernel exponent -L^2 / 4t at the first length L of a chunk, the
+    # plan's first power included, lands on both sides of exp's own
+    # underflow to 0 near -745.13 and just above, at and below the -746
+    # cutoff where the sum stops
+    for edge in range(0, plan.size, CHUNK):
+        first = float(plan.length[edge])
+        for exponent in (-740.0, -745.1, -745.2, -746.0 * (1 - 1e-15), -746.0,
+                         -746.0 * (1 + 1e-15), -760.0):
+            t = first * first / (-4.0 * exponent)
+            got = geometric_heat_trace(ls, SIGMA, t, tp).hyperbolic_part
+            assert same_bits(got, whole.hyperbolic_sum(sig, t)), (edge, exponent)
+            if exponent < -746.0:
+                # what the stop skips is exact zeros in the whole-array kernel
+                assert not np.exp(-whole.length[edge:] ** 2 / (4.0 * t)).any()
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK, 3 * CHUNK + 5])
+def test_chunked_sum_equals_one_whole_array_pass(size):
+    rng = np.random.default_rng(size)
+    values = rng.normal(size=size) * np.exp(rng.uniform(0, 30, size=size))
+    values = values + 1j * rng.normal(size=size)
+    want = block_sum_whole(values)
+    assert same_bits(block_sum(values), want)
+    for chunk in (BLOCK, CHUNK):
+        pieces = (values[i : i + chunk] for i in range(0, size, chunk))
+        assert same_bits(chunked_sum(pieces), want)
+    assert same_bits(block_sum(values.real), block_sum_whole(values.real))
+
+
+def _peak_bytes(evaluate) -> int:
+    """Peak traced allocation above the starting level during evaluate()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_point_needs_no_more_memory_on_a_longer_plan():
+    ls = synthesize(GroupData(3), 20000, systole=0.5, seed=3)
+    length = ls.power_table(50.0).length
+    sigma = (0,)
+    peaks = {}
+    for size in (3 * CHUNK, 12 * CHUNK):
+        lmax = 0.5 * float(length[size - 1] + length[size])
+        tp = TruncationPolicy(lmax=lmax, tail_eps=math.inf)
+        assert ls.power_table(lmax).size == size
+        # every chunk of the plan is summed at this time
+        t = lmax * lmax / (4.0 * 700.0)
+        points = {
+            "series": lambda: selberg_log(3.0 + 0.5j, sigma, ls, tp),
+            "heat": lambda: geometric_heat_trace(ls, sigma, t, tp),
+        }
+        for name, point in points.items():
+            point()  # warm: the plan's products, prefactors and det terms
+            peaks[name, size] = _peak_bytes(point)
+    for name in ("series", "heat"):
+        small, large = peaks[name, 3 * CHUNK], peaks[name, 12 * CHUNK]
+        # a few chunk-sized temporaries, whatever the plan size: below one
+        # complex column (16 bytes a power) of the longer plan
+        assert large <= small + 4096, (name, small, large)
+        assert large < 16 * 12 * CHUNK, (name, small, large)

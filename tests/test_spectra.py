@@ -176,6 +176,8 @@ def test_plan_columns_equal_the_per_class_loop(name):
         want = power_table_loop(ls, lmax)
         for column, expected in want.items():
             got = getattr(plan, column)
+            if column in ("l0", "angles"):
+                got = got()
             assert got.dtype == expected.dtype, (column, lmax)
             assert got.shape == expected.shape, (column, lmax)
             assert np.array_equal(got, expected), (column, lmax)
@@ -493,6 +495,21 @@ def test_constructor_checks_column_shapes_and_values(gd5):
     ls = LengthSpectrum(gd=gd5, volume=1.0, dim_chi=1, **good)
     assert ls.l0.dtype == float and ls.chi.dtype == complex
     assert not (ls.l0.flags.writeable or ls.angles.flags.writeable or ls.chi.flags.writeable)
+
+
+def test_volume_is_kept_as_a_json_number(tmp_path, gd3):
+    columns = {"l0": [0.7], "angles": [[0.1]], "chi": np.ones((1, 1, 1))}
+    for volume in (True, np.bool_(True), "2", None, np.float32(math.inf), 10**400, -1):
+        with pytest.raises(ValidationError) as info:
+            LengthSpectrum(gd=gd3, volume=volume, dim_chi=1, **columns)
+        assert str(info.value) == f"volume: expected a positive finite number, got {volume!r}"
+    for volume, native in ((np.float32(1.5), 1.5), (np.float32(0.1), 0.10000000149011612),
+                           (np.int64(2), 2), (np.float64(2.75), 2.75), (3, 3), (0.25, 0.25)):
+        ls = LengthSpectrum(gd=gd3, volume=volume, dim_chi=1, **columns)
+        assert type(ls.volume) is type(native) and ls.volume == native
+        save(ls, tmp_path / "spec.json")
+        back = load_length_spectrum(tmp_path / "spec.json")
+        assert back.volume == native
 
 
 def test_missing_file_is_a_validation_error(tmp_path):

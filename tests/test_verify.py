@@ -210,3 +210,72 @@ def test_branching_suite_fails_on_each_mutated_quantity(monkeypatch):
         assert _outcomes_under(monkeypatch, "branching", patch) == [
             (name, name != failing) for name in names
         ]
+
+
+def _scaled_value(evaluate, factor):
+    """evaluate with the value of its SeriesValue result times factor."""
+    def scaled(*args):
+        result = evaluate(*args)
+        return result._replace(value=result.value * factor)
+    return scaled
+
+
+def test_zeta_suite_fails_on_a_perturbed_log_derivative(monkeypatch):
+    scaled = _scaled_value(verify.log_derivative, 1 + 1e-5)
+    assert _outcomes_under(monkeypatch, "zeta", (verify, "log_derivative", scaled)) == [
+        ("log derivative vs finite differences", False),
+        ("ruelle factorization", True),
+        ("per-class factorization bracket", True),
+    ]
+
+
+def test_identities_suite_fails_on_each_mutated_identity(monkeypatch):
+    names = ["heat kernel resolvent identity",
+             "cauchy integral, constant density",
+             "cauchy integral, quadratic density",
+             "cauchy integral, group densities"]
+    heat_identity = verify.heat_resolvent_identity
+    cauchy = verify.cauchy_plancherel_identity
+
+    def cauchy_off(picked):
+        # the left side of the Cauchy identity off by 1e-5, relative, for
+        # the densities picked only
+        def mutated(s, P):
+            lhs, rhs = cauchy(s, P)
+            return (lhs * (1 + 1e-5) if picked(P) else lhs), rhs
+        return mutated
+
+    def heat_off(s, length):
+        lhs, rhs = heat_identity(s, length)
+        return lhs * (1 + 1e-6), rhs
+
+    def constant(P):
+        return len(P.coeffs) == 1
+
+    def quadratic(P):
+        return P.exact == (0, 1)
+
+    for patch, failing in (
+        ((verify, "heat_resolvent_identity", heat_off), names[0]),
+        ((verify, "cauchy_plancherel_identity", cauchy_off(constant)), names[1]),
+        ((verify, "cauchy_plancherel_identity", cauchy_off(quadratic)), names[2]),
+        ((verify, "cauchy_plancherel_identity",
+          cauchy_off(lambda P: not constant(P) and not quadratic(P))), names[3]),
+    ):
+        assert _outcomes_under(monkeypatch, "identities", patch) == [
+            (name, name != failing) for name in names
+        ]
+
+
+def test_resolvent_suite_fails_on_each_mutated_route(monkeypatch):
+    names = ["geometric vs heat resolvent route", "continuation matches eigenvalue sums"]
+    spectral = verify.resolvent_trace_spectral
+    for patch, failing in (
+        ((verify, "resolvent_trace_geometric",
+          _scaled_value(verify.resolvent_trace_geometric, 1 + 1e-4)), names[0]),
+        ((verify, "resolvent_trace_spectral", lambda es, aset: spectral(es, aset) * (1 + 1e-9)),
+         names[1]),
+    ):
+        assert _outcomes_under(monkeypatch, "resolvent", patch) == [
+            (name, name != failing) for name in names
+        ]
