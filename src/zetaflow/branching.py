@@ -61,9 +61,6 @@ class VirtualRep:
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.terms)
 
-    def dim(self) -> int:
-        return sum(c * weyl_dim(w, self.family) for w, c in self.terms)
-
     def __iter__(self) -> Iterator[tuple[Weight, int]]:
         return iter(self.terms)
 

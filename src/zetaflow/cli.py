@@ -55,7 +55,7 @@ from .spectra import (
     load_length_spectrum,
     synthesize,
 )
-from .tables import ResultRow, emit_table
+from .tables import ResultRow, emit_table, write_text
 from .verify import format_results, run_suite
 from .weights import GroupData
 from .zeta import (
@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, help="seed of the random draws (default 0)")
 
     trunc = _Parser(add_help=False)
-    trunc.add_argument("--lmax", type=float, help="length cutoff (default: 4x longest primitive)")
+    trunc.add_argument(
+        "--lmax", type=float, help="length cutoff (default: max(30, 4x longest primitive))"
+    )
     trunc.add_argument("--tail-eps", type=float, help="certified tail budget (default 1e-8)")
 
     grid = _Parser(add_help=False)
@@ -276,13 +278,6 @@ def _merge_config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> Jo
     })
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _group(cfg: JobConfig) -> GroupData:
     if cfg.d is None:
         raise ValidationError(f"{cfg.command} requires --d")
@@ -327,7 +322,7 @@ def _cmd_gen_spectrum(cfg: JobConfig) -> int:
     if cfg.count is None:
         raise ValidationError("gen-spectrum requires --count")
     ls = synthesize(gd, cfg.count, cfg.systole, cfg.seed, cfg.dim_chi, cfg.chi_norm)
-    _write_text(length_spectrum_to_json(ls) + "\n", cfg.output)
+    write_text(length_spectrum_to_json(ls) + "\n", cfg.output)
     return 0
 
 
@@ -438,7 +433,7 @@ def _cmd_factorization_check(cfg: JobConfig) -> int:
 
 def _cmd_verify(cfg: JobConfig) -> int:
     results = run_suite(cfg.suite, cfg.seed)
-    _write_text(format_results(results), cfg.output)
+    write_text(format_results(results), cfg.output)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -25,7 +25,7 @@ from .errors import DomainError, ValidationError
 from .heat import heat_totals
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .quadrature import half_line_integral, path_integral, segment_integral
-from .spectra import EigenSpectrum, LengthSpectrum
+from .spectra import EigenSpectrum, LengthSpectrum, checked_volume
 from .zeta import SeriesValue, TruncationPolicy, log_derivative
 
 _PATH_MARGIN = 1e-3
@@ -126,6 +126,9 @@ class ContinuedL:
     P: PlancherelPolynomial
     dim_chi: int
     volume: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "volume", checked_volume(self.dim_chi, self.volume))
 
     def __call__(self, s):
         ss = np.asarray(s, dtype=complex)

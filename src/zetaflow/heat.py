@@ -2,17 +2,18 @@
 
 The geometric heat trace splits into an identity contribution
 dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
-density, and a hyperbolic contribution summing the per-power symbols
-against the scalar heat kernel on the length axis. Consistency between the
-spectral sum and the geometric expansion is never assumed here; the
-resolvent identities downstream test it through independent routes.
+density, in closed form by Gamma factors, and a hyperbolic contribution
+summing the per-power symbols against the scalar heat kernel on the length
+axis. Consistency between the spectral sum and the geometric expansion is
+never assumed here; the resolvent identities downstream test it through
+independent routes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,14 +25,8 @@ from .spectra import EigenSpectrum, LengthSpectrum
 from .summation import chunked_sum
 from .zeta import TruncationPolicy, empty_plan_error
 
-_HERMITE_DEGREE_CUTOFF = 40
 # exp(x) is exactly 0 in double precision for every x below this
 _EXP_UNDERFLOW = -746.0
-
-
-@lru_cache(maxsize=1)
-def _hermgauss200() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(200)
 
 
 @dataclass(frozen=True)
@@ -48,30 +43,35 @@ class HeatEvaluation:
         return self.identity_part + self.hyperbolic_part
 
 
+def _check_time(t: float) -> None:
+    if not t > 0:  # NaN fails this too
+        raise ValidationError(f"heat time must be positive, got {t!r}")
+
+
 def spectral_heat_trace(es: EigenSpectrum, t: float) -> complex:
     """sum_k m_k exp(-t t_k) over the eigenvalue parameters."""
-    if t <= 0:
-        raise ValidationError(f"heat time must be positive, got {t!r}")
+    _check_time(t)
     return complex(sum(m * np.exp(-t * tk) for tk, m in es.entries))
 
 
 def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
-    """integral over the real line of exp(-t lambda^2) P(i lambda) d lambda.
+    """integral over the real line of exp(-t lambda^2) P(i lambda) d lambda,
+    exactly, as the sum over m of c_m (-1)^m Gamma(m + 1/2) t^-(m + 1/2).
 
-    Exact in terms of Gamma factors for the polynomial degrees that occur
-    here; a 200-node Gauss-Hermite rule takes over beyond degree 40, where
-    the factorial growth of the exact route loses accuracy.
+    P(i lambda) is a positive constant times a product of factors
+    lambda^2 + w^2, so every term has the same sign and nothing cancels,
+    at any degree. A time so small that a term overflows is refused.
     """
-    if t <= 0:
-        raise ValidationError(f"heat time must be positive, got {t!r}")
-    if P.degree <= _HERMITE_DEGREE_CUTOFF:
+    _check_time(t)
+    try:
         acc = 0j
         for m, c in enumerate(P.coeffs):
             acc += c * (-1) ** m * math.gamma(m + 0.5) * t ** (-(m + 0.5))
-        return acc
-    x, w = _hermgauss200()
-    vals = P.evaluate_many(1j * x / math.sqrt(t))
-    return complex((w * vals).sum() / math.sqrt(t))
+        if cmath.isfinite(acc):
+            return acc
+    except OverflowError:
+        pass
+    raise DomainError(f"identity heat term overflows at t = {t!r}; raise t", s=None)
 
 
 def _hyperbolic_tail(
@@ -115,14 +115,14 @@ def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     """The hyperbolic contribution at time t: the plan's heat prefactors
     against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t), summed
     one plan chunk at a time. The lengths ascend, so once the kernel
-    underflows to 0 it stays 0: the sum is exactly 0 where it underflows at
-    lmin, and stops at the first chunk whose first exponent is below
-    _EXP_UNDERFLOW, as every later term is 0."""
-    if not plan.size or math.exp(-(plan.length[0] * plan.length[0]) / (4.0 * t)) == 0.0:
+    underflows to 0 it stays 0: the sum skips every chunk whose first
+    exponent is below _EXP_UNDERFLOW, as all its terms are 0, and is 0
+    when no chunk is left."""
+    live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= _EXP_UNDERFLOW]
+    if not live:
         return 0j
     base = plan.heat_base(sigma_table)
     scale = math.sqrt(4.0 * math.pi * t)
-    live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= _EXP_UNDERFLOW]
     return chunked_sum(base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live)
 
 
@@ -131,8 +131,7 @@ def geometric_heat_trace(
 ) -> HeatEvaluation:
     """Identity plus hyperbolic heat contributions at time t, with a
     certified bound for the truncated hyperbolic tail."""
-    if t <= 0:
-        raise ValidationError(f"heat time must be positive, got {t!r}")
+    _check_time(t)
     P = plancherel_polynomial(ls.gd, sigma)
     identity = ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
     plan = ls.power_table(tp.lmax)
@@ -153,7 +152,7 @@ def heat_totals(
     re-certified per time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
-    if (ts <= 0).any():
+    if not (ts > 0).all():
         raise ValidationError("heat times must be positive")
     P = plancherel_polynomial(ls.gd, sigma)
     plan = ls.power_table(tp.lmax)

@@ -253,6 +253,23 @@ class _PowerTable:
         return _lru(self._heat_bases, key, build, _PRODUCTS_PER_PLAN)
 
 
+def checked_volume(dim_chi: object, volume: object) -> int | float:
+    """The volume as its JSON-native type, so save() writes a volume the
+    loader reads, after checking that dim_chi is a positive integer and the
+    volume a positive finite number."""
+    if not (isinstance(dim_chi, int) and dim_chi >= 1):
+        raise ValidationError(f"dim_chi: expected a positive integer, got {dim_chi!r}")
+    number = (isinstance(volume, (int, float, np.integer, np.floating))
+              and not isinstance(volume, bool))
+    try:
+        valid = number and math.isfinite(volume) and volume > 0
+    except OverflowError:  # an int past the float range
+        valid = False
+    if not valid:
+        raise ValidationError(f"volume: expected a positive finite number, got {volume!r}")
+    return (float if isinstance(volume, (float, np.floating)) else int)(volume)
+
+
 @dataclass(frozen=True, eq=False)
 class LengthSpectrum:
     """Primitive class columns, row i of each is class i, plus the global
@@ -267,20 +284,7 @@ class LengthSpectrum:
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dim_chi, int) and self.dim_chi >= 1):
-            raise ValidationError(f"dim_chi: expected a positive integer, got {self.dim_chi!r}")
-        volume = self.volume
-        number = (isinstance(volume, (int, float, np.integer, np.floating))
-                  and not isinstance(volume, bool))
-        try:
-            valid = number and math.isfinite(volume) and volume > 0
-        except OverflowError:  # an int past the float range
-            valid = False
-        if not valid:
-            raise ValidationError(f"volume: expected a positive finite number, got {volume!r}")
-        # as the JSON-native type, so save() writes a volume the loader reads
-        native = float if isinstance(volume, (float, np.floating)) else int
-        object.__setattr__(self, "volume", native(volume))
+        object.__setattr__(self, "volume", checked_volume(self.dim_chi, self.volume))
         count, dim = np.size(self.l0), self.dim_chi
         for name, dtype, shape in (("l0", float, (count,)), ("angles", float, (count, self.gd.n)),
                                    ("chi", complex, (count, dim, dim))):
@@ -408,6 +412,8 @@ def synthesize(
         raise ValidationError(f"systole: expected positive, got {systole!r}")
     if dim_chi < 1:
         raise ValidationError(f"dim_chi: expected >= 1, got {dim_chi}")
+    if not math.isfinite(chi_norm):
+        raise ValidationError(f"chi_norm: expected a finite number, got {chi_norm}")
     if chi_norm < 1.0:
         raise ValidationError(f"chi_norm: expected >= 1, got {chi_norm}")
     rng = np.random.default_rng(seed)

@@ -6,10 +6,11 @@ order. The order depends only on the terms, so the result is bit-identical
 from run to run. Hot reductions avoid BLAS on purpose; its internal
 blocking can vary with thread count.
 
-A series too long to hold at once is reduced in chunks of CHUNK terms.
-CHUNK is a whole number of blocks, so the chunks are block-aligned: every
-block partial, and hence the sum, is the same as for the whole array, and
-block_sum is the one-chunk case.
+chunked_sum is the one reduction. A series too long to hold at once is
+passed in chunks of CHUNK terms; CHUNK is a whole number of blocks, so the
+chunks are block-aligned and every block partial, hence the sum, is the
+same as for the whole array. A whole array is the one-chunk case,
+chunked_sum((values,)).
 """
 
 from __future__ import annotations
@@ -46,8 +47,3 @@ def chunked_sum(chunks: Iterable[np.ndarray]) -> complex:
             re = _neumaier(*re, float(np.real(p)))
             im = _neumaier(*im, float(np.imag(p)))
     return complex(re[0] + re[1], im[0] + im[1])
-
-
-def block_sum(values: np.ndarray) -> complex:
-    """Sum a 1-d array deterministically; see module docstring."""
-    return chunked_sum((np.asarray(values),))

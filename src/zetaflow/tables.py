@@ -48,9 +48,8 @@ def render_table(rows: Sequence[ResultRow], format: str) -> str:
     raise ValidationError(f"format: expected 'csv' or 'json', got {format!r}")
 
 
-def emit_table(rows: Sequence[ResultRow], format: str, path: str | None = None) -> None:
-    """Write rows as CSV or JSON to ``path``, or to stdout when path is None."""
-    text = render_table(rows, format)
+def write_text(text: str, path: str | None = None) -> None:
+    """Write text to ``path``, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -58,26 +57,6 @@ def emit_table(rows: Sequence[ResultRow], format: str, path: str | None = None) 
             fh.write(text)
 
 
-def read_table(path: str) -> list[ResultRow]:
-    """Parse a table previously written by emit_table (either format)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        records = json.loads(text)
-        return [
-            ResultRow(
-                s=complex(rec["s_re"], rec["s_im"]),
-                value=complex(rec["value_re"], rec["value_im"]),
-                tail_bound=float(rec["tail_bound"]),
-            )
-            for rec in records
-        ]
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or tuple(lines[0].split(",")) != HEADER:
-        raise ValidationError(f"unrecognized table header in {path}")
-    out = []
-    for ln in lines[1:]:
-        sr, si, vr, vi, tb = (float(x) for x in ln.split(","))
-        out.append(ResultRow(s=complex(sr, si), value=complex(vr, vi), tail_bound=tb))
-    return out
+def emit_table(rows: Sequence[ResultRow], format: str, path: str | None = None) -> None:
+    """Write rows as CSV or JSON to ``path``, or to stdout when path is None."""
+    write_text(render_table(rows, format), path)

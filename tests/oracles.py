@@ -11,6 +11,7 @@ here; being independent of the code under test is the point.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -533,3 +534,32 @@ class WholeArrayPlan:
             return 0j
         kernel = np.exp(-self.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
         return block_sum_whole(self.heat_base(sigma_table) * kernel)
+
+
+def read_table(path) -> list:
+    """Parse a table written by ``zetaflow.tables.emit_table`` (either
+    format) back into ResultRows."""
+    from zetaflow import ValidationError
+    from zetaflow.tables import HEADER, ResultRow
+
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    stripped = text.lstrip()
+    if stripped.startswith("["):
+        records = json.loads(text)
+        return [
+            ResultRow(
+                s=complex(rec["s_re"], rec["s_im"]),
+                value=complex(rec["value_re"], rec["value_im"]),
+                tail_bound=float(rec["tail_bound"]),
+            )
+            for rec in records
+        ]
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or tuple(lines[0].split(",")) != HEADER:
+        raise ValidationError(f"unrecognized table header in {path}")
+    out = []
+    for ln in lines[1:]:
+        sr, si, vr, vi, tb = (float(x) for x in ln.split(","))
+        out.append(ResultRow(s=complex(sr, si), value=complex(vr, vi), tail_bound=tb))
+    return out

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import read_table
 from zetaflow import (
     EigenSpectrum,
     GroupData,
@@ -18,7 +19,6 @@ from zetaflow import (
     synthesize,
 )
 from zetaflow.cli import _FLAGS, JobConfig, build_parser, main, run
-from zetaflow.tables import read_table
 
 
 @pytest.fixture(scope="module")
@@ -453,3 +453,45 @@ def test_bad_config_value_is_rejected(workdir, capsys, tmp_path, key, value):
         "selberg", "--spectrum", str(workdir / "spectrum.json"), "--config", str(conf),
     ])
     assert code == 1 and out == "" and err.startswith("error: ") and repr(key) in err
+
+
+def test_heat_time_refusals(workdir, capsys, tmp_path):
+    spectrum = str(workdir / "spectrum.json")
+    code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "nan"])
+    assert (code, out, err) == (1, "", "error: heat time must be positive, got nan\n")
+    code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "inf"])
+    assert code == 2 and out == "" and "domain error:" in err
+    assert main(["gen-spectrum", "--d", "7", "--count", "5", "--seed", "1",
+                 "--output", str(tmp_path / "d7.json")]) == 0
+    capsys.readouterr()
+    # t^-(m + 1/2) leaves the float range: a refusal naming t, at d = 3 and 7
+    for path in (spectrum, str(tmp_path / "d7.json")):
+        code, out, err = _run(capsys, ["heat-trace", "--spectrum", path, "--t", "1e-300"])
+        assert code == 2 and out == ""
+        assert err == "domain error: identity heat term overflows at t = 1e-300; raise t\n"
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--volume", "nan"], "volume"),
+    (["--volume", "-2"], "volume"),
+    (["--volume", "inf"], "volume"),
+    (["--dim-chi", "0"], "dim_chi"),
+    (["--dim-chi", "-1"], "dim_chi"),
+])
+def test_continuation_constants_are_validated(workdir, capsys, flags, field):
+    eig = str(workdir / "eig.json")
+    for argv in (["continue", "--s", "0.5"], ["residues"]):
+        code, out, err = _run(capsys, [*argv, "--eigen", eig, "--d", "3", *flags])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field}: expected a positive")
+
+
+@pytest.mark.parametrize("chi_norm, want", [
+    ("nan", "a finite number, got nan"),
+    ("inf", "a finite number, got inf"),
+    ("0.5", ">= 1, got 0.5"),
+])
+def test_gen_spectrum_refuses_a_bad_chi_norm(capsys, chi_norm, want):
+    code, out, err = _run(capsys, ["gen-spectrum", "--d", "3", "--count", "3",
+                                   "--chi-norm", chi_norm])
+    assert (code, out, err) == (1, "", f"error: chi_norm: expected {want}\n")

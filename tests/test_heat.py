@@ -137,3 +137,34 @@ def test_heat_totals_below_the_kernel_underflow(ls3):
         assert v == ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, float(t))
     for t, v in zip(ts, grid):
         assert v == geometric_heat_trace(ls3, sigma, float(t), tp).total
+
+
+def test_plancherel_integral_against_mpmath_at_high_degree():
+    # the Gamma-factor route has no cancellation at any degree: every term
+    # has the sign of the leading one
+    for d, lead in ((43, (3, 1)), (45, ()), (61, (2,))):
+        gd = GroupData(d)
+        P = plancherel_polynomial(gd, lead + (0,) * (gd.n - len(lead)))
+        for t in (0.05, 1.0, 3.0):
+            ref = heat_integral_mp(P.exact, t)
+            assert abs(plancherel_heat_integral(P, t) - ref) <= 1e-14 * abs(ref), (d, t)
+
+
+def test_nan_heat_time_is_refused(ls3):
+    tp = TruncationPolicy(lmax=10.0)
+    nan = float("nan")
+    es = EigenSpectrum(entries=((1.5 + 0j, 1),))
+    P = plancherel_polynomial(ls3.gd, (0,))
+    for call in (lambda: spectral_heat_trace(es, nan), lambda: plancherel_heat_integral(P, nan),
+                 lambda: geometric_heat_trace(ls3, (0,), nan, tp)):
+        with pytest.raises(ValidationError, match="heat time must be positive, got nan"):
+            call()
+    with pytest.raises(ValidationError, match="heat times must be positive"):
+        heat_totals(ls3, (0,), np.array([0.1, nan]), tp)
+
+
+def test_identity_term_past_the_float_range_is_refused():
+    # (-1e300) Gamma(1/2) t^-1/2 rounds to -inf without raising
+    P = plancherel_polynomial(GroupData(3), (10**150,))
+    with pytest.raises(DomainError, match="overflows at t = 1e-30"):
+        plancherel_heat_integral(P, 1e-30)

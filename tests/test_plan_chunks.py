@@ -26,7 +26,7 @@ from zetaflow import (
 from zetaflow.branching import exterior_decomposition
 from zetaflow.chars import character_table
 from zetaflow.spectra import TwistGrowthCert
-from zetaflow.summation import BLOCK, CHUNK, block_sum, chunked_sum
+from zetaflow.summation import BLOCK, CHUNK, chunked_sum
 
 SIZES = [0, 1, BLOCK - 1, BLOCK, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
 SIGMA = (1, 0)
@@ -142,11 +142,11 @@ def test_chunked_sum_equals_one_whole_array_pass(size):
     values = rng.normal(size=size) * np.exp(rng.uniform(0, 30, size=size))
     values = values + 1j * rng.normal(size=size)
     want = block_sum_whole(values)
-    assert same_bits(block_sum(values), want)
+    assert same_bits(chunked_sum((values,)), want)
     for chunk in (BLOCK, CHUNK):
         pieces = (values[i : i + chunk] for i in range(0, size, chunk))
         assert same_bits(chunked_sum(pieces), want)
-    assert same_bits(block_sum(values.real), block_sum_whole(values.real))
+    assert same_bits(chunked_sum((values.real,)), block_sum_whole(values.real))
 
 
 def _peak_bytes(evaluate) -> int:

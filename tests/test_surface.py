@@ -92,3 +92,34 @@ def test_no_unused_imports():
     assert sources
     for path in sources:
         assert not _unused_imports(path), (path.name, _unused_imports(path))
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unreferenced_definitions() -> set[str]:
+    """Module-level functions and classes of the package that are neither in
+    ``__all__`` nor read by name (a Name or an attribute) anywhere in its
+    source outside their own body."""
+    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+    defined: set[str] = set()
+    referenced: set[str] = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        name = getattr(node, "id", None) or getattr(node, "attr", None)  # Name, Attribute
+        if name and name != owner:
+            referenced.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            owner = node.name if isinstance(node, _DEFS) else None
+            if owner:
+                defined.add(owner)
+            visit(node, owner)
+    return defined - set(zetaflow.__all__) - referenced
+
+
+def test_every_definition_is_public_or_used():
+    assert not _unreferenced_definitions()

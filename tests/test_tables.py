@@ -1,6 +1,7 @@
 import json
 
-from zetaflow.tables import HEADER, ResultRow, emit_table, read_table, render_table
+from oracles import read_table
+from zetaflow.tables import HEADER, ResultRow, emit_table, render_table
 
 ROWS = [
     ResultRow(s=1.5 + 0.0j, value=-0.25 + 1e-17j, tail_bound=1.25e-9),
