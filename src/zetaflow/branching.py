@@ -3,33 +3,29 @@
 Restriction from the rank-n type B factor to the rank-n type D factor is
 multiplicity free and governed by interlacing: tau restricts to exactly
 those sigma with tau_1 >= sigma_1 >= tau_2 >= ... >= tau_n >= |sigma_n|,
-with integer coordinate differences. Everything downstream (the plus/minus
-split, the inversion coefficients, exterior-power decompositions) reduces
-to bookkeeping over that fact, done here in exact arithmetic.
+with integer coordinate differences. The plus/minus split and the
+inversion coefficients are closed forms read off that fact: signed sums of
+sigma - mu over mu in {0,1}^n, whose restrictions cancel in pairs. The
+exterior powers of the standard representation of the D factor are closed
+forms too, one highest weight (1^q, 0^(n-q)) per power except two in the
+middle degree. Everything is exact arithmetic over ``weights`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .chars import weight_multiplicities
-from .errors import ValidationError, ZetaflowError
+from .errors import ValidationError
 from .weights import (
     GroupData,
     Weight,
     as_weight,
-    check_integrality,
     is_dominant,
     validate_dominant,
-    weyl_dim,
 )
-
-_MAX_PEELS = 64
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,6 @@ def branching_multiplicity(tau: Sequence[object], sigma: Sequence[object]) -> in
     s = as_weight(sigma)
     if len(t) != len(s):
         raise ValidationError(f"rank mismatch: tau has rank {len(t)}, sigma rank {len(s)}")
-    check_integrality(t)
-    check_integrality(s)
     validate_dominant(t, "B", "tau")
     validate_dominant(s, "D", "sigma")
     if (t[0] - s[0]).denominator != 1:
@@ -106,109 +100,80 @@ def branch_weights(tau: Sequence[object]) -> Iterator[Weight]:
             yield combo
 
 
+def _signed_candidates(nu: Weight) -> Iterator[tuple[Weight, int]]:
+    """B-dominant nu - mu over mu in {0,1}^n, each with the sign (-1)^|mu|."""
+    for mu in itertools.product((0, 1), repeat=len(nu)):
+        cand = tuple(a - b for a, b in zip(nu, mu))
+        if is_dominant(cand, "B"):
+            yield cand, -1 if sum(mu) % 2 else 1
+
+
 def tau_pm_split(sigma: Sequence[object]) -> tuple[VirtualRep, VirtualRep]:
     """The pair of B-factor virtual reps attached to a type with sigma_n != 0.
 
-    Candidates are nu - mu over mu in {0,1}^n where nu is the chamber
-    version of sigma; candidates failing B-dominance have a Weyl-fixed
-    shifted weight and contribute zero, so they are dropped exactly. Even
-    flip count lands in the first slot, odd in the second. The defining
-    identity, restriction of (plus - minus) equals sigma + w sigma, is the
-    subject of the corresponding tests.
+    Closed form: with nu the chamber version of sigma, plus holds the
+    B-dominant nu - mu over mu in {0,1}^n with an even count of ones and
+    minus those with an odd count, each with coefficient 1. Why the
+    restriction of (plus - minus) is sigma + w sigma: a D type sigma' lies
+    in the restriction of nu - mu exactly when nu_{i+1} - mu_{i+1} <=
+    sigma'_i <= nu_i - mu_i for i < n and |sigma'_n| <= nu_n - mu_n. Unless
+    sigma' agrees with nu up to the sign of its last coordinate, there is a
+    first index where sigma' falls below nu (in absolute value at n), and
+    flipping mu there keeps sigma' in the box and flips the sign, so such
+    points cancel. The two remaining points need mu = 0. A candidate that
+    fails B-dominance has an empty box, so dropping it changes nothing.
     """
     s = as_weight(sigma)
-    check_integrality(s)
     validate_dominant(s, "D", "sigma")
     if s[-1] == 0:
         raise ValidationError("a Weyl-invariant type has no plus/minus splitting")
-    n = len(s)
-    nu = s[:-1] + (abs(s[-1]),)
     plus: dict[Weight, int] = {}
     minus: dict[Weight, int] = {}
-    for mu in itertools.product((0, 1), repeat=n):
-        cand = tuple(a - b for a, b in zip(nu, mu))
-        if not is_dominant(cand, "B"):
-            continue
-        (plus if sum(mu) % 2 == 0 else minus)[cand] = 1
+    for cand, sign in _signed_candidates(s[:-1] + (abs(s[-1]),)):
+        (plus if sign > 0 else minus)[cand] = 1
     return VirtualRep.from_dict("B", plus), VirtualRep.from_dict("B", minus)
-
-
-def _order_key(w: Weight) -> tuple:
-    return (sum(abs(c) for c in w), w)
 
 
 def m_tau_coeffs(sigma: Sequence[object]) -> VirtualRep:
     """Invert restriction at a Weyl-invariant type: coefficients m_tau with
     sum_tau m_tau [tau restricted] equal to the delta at sigma.
 
-    Greedy peeling from the top of the remainder, largest weight first in
-    (coordinate magnitude sum, lex) order. Coefficients outside {-1, 0, 1}
-    or more than 64 peels indicate corrupted input and raise.
+    Closed form: m_tau = (-1)^|mu| for tau = sigma - mu, mu in {0,1}^n,
+    over the tau that are B-dominant; mu_n = 1 would make tau_n = -1, so
+    only the first n - 1 coordinates move. Why it holds: a tau with
+    tau_n = 0 restricts to the box tau_{i+1} <= sigma'_i <= tau_i with
+    sigma'_n = 0. Pairing mu_i = 0 with mu_i = 1 at the first index where
+    sigma' falls below sigma keeps sigma' in the box and flips the sign, so
+    every point but sigma cancels, and sigma itself needs mu = 0. A dropped
+    candidate's box is empty. Restriction between the two factors is
+    injective (they share a maximal torus), so this inverse is the only one.
     """
     s = as_weight(sigma)
-    check_integrality(s)
     validate_dominant(s, "D", "sigma")
     if s[-1] != 0:
         raise ValidationError(
             "restriction inversion is defined for Weyl-invariant types only "
             "(last coordinate zero); use tau_pm_split otherwise"
         )
-    remainder: dict[Weight, int] = {s: 1}
-    coeffs: dict[Weight, int] = {}
-    for _ in range(_MAX_PEELS):
-        remainder = {w: c for w, c in remainder.items() if c != 0}
-        if not remainder:
-            result = VirtualRep.from_dict("B", coeffs)
-            if any(abs(c) > 1 for _, c in result):
-                raise ZetaflowError("inversion produced a coefficient outside {-1, 0, 1}")
-            return result
-        top = max(remainder, key=_order_key)
-        tau = top[:-1] + (abs(top[-1]),)
-        c = remainder[top]
-        coeffs[tau] = coeffs.get(tau, 0) + c
-        for sp in branch_weights(tau):
-            remainder[sp] = remainder.get(sp, 0) - c
-    raise ZetaflowError(f"restriction inversion did not terminate within {_MAX_PEELS} peels")
+    return VirtualRep.from_dict("B", dict(_signed_candidates(s)))
 
 
 def exterior_decomposition(gd: GroupData, p: int) -> list[tuple[Weight, int]]:
     """Irreducible pieces of the p-th exterior power of the 2n-dimensional
     standard representation of the D factor, paired with the integer p.
 
-    Peels the lexicographically largest dominant weight remaining in the
-    exact weight multiset until it is exhausted; a dimension count guards
-    the result. Computed once per (n, p); each call returns a new list.
+    Closed form: with q = min(p, 2n - p), the piece is the highest weight
+    (1^q, 0^(n-q)), except that at q = n there are two, (1^n) and then
+    (1^(n-1), -1). Why: the volume form identifies the p-th and (2n-p)-th
+    powers; below the middle degree the power is irreducible with highest
+    weight e_1 + ... + e_q, and the middle power splits into its self-dual
+    and anti-self-dual halves. Each call returns a new list.
     """
     n = gd.n
     if not 0 <= p <= 2 * n:
         raise ValidationError(f"exterior power degree {p} outside [0, {2 * n}]")
-    return list(_peel_exterior_power(n, p))
-
-
-@lru_cache
-def _peel_exterior_power(n: int, p: int) -> tuple[tuple[Weight, int], ...]:
-    zero = tuple(Fraction(0) for _ in range(n))
-    basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    lines = basis + [tuple(-c for c in b) for b in basis]
-    multiset: dict[Weight, int] = {}
-    for combo in itertools.combinations(lines, p):
-        w = tuple(sum(col) for col in zip(*combo)) if combo else zero
-        multiset[w] = multiset.get(w, 0) + 1
-
-    out: list[tuple[Weight, int]] = []
-    total = 0
-    while multiset:
-        psi = max(w for w in multiset if is_dominant(w, "D"))
-        for w, m in weight_multiplicities("D", psi).items():
-            left = multiset.get(w, 0) - m
-            if left < 0:
-                raise ZetaflowError("exterior power peeling went negative")
-            if left:
-                multiset[w] = left
-            else:
-                multiset.pop(w, None)
-        out.append((psi, p))
-        total += weyl_dim(psi, "D")
-    if total != math.comb(2 * n, p):
-        raise ZetaflowError("exterior power dimensions do not add up")
-    return tuple(out)
+    q = min(p, 2 * n - p)
+    top = tuple(Fraction(1 if i < q else 0) for i in range(n))
+    if q < n:
+        return [(top, p)]
+    return [(top, p), (top[:-1] + (Fraction(-1),), p)]

@@ -168,7 +168,7 @@ class CharacterTable:
     reduction order fixed.
     """
 
-    __slots__ = ("family", "rank", "highest", "dim", "_weights", "_mults")
+    __slots__ = ("family", "rank", "highest", "_weights", "_mults")
 
     def __init__(self, family: str, highest: Weight, system: Mapping[Weight, int]):
         self.family = family
@@ -177,7 +177,6 @@ class CharacterTable:
         items = sorted(system.items())
         self._weights = np.array([[float(c) for c in mu] for mu, _ in items])
         self._mults = np.array([float(m) for _, m in items])
-        self.dim = int(round(self._mults.sum()))
 
     def evaluate(self, angles: np.ndarray) -> np.ndarray:
         """Character values at ``angles`` of shape (..., rank)."""

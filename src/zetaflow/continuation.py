@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +57,6 @@ def anchor_set(anchors: Sequence[complex]) -> AnchorSet:
     return AnchorSet(anchors=pts)
 
 
-@lru_cache
 def partial_fraction_coeffs(aset: AnchorSet) -> tuple[complex, ...]:
     """c_i = prod_{j != i} (s_j^2 - s_i^2)^{-1}, so that
     sum_i c_i / (x + s_i^2) = prod_i (x + s_i^2)^{-1}."""

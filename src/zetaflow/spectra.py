@@ -416,13 +416,20 @@ def synthesize(
         raise ValidationError(f"chi_norm: expected a finite number, got {chi_norm}")
     if chi_norm < 1.0:
         raise ValidationError(f"chi_norm: expected >= 1, got {chi_norm}")
+    b = 2.0 * gd.rho_norm
+    with np.errstate(over="ignore"):
+        floor = np.exp(b * systole)
+    if not np.isfinite(floor):
+        raise ValidationError(
+            f"systole: exp(2|rho| * systole) overflows above "
+            f"{math.log(np.finfo(float).max) / b:.1f} at d = {gd.d}, got {systole!r}"
+        )
     rng = np.random.default_rng(seed)
     volume = float(rng.uniform(0.5, 5.0))
-    b = 2.0 * gd.rho_norm
     jitter = rng.uniform(-0.35, 0.35, size=count)
     targets = np.arange(count) + 0.5 + jitter
     # M(l) = (exp(b l) - exp(b systole)) / b counts classes below l
-    lengths = np.log(np.exp(b * systole) + b * targets) / b
+    lengths = np.log(floor + b * targets) / b
 
     angles = rng.uniform(0.0, TWO_PI, size=(count, gd.n))
     if chi_norm == 1.0:

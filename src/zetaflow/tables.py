@@ -53,8 +53,11 @@ def write_text(text: str, path: str | None = None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def emit_table(rows: Sequence[ResultRow], format: str, path: str | None = None) -> None:

@@ -262,7 +262,7 @@ def suite_branching(seed: int = 0) -> list[CheckResult]:
         gd = GroupData(d)
         total = 0
         for p in range(0, d):
-            # constituents are listed once per peel, multiplicity one each
+            # each constituent is listed once, with multiplicity one
             dim = sum(weyl_dim(w, "D") for w, _ in exterior_decomposition(gd, p))
             total += dim
             ext_err = max(ext_err, abs(dim - math.comb(d - 1, p)))

@@ -11,6 +11,7 @@ here; being independent of the code under test is the point.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -124,6 +125,68 @@ def branching_by_characters(tau, rng: np.random.Generator) -> dict[tuple, int]:
             raise AssertionError(f"non-integer multiplicity {x} at {c}")
         if m:
             out[c] = m
+    return out
+
+
+def m_tau_coeffs_greedy(sigma, max_peels: int = 64) -> dict[tuple, int]:
+    """Restriction inverse at a Weyl-invariant type by greedy peeling.
+
+    Takes the top of the remainder, largest weight first in (coordinate
+    magnitude sum, lex) order, adds it with its coefficient, and subtracts
+    its restriction, until nothing is left. Raises when that needs more
+    than ``max_peels`` steps, which happens from rank 7 on.
+    """
+    from zetaflow import branch_weights
+
+    s = tuple(Fraction(c) for c in sigma)
+    remainder = {s: 1}
+    coeffs: dict[tuple, int] = {}
+    for _ in range(max_peels):
+        remainder = {w: c for w, c in remainder.items() if c != 0}
+        if not remainder:
+            return {w: c for w, c in coeffs.items() if c != 0}
+        top = max(remainder, key=lambda w: (sum(abs(c) for c in w), w))
+        tau = top[:-1] + (abs(top[-1]),)
+        c = remainder[top]
+        coeffs[tau] = coeffs.get(tau, 0) + c
+        for sp in branch_weights(tau):
+            remainder[sp] = remainder.get(sp, 0) - c
+    raise AssertionError(f"greedy inversion did not terminate within {max_peels} peels")
+
+
+def exterior_power_peel(n: int, p: int) -> list[tuple]:
+    """Highest weights of the p-th exterior power of the standard
+    representation of D_n, by peeling the exact weight multiset.
+
+    Builds the multiset of sums of p distinct weights from +-e_i, then
+    repeatedly removes the full weight system of its lexicographically
+    largest dominant weight, in that order; a dimension count guards the
+    result.
+    """
+    from zetaflow import weyl_dim
+    from zetaflow.chars import weight_multiplicities
+    from zetaflow.weights import is_dominant
+
+    basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
+    lines = basis + [tuple(-c for c in b) for b in basis]
+    multiset: dict[tuple, int] = {}
+    for combo in itertools.combinations(lines, p):
+        w = tuple(sum(col, Fraction(0)) for col in zip(*combo)) if combo else (Fraction(0),) * n
+        multiset[w] = multiset.get(w, 0) + 1
+    out = []
+    while multiset:
+        psi = max(w for w in multiset if is_dominant(w, "D"))
+        for w, m in weight_multiplicities("D", psi).items():
+            left = multiset.get(w, 0) - m
+            if left < 0:
+                raise AssertionError("exterior power peeling went negative")
+            if left:
+                multiset[w] = left
+            else:
+                multiset.pop(w, None)
+        out.append(psi)
+    if sum(weyl_dim(w, "D") for w in out) != math.comb(2 * n, p):
+        raise AssertionError("exterior power dimensions do not add up")
     return out
 
 

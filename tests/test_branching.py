@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from oracles import branching_by_characters
+from oracles import branching_by_characters, exterior_power_peel, m_tau_coeffs_greedy
 from zetaflow import (
     GroupData,
     ValidationError,
@@ -132,3 +133,42 @@ def test_exterior_decomposition_is_self_dual():
             low = sorted(w for w, _ in exterior_decomposition(gd, p))
             high = sorted(w for w, _ in exterior_decomposition(gd, 2 * n - p))
             assert low == high, (d, p)
+
+
+def _invariant_types(rank, top):
+    """Weyl-invariant D types of the given rank with coordinates in [0, top]."""
+    for head in itertools.combinations_with_replacement(range(top, -1, -1), rank - 1):
+        yield head + (0,)
+
+
+def _restricted(rep):
+    net: dict = {}
+    for tau, m in rep:
+        for s in branch_weights(tau):
+            net[s] = net.get(s, 0) + m
+    return {k: v for k, v in net.items() if v}
+
+
+def test_m_tau_coeffs_equal_greedy_inversion():
+    small = [s for r in range(1, 5) for s in _invariant_types(r, 5)]
+    large = [s for r in range(5, 8) for s in _invariant_types(r, 2)]
+    assert (len(small), len(large)) == (84, 64)
+    for sigma in small + large:
+        assert m_tau_coeffs(sigma).as_dict() == m_tau_coeffs_greedy(sigma), sigma
+
+
+def test_m_tau_coeffs_invert_restriction_at_rank_7():
+    # greedy peeling needs more than 64 steps here
+    sigma = (6, 5, 4, 3, 2, 1, 0)
+    rep = m_tau_coeffs(sigma)
+    assert len(rep.terms) == 64
+    assert _restricted(rep) == {as_weight(sigma): 1}
+
+
+def test_exterior_decomposition_equals_peeling():
+    # the peel takes about 20 s at d = 15, so the test stops at d = 13
+    for d in range(3, 15, 2):
+        gd = GroupData(d)
+        for p in range(0, 2 * gd.n + 1):
+            got = exterior_decomposition(gd, p)
+            assert got == [(w, p) for w in exterior_power_peel(gd.n, p)], (d, p)

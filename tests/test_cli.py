@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -495,3 +496,29 @@ def test_gen_spectrum_refuses_a_bad_chi_norm(capsys, chi_norm, want):
     code, out, err = _run(capsys, ["gen-spectrum", "--d", "3", "--count", "3",
                                    "--chi-norm", chi_norm])
     assert (code, out, err) == (1, "", f"error: chi_norm: expected {want}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plancherel", "--d", "3", "--s", "1"],
+    ["gen-spectrum", "--d", "3", "--count", "3"],
+    ["verify", "--suite", "branching"],
+])
+def test_output_to_an_unwritable_path_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = _run(capsys, argv + ["--output", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("d, limit, systole", [("3", "354.9", "355"), ("7", "118.3", "118.4")])
+def test_gen_spectrum_refuses_an_overflowing_systole(capsys, d, limit, systole):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["gen-spectrum", "--d", d, "--count", "3",
+                                       "--systole", systole])
+    assert (code, out) == (1, "")
+    assert err == (f"error: systole: exp(2|rho| * systole) overflows above {limit} "
+                   f"at d = {d}, got {float(systole)!r}\n")
+    # under the limit the lengths start at the systole
+    assert main(["gen-spectrum", "--d", d, "--count", "3", "--systole", "118"]) == 0
+    assert '"l0": 118' in capsys.readouterr().out

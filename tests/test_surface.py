@@ -123,3 +123,23 @@ def _unreferenced_definitions() -> set[str]:
 
 def test_every_definition_is_public_or_used():
     assert not _unreferenced_definitions()
+
+
+def _base_class_raises(path: Path) -> list[int]:
+    """Lines of a source file that raise the base ``ZetaflowError`` itself."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "ZetaflowError"
+    )
+
+
+def test_no_raise_of_the_base_error_class():
+    # the command line maps only ValidationError and DomainError to exit 1 and 2
+    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+    assert sources
+    raises = {path.name: _base_class_raises(path) for path in sources}
+    assert not {name: lines for name, lines in raises.items() if lines}
