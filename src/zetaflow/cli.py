@@ -23,6 +23,11 @@ dests: the long flag with underscores in place of dashes, except s_grid
 eigen_path (--eigen). Each value goes through its flag's own parser: a
 string or number stands for the flag's text, a list for a repeatable
 flag's values, true for --deterministic.
+
+Only the modules the evaluating commands share are imported at the top.
+The plancherel, heat, continuation and verify layers are imported inside
+the commands that run them, so a job loads only what it runs; a fresh
+interpreter compiles every module it imports when no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -36,18 +41,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .continuation import (
-    anchor_set,
-    continued_from,
-    contour_residue,
-    resolvent_trace_geometric,
-    resolvent_trace_spectral,
-    resolvent_trace_via_heat,
-    singularities,
-)
+import numpy as np
+
 from .errors import DomainError, ValidationError
-from .heat import geometric_heat_trace
-from .plancherel import plancherel_polynomial
 from .spectra import (
     LengthSpectrum,
     length_spectrum_to_json,
@@ -56,7 +52,6 @@ from .spectra import (
     synthesize,
 )
 from .tables import ResultRow, emit_table, write_text
-from .verify import format_results, run_suite
 from .weights import GroupData
 from .zeta import (
     TruncationPolicy,
@@ -314,6 +309,19 @@ def _grid(cfg: JobConfig) -> tuple[complex, ...]:
     return cfg.s_grid
 
 
+def _finite_value(f, s: complex) -> complex:
+    """f(s), refused with a DomainError naming s when it overflows to inf
+    or nan, so no table holds a non-finite value."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is refused below
+        value = f(s)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(
+            f"the value at s = {s} overflows double precision; move s toward the origin",
+            s=s,
+        )
+    return value
+
+
 def _cmd_gen_spectrum(cfg: JobConfig) -> int:
     """Write a synthetic spectrum's document: byte for byte what
     json.dumps(doc, indent=1) writes, plus a final newline, so any JSON
@@ -327,9 +335,11 @@ def _cmd_gen_spectrum(cfg: JobConfig) -> int:
 
 
 def _cmd_plancherel(cfg: JobConfig) -> int:
+    from .plancherel import plancherel_polynomial
+
     gd = _group(cfg)
     P = plancherel_polynomial(gd, _sigma_for(cfg, gd))
-    rows = [ResultRow(s, P(s), 0.0) for s in _grid(cfg)]
+    rows = [ResultRow(s, _finite_value(P, s), 0.0) for s in _grid(cfg)]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 
@@ -348,6 +358,8 @@ def _cmd_series(cfg: JobConfig) -> int:
 
 
 def _cmd_heat_trace(cfg: JobConfig) -> int:
+    from .heat import geometric_heat_trace
+
     ls = _length_spectrum(cfg)
     sigma = _sigma_for(cfg, ls.gd)
     tp = _policy(cfg, ls)
@@ -362,6 +374,13 @@ def _cmd_heat_trace(cfg: JobConfig) -> int:
 
 
 def _cmd_resolvent(cfg: JobConfig) -> int:
+    from .continuation import (
+        anchor_set,
+        resolvent_trace_geometric,
+        resolvent_trace_spectral,
+        resolvent_trace_via_heat,
+    )
+
     if len(cfg.anchors) < 2:
         raise ValidationError("resolvent requires at least two --anchor points")
     aset = anchor_set(cfg.anchors)
@@ -383,6 +402,8 @@ def _cmd_resolvent(cfg: JobConfig) -> int:
 
 
 def _continued(cfg: JobConfig):
+    from .continuation import continued_from
+
     if cfg.eigen_path is None:
         raise ValidationError(f"{cfg.command} requires --eigen")
     es = load_eigen_spectrum(cfg.eigen_path)
@@ -393,12 +414,14 @@ def _continued(cfg: JobConfig):
 def _cmd_continue(cfg: JobConfig) -> int:
     grid = _grid(cfg)
     cl = _continued(cfg)
-    rows = [ResultRow(s, cl(s), 0.0) for s in grid]
+    rows = [ResultRow(s, _finite_value(cl, s), 0.0) for s in grid]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 
 
 def _cmd_residues(cfg: JobConfig) -> int:
+    from .continuation import contour_residue, singularities
+
     cl = _continued(cfg)
     rows = []
     for point, _order in singularities(cl):
@@ -432,6 +455,8 @@ def _cmd_factorization_check(cfg: JobConfig) -> int:
 
 
 def _cmd_verify(cfg: JobConfig) -> int:
+    from .verify import format_results, run_suite
+
     results = run_suite(cfg.suite, cfg.seed)
     write_text(format_results(results), cfg.output)
     return 0 if all(r.passed for r in results) else 1

@@ -115,7 +115,8 @@ def test_exterior_decomposition_dimensions():
         for p in range(0, 2 * n + 1):
             pieces = exterior_decomposition(gd, p)
             assert all(deg == p for _, deg in pieces)
-            # constituents are listed once per peel, multiplicity one each
+            # one constituent, or the two halves of the middle power, each
+            # of multiplicity one: their dimensions add up to C(2n, p)
             total = sum(weyl_dim(w, "D") for w, _ in pieces)
             assert total == comb(2 * n, p), (d, p)
         assert exterior_decomposition(gd, 0) == [(tuple([Fraction(0)] * n), 0)]

@@ -334,6 +334,71 @@ def test_a_twisted_selberg_run_leaves_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+def _cold_run(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit status of one command run in a fresh interpreter, and the
+    zetaflow modules it loaded."""
+    code = (f"import json, sys; from zetaflow.cli import main; status = main({argv!r}); "
+            "print(json.dumps([status, [m for m in sys.modules if m.startswith('zetaflow.')]]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout.splitlines()[-1])
+    return status, {m.removeprefix("zetaflow.") for m in modules}
+
+
+# the layers that only the heat, resolvent, continuation and verify commands run
+_LAZY = {"verify", "continuation", "heat", "quadrature", "plancherel"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["selberg", "--s", "4"],
+    ["ruelle", "--s", "4"],
+    ["log-derivative", "--s", "4"],
+    ["factorization-check", "--s", "4.5", "--lmax", "24", "--tail-eps", "1e-2"],
+    ["gen-spectrum", "--d", "3", "--count", "5"],
+], ids=lambda argv: argv[0])
+def test_series_and_synthesis_commands_load_no_lazy_layer(workdir, argv):
+    if argv[0] != "gen-spectrum":
+        argv = [*argv, "--spectrum", str(workdir / "spectrum.json")]
+    status, modules = _cold_run([*argv, "--output", str(workdir / f"cold-{argv[0]}.out")])
+    assert status == 0
+    assert {"cli", "zeta", "spectra"} <= modules
+    assert not modules & _LAZY
+
+
+def test_heat_trace_loads_only_the_heat_layers(workdir):
+    status, modules = _cold_run([
+        "heat-trace", "--spectrum", str(workdir / "spectrum.json"), "--t", "0.5",
+        "--output", str(workdir / "cold-heat.out"),
+    ])
+    assert status == 0
+    assert {"heat", "plancherel"} <= modules
+    assert not modules & {"verify", "continuation", "quadrature"}
+
+
+def test_verify_runs_from_a_cold_start(workdir):
+    status, modules = _cold_run([
+        "verify", "--suite", "lemma6", "--output", str(workdir / "cold-verify.out"),
+    ])
+    assert status == 0 and "verify" in modules
+    assert "ok" in (workdir / "cold-verify.out").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["plancherel", "continue"])
+def test_an_overflowing_value_exits_two(workdir, capsys, command, fmt):
+    # P(1e200) overflows to nan; the table would hold nan, or bare NaN tokens
+    # that are not JSON
+    argv = [command, "--d", "3", "--s", "2", "--s", "1e200", "--format", fmt]
+    if command == "continue":
+        argv += ["--eigen", str(workdir / "eig.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("domain error: the value at s = (1e+200+0j) overflows double "
+                   "precision; move s toward the origin\n")
+
+
 # the option dests each command accepts: every one is read by its handler
 # (--deterministic, accepted everywhere, changes nothing)
 _COMMON = {"config", "output", "deterministic"}

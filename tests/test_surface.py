@@ -6,6 +6,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import zetaflow
 
 MODULES = [
@@ -66,6 +68,27 @@ def test_public_names_resolve():
         assert hasattr(zetaflow, name), name
 
 
+def test_each_public_name_is_its_home_modules_object():
+    # the package imports each name lazily from the module its map names
+    assert sorted(zetaflow._HOME) == sorted(zetaflow.__all__)
+    assert len(zetaflow._HOME) == sum(map(len, zetaflow._EXPORTS.values()))
+    for module, names in zetaflow._EXPORTS.items():
+        home = importlib.import_module(f"zetaflow.{module}")
+        for name in names:
+            assert getattr(zetaflow, name) is getattr(home, name), name
+    assert set(zetaflow.__all__) <= set(dir(zetaflow))
+    star: dict[str, object] = {}
+    exec("from zetaflow import *", star)
+    assert set(zetaflow.__all__) <= set(star)
+
+
+def test_an_unknown_name_is_not_importable():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zetaflow.no_such_name
+    with pytest.raises(ImportError):
+        exec("from zetaflow import no_such_name", {})
+
+
 def _unused_imports(path: Path) -> set[str]:
     """Names a source file imports and never reads; a name listed in its
     ``__all__`` counts as read."""
@@ -96,12 +119,15 @@ def test_no_unused_imports():
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+# the PEP 562 module hooks, which the interpreter calls on the package
+_PACKAGE_HOOKS = {"__getattr__", "__dir__"}
 
-def _unreferenced_definitions() -> set[str]:
-    """Module-level functions and classes of the package that are neither in
-    ``__all__`` nor read by name (a Name or an attribute) anywhere in its
-    source outside their own body."""
-    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+
+def _unreferenced_definitions(sources: list[Path], public: set[str]) -> set[str]:
+    """Module-level functions and classes of the sources that are neither in
+    ``public`` nor read by name (a Name or an attribute) anywhere in them
+    outside their own body. The package hooks count as read in
+    ``__init__.py`` only."""
     defined: set[str] = set()
     referenced: set[str] = set()
 
@@ -115,14 +141,26 @@ def _unreferenced_definitions() -> set[str]:
     for path in sources:
         for node in ast.parse(path.read_text()).body:
             owner = node.name if isinstance(node, _DEFS) else None
-            if owner:
+            if owner and not (path.name == "__init__.py" and owner in _PACKAGE_HOOKS):
                 defined.add(owner)
             visit(node, owner)
-    return defined - set(zetaflow.__all__) - referenced
+    return defined - public - referenced
 
 
 def test_every_definition_is_public_or_used():
-    assert not _unreferenced_definitions()
+    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+    assert sources
+    assert not _unreferenced_definitions(sources, set(zetaflow.__all__))
+
+
+def test_only_the_package_hooks_of_init_count_as_used(tmp_path):
+    hooks = "def __getattr__(name):\n    pass\n\n\ndef __dir__():\n    pass\n"
+    (tmp_path / "__init__.py").write_text(hooks + "\n\ndef _unused():\n    pass\n")
+    (tmp_path / "mod.py").write_text(hooks + "\n\nclass Unused:\n    pass\n")
+    sources = sorted(tmp_path.glob("*.py"))
+    assert _unreferenced_definitions(sources, set()) == {
+        "_unused", "Unused", "__getattr__", "__dir__"
+    }
 
 
 def _base_class_raises(path: Path) -> list[int]:
