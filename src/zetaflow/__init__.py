@@ -75,69 +75,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorSet",
-    "CharacterTable",
-    "CheckResult",
-    "ContinuedL",
-    "DomainError",
-    "EigenSpectrum",
-    "GroupData",
-    "HeatEvaluation",
-    "LengthSpectrum",
-    "PlancherelPolynomial",
-    "SeriesValue",
-    "TruncationPolicy",
-    "TwistGrowthCert",
-    "ValidationError",
-    "VirtualRep",
-    "ZetaflowError",
-    "abscissa_estimate",
-    "anchor_set",
-    "branch_weights",
-    "branching_multiplicity",
-    "c_sigma",
-    "cauchy_plancherel_identity",
-    "certify_twist_growth",
-    "character_table",
-    "continued_from",
-    "contour_residue",
-    "counting_function",
-    "det_term",
-    "exterior_decomposition",
-    "fitted_growth_exponent",
-    "geometric_heat_trace",
-    "heat_resolvent_identity",
-    "heat_totals",
-    "load_eigen_spectrum",
-    "load_length_spectrum",
-    "log_derivative",
-    "log_zeta_ratio",
-    "m_tau_coeffs",
-    "moment_sum",
-    "partial_fraction_coeffs",
-    "plancherel_polynomial",
-    "residue_order",
-    "resolvent_trace_geometric",
-    "resolvent_trace_spectral",
-    "resolvent_trace_via_heat",
-    "ruelle_factorized_log",
-    "ruelle_log",
-    "run_suite",
-    "save",
-    "selberg_log",
-    "singularities",
-    "small_t_combination",
-    "spectral_heat_trace",
-    "synthesize",
-    "tau_pm_split",
-    "validate_cert",
-    "weight_multiplicities",
-    "weyl_action",
-    "weyl_character",
-    "weyl_dim",
-    "z_p_log",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

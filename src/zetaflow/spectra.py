@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .chars import CharacterTable
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .summation import CHUNK
 from .weights import GroupData
 
@@ -218,8 +218,16 @@ class _PowerTable:
     def det_floor(self) -> float:
         """(1 - e^{-systole})^(2n), a lower bound of every det term. Read
         on a non-empty plan only: its first power is the shortest class
-        itself, at the exact length l0 (the j = 1 power)."""
-        return (1.0 - math.exp(-float(self.length[0]))) ** (2 * self.gd.n)
+        itself, at the exact length l0 (the j = 1 power). A floor of 0,
+        where e^{-systole} rounds to 1, bounds nothing and is refused."""
+        systole = float(self.length[0])
+        floor = (1.0 - math.exp(-systole)) ** (2 * self.gd.n)
+        if floor == 0:
+            raise DomainError(
+                f"the shortest class length {systole!r} is too short for a det floor: "
+                f"(1 - e^-l)^{2 * self.gd.n} rounds to 0, so no tail bound holds"
+            )
+        return floor
 
     def chars(self, tables: Sequence[CharacterTable]) -> np.ndarray:
         """Product of the character tables at the power angles, multiplied

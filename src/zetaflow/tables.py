@@ -1,7 +1,9 @@
 """Tabular output for batch evaluations.
 
 One row per evaluation point: the point, the complex value, and the
-certified tail bound (zero when no truncation was involved). Floats are
+certified tail bound (zero when no truncation was involved). A value that
+is not finite is refused before anything is written, so no table holds
+nan or inf in its value columns, nor bare NaN tokens in JSON. Floats are
 written with shortest round-trip formatting, so reparsing reproduces the
 exact bit pattern; the decimal separator is always '.' regardless of
 locale because repr never localizes.
@@ -10,10 +12,11 @@ locale because repr never localizes.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 HEADER = ("s_re", "s_im", "value_re", "value_im", "tail_bound")
 
@@ -25,6 +28,13 @@ class ResultRow(NamedTuple):
 
 
 def render_table(rows: Sequence[ResultRow], format: str) -> str:
+    for r in rows:
+        v = complex(r.value)
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise DomainError(
+                f"the value at s = {r.s} overflows double precision; move s toward the origin",
+                s=r.s,
+            )
     if format == "csv":
         lines = [",".join(HEADER)]
         for r in rows:

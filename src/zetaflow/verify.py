@@ -339,7 +339,7 @@ def suite_zeta(seed: int = 0) -> list[CheckResult]:
     ls = synthesize(gd, 200, systole=0.5, seed=int(rng.integers(2**31)))
     sigma = (0,)
     tp = TruncationPolicy(lmax=40.0, tail_eps=1e-13)
-    a = abscissa_estimate(ls, sigma)
+    a = abscissa_estimate(ls)
 
     fd_err = 0.0
     for _ in range(10):
@@ -354,7 +354,7 @@ def suite_zeta(seed: int = 0) -> list[CheckResult]:
         lsd = synthesize(gdd, 100, systole=0.6, seed=int(rng.integers(2**31)))
         sig = (0,) * gdd.n
         tpd = TruncationPolicy(lmax=30.0 if d == 3 else 14.0, tail_eps=1e-2)
-        ar = abscissa_estimate(lsd, sig, kind="ruelle")
+        ar = abscissa_estimate(lsd, kind="ruelle")
         for _ in range(5):
             s = complex(ar + 1.0 + rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
             lhs = ruelle_log(s, sig, lsd, tpd).value

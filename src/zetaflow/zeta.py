@@ -3,7 +3,7 @@
 All series run over the power enumeration of a length spectrum, truncated
 at a policy length. Each evaluator returns the deterministic block sum of
 its terms together with a certified tail bound obtained from the twist
-growth certificate, the fitted counting constant, and integration by parts
+growth certificate, the observed counting constant, and integration by parts
 against the majorant; the convergence abscissa is enforced by the bound
 itself (the tail formula degenerates exactly when the series stops
 converging absolutely, and that raises). Everything that does not depend
@@ -88,7 +88,7 @@ def _tail_bound(
         raise DomainError(
             f"series for kind {kind!r} does not converge at s = {s}: "
             f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate "
-            f"{abscissa_estimate(ls, None, kind=kind):.6g}",
+            f"{abscissa_estimate(ls, kind=kind):.6g}",
             s=s,
         )
     if not plan.size:
@@ -176,9 +176,7 @@ def log_derivative(
     return _series_value(ls, (_sigma_table(ls, sigma),), complex(s), tp, "logderiv")
 
 
-def abscissa_estimate(
-    ls: LengthSpectrum, sigma: Sequence[object] | None, kind: str = "selberg"
-) -> float:
+def abscissa_estimate(ls: LengthSpectrum, kind: str = "selberg") -> float:
     """Abscissa of absolute convergence: |rho| + k for Selberg-type series,
     2|rho| + k for Ruelle, where k is the certified twist growth rate."""
     if not ls.l0.size:

@@ -194,7 +194,7 @@ def test_criterion_08_log_derivative_is_the_derivative():
     with _Budget(8, 30.0, "the log derivative series differentiates the log series"):
         ls = synthesize(GroupData(3), 150, systole=0.5, seed=11)
         tp = TruncationPolicy(lmax=40.0, tail_eps=1e-13)
-        a = abscissa_estimate(ls, (0,), "selberg")
+        a = abscissa_estimate(ls, "selberg")
         rng = np.random.default_rng(108)
         for _ in range(10):
             s = complex(a + 1.0 + rng.uniform(0, 1), rng.uniform(-2, 2))

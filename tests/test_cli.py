@@ -399,6 +399,63 @@ def test_an_overflowing_value_exits_two(workdir, capsys, command, fmt):
                    "precision; move s toward the origin\n")
 
 
+@pytest.mark.parametrize("anchor, fmt, shown", [
+    ("1e200", "csv", "(1e+200+0j)"),
+    ("1e300j", "json", "1e+300j"),
+])
+def test_an_overflowing_spectral_resolvent_exits_two(workdir, capsys, anchor, fmt, shown):
+    # the product over the anchor squares overflows; the table would hold nan
+    argv = ["resolvent", "--eigen", str(workdir / "eig.json"), "--anchor", anchor,
+            "--anchor", "2", "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"domain error: the value at s = {shown} overflows double "
+                   "precision; move s toward the origin\n")
+
+
+def test_an_overflowing_geometric_resolvent_prints_no_warning(workdir):
+    # the refusal came after a numpy RuntimeWarning on stderr; a fresh
+    # interpreter shows stderr as a user sees it
+    argv = ["resolvent", "--spectrum", str(workdir / "spectrum.json"), "--anchor", "1e200",
+            "--anchor", "2"]
+    proc = subprocess.run([sys.executable, "-m", "zetaflow.cli", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "domain error: half-line integrand produced non-finite values\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_class(tmp_path_factory):
+    """A d = 3 document whose shortest class is so short that e^{-l0}
+    rounds to 1."""
+    path = tmp_path_factory.mktemp("tiny") / "spectrum.json"
+    save(LengthSpectrum(gd=GroupData(3), l0=[1e-20, 1.0], angles=[[0.5], [1.5]],
+                        chi=np.ones((2, 1, 1)), volume=1.0, dim_chi=1), path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["selberg", "--s", "5"],
+    ["log-derivative", "--s", "5"],
+    ["heat-trace", "--t", "1e-21"],
+    ["resolvent", "--anchor", "2", "--anchor", "3"],
+])
+def test_a_class_too_short_for_a_det_floor_exits_two(tiny_class, capsys, argv):
+    # the det floor (1 - e^{-l0})^2 was 0, and the tail bound divided by it
+    code, out, err = _run(capsys, [*argv, "--spectrum", str(tiny_class), "--lmax", "1e-19"])
+    assert (code, out) == (2, "")
+    assert err == ("domain error: the shortest class length 1e-20 is too short for a det "
+                   "floor: (1 - e^-l)^2 rounds to 0, so no tail bound holds\n")
+
+
+def test_ruelle_needs_no_det_floor(tiny_class, capsys):
+    code, out, _ = _run(capsys, ["ruelle", "--s", "5", "--spectrum", str(tiny_class),
+                                 "--lmax", "1e-19", "--tail-eps", "100"])
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 # the option dests each command accepts: every one is read by its handler
 # (--deterministic, accepted everywhere, changes nothing)
 _COMMON = {"config", "output", "deterministic"}

@@ -289,7 +289,7 @@ def test_second_factorization_point_evaluates_no_character(monkeypatch):
     ls = synthesize(GroupData(7), 40, systole=0.6, seed=26)
     tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
     sigma = (0, 0, 0)
-    s = abscissa_estimate(ls, sigma, kind="ruelle") + 2.0
+    s = abscissa_estimate(ls, kind="ruelle") + 2.0
     calls = []
     evaluate = CharacterTable.evaluate
 

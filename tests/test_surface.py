@@ -90,8 +90,8 @@ def test_an_unknown_name_is_not_importable():
 
 
 def _unused_imports(path: Path) -> set[str]:
-    """Names a source file imports and never reads; a name listed in its
-    ``__all__`` counts as read."""
+    """Names a source file imports and never reads; a name listed in a
+    literal ``__all__`` counts as read (a computed one lists no import)."""
     tree = ast.parse(path.read_text())
     imported: set[str] = set()
     read: set[str] = set()
@@ -105,6 +105,7 @@ def _unused_imports(path: Path) -> set[str]:
         elif (
             isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
         ):
             read.update(ast.literal_eval(node.value))
     return imported - read

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from oracles import read_table
+from zetaflow.errors import DomainError
 from zetaflow.tables import HEADER, ResultRow, emit_table, render_table
 
 ROWS = [
@@ -66,3 +69,16 @@ def test_empty_table_is_just_the_header():
     text = render_table([], "csv")
     assert text == "s_re,s_im,value_re,value_im,tail_bound\n"
     assert json.loads(render_table([], "json")) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_non_finite_value_is_refused_before_writing(tmp_path, fmt):
+    # the first non-finite row in table order is named; the tail_bound
+    # column is not checked (ROWS ends with an infinite tail)
+    rows = [*ROWS, ResultRow(4.0 + 0j, complex(float("nan"), 1.0), 0.0),
+            ResultRow(5.0 + 0j, complex(0.0, float("inf")), 0.0)]
+    out = tmp_path / "t.out"
+    with pytest.raises(DomainError, match=r"at s = \(4\+0j\) overflows") as info:
+        emit_table(rows, fmt, out)
+    assert info.value.s == 4.0 + 0j
+    assert not out.exists()

@@ -88,7 +88,7 @@ def test_ruelle_log_matches_direct_power_sum(ls3_twisted):
 def test_log_derivative_is_the_derivative(ls3):
     tp = TruncationPolicy(lmax=40.0, tail_eps=1e-11)
     rng = np.random.default_rng(30)
-    a = abscissa_estimate(ls3, (0,), "selberg")
+    a = abscissa_estimate(ls3, "selberg")
     for _ in range(6):
         s = a + 1.0 + rng.uniform(0, 1) + 1j * rng.uniform(-2, 2)
         ld = log_derivative(s, (0,), ls3, tp).value
@@ -105,9 +105,9 @@ def test_tail_bound_is_honest(ls3):
 
 
 def test_abscissa_refusal(ls3):
-    a = abscissa_estimate(ls3, (0,), "selberg")
+    a = abscissa_estimate(ls3, "selberg")
     assert a == pytest.approx(1.0)  # unitary twists: |rho| exactly
-    assert abscissa_estimate(ls3, (0,), "ruelle") == pytest.approx(2.0)
+    assert abscissa_estimate(ls3, "ruelle") == pytest.approx(2.0)
     tp = TruncationPolicy(lmax=30.0, tail_eps=1e-8)
     with pytest.raises(DomainError) as info:
         selberg_log(0.5, (0,), ls3, tp)
@@ -230,7 +230,7 @@ def test_z_p_log_shifts_into_selberg_series(ls3):
 
 def test_series_kind_validation(ls3):
     with pytest.raises(ValidationError):
-        abscissa_estimate(ls3, (0,), "other")
+        abscissa_estimate(ls3, "other")
 
 
 def test_warm_plan_matches_cold_evaluation(tmp_path, gd5):
