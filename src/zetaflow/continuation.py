@@ -364,7 +364,8 @@ def resolvent_trace_via_heat(
     for integrability at infinity. Nodes where w(t) is exactly 0 (every
     exp(-t s_i^2) underflows) contribute exactly 0 and are not sent to the
     heat trace. Returns the value and the quadrature's last refinement
-    difference at relative tolerance 1e-9."""
+    difference at relative tolerance 1e-9; a refusal of the quadrature is
+    raised again as one that names the anchors."""
     if 2 * aset.size <= ls.gd.d:
         raise DomainError(
             f"need more than {ls.gd.d / 2:g} anchors to cancel the small-time "
@@ -381,4 +382,12 @@ def resolvent_trace_via_heat(
             w[live] *= heat_totals(ls, sigma, t[live], tp)
         return w
 
-    return half_line_integral(f)
+    try:
+        return half_line_integral(f)
+    except DomainError as exc:
+        # the t it names is a quadrature node, not an input: drop any advice
+        # on t and say which input to move
+        reason = str(exc).partition("; ")[0]
+        anchors = ", ".join(map(str, aset.anchors))
+        raise DomainError(f"the heat route at anchors {anchors} fails: {reason}; "
+                          "move the anchors toward the origin and the real axis") from None

@@ -129,16 +129,17 @@ def half_line_integral(
     peak on both sides, then the step is halved until two consecutive
     refinements agree to rel_tol. Each node is evaluated once: the window
     samples are the coarse rule's nodes, and a halving evaluates g only at
-    the new midpoints. Any non-finite sample raises DomainError. Returns
-    the value and the last refinement difference as an error proxy.
+    the new midpoints. A non-finite sample raises DomainError naming t.
+    Returns the value and the last refinement difference as an error proxy.
     Integrands must vectorize over a float array of times, elementwise.
     """
 
     def g(u: np.ndarray) -> np.ndarray:
         t = np.exp(u)
         vals = np.asarray(f(t), dtype=complex) * t
-        if not np.isfinite(np.abs(vals)).all():
-            raise DomainError("half-line integrand produced non-finite values")
+        bad = np.flatnonzero(~np.isfinite(np.abs(vals)))
+        if bad.size:
+            raise DomainError(f"half-line integrand is non-finite at t = {float(t[bad[0]])!r}")
         return vals
 
     # expand the window at the coarse step until both tails are dead

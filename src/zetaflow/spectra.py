@@ -19,8 +19,10 @@ trace. The class length l0, 1/j and the power angles j * theta are
 rebuilt from them for one chunk of summation.CHUNK powers at a time, by
 the same arithmetic, so every plan-sized computation holds temporaries of
 one chunk only. A spectrum keeps its few most recently used plans, a plan
-those products and prefactors for its most recently used twists, and the
-spectrum the twist growth rate, which no cutoff affects, once.
+those products and prefactors for its most recently used twists. What no
+cutoff affects, the spectrum makes once and every plan reads: the twist
+eigenvalues with a well-conditioned mask, r_c = max(1, ||chi_c||_2) and
+the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -55,25 +57,22 @@ def canonicalize_angles(angles) -> np.ndarray:
     return out
 
 
-def _power_traces(chi: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _power_traces(ls: "LengthSpectrum", index: np.ndarray, j: np.ndarray) -> np.ndarray:
     """tr(chi[index]^j) per (class, power) pair, each class's powers in
     ascending j. Twists of dimension > 1 take their eigenvalues' powers
-    from one batched eigendecomposition where the eigenvector basis is well
+    from the spectrum's twist_eigen where the eigenvector basis is well
     conditioned, repeated multiplication elsewhere."""
-    if chi.shape[1] == 1:
-        return chi[index, 0, 0] ** j
+    if ls.dim_chi == 1:
+        return ls.chi[index, 0, 0] ** j
     out = np.empty(index.size, dtype=complex)
-    vals, vecs = np.linalg.eig(chi)
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(vecs)
-    good_class = np.isfinite(cond) & (cond < 1e8)
+    vals, good_class = ls.twist_eigen
     good = good_class[index]
     out[good] = (vals[index[good]] ** j[good, None]).sum(axis=1)
     # by class, not np.unique, which imports numpy.ma
     for i in np.flatnonzero(~good_class):
         rows = np.flatnonzero(index == i)
         if rows.size:
-            powers = list(accumulate(repeat(chi[i], rows.size), np.matmul))
+            powers = list(accumulate(repeat(ls.chi[i], rows.size), np.matmul))
             out[rows] = np.trace(powers, axis1=1, axis2=2)
     return out
 
@@ -123,14 +122,15 @@ class _PowerTable:
     and angles j * theta are derived for any rows by the methods of those
     names, bit for bit the values of whole columns; every plan-sized
     computation runs over chunks(), so its temporaries hold one chunk.
-    Alongside sits the point-independent data the series and heat
-    evaluators read at every s or t: the twist certificate (K, k), the
-    counting constant C' for b = 2|rho|, the det terms and their floor,
-    the character products of the series kernels and the t-independent
-    prefactors of the heat route. Each is built on first use; the
-    products and prefactors, one per twist, are kept for the
-    _PRODUCTS_PER_PLAN most recently used twists, the rest for the life of
-    the plan.
+    The traces are powers of the spectrum's twist_eigen and the rate k is
+    its twist_rate: a plan factors no twist matrix. Alongside sits the
+    point-independent data the series and heat evaluators read at every s
+    or t: the twist certificate (K, k), the counting constant C' for
+    b = 2|rho|, the det terms and their floor, the character products of
+    the series kernels and the t-independent prefactors of the heat route.
+    Each is built on first use; the products and prefactors, one per twist,
+    are kept for the _PRODUCTS_PER_PLAN most recently used twists, the rest
+    for the life of the plan.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -154,7 +154,7 @@ class _PowerTable:
         self.class_index = index[order]
         j = j[order]
         del length, index, order
-        self.chi_trace = _power_traces(ls.chi, self.class_index, j)
+        self.chi_trace = _power_traces(ls, self.class_index, j)
         self.j = j.astype(float)
         self._char_products: dict[tuple, np.ndarray] = {}
         self._heat_bases: dict[tuple, np.ndarray] = {}
@@ -265,7 +265,7 @@ def checked_volume(dim_chi: object, volume: object) -> int | float:
     """The volume as its JSON-native type, so save() writes a volume the
     loader reads, after checking that dim_chi is a positive integer and the
     volume a positive finite number."""
-    if not (isinstance(dim_chi, int) and dim_chi >= 1):
+    if not (isinstance(dim_chi, int) and not isinstance(dim_chi, bool) and dim_chi >= 1):
         raise ValidationError(f"dim_chi: expected a positive integer, got {dim_chi!r}")
     number = (isinstance(volume, (int, float, np.integer, np.floating))
               and not isinstance(volume, bool))
@@ -311,18 +311,36 @@ class LengthSpectrum:
             raise ValidationError(f"classes[{i}].{error}")
 
     @cached_property
-    def twist_rate(self) -> float:
-        """The rate k = max over classes of log(max(1, ||chi_c||)) / l0_c,
-        independent of any cutoff; one batched spectral norm per spectrum."""
-        # the Frobenius norm bounds the spectral norm, so only the classes it
-        # lets pass the guard below, with room for rounding, need an SVD
+    def twist_norms(self) -> np.ndarray:
+        """r_c = max(1, ||chi_c||_2) per class, (N,), read-only. The Frobenius
+        norm bounds the spectral norm, so only the classes it puts above 1,
+        with room for rounding, go through the one batched SVD."""
+        norms = np.ones(self.l0.size)
         rows = np.flatnonzero(np.linalg.norm(self.chi, axis=(1, 2)) > 1.0 + 0.9e-12)
-        norms = np.linalg.norm(self.chi[rows], 2, axis=(1, 2))
-        k = 0.0
+        norms[rows] = np.maximum(1.0, np.linalg.norm(self.chi[rows], 2, axis=(1, 2)))
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
+    def twist_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues (N, dim_chi) of each chi_c and the mask (N,) of the
+        well-conditioned eigenvector bases (finite cond < 1e8), read-only."""
+        vals, vecs = np.linalg.eig(self.chi)
+        with np.errstate(all="ignore"):
+            cond = np.linalg.cond(vecs)
+        good = np.isfinite(cond) & (cond < 1e8)
+        vals.setflags(write=False)
+        good.setflags(write=False)
+        return vals, good
+
+    @cached_property
+    def twist_rate(self) -> float:
+        """The rate k = max over classes of log(r_c) / l0_c with r_c the
+        twist_norms, independent of any cutoff."""
+        r = self.twist_norms
         # unitary twists come back as 1 + eps; do not let rounding leak into k
-        for i in np.flatnonzero(norms > 1.0 + 1e-12):
-            k = max(k, math.log(float(norms[i])) / float(self.l0[rows[i]]))
-        return k
+        return max((math.log(float(r[i])) / float(self.l0[i])
+                    for i in np.flatnonzero(r > 1.0 + 1e-12)), default=0.0)
 
     def power_table(self, lmax: float) -> _PowerTable:
         """The prepared plan of this spectrum at cutoff lmax. The last
@@ -351,13 +369,13 @@ def certify_twist_growth(ls: LengthSpectrum, lmax: float | None = None) -> Twist
 
     k is driven by spectral norms: ||chi^j|| <= ||chi||^j makes
     k = max_c log(max(1, ||chi_c||)) / l0_c valid for every power, not just
-    the enumerated ones. K starts at dim_chi (which already dominates
-    |tr chi^j| exp(-k j l0)) and is raised to the observed supremum if
-    rounding ever pushes a sample above it. The tail bounds built from
-    this certificate also use the counting constant C' of the same plan,
-    which is observed only on the powers up to lmax: "certified" beyond
-    lmax rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
-    continuing past the cutoff.
+    the enumerated ones; the spectrum keeps r_c and k for every cutoff. K
+    starts at dim_chi (which already dominates |tr chi^j| exp(-k j l0)) and
+    is raised to the observed supremum if rounding ever pushes a sample
+    above it. The tail bounds built from this certificate also use the
+    counting constant C' of the same plan, which is observed only on the
+    powers up to lmax: "certified" beyond lmax rests on the prime-geodesic
+    growth N(L) <= C' exp(2|rho| L) continuing past the cutoff.
     """
     if not ls.l0.size:
         raise ValidationError("cannot certify an empty spectrum")
@@ -387,7 +405,7 @@ class EigenSpectrum:
             t = complex(t)
             if not (math.isfinite(t.real) and math.isfinite(t.imag)):
                 raise ValidationError(f"entries[{i}].t: non-finite value")
-            if not (isinstance(m, int) and m >= 1):
+            if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
                 raise ValidationError(f"entries[{i}].m: expected a positive integer, got {m!r}")
             norm.append((t, m))
         norm.sort(key=lambda tm: (tm[0].real, tm[0].imag))

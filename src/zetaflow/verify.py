@@ -142,7 +142,7 @@ def _moment_vanishing(rng: np.random.Generator) -> float:
 def _combination_decay() -> float:
     ts = np.geomspace(1e-4, 1e-3, 9)
     deficit = 0.0
-    for count in (3, 4, 5):
+    for count in (3, 4, 5, 6, 7):
         aset = anchor_set(tuple(float(j) for j in range(1, count + 1)))
         slope = _loglog_slope(ts, small_t_combination(aset, ts))
         deficit = max(deficit, (count - 1) - slope)

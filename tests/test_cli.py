@@ -423,7 +423,43 @@ def test_an_overflowing_geometric_resolvent_prints_no_warning(workdir):
     proc = subprocess.run([sys.executable, "-m", "zetaflow.cli", *argv],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "domain error: half-line integrand produced non-finite values\n"
+    assert proc.stderr == ("domain error: the heat route at anchors (1e+200+0j), (2+0j) fails: "
+                           "half-line integrand is non-finite at t = 1.0; move the anchors "
+                           "toward the origin and the real axis\n")
+
+
+def test_a_heat_route_overflow_names_the_anchors_not_t(workdir, capsys):
+    # the identity term overflows at a quadrature node t ~ 1e-206, which the
+    # user never set, so the refusal names the anchors instead
+    argv = ["resolvent", "--spectrum", str(workdir / "spectrum.json"), "--anchor", "1e100",
+            "--anchor", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("domain error: the heat route at anchors (1e+100+0j), (2+0j) fails: "
+                   "identity heat term overflows at t = 2.2991262438375058e-206; move the "
+                   "anchors toward the origin and the real axis\n")
+
+
+def test_a_heat_tail_above_tail_eps_exits_two(workdir, capsys):
+    argv = ["heat-trace", "--spectrum", str(workdir / "spectrum.json"), "--t", "0.5",
+            "--tail-eps", "1e-300"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: certified heat tail ")
+    assert err.endswith(" exceeds tail_eps 1.0e-300 at t = 0.5; raise lmax above 30\n")
+
+
+def test_a_heat_resolvent_with_too_few_anchors_exits_two(tmp_path, capsys):
+    assert main(["gen-spectrum", "--d", "5", "--count", "20", "--output",
+                 str(tmp_path / "d5.json")]) == 0
+    argv = ["resolvent", "--spectrum", str(tmp_path / "d5.json"), "--anchor", "3",
+            "--anchor", "4"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("domain error: need more than 2.5 anchors to cancel the small-time "
+                   "divergence in dimension 5, got 2\n")
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,9 @@ as columns (d3, d5), before the twists were drawn as whole arrays (d7,
 whose 3x3 twists take the stacked QR above 2x2), or before the documents
 were written from a per-class template instead of json's indent encoder
 (d5-empty, a spectrum with no classes), so a shifted draw or float repr
-moves it. The sha256 of ``verify --suite all --seed 0`` stdout
-was recorded before the factorization bracket was batched. Any change
+moves it. The sha256 of ``verify --suite all --seed 0`` stdout was
+recorded when the small-time combination decay check gained N = 6 and 7,
+which moved only that check's max error line. Any change
 to a value, a tail bound or the table layout moves a digest; a deliberate
 change of output must update the table below and say why in CHANGES.md.
 """
@@ -73,7 +74,7 @@ SPECTRUM_DIGESTS = {
 }
 
 VERIFY_ARGS = ["verify", "--suite", "all", "--seed", "0"]
-VERIFY_DIGEST = "522dd118c9f26ab91b45a59afd2d647c36ea102be4dd817cf23366fd9d30dae1"
+VERIFY_DIGEST = "a10847dfea9b457bb41f6f83ef1e148e1e94e9d68e78ec6ed8eabfd10a3596d5"
 
 
 @pytest.fixture(scope="module")

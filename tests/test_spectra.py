@@ -195,6 +195,47 @@ def test_jordan_block_takes_the_multiplication_route():
     assert np.allclose(plan.chi_trace[rows], powers, rtol=1e-12)
 
 
+def test_a_second_plan_factors_no_twist_matrix(monkeypatch):
+    # the eigenvalues, well-conditioned mask and norms come from the
+    # spectrum, made at its first plan; a later cutoff only reads them
+    ls = PLAN_SPECTRA["d3 Jordan block"]()
+    ls.power_table(6.0)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a second plan called np.linalg")
+
+    for name in ("eig", "cond", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    plan = ls.power_table(9.0)
+    assert plan.size > ls.power_table(6.0).size and plan.cert.k == ls.twist_rate > 0.0
+
+
+def test_twist_arrays_are_read_only():
+    ls = PLAN_SPECTRA["d3 Jordan block"]()
+    vals, good = ls.twist_eigen
+    assert vals.shape == (ls.l0.size, 2) and good.shape == (ls.l0.size,)
+    assert not good[3] and good.sum() == ls.l0.size - 1
+    for array in (ls.twist_norms, vals, good):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_twist_norms_are_the_spectral_norms_above_one(gd3):
+    # a third of the classes scaled below the Frobenius filter, so they never
+    # reach the SVD and keep r_c = 1
+    def shrunk(chi):
+        chi[0::3] *= 0.5
+        return chi
+
+    ls = _edited(synthesize(gd3, 60, systole=0.5, seed=32, dim_chi=2, chi_norm=1.3),
+                 "chi", shrunk)
+    frobenius = np.linalg.norm(ls.chi, axis=(1, 2))
+    assert (frobenius[0::3] < 1.0).all()
+    for c, chi in enumerate(ls.chi):
+        want = max(1.0, np.linalg.norm(chi, 2)) if frobenius[c] > 1.0 + 0.9e-12 else 1.0
+        assert ls.twist_norms[c] == want, c
+
+
 def test_growth_certificate(ls3, ls3_twisted):
     for ls in (ls3, ls3_twisted):
         cert = certify_twist_growth(ls)
@@ -510,6 +551,21 @@ def test_volume_is_kept_as_a_json_number(tmp_path, gd3):
         save(ls, tmp_path / "spec.json")
         back = load_length_spectrum(tmp_path / "spec.json")
         assert back.volume == native
+
+
+def test_a_bool_count_is_refused_before_save(tmp_path, gd3):
+    # json writes True as true, which the loaders refuse
+    columns = {"l0": [0.7], "angles": [[0.1]], "chi": np.ones((1, 1, 1))}
+    with pytest.raises(ValidationError) as info:
+        LengthSpectrum(gd=gd3, volume=1.0, dim_chi=True, **columns)
+    assert str(info.value) == "dim_chi: expected a positive integer, got True"
+    with pytest.raises(ValidationError) as info:
+        EigenSpectrum(entries=((1.0, True),))
+    assert str(info.value) == "entries[0].m: expected a positive integer, got True"
+    save(LengthSpectrum(gd=gd3, volume=1.0, dim_chi=1, **columns), tmp_path / "ls.json")
+    assert load_length_spectrum(tmp_path / "ls.json").dim_chi == 1
+    save(EigenSpectrum(entries=((1.0, 1),)), tmp_path / "eig.json")
+    assert load_eigen_spectrum(tmp_path / "eig.json").entries == ((1 + 0j, 1),)
 
 
 def test_missing_file_is_a_validation_error(tmp_path):

@@ -133,11 +133,16 @@ def test_lemma6_suite_fails_on_perturbed_anchor_combinations(monkeypatch):
     def floored(aset, t):
         return combination(aset, t) + 1e-9 * coeffs(aset)[0]
 
-    assert _outcomes_under(monkeypatch, "lemma6", (verify, "small_t_combination", floored)) == [
-        ("matrix partial fractions (N=2..6)", True),
-        ("anchor moment vanishing", True),
-        ("small-time combination decay", False),
-    ]
+    def plain(aset, t):
+        # sum_i c_i exp(-t s_i^2) without the Taylor-remainder route
+        return sum(c * np.exp(-np.asarray(t) * (a * a)) for c, a in zip(coeffs(aset), aset.anchors))
+
+    for patch in (floored, plain):
+        assert _outcomes_under(monkeypatch, "lemma6", (verify, "small_t_combination", patch)) == [
+            ("matrix partial fractions (N=2..6)", True),
+            ("anchor moment vanishing", True),
+            ("small-time combination decay", False),
+        ]
 
 
 def test_plancherel_suite_fails_on_a_perturbed_density(monkeypatch):
