@@ -8,7 +8,11 @@ the character as a finite exponential sum with exact Freudenthal
 multiplicities; it costs more per point but is valid everywhere, including
 fully singular angles. The public evaluator inspects the denominator and
 switches routes per point, and the two routes cross-validate each other in
-the test suite.
+the test suite. Weight-route tables evaluated together at the same angles
+(evaluate_all) share one exponential per distinct weight, and a weight
+whose negative is also held takes the conjugate of that term instead, so
+the products of the factorization exponentiate about half of {-1, 0, 1}^n
+per power whatever their number.
 
 Conventions: a weight mu pairs with an angle vector theta through
 exp(i <mu, theta>). Angle vectors are taken literally; callers must not
@@ -27,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .summation import BLOCK
 from .weights import (
     Weight,
     as_weight,
@@ -163,9 +168,12 @@ def weight_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
 class CharacterTable:
     """A character packaged for fast repeated evaluation at many angle vectors.
 
-    Stores the full weight system as float arrays. Evaluation loops over
-    weights with vectorized elementwise work per weight, which keeps the
-    reduction order fixed.
+    Stores the full weight system as float arrays, sorted. Evaluation is
+    evaluate_all of this one table: it adds the weights' terms in sorted
+    order with vectorized elementwise work per weight, which keeps the
+    reduction order fixed. Tables evaluated together share the term of
+    each distinct weight, and the term of -mu is the conjugate of the term
+    of mu.
     """
 
     __slots__ = ("family", "rank", "highest", "_weights", "_mults")
@@ -180,29 +188,70 @@ class CharacterTable:
 
     def evaluate(self, angles: np.ndarray) -> np.ndarray:
         """Character values at ``angles`` of shape (..., rank)."""
-        th = np.asarray(angles, dtype=float)
-        if th.shape[-1] != self.rank:
-            raise ValidationError(
-                f"angle vectors of rank {th.shape[-1]} passed to a rank {self.rank} character"
-            )
-        cols = np.moveaxis(th, -1, 0)
-        out = np.zeros(th.shape[:-1], dtype=complex)
-        # buffers shared by all weights, so the loop allocates nothing
-        phase, product = np.empty(out.shape), np.empty(out.shape)
-        term = np.empty_like(out)
-        for mu, m in zip(self._weights, self._mults):
-            # <mu, theta> adds the column products left to right, the order
-            # numpy sums so short an axis in
-            np.multiply(cols[0], mu[0], out=phase)
-            for col, c in zip(cols[1:], mu[1:]):
-                phase += np.multiply(col, c, out=product)
-            np.exp(np.multiply(phase, 1j, out=term), out=term)
-            out += np.multiply(term, m, out=term)
-        return out
+        return evaluate_all((self,), angles)[0]
 
     def norm_bound(self) -> float:
         """sup over angles of |character|, attained at zero (all mults positive)."""
         return float(self._mults.sum())
+
+
+def evaluate_all(tables: Sequence[CharacterTable], angles: np.ndarray) -> list[np.ndarray]:
+    """The values of each table at ``angles`` of shape (..., rank), bit for
+    bit those of evaluating the tables one at a time.
+
+    The weights of all the tables are walked once, in the sorted order of
+    their union, of which each table's sorted weights are a subsequence: a
+    table adds m * exp(i <mu, theta>) in its own order, and the term of a
+    weight is made once, however many tables hold it. The term of -mu is
+    the conjugate of the term of mu, made first: <-mu, theta> is
+    -<mu, theta> and exp(-i phi) is conj(exp(i phi)), bit for bit, and a
+    sum that starts at +0 absorbs the sign of a zero part. The rows go
+    summation.BLOCK at a time, so the terms waiting for their conjugate
+    hold one block.
+    """
+    th = np.asarray(angles, dtype=float)
+    for t in tables:
+        if th.shape[-1] != t.rank:
+            raise ValidationError(
+                f"angle vectors of rank {th.shape[-1]} passed to a rank {t.rank} character"
+            )
+    rows = th.reshape(-1, th.shape[-1])
+    outs = [np.zeros(len(rows), dtype=complex) for _ in tables]
+    # the tables that hold each distinct weight, with its multiplicity there
+    holders: dict[tuple[float, ...], list[tuple[np.ndarray, float]]] = {}
+    for out, t in zip(outs, tables):
+        for mu, m in zip(t._weights.tolist(), t._mults.tolist()):
+            holders.setdefault(tuple(mu), []).append((out, m))
+    weights = sorted(holders)
+    # each pair of opposite weights held by some tables shares a row of
+    # terms: the first exponentiates into it, the second conjugates it in
+    # place; the last row is for the weights without a partner
+    pairs = {mu: neg for mu in weights if (neg := tuple(-c for c in mu)) in holders and neg > mu}
+    seconds = set(pairs.values())
+    slot = {w: k for k, pair in enumerate(pairs.items()) for w in pair}
+    # buffers shared by all blocks, so the loop allocates nothing
+    width = min(BLOCK, len(rows))
+    phase, product, scaled = np.empty(width), np.empty(width), np.empty(width, dtype=complex)
+    terms = np.empty((len(pairs) + 1, width), dtype=complex)
+    for start in range(0, len(rows), BLOCK):
+        block = slice(start, start + BLOCK)
+        cols = rows[block].T
+        n = cols.shape[1]
+        ph, pr, sc, tm = phase[:n], product[:n], scaled[:n], terms[:, :n]
+        for mu in weights:
+            term = tm[slot.get(mu, -1)]
+            if mu in seconds:
+                np.conjugate(term, out=term)
+            else:
+                # <mu, theta> adds the column products left to right, the
+                # order numpy sums so short an axis in
+                np.multiply(cols[0], mu[0], out=ph)
+                for col, c in zip(cols[1:], mu[1:]):
+                    ph += np.multiply(col, c, out=pr)
+                np.exp(np.multiply(ph, 1j, out=term), out=term)
+            for out, m in holders[mu]:
+                out[block] += np.multiply(term, m, out=sc)
+    return [out.reshape(th.shape[:-1]) for out in outs]
 
 
 def character_table(family: str, weight: Sequence[object]) -> CharacterTable:

@@ -112,6 +112,23 @@ def _parse_sigma(text: str) -> tuple[Fraction, ...]:
         ) from None
 
 
+def _nonnegative(convert: type, flag: str):
+    """The parser of a flag whose value is convert(text) and at least 0;
+    NaN and text that convert refuses are refused too."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not value >= 0:
+            raise ValidationError(
+                f"{flag}: expected a nonnegative {convert.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit with status 2
         raise ValidationError(message)
@@ -132,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
 
     seeded = _Parser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, help="seed of the random draws (default 0)")
+    seeded.add_argument(
+        "--seed", type=_nonnegative(int, "--seed"), help="seed of the random draws (default 0)"
+    )
 
     trunc = _Parser(add_help=False)
     trunc.add_argument(
@@ -221,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[table, grid, sigma, spectrum, trunc],
         help="Ruelle zeta against its alternating Selberg factorization",
     )
-    g.add_argument("--tol", type=float, help="largest allowed difference (default 1e-8)")
+    g.add_argument(
+        "--tol", type=_nonnegative(float, "--tol"),
+        help="largest allowed difference (default 1e-8)",
+    )
 
     g = sub.add_parser("verify", parents=[seeded], help="run numerical verification suites")
     g.add_argument("--suite", help="suite name or 'all' (default)")

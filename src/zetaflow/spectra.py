@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chars import CharacterTable
+from .chars import CharacterTable, evaluate_all
 from .errors import DomainError, ValidationError
 from .summation import CHUNK
 from .weights import GroupData
@@ -128,7 +128,8 @@ class _PowerTable:
     or t: the twist certificate (K, k), the counting constant C' for
     b = 2|rho|, the det terms and their floor, the character products of
     the series kernels and the t-independent prefactors of the heat route.
-    Each is built on first use; the products and prefactors, one per twist,
+    Each is built on first use, the products several at once when asked
+    together (char_products); the products and prefactors, one per twist,
     are kept for the _PRODUCTS_PER_PLAN most recently used twists, the rest
     for the life of the plan.
     """
@@ -232,18 +233,29 @@ class _PowerTable:
     def chars(self, tables: Sequence[CharacterTable]) -> np.ndarray:
         """Product of the character tables at the power angles, multiplied
         in table order; memoized by the tables' ((family, highest), ...)."""
-        def build() -> np.ndarray:
-            out = np.empty(self.size, dtype=complex)
+        return self.char_products((tables,))[0]
+
+    def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
+        """chars(tables) for each tables of products. The missing products
+        are built in one pass over the chunks, with one evaluate_all call
+        per chunk for all the tables they hold."""
+        keys = [tuple((t.family, t.highest) for t in tables) for tables in products]
+        found = {key: self._char_products.get(key) for key in keys}
+        missing = {key: tables for key, tables in zip(keys, products) if found[key] is None}
+        if missing:
+            distinct = {(t.family, t.highest): t for tables in missing.values() for t in tables}
+            for key in missing:
+                found[key] = np.empty(self.size, dtype=complex)
             for rows in self.chunks():
                 angles = self.angles(rows)
-                acc = np.ones(len(angles), dtype=complex)
-                for t in tables:
-                    acc = acc * t.evaluate(angles)
-                out[rows] = acc
-            return out
-
-        key = tuple((t.family, t.highest) for t in tables)
-        return _lru(self._char_products, key, build, _PRODUCTS_PER_PLAN)
+                values = dict(zip(distinct, evaluate_all(list(distinct.values()), angles)))
+                for key in missing:
+                    acc = np.ones(len(angles), dtype=complex)
+                    for table in key:
+                        acc = acc * values[table]
+                    found[key][rows] = acc
+        return [_lru(self._char_products, key, lambda key=key: found[key], _PRODUCTS_PER_PLAN)
+                for key in keys]
 
     def heat_base(self, sigma_table: CharacterTable) -> np.ndarray:
         """t-independent heat prefactor l0 tr chi char_sigma e^{-|rho| L} / det

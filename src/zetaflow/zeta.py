@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .branching import exterior_decomposition
-from .chars import CharacterTable, character_table
+from .chars import CharacterTable, character_table, evaluate_all
 from .errors import DomainError, ValidationError
 from .spectra import LengthSpectrum
 from .summation import chunked_sum
@@ -209,11 +209,22 @@ def z_p_log(
     return SeriesValue(total, tail)
 
 
+def _exterior_pieces(gd: GroupData) -> list[tuple[int, CharacterTable]]:
+    """(p, table of psi) for each piece psi of each exterior power p = 0..2n."""
+    return [(p, character_table("D", psi))
+            for p in range(0, 2 * gd.n + 1)
+            for psi, _lam in exterior_decomposition(gd, p)]
+
+
 def ruelle_factorized_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Alternating sum over p of z_p_log; agrees with ruelle_log term by
-    term on the shared truncation."""
+    term on the shared truncation. The products of sigma with every
+    exterior piece are built first, in one pass over the plan."""
+    if ls.l0.size:
+        sig = _sigma_table(ls, sigma)
+        ls.power_table(tp.lmax).char_products([(sig, psi) for _, psi in _exterior_pieces(ls.gd)])
     total = 0j
     tail = 0.0
     for p in range(0, 2 * ls.gd.n + 1):
@@ -232,8 +243,8 @@ def exterior_class_sum(
 
     Takes one class, a length with an n-vector of angles, and returns a
     complex; or N classes, lengths (N,) with angles (N, n), and returns
-    their brackets (N,). Each exterior piece is evaluated once on all rows;
-    the sum over the pieces runs per class.
+    their brackets (N,). The exterior pieces are evaluated together on all
+    rows, by one evaluate_all call; the sum over the pieces runs per class.
     """
     # The alternating sum cancels all the way down to det_term, so the
     # characters come from the exact weight expansion; alternant rounding
@@ -245,11 +256,9 @@ def exterior_class_sum(
             f"expected {lengths.size} angle vectors of rank {gd.n}, got shape {th.shape}"
         )
     rows = th.reshape(-1, gd.n)
-    pieces = [
-        ((-1) ** p, p - 2 * gd.n, character_table("D", psi).evaluate(rows).tolist())
-        for p in range(0, 2 * gd.n + 1)
-        for psi, _lam in exterior_decomposition(gd, p)
-    ]
+    parts = _exterior_pieces(gd)
+    values = evaluate_all([psi for _, psi in parts], rows)
+    pieces = [((-1) ** p, p - 2 * gd.n, chars.tolist()) for (p, _), chars in zip(parts, values)]
     out = []
     for i, (L, row) in enumerate(zip(lengths.tolist(), rows.tolist())):
         terms = [sign * math.exp(shift * L) * chars[i] for sign, shift, chars in pieces]

@@ -82,6 +82,31 @@ def char_D_mp(weight, angles, dps: int = 50) -> complex:
         return complex((cos_l + (1j**n) * sin_l) / den)
 
 
+def character_table_loop(family: str, weight, angles) -> np.ndarray:
+    """The weight-route character at angles of shape (..., n), one table on
+    its own: one pass over all the angles per weight, in sorted weight
+    order, each weight exponentiated by itself. This is the table
+    evaluator from before tables shared one exponential per distinct
+    weight, the bit-for-bit reference of chars.evaluate_all."""
+    from zetaflow.chars import weight_multiplicities
+    from zetaflow.weights import as_weight
+
+    items = sorted(weight_multiplicities(family, as_weight(weight)).items())
+    th = np.asarray(angles, dtype=float)
+    cols = np.moveaxis(th, -1, 0)
+    out = np.zeros(th.shape[:-1], dtype=complex)
+    phase, product = np.empty(out.shape), np.empty(out.shape)
+    term = np.empty_like(out)
+    for mu, m in items:
+        mu = [float(c) for c in mu]
+        np.multiply(cols[0], mu[0], out=phase)
+        for col, c in zip(cols[1:], mu[1:]):
+            phase += np.multiply(col, c, out=product)
+        np.exp(np.multiply(phase, 1j, out=term), out=term)
+        out += np.multiply(term, float(m), out=term)
+    return out
+
+
 def branching_by_characters(tau, rng: np.random.Generator) -> dict[tuple, int]:
     """Restriction multiplicities of a type B weight solved numerically.
 

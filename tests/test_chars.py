@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import char_B_mp, char_D_mp
+from oracles import char_B_mp, char_D_mp, character_table_loop
 from zetaflow import (
     ValidationError,
     character_table,
@@ -11,6 +11,8 @@ from zetaflow import (
     weyl_character,
     weyl_dim,
 )
+from zetaflow.chars import evaluate_all
+from zetaflow.summation import BLOCK
 from zetaflow.weights import as_weight, weyl_orbit_signs
 
 B_WEIGHTS = [
@@ -137,6 +139,85 @@ def test_evaluate_is_bit_identical_to_the_summed_phase():
                 want += float(m) * np.exp(1j * (th * mu).sum(axis=-1))
             got = character_table(fam, w).evaluate(th)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (fam, w)
+
+
+def bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x).reshape(-1).view(np.uint64)
+
+
+def _hard_angles(rng, rows: int, rank: int, scale: float) -> np.ndarray:
+    """Random angles, with rows of +-0, mixed signed zeros, equal angles
+    (phases that cancel to zero) and subnormal angles."""
+    th = rng.uniform(-scale, scale, size=(rows, rank))
+    th[:16] = 0.0
+    th[16:32] = -0.0
+    th[32:48, ::2] = -0.0
+    th[48:64] = th[48:64, :1]
+    th[64:80] = rng.uniform(-1e-310, 1e-310, size=(16, rank))
+    return th
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_evaluate_all_is_bit_identical_to_one_table_at_a_time(rank):
+    # the B and D tables of one rank together, half-integral weights
+    # included, on rows spanning several blocks, with |<mu, theta>| up to
+    # about 2000
+    rng = np.random.default_rng(40 + rank)
+    weights = [("B", w) for w in B_WEIGHTS if len(w) == rank]
+    weights += [("D", w) for w in D_WEIGHTS if len(w) == rank]
+    longest = max(sum(abs(float(c)) for c in w) for _, w in weights)
+    th = _hard_angles(rng, 2 * BLOCK + 77, rank, 2000.0 / longest)
+    got = evaluate_all([character_table(fam, w) for fam, w in weights], th)
+    assert len(got) == len(weights)
+    for (fam, w), values in zip(weights, got):
+        want = character_table_loop(fam, w, th)
+        assert np.array_equal(bits(values), bits(want)), (fam, w)
+        assert np.array_equal(bits(character_table(fam, w).evaluate(th)), bits(want)), (fam, w)
+
+
+def test_evaluate_all_pairs_conjugate_weights_across_tables():
+    # the two halves of the third exterior power at d = 7: the negative of
+    # (1, 1, 1), a weight of one, is a weight of the other
+    plus, minus = character_table("D", (1, 1, 1)), character_table("D", (1, 1, -1))
+    assert (1, 1, 1) in weight_multiplicities("D", as_weight((1, 1, 1)))
+    assert (-1, -1, -1) in weight_multiplicities("D", as_weight((1, 1, -1)))
+    rng = np.random.default_rng(43)
+    th = _hard_angles(rng, BLOCK + 5, 3, 700.0)
+    want = [character_table_loop("D", t.highest, th) for t in (plus, minus)]
+    for tables, expected in (((plus, minus), want), ((minus, plus), want[::-1]),
+                             ((plus, minus, plus), [*want, want[0]])):
+        got = evaluate_all(tables, th)
+        assert all(np.array_equal(bits(g), bits(e)) for g, e in zip(got, expected, strict=True))
+
+
+def test_evaluate_all_keeps_the_angle_shape():
+    rng = np.random.default_rng(44)
+    tables = [character_table("D", (1, 0)), character_table("B", (Fraction(1, 2),) * 2)]
+    for shape in [(2,), (3, 5, 2), (0, 2)]:
+        th = rng.uniform(-9.0, 9.0, size=shape)
+        for t, values in zip(tables, evaluate_all(tables, th)):
+            want = character_table_loop(t.family, t.highest, th)
+            assert values.shape == shape[:-1] and np.array_equal(bits(values), bits(want))
+    assert evaluate_all([], np.zeros((4, 2))) == []
+    with pytest.raises(ValidationError, match="rank 2 passed to a rank 3 character"):
+        evaluate_all([tables[0], character_table("D", (1, 0, 0))], np.zeros((4, 2)))
+
+
+def test_exp_of_a_negated_phase_is_the_conjugate_bit_for_bit():
+    # what evaluate_all relies on for the term of -mu; at a zero phase
+    # only the sign of the zero imaginary part differs, which a sum that
+    # starts at +0 absorbs
+    rng = np.random.default_rng(45)
+    phi = np.concatenate([
+        rng.uniform(-2000.0, 2000.0, 200_000),
+        rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.integers(-320, 1, 50_000),
+        np.pi * np.arange(-640, 641) / 2, [5e-324, -5e-324, 1e308, -1e308],
+    ])
+    phi = phi[phi != 0]
+    direct = np.exp(np.multiply(-phi, 1j))
+    assert np.array_equal(bits(np.conjugate(np.exp(np.multiply(phi, 1j)))), bits(direct))
+    zero = np.exp(np.multiply(np.array([0.0, -0.0]), 1j))
+    assert np.array_equal(zero, np.conjugate(zero))
 
 
 def test_rank_mismatch_rejected():

@@ -177,6 +177,37 @@ def test_factorization_check_passes(workdir, capsys):
     assert "OK" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-3", "-0.5", "abc"])
+def test_factorization_check_refuses_a_nan_or_negative_tol(workdir, capsys, tmp_path, tol):
+    # a tolerance no difference can meet is a bad option, not a FAIL of the check
+    job = ["factorization-check", "--spectrum", str(workdir / "spectrum.json"),
+           "--s", "4.5", "--lmax", "24", "--tail-eps", "1e-2"]
+    want = f"error: --tol: expected a nonnegative float, got {tol!r}\n"
+    assert _run(capsys, [*job, f"--tol={tol}"]) == (1, "", want)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tol": tol}))
+    assert _run(capsys, [*job, "--config", str(conf)]) == (1, "", "error: config key 'tol': "
+                                                             + want[len("error: "):])
+    code, _, err = _run(capsys, [*job, "--tol=0"])
+    assert code == 1 and err.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("job", [
+    ["gen-spectrum", "--d", "3", "--count", "4"],
+    ["verify", "--suite", "lemma6"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-2147483648", "1.5"])
+def test_a_negative_seed_is_refused_by_its_flag(capsys, tmp_path, job, seed):
+    want = f"error: --seed: expected a nonnegative int, got {seed!r}\n"
+    assert _run(capsys, [*job, "--seed", seed]) == (1, "", want)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": json.loads(seed)}))
+    assert _run(capsys, [*job, "--config", str(conf)]) == (1, "", "error: config key 'seed': "
+                                                             + want[len("error: "):])
+    code, out, _ = _run(capsys, [*job, "--seed", "0"])
+    assert code == 0 and out
+
+
 def test_verify_suite_command(capsys):
     code, out, _ = _run(capsys, ["verify", "--suite", "lemma6"])
     assert code == 0

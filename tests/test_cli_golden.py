@@ -10,7 +10,10 @@ were written from a per-class template instead of json's indent encoder
 (d5-empty, a spectrum with no classes), so a shifted draw or float repr
 moves it. The sha256 of ``verify --suite all --seed 0`` stdout was
 recorded when the small-time combination decay check gained N = 6 and 7,
-which moved only that check's max error line. Any change
+which moved only that check's max error line. The d7 factorization-check
+digest was recorded before the character products shared one exponential
+per distinct weight; its values are rounding residues, so a changed bit
+of any product moves it. Any change
 to a value, a tail bound or the table layout moves a digest; a deliberate
 change of output must update the table below and say why in CHANGES.md.
 """
@@ -47,6 +50,8 @@ JOBS = {
                           "--lmax", "30", "--tail-eps", "1e-5"],
     ("d5", "factorization-check"): ["factorization-check", "--s", "6.5", "--lmax", "14",
                                     "--tail-eps", "1e-2"],
+    ("d7", "factorization-check"): ["factorization-check", "--s", "7.5", "--s", "8+1j",
+                                    "--sigma", "1,0,0", "--lmax", "12", "--tail-eps", "1e-2"],
 }
 
 DIGESTS = {
@@ -64,6 +69,8 @@ DIGESTS = {
     ("d5", "resolvent"): "3403b493f8ebcf66e2b82a70dd690a645d5b340eb6bf0573526bbf50242ecbc6",
     ("d5", "factorization-check"):
         "3b867ca51529932ea19d5feb5d0c3e4712ab646a77611a676e57d8df0eef7b44",
+    ("d7", "factorization-check"):
+        "bc137e51546e8a8e892b6cab926778cb3255fe3bd62c4066e5b5ecd6db639798",
 }
 
 SPECTRUM_DIGESTS = {

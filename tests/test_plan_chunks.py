@@ -17,6 +17,7 @@ from zetaflow import (
     TruncationPolicy,
     geometric_heat_trace,
     log_derivative,
+    ruelle_factorized_log,
     ruelle_log,
     selberg_log,
     synthesize,
@@ -179,7 +180,14 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
         for name, point in points.items():
             point()  # warm: the plan's products, prefactors and det terms
             peaks[name, size] = _peak_bytes(point)
-    for name in ("series", "heat"):
+        # a cold build of every product of the factorization, less the
+        # products it stores
+        products = ls.power_table(lmax)._char_products
+        products.clear()
+        peak = _peak_bytes(lambda: ruelle_factorized_log(3.0 + 0.5j, sigma, ls, tp))
+        assert len(products) == 3
+        peaks["products", size] = peak - sum(p.nbytes for p in products.values())
+    for name in ("series", "heat", "products"):
         small, large = peaks[name, 3 * CHUNK], peaks[name, 12 * CHUNK]
         # a few chunk-sized temporaries, whatever the plan size: below one
         # complex column (16 bytes a power) of the longer plan

@@ -32,7 +32,8 @@ from zetaflow import (
     synthesize,
     validate_cert,
 )
-from zetaflow.chars import CharacterTable
+from zetaflow import chars, spectra, zeta
+from zetaflow.branching import exterior_decomposition
 from zetaflow.spectra import (
     _PLANS_PER_SPECTRUM,
     _PRODUCTS_PER_PLAN,
@@ -41,6 +42,7 @@ from zetaflow.spectra import (
     length_spectrum_from_dict,
     length_spectrum_to_json,
 )
+from zetaflow.weights import as_weight
 
 
 def test_synthesize_is_reproducible(gd3):
@@ -327,28 +329,37 @@ def test_one_plan_lookup_per_point(gd3, monkeypatch):
 
 
 def test_second_factorization_point_evaluates_no_character(monkeypatch):
-    ls = synthesize(GroupData(7), 40, systole=0.6, seed=26)
-    tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    ls = synthesize(GroupData(7), 400, systole=0.6, seed=26)
+    tp = TruncationPolicy(lmax=80.0, tail_eps=1.0)
     sigma = (0, 0, 0)
     s = abscissa_estimate(ls, kind="ruelle") + 2.0
+    plan = ls.power_table(tp.lmax)
+    assert len(plan.chunks()) >= 2
     calls = []
-    evaluate = CharacterTable.evaluate
+    evaluate_all = chars.evaluate_all
 
-    def counted(self, angles):
-        calls.append((self.family, self.highest))
-        return evaluate(self, angles)
+    def counted(tables, angles):
+        calls.append(({(t.family, t.highest) for t in tables}, len(angles)))
+        return evaluate_all(tables, angles)
 
-    def factorization_check(s):
-        return ruelle_log(s, sigma, ls, tp), ruelle_factorized_log(s, sigma, ls, tp)
+    # every module that evaluates characters holds evaluate_all by name
+    for module in (chars, spectra, zeta):
+        monkeypatch.setattr(module, "evaluate_all", counted)
 
-    monkeypatch.setattr(CharacterTable, "evaluate", counted)
-    factorization_check(s)
-    # sigma alone for the Ruelle series, sigma with each distinct exterior piece
-    products = ls.power_table(tp.lmax)._char_products
-    assert len(products) == 6 <= _PRODUCTS_PER_PLAN
-    first = len(calls)
-    factorization_check(s + 0.5j)
-    assert len(calls) == first
+    ruelle_log(s, sigma, ls, tp)
+    sig = ("D", as_weight(sigma))
+    assert calls == [({sig}, len(plan.length[r])) for r in plan.chunks()]
+    calls.clear()
+    ruelle_factorized_log(s, sigma, ls, tp)
+    # sigma with every distinct exterior piece, all in one pass over the plan
+    pieces = {("D", psi) for p in range(7) for psi, _ in exterior_decomposition(ls.gd, p)}
+    assert len(pieces) == 5
+    assert calls == [({sig} | pieces, len(plan.length[r])) for r in plan.chunks()]
+    assert len(plan._char_products) == 6 <= _PRODUCTS_PER_PLAN
+    calls.clear()
+    ruelle_log(s + 0.5j, sigma, ls, tp)
+    ruelle_factorized_log(s + 0.5j, sigma, ls, tp)
+    assert calls == []
 
 
 def test_save_and_load_round_trip(tmp_path, ls3_twisted):
