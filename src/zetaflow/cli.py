@@ -13,17 +13,19 @@ value that overflows double precision, before anything is written.
 All output is deterministic for a fixed command line: random draws are
 seeded and every series is summed serially in a fixed order; no
 environment variable is read. Every command accepts --deterministic for
-batch-harness compatibility; it changes nothing. Each command accepts
-only the options it reads: --seed only gen-spectrum and verify, --format
-only the nine table commands.
+batch-harness compatibility; it changes nothing.
+
+Two tables declare the command line once: _OPTIONS holds each option's
+flag and argparse keywords under its dest, and _COMMANDS holds each
+command's help, the dests of the options it reads, and its handler. A
+command accepts no other option: --seed only gen-spectrum and verify,
+--format only the nine table commands.
 
 A JSON config file may supply any option of the command but not the
 command itself; explicit flags win on conflict. Its keys are the option
-dests: the long flag with underscores in place of dashes, except s_grid
-(--s), t_grid (--t), anchors (--anchor), spectrum_path (--spectrum) and
-eigen_path (--eigen). Each value goes through its flag's own parser: a
-string or number stands for the flag's text, a list for a repeatable
-flag's values, true for --deterministic.
+dests, the keys of _OPTIONS. Each value goes through its flag's own
+parser: a string or number stands for the flag's text, a list for a
+repeatable flag's values, true for --deterministic.
 
 Only the modules the evaluating commands share are imported at the top.
 The plancherel, heat, continuation and verify layers are imported inside
@@ -40,6 +42,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -61,11 +64,6 @@ from .zeta import (
     ruelle_log,
     selberg_log,
 )
-
-# the config keys that differ from their flag; every other key is the
-# long flag with underscores in place of dashes
-_FLAGS = {"s_grid": "--s", "t_grid": "--t", "anchors": "--anchor",
-          "spectrum_path": "--spectrum", "eigen_path": "--eigen"}
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,9 @@ def _parse_sigma(text: str) -> tuple[Fraction, ...]:
         ) from None
 
 
-def _nonnegative(convert: type, flag: str):
-    """The parser of a flag whose value is convert(text) and at least 0;
-    NaN and text that convert refuses are refused too."""
+def _nonnegative(convert: type, dest: str):
+    """The parser of option dest, whose value is convert(text) and at least
+    0; NaN and text that convert refuses are refused too."""
     def parse(text: str):
         try:
             value = convert(text)
@@ -122,139 +120,87 @@ def _nonnegative(convert: type, flag: str):
             value = math.nan
         if not value >= 0:
             raise ValidationError(
-                f"{flag}: expected a nonnegative {convert.__name__}, got {text!r}"
+                f"{_OPTIONS[dest][0]}: expected a nonnegative {convert.__name__}, got {text!r}"
             )
         return value
 
     return parse
 
 
+def _is_number(text: str) -> bool:
+    try:
+        complex(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        # argparse takes a token that starts with "-" for a value only where
+        # its private _negative_number_matcher (Python 3.11) matches, and its
+        # own pattern takes -N and -N.N alone; matching every number that
+        # complex() reads, float's included, lets "--tol -1e-3" reach the
+        # flag's parser as "--tol=-1e-3" does
+        self._negative_number_matcher = SimpleNamespace(match=_is_number)
+
     def error(self, message: str) -> None:  # argparse would exit with status 2
         raise ValidationError(message)
 
 
+# every option by its dest, which is also its config key and its JobConfig
+# field: (flag, argparse keywords); build_parser appends JobConfig's default
+# to the help
+_OPTIONS = {
+    "config": ("--config", dict(help="JSON file of option defaults; flags win")),
+    "output": ("--output", dict(help="destination path (default: stdout)")),
+    "deterministic": ("--deterministic", dict(action="store_const", const=True, help=(
+        "accepted for batch harnesses; changes nothing, output is always deterministic"))),
+    "format": ("--format", dict(choices=("csv", "json"), help="table format")),
+    "seed": ("--seed", dict(type=_nonnegative(int, "seed"), help="seed of the random draws")),
+    "s_grid": ("--s", dict(action="append", type=_parse_complex, metavar="S", help=(
+        "evaluation point, repeatable (accepts complex such as 2.5+1j)"))),
+    "t_grid": ("--t", dict(action="append", type=float, metavar="T", help=(
+        "heat time, repeatable; written to the s_re column"))),
+    "anchors": ("--anchor", dict(action="append", type=_parse_complex, metavar="S", help=(
+        "anchor point, repeatable (at least two)"))),
+    "sigma": ("--sigma", dict(type=_parse_sigma, metavar="A,B,...", help=(
+        "twist type as comma-separated rationals (default: all zeros)"))),
+    "spectrum_path": ("--spectrum", dict(help="length spectrum JSON file")),
+    "eigen_path": ("--eigen", dict(help="eigenvalue spectrum JSON file")),
+    "d": ("--d", dict(type=int, help="ambient odd dimension")),
+    "lmax": ("--lmax", dict(type=float, help=(
+        "length cutoff (default: max(30, 4x longest primitive))"))),
+    "tail_eps": ("--tail-eps", dict(type=float, help="certified tail budget")),
+    "count": ("--count", dict(type=int, help="number of primitive classes")),
+    "systole": ("--systole", dict(type=float, help="shortest primitive length")),
+    "dim_chi": ("--dim-chi", dict(type=int, help="twist dimension")),
+    "chi_norm": ("--chi-norm", dict(type=float, help="twist operator norm bound")),
+    "volume": ("--volume", dict(type=float, help="manifold volume")),
+    "tol": ("--tol", dict(type=_nonnegative(float, "tol"), help="largest allowed difference")),
+    "suite": ("--suite", dict(help="suite name or 'all'")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON file of option defaults; flags win")
-    common.add_argument("--output", help="destination path (default: stdout)")
-    common.add_argument(
-        "--deterministic",
-        action="store_const",
-        const=True,
-        help="accepted for batch harnesses; changes nothing, output is always deterministic",
-    )
-
-    table = _Parser(add_help=False, parents=[common])
-    table.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
-
-    seeded = _Parser(add_help=False, parents=[common])
-    seeded.add_argument(
-        "--seed", type=_nonnegative(int, "--seed"), help="seed of the random draws (default 0)"
-    )
-
-    trunc = _Parser(add_help=False)
-    trunc.add_argument(
-        "--lmax", type=float, help="length cutoff (default: max(30, 4x longest primitive))"
-    )
-    trunc.add_argument("--tail-eps", type=float, help="certified tail budget (default 1e-8)")
-
-    grid = _Parser(add_help=False)
-    grid.add_argument(
-        "--s", dest="s_grid", action="append", type=_parse_complex, metavar="S",
-        help="evaluation point, repeatable (accepts complex such as 2.5+1j)",
-    )
-
-    sigma = _Parser(add_help=False)
-    sigma.add_argument(
-        "--sigma", type=_parse_sigma, metavar="A,B,...",
-        help="twist type as comma-separated rationals (default: all zeros)",
-    )
-
-    spectrum = _Parser(add_help=False)
-    spectrum.add_argument("--spectrum", dest="spectrum_path", help="length spectrum JSON file")
-
-    eigen = _Parser(add_help=False)
-    eigen.add_argument("--eigen", dest="eigen_path", help="eigenvalue spectrum JSON file")
-    eigen.add_argument("--d", type=int, help="ambient odd dimension")
-
-    continued = _Parser(add_help=False, parents=[eigen])
-    continued.add_argument("--dim-chi", type=int, help="twist dimension (default 1)")
-    continued.add_argument("--volume", type=float, help="manifold volume (default 1)")
-
     p = _Parser(prog="zetaflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-spectrum", parents=[seeded], help="synthesize a length spectrum")
-    g.add_argument("--d", type=int)
-    g.add_argument("--count", type=int, help="number of primitive classes")
-    g.add_argument("--systole", type=float, help="shortest primitive length (default 0.5)")
-    g.add_argument("--dim-chi", type=int, help="twist dimension (default 1)")
-    g.add_argument("--chi-norm", type=float, help="twist operator norm bound (default 1)")
-
-    g = sub.add_parser("plancherel", parents=[table, grid, sigma], help="evaluate the density")
-    g.add_argument("--d", type=int)
-
-    for name, doc in (
-        ("selberg", "log of the twisted Selberg zeta"),
-        ("ruelle", "log of the twisted Ruelle zeta"),
-        ("log-derivative", "logarithmic derivative of the Selberg zeta"),
-    ):
-        sub.add_parser(name, parents=[table, grid, sigma, spectrum, trunc], help=doc)
-
-    g = sub.add_parser(
-        "heat-trace", parents=[table, sigma, spectrum, trunc], help="geometric heat trace"
-    )
-    g.add_argument(
-        "--t", dest="t_grid", action="append", type=float, metavar="T",
-        help="heat time, repeatable; written to the s_re column",
-    )
-
-    g = sub.add_parser(
-        "resolvent",
-        parents=[table, sigma, spectrum, eigen, trunc],
-        help="anchored resolvent trace; rows are the geometric then the heat "
-        "route for a length spectrum, one spectral row for an eigen file; "
-        "the s columns echo the first anchor",
-    )
-    g.add_argument(
-        "--anchor", dest="anchors", action="append", type=_parse_complex, metavar="S",
-        help="anchor point, repeatable (at least two)",
-    )
-
-    sub.add_parser(
-        "continue",
-        parents=[table, grid, sigma, continued],
-        help="evaluate the continued log derivative from eigenvalue data",
-    )
-
-    sub.add_parser(
-        "residues",
-        parents=[table, sigma, continued],
-        help="contour residues at the continuation poles; rows hold the pole, "
-        "the measured residue, and its distance to the nearest integer",
-    )
-
-    g = sub.add_parser(
-        "factorization-check",
-        parents=[table, grid, sigma, spectrum, trunc],
-        help="Ruelle zeta against its alternating Selberg factorization",
-    )
-    g.add_argument(
-        "--tol", type=_nonnegative(float, "--tol"),
-        help="largest allowed difference (default 1e-8)",
-    )
-
-    g = sub.add_parser("verify", parents=[seeded], help="run numerical verification suites")
-    g.add_argument("--suite", help="suite name or 'all' (default)")
-
+    for command, (doc, dests, _handler) in _COMMANDS.items():
+        g = sub.add_parser(command, help=doc)
+        for dest in dests:
+            flag, keywords = _OPTIONS[dest]
+            default = getattr(JobConfig, dest, None)
+            if isinstance(default, (int, float, str)) and not isinstance(default, bool):
+                keywords = {**keywords, "help": f"{keywords['help']} (default {default})"}
+            g.add_argument(flag, dest=dest, **keywords)
     return p
 
 
 def _config_value(parser: argparse.ArgumentParser, command: str, key: str, value: object):
     """The config value of option key, parsed by the option's flag as the
     command line would parse it."""
-    flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+    flag = _OPTIONS[key][0]
     items = value if isinstance(value, list) else [value]
     if value is True:
         tokens = [flag]
@@ -354,10 +300,7 @@ def _cmd_plancherel(cfg: JobConfig) -> int:
     return 0
 
 
-def _cmd_series(cfg: JobConfig) -> int:
-    op = {"selberg": selberg_log, "ruelle": ruelle_log, "log-derivative": log_derivative}[
-        cfg.command
-    ]
+def _cmd_series(op, cfg: JobConfig) -> int:
     grid = _grid(cfg)
     ls = _length_spectrum(cfg)
     sigma = _sigma_for(cfg, ls.gd)
@@ -472,28 +415,57 @@ def _cmd_verify(cfg: JobConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_HANDLERS = {
-    "gen-spectrum": _cmd_gen_spectrum,
-    "plancherel": _cmd_plancherel,
-    "selberg": _cmd_series,
-    "ruelle": _cmd_series,
-    "log-derivative": _cmd_series,
-    "heat-trace": _cmd_heat_trace,
-    "resolvent": _cmd_resolvent,
-    "continue": _cmd_continue,
-    "residues": _cmd_residues,
-    "factorization-check": _cmd_factorization_check,
-    "verify": _cmd_verify,
+_COMMON = ("config", "output", "deterministic")
+_TABLE = (*_COMMON, "format")
+_SEEDED = (*_COMMON, "seed")
+_TRUNC = ("lmax", "tail_eps")
+_SERIES = (*_TABLE, "s_grid", "sigma", "spectrum_path", *_TRUNC)
+_CONTINUED = (*_TABLE, "sigma", "eigen_path", "d", "dim_chi", "volume")
+
+# every command: (help, the dests of the options it reads, handler). A
+# series handler names its evaluator, which is looked up when the job runs,
+# so a wrapper later bound over this module's name (as the benchmark's
+# tracer binds one) sees the call.
+_COMMANDS = {
+    "gen-spectrum": ("synthesize a length spectrum", (
+        *_SEEDED, "d", "count", "systole", "dim_chi", "chi_norm"), _cmd_gen_spectrum),
+    "plancherel": ("evaluate the density", (*_TABLE, "s_grid", "sigma", "d"), _cmd_plancherel),
+    "selberg": ("log of the twisted Selberg zeta", _SERIES,
+                lambda cfg: _cmd_series(selberg_log, cfg)),
+    "ruelle": ("log of the twisted Ruelle zeta", _SERIES,
+               lambda cfg: _cmd_series(ruelle_log, cfg)),
+    "log-derivative": ("logarithmic derivative of the Selberg zeta", _SERIES,
+                       lambda cfg: _cmd_series(log_derivative, cfg)),
+    "heat-trace": ("geometric heat trace", (
+        *_TABLE, "sigma", "spectrum_path", *_TRUNC, "t_grid"), _cmd_heat_trace),
+    "resolvent": (
+        "anchored resolvent trace; rows are the geometric then the heat "
+        "route for a length spectrum, one spectral row for an eigen file; "
+        "the s columns echo the first anchor",
+        (*_TABLE, "sigma", "spectrum_path", "eigen_path", "d", *_TRUNC, "anchors"),
+        _cmd_resolvent,
+    ),
+    "continue": ("evaluate the continued log derivative from eigenvalue data",
+                 (*_CONTINUED, "s_grid"), _cmd_continue),
+    "residues": (
+        "contour residues at the continuation poles; rows hold the pole, "
+        "the measured residue, and its distance to the nearest integer",
+        _CONTINUED,
+        _cmd_residues,
+    ),
+    "factorization-check": ("Ruelle zeta against its alternating Selberg factorization",
+                            (*_SERIES, "tol"), _cmd_factorization_check),
+    "verify": ("run numerical verification suites", (*_SEEDED, "suite"), _cmd_verify),
 }
 
 
 def run(config: JobConfig) -> int:
     """Execute one configured command and return its exit status."""
-    if config.command not in _HANDLERS:
+    if config.command not in _COMMANDS:
         raise ValidationError(f"unknown command {config.command!r}")
     # a value that overflows is refused by the table writer, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _HANDLERS[config.command](config)
+        return _COMMANDS[config.command][2](config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -45,6 +45,9 @@ class AnchorSet:
 
 def anchor_set(anchors: Sequence[complex]) -> AnchorSet:
     pts = tuple(complex(a) for a in anchors)
+    for a in pts:
+        if not cmath.isfinite(a):
+            raise ValidationError(f"non-finite anchor {a}")
     if len(pts) < 2:
         raise ValidationError(f"an anchor set needs at least 2 points, got {len(pts)}")
     squares = [a * a for a in pts]

@@ -152,8 +152,8 @@ def heat_totals(
     re-certified per time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
-    if not (ts > 0).all():
-        raise ValidationError("heat times must be positive")
+    if not (ts > 0).all():  # the refusal names the first bad time
+        _check_time(float(ts[~(ts > 0)][0]))
     P = plancherel_polynomial(ls.gd, sigma)
     plan = ls.power_table(tp.lmax)
     sig = character_table("D", ls.gd.validate_m_weight(sigma))

@@ -20,6 +20,7 @@ log derivative is the literal s-derivative of log Z, a plus-signed series.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -151,6 +152,15 @@ def _series_value(
     return SeriesValue(chunked_sum(map(terms, plan.chunks())), tail)
 
 
+def _point(s: complex) -> complex:
+    """s as a complex number; a non-finite point is refused before any
+    plan is read."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValidationError(f"non-finite evaluation point s = {s}")
+    return s
+
+
 def _sigma_table(ls: LengthSpectrum, sigma: Sequence[object]) -> CharacterTable:
     return character_table("D", ls.gd.validate_m_weight(sigma))
 
@@ -159,21 +169,21 @@ def selberg_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated log of the twisted Selberg zeta at s, with tail bound."""
-    return _series_value(ls, (_sigma_table(ls, sigma),), complex(s), tp, "selberg")
+    return _series_value(ls, (_sigma_table(ls, sigma),), _point(s), tp, "selberg")
 
 
 def ruelle_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated log of the twisted Ruelle zeta at s, with tail bound."""
-    return _series_value(ls, (_sigma_table(ls, sigma),), complex(s), tp, "ruelle")
+    return _series_value(ls, (_sigma_table(ls, sigma),), _point(s), tp, "ruelle")
 
 
 def log_derivative(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated logarithmic derivative of the Selberg zeta at s."""
-    return _series_value(ls, (_sigma_table(ls, sigma),), complex(s), tp, "logderiv")
+    return _series_value(ls, (_sigma_table(ls, sigma),), _point(s), tp, "logderiv")
 
 
 def abscissa_estimate(ls: LengthSpectrum, kind: str = "selberg") -> float:
@@ -198,7 +208,7 @@ def z_p_log(
     twisted by psi tensor sigma, evaluated at s + |rho| - p."""
     gd = ls.gd
     sig = _sigma_table(ls, sigma)
-    shifted = complex(s) + gd.rho_norm - p
+    shifted = _point(s) + gd.rho_norm - p
     total = 0j
     tail = 0.0
     for psi, _lam in exterior_decomposition(gd, p):
@@ -222,6 +232,7 @@ def ruelle_factorized_log(
     """Alternating sum over p of z_p_log; agrees with ruelle_log term by
     term on the shared truncation. The products of sigma with every
     exterior piece are built first, in one pass over the plan."""
+    s = _point(s)
     if ls.l0.size:
         sig = _sigma_table(ls, sigma)
         ls.power_table(tp.lmax).char_products([(sig, psi) for _, psi in _exterior_pieces(ls.gd)])

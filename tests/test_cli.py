@@ -1,8 +1,10 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from zetaflow import (
     selberg_log,
     synthesize,
 )
-from zetaflow.cli import _FLAGS, JobConfig, build_parser, main, run
+from zetaflow.cli import JobConfig, build_parser, main, run
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,31 @@ def test_factorization_check_refuses_a_nan_or_negative_tol(workdir, capsys, tmp_
                                                              + want[len("error: "):])
     code, _, err = _run(capsys, [*job, "--tol=0"])
     assert code == 1 and err.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["selberg", "--s", "-2+1j"], 2, "domain error: series for kind 'selberg' does not converge "
+     "at s = (-2+1j): Re(s) = -2 is at or left of the abscissa estimate 1\n"),
+    (["factorization-check", "--s", "4.5", "--tol", "-1e-3"], 1,
+     "error: --tol: expected a nonnegative float, got '-1e-3'\n"),
+    (["selberg", "--s", "4", "--lmax", "-1e-3"], 1,
+     "error: lmax: expected positive and finite, got -0.001\n"),
+    (["selberg", "--s", "4", "--lmax", "-inf"], 1,
+     "error: lmax: expected positive and finite, got -inf\n"),
+    (["selberg", "--s", "4", "--tail-eps", "-1e-9"], 1,
+     "error: tail_eps: expected positive, got -1e-09\n"),
+])
+def test_a_negative_number_after_a_flag_is_its_value(workdir, capsys, argv, code, want):
+    job = [argv[0], "--spectrum", str(workdir / "spectrum.json"), *argv[1:-2]]
+    flag, value = argv[-2:]
+    assert _run(capsys, [*job, flag, value]) == (code, "", want)
+    assert _run(capsys, [*job, f"{flag}={value}"]) == (code, "", want)
+
+
+def test_a_flag_where_a_value_belongs_is_refused(workdir, capsys):
+    got = _run(capsys, ["selberg", "--spectrum", str(workdir / "spectrum.json"),
+                        "--s", "--sigma", "0"])
+    assert got == (1, "", "error: argument --s: expected one argument\n")
 
 
 @pytest.mark.parametrize("job", [
@@ -570,12 +597,62 @@ def test_each_command_accepts_exactly_the_options_it_reads():
     assert len(TABLE_COMMANDS) == 9 and len(REMOVED) == 17
 
 
+# the config keys that differ from their flag, as README.md documents them;
+# every other key is the long flag with underscores in place of dashes
+KEY_FLAGS = {"s_grid": "--s", "t_grid": "--t", "anchors": "--anchor",
+             "spectrum_path": "--spectrum", "eigen_path": "--eigen"}
+
+
+def _flag(dest):
+    return KEY_FLAGS.get(dest, "--" + dest.replace("_", "-"))
+
+
 def test_config_keys_are_the_option_dests():
     for command, p in _command_parsers().items():
         for a in p._actions:
             if a.option_strings and a.dest not in ("help", "config"):
-                flag = _FLAGS.get(a.dest, "--" + a.dest.replace("_", "-"))
-                assert a.option_strings == [flag], (command, a.dest)
+                assert a.option_strings == [_flag(a.dest)], (command, a.dest)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_lists_the_options_and_their_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    flags = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.M))
+    assert flags == {"--help"} | {_flag(dest) for dest in OPTIONS[command]}
+    text = " ".join(out.split())
+    for dest in OPTIONS[command]:
+        default = getattr(JobConfig, dest, None)
+        if isinstance(default, (int, float, str)) and not isinstance(default, bool):
+            assert f"(default {default})" in text, dest
+
+
+def _readme_table(marker):
+    """The rows, as lists of cells, of the first README table after the
+    first line that holds marker."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if marker in line)
+    rows = []
+    for line in lines[start + 1:]:
+        if rows and not line.startswith("|"):
+            break
+        if line.startswith("| `"):
+            rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_tables_match_the_parser():
+    commands = _command_parsers()
+    assert [row[0] for row in _readme_table("## Command line")] == list(commands)
+    renamed = {
+        a.dest: a.option_strings[0]
+        for p in commands.values() for a in p._actions
+        if a.option_strings and a.option_strings[0] != "--" + a.dest.replace("_", "-")
+        and a.dest != "help"
+    }
+    assert dict(_readme_table("except these five:")) == renamed
 
 
 @pytest.mark.parametrize("command,flag,value", REMOVED)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -41,6 +42,9 @@ def test_anchor_set_validation():
     with pytest.raises(ValidationError):
         anchor_set([2.0, -2.0])  # squares coincide
     assert anchor_set([1, 2, 3]).size == 3
+    for bad in (complex("nan"), complex("inf"), complex("1+nanj")):
+        with pytest.raises(ValidationError, match=re.escape(f"non-finite anchor {bad}")):
+            anchor_set((bad, 2.0))
 
 
 def test_partial_fraction_coefficients():

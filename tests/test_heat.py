@@ -156,11 +156,10 @@ def test_nan_heat_time_is_refused(ls3):
     es = EigenSpectrum(entries=((1.5 + 0j, 1),))
     P = plancherel_polynomial(ls3.gd, (0,))
     for call in (lambda: spectral_heat_trace(es, nan), lambda: plancherel_heat_integral(P, nan),
-                 lambda: geometric_heat_trace(ls3, (0,), nan, tp)):
+                 lambda: geometric_heat_trace(ls3, (0,), nan, tp),
+                 lambda: heat_totals(ls3, (0,), np.array([0.1, nan, -1.0]), tp)):
         with pytest.raises(ValidationError, match="heat time must be positive, got nan"):
             call()
-    with pytest.raises(ValidationError, match="heat times must be positive"):
-        heat_totals(ls3, (0,), np.array([0.1, nan]), tp)
 
 
 def test_identity_term_past_the_float_range_is_refused():

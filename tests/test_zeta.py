@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ def test_abscissa_refusal(ls3):
             assert "abscissa" in str(info.value)
     with pytest.raises(DomainError):
         ruelle_log(2.0, (0,), ls3, TruncationPolicy(lmax=0.1, tail_eps=math.inf))
+
+
+@pytest.mark.parametrize("s", [complex("nan"), complex("inf"), complex("1+nanj")])
+@pytest.mark.parametrize("series", [
+    selberg_log, ruelle_log, log_derivative, ruelle_factorized_log,
+    lambda s, sigma, ls, tp: z_p_log(s, 1, sigma, ls, tp),
+])
+def test_a_non_finite_point_is_refused(ls3, gd3, series, s):
+    tp = TruncationPolicy(lmax=10.0)
+    empty = LengthSpectrum(gd=gd3, l0=[], angles=np.zeros((0, 1)), chi=np.ones((0, 1, 1)),
+                           volume=1.0, dim_chi=1)
+    want = re.escape(f"non-finite evaluation point s = {s}")
+    for ls in (ls3, empty):
+        with pytest.raises(ValidationError, match=want):
+            series(s, (0,), ls, tp)
 
 
 def test_tail_eps_gate(ls3):
