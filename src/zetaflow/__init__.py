@@ -43,7 +43,7 @@ _EXPORTS = {
         "small_t_combination",
     ),
     "errors": ("DomainError", "ValidationError", "ZetaflowError"),
-    "heat": ("HeatEvaluation", "geometric_heat_trace", "heat_totals", "spectral_heat_trace"),
+    "heat": ("geometric_heat_trace", "heat_totals", "spectral_heat_trace"),
     "plancherel": ("PlancherelPolynomial", "c_sigma", "plancherel_polynomial"),
     "spectra": (
         "EigenSpectrum",

@@ -6,13 +6,13 @@ formula in classical coordinates); it is cheap at regular angles but its
 denominator vanishes on the singular set. The weight-multiset route expands
 the character as a finite exponential sum with exact Freudenthal
 multiplicities; it costs more per point but is valid everywhere, including
-fully singular angles. The public evaluator inspects the denominator and
-switches routes per point, and the two routes cross-validate each other in
-the test suite. Weight-route tables evaluated together at the same angles
-(evaluate_all) share one exponential per distinct weight, and a weight
-whose negative is also held takes the conjugate of that term instead, so
-the products of the factorization exponentiate about half of {-1, 0, 1}^n
-per power whatever their number.
+fully singular angles. The public evaluator takes the weight route unless
+asked for the alternant, which the verify suite and the tests keep as an
+independent reference. Weight-route tables evaluated together at the same
+angles (evaluate_all) share one exponential per distinct weight, and a
+weight whose negative is also held takes the conjugate of that term
+instead, so the products of the factorization exponentiate about half of
+{-1, 0, 1}^n per power whatever their number.
 
 Conventions: a weight mu pairs with an angle vector theta through
 exp(i <mu, theta>). Angle vectors are taken literally; callers must not
@@ -23,7 +23,6 @@ half-integral (spinor) weights see the difference as a sign.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -43,8 +42,6 @@ from .weights import (
     weyl_orbit_signs,
     weyl_vector,
 )
-
-_SINGULAR_TOL = 1e-4
 
 
 def _in_positive_cone(delta: Sequence[Fraction], family: str) -> bool:
@@ -296,7 +293,7 @@ def weyl_character(
     angles: Iterable[float] | np.ndarray,
     family: str,
     *,
-    route: str | None = None,
+    route: str = "weights",
 ):
     """Irreducible character of highest weight ``weight`` at ``angles``.
 
@@ -306,12 +303,11 @@ def weyl_character(
     angles : array-like with trailing axis of length n; a bare length-n
         vector yields a scalar.
     family : "B" or "D".
-    route : force "alternant" or "weights"; default (None) picks per point,
-        falling back to the exact weight expansion wherever the alternant
-        denominator is smaller than a fixed threshold. Any other value
-        raises ValidationError.
+    route : "weights" (default), the exact weight expansion, valid at every
+        angle; or "alternant", the Weyl quotient, whose denominator vanishes
+        on the singular set. Any other value raises ValidationError.
     """
-    if route not in (None, "alternant", "weights"):
+    if route not in ("alternant", "weights"):
         raise ValidationError(
             f"unknown character route {route!r}; expected 'alternant' or 'weights'"
         )
@@ -328,15 +324,6 @@ def weyl_character(
     if route == "weights":
         vals = character_table(family, lam).evaluate(th)
     else:
-        alternant = _alternant_b if family == "B" else _alternant_d
-        num, den = alternant(lam, th)
-        if route == "alternant":
-            vals = num / den
-        else:
-            tol = _SINGULAR_TOL * math.factorial(n) * (2.0**n if family == "D" else 1.0)
-            bad = np.abs(den) < tol
-            vals = np.empty_like(num)
-            vals[~bad] = num[~bad] / den[~bad]
-            if bad.any():
-                vals[bad] = character_table(family, lam).evaluate(th[bad])
+        num, den = (_alternant_b if family == "B" else _alternant_d)(lam, th)
+        vals = num / den
     return complex(vals[0]) if scalar else vals.reshape(shape)

@@ -318,10 +318,7 @@ def _cmd_heat_trace(cfg: JobConfig) -> int:
     tp = _policy(cfg, ls)
     if not cfg.t_grid:
         raise ValidationError("heat-trace requires at least one --t time")
-    rows = []
-    for t in cfg.t_grid:
-        ev = geometric_heat_trace(ls, sigma, t, tp)
-        rows.append(ResultRow(complex(t), ev.total, ev.tail_bound))
+    rows = [ResultRow(complex(t), *geometric_heat_trace(ls, sigma, t, tp)) for t in cfg.t_grid]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 
@@ -344,9 +341,8 @@ def _cmd_resolvent(cfg: JobConfig) -> int:
         ls = _length_spectrum(cfg)
         sigma = _sigma_for(cfg, ls.gd)
         tp = _policy(cfg, ls)
-        geo = resolvent_trace_geometric(ls, sigma, aset, tp)
-        heat, diff = resolvent_trace_via_heat(ls, sigma, aset, tp)
-        rows = [ResultRow(mark, geo.value, geo.tail_bound), ResultRow(mark, heat, abs(diff))]
+        rows = [ResultRow(mark, *route(ls, sigma, aset, tp))
+                for route in (resolvent_trace_geometric, resolvent_trace_via_heat)]
     else:
         es = load_eigen_spectrum(cfg.eigen_path)
         rows = [ResultRow(mark, resolvent_trace_spectral(es, aset), 0.0)]

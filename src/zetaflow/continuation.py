@@ -360,15 +360,16 @@ def resolvent_trace_via_heat(
     sigma: Sequence[object],
     aset: AnchorSet,
     tp: TruncationPolicy,
-) -> tuple[complex, float]:
+) -> SeriesValue:
     """Anchored resolvent trace by integrating the anchor combination
     against the geometric heat trace over (0, infinity). Needs more than
     d/2 anchors for integrability at t = 0 and anchors with Re(s^2) > 0
     for integrability at infinity. Nodes where w(t) is exactly 0 (every
     exp(-t s_i^2) underflows) contribute exactly 0 and are not sent to the
-    heat trace. Returns the value and the quadrature's last refinement
-    difference at relative tolerance 1e-9; a refusal of the quadrature is
-    raised again as one that names the anchors."""
+    heat trace. A refusal of the quadrature is raised again as one that
+    names the anchors. The tail_bound is the quadrature's last refinement
+    difference at relative tolerance 1e-9: an estimate, not a bound, and
+    blind to the truncated hyperbolic heat sum."""
     if 2 * aset.size <= ls.gd.d:
         raise DomainError(
             f"need more than {ls.gd.d / 2:g} anchors to cancel the small-time "
@@ -386,7 +387,7 @@ def resolvent_trace_via_heat(
         return w
 
     try:
-        return half_line_integral(f)
+        return SeriesValue(*half_line_integral(f))
     except DomainError as exc:
         # the t it names is a quadrature node, not an input: drop any advice
         # on t and say which input to move

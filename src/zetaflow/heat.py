@@ -1,51 +1,37 @@
 """Heat traces: spectral sums, Plancherel integrals, geometric expansions.
 
-The geometric heat trace splits into an identity contribution
+The geometric heat trace at time t is an identity contribution
 dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
-density, in closed form by Gamma factors, and a hyperbolic contribution
+density, in closed form by Gamma factors, plus a hyperbolic contribution
 summing the per-power symbols against the scalar heat kernel on the length
-axis. Consistency between the spectral sum and the geometric expansion is
-never assumed here; the resolvent identities downstream test it through
-independent routes.
+axis. One setup and one per-time total serve a single time, returned with
+its tail bound as a SeriesValue, and a time grid alike. Consistency between
+the spectral sum and the geometric expansion is never assumed here; the
+resolvent identities downstream test it through independent routes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chars import CharacterTable, character_table
+from .chars import CharacterTable
 from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
 from .summation import chunked_sum
-from .zeta import TruncationPolicy, empty_plan_error
+from .zeta import SeriesValue, TruncationPolicy, _sigma_table, empty_plan_error
 
 # exp(x) is exactly 0 in double precision for every x below this
 _EXP_UNDERFLOW = -746.0
 
 
-@dataclass(frozen=True)
-class HeatEvaluation:
-    """Geometric heat trace at one time, split into its two contributions."""
-
-    t: float
-    identity_part: complex
-    hyperbolic_part: complex
-    tail_bound: float
-
-    @property
-    def total(self) -> complex:
-        return self.identity_part + self.hyperbolic_part
-
-
 def _check_time(t: float) -> None:
-    if not t > 0:  # NaN fails this too
-        raise ValidationError(f"heat time must be positive, got {t!r}")
+    if not 0 < t < math.inf:  # NaN fails this too
+        raise ValidationError(f"heat time must be positive and finite, got {t!r}")
 
 
 def spectral_heat_trace(es: EigenSpectrum, t: float) -> complex:
@@ -90,17 +76,20 @@ def _hyperbolic_tail(
     lmax = policy.lmax
     beta = lmax / (4.0 * t) - (b + cert.k - rho)
     if beta <= 0:
+        need = 4.0 * t * (b + cert.k - rho)
+        advice = f"need lmax > {need:g}" if math.isfinite(need) else "no finite lmax controls it"
         raise DomainError(
-            f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; "
-            f"need lmax > {4.0 * t * (b + cert.k - rho):g}",
-            s=None,
+            f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; {advice}", s=None
         )
     if not plan.size:
         raise empty_plan_error(ls, lmax, None)
+    decay = math.exp(-beta * lmax)
+    if not decay:  # nothing past lmax survives, and beta**2 may overflow
+        return 0.0
     B = cert.K * sigma_dim / plan.det_floor
     cprime = plan.counting_constant
-    i1 = math.exp(-beta * lmax) * (lmax / beta + 1.0 / beta**2)
-    i2 = math.exp(-beta * lmax) * (lmax**2 / beta + 2.0 * lmax / beta**2 + 2.0 / beta**3)
+    i1 = decay * (lmax / beta + 1.0 / beta**2)
+    i2 = decay * (lmax**2 / beta + 2.0 * lmax / beta**2 + 2.0 / beta**3)
     tail = cprime * B * (i2 / (2.0 * t) + rho * i1) / math.sqrt(4.0 * math.pi * t)
     if tail > policy.tail_eps:
         raise DomainError(
@@ -126,39 +115,39 @@ def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     return chunked_sum(base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live)
 
 
+def _setup(ls: LengthSpectrum, sigma: Sequence[object], tp: TruncationPolicy):
+    """The Plancherel polynomial, the plan and the sigma table of one
+    evaluation, each looked up once."""
+    return plancherel_polynomial(ls.gd, sigma), ls.power_table(tp.lmax), _sigma_table(ls, sigma)
+
+
+def _total(ls: LengthSpectrum, P, plan, sig: CharacterTable, t: float) -> complex:
+    """The geometric heat trace at time t: identity plus hyperbolic part."""
+    return ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) + _hyperbolic_sum(plan, sig, t)
+
+
 def geometric_heat_trace(
     ls: LengthSpectrum, sigma: Sequence[object], t: float, tp: TruncationPolicy
-) -> HeatEvaluation:
-    """Identity plus hyperbolic heat contributions at time t, with a
-    certified bound for the truncated hyperbolic tail."""
+) -> SeriesValue:
+    """The geometric heat trace at time t, with a certified bound for the
+    truncated hyperbolic tail, which is checked before anything is summed."""
     _check_time(t)
-    P = plancherel_polynomial(ls.gd, sigma)
-    identity = ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
-    plan = ls.power_table(tp.lmax)
-    sig = character_table("D", ls.gd.validate_m_weight(sigma))
+    P, plan, sig = _setup(ls, sigma, tp)
     tail = _hyperbolic_tail(ls, plan, sig.norm_bound(), t, tp)
-    hyp = _hyperbolic_sum(plan, sig, t)
-    return HeatEvaluation(t=t, identity_part=identity, hyperbolic_part=hyp, tail_bound=tail)
+    return SeriesValue(_total(ls, P, plan, sig, t), tail)
 
 
 def heat_totals(
     ls: LengthSpectrum, sigma: Sequence[object], ts: np.ndarray, tp: TruncationPolicy
 ) -> np.ndarray:
-    """Vector of geometric heat trace totals over a time grid.
-
-    Each entry is the identity part plus the hyperbolic sum of
-    ``geometric_heat_trace`` at that time, by the same routine, so it
-    equals ``geometric_heat_trace(...).total`` exactly. Tail bounds are not
-    re-certified per time; callers quantify their own error budget.
+    """Vector of geometric heat trace totals over a time grid, each equal
+    to ``geometric_heat_trace(...).value`` at that time bit for bit. Tail
+    bounds are not re-certified per time; callers quantify their own error
+    budget.
     """
     ts = np.asarray(ts, dtype=float)
-    if not (ts > 0).all():  # the refusal names the first bad time
-        _check_time(float(ts[~(ts > 0)][0]))
-    P = plancherel_polynomial(ls.gd, sigma)
-    plan = ls.power_table(tp.lmax)
-    sig = character_table("D", ls.gd.validate_m_weight(sigma))
-    totals = [
-        ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) + _hyperbolic_sum(plan, sig, t)
-        for t in map(float, ts.ravel())
-    ]
+    for t in ts.ravel():  # every time is checked before any setup
+        _check_time(float(t))
+    P, plan, sig = _setup(ls, sigma, tp)
+    totals = [_total(ls, P, plan, sig, t) for t in map(float, ts.ravel())]
     return np.array(totals, dtype=complex).reshape(ts.shape)

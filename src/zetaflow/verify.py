@@ -478,7 +478,7 @@ def suite_resolvent(seed: int = 0) -> list[CheckResult]:
     for anchors in ((2.0, 3.0), (1.5, 2.5, 3.5)):
         aset = anchor_set(anchors)
         geo = resolvent_trace_geometric(ls, sigma, aset, tp).value
-        heat, _ = resolvent_trace_via_heat(ls, sigma, aset, tp)
+        heat = resolvent_trace_via_heat(ls, sigma, aset, tp).value
         route_err = max(route_err, abs(geo - heat) / abs(geo))
 
     entries = tuple(

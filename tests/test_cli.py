@@ -725,9 +725,12 @@ def test_bad_config_value_is_rejected(workdir, capsys, tmp_path, key, value):
 def test_heat_time_refusals(workdir, capsys, tmp_path):
     spectrum = str(workdir / "spectrum.json")
     code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "nan"])
-    assert (code, out, err) == (1, "", "error: heat time must be positive, got nan\n")
-    code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "inf"])
-    assert code == 2 and out == "" and "domain error:" in err
+    assert (code, out, err) == (1, "", "error: heat time must be positive and finite, got nan\n")
+    # 4 t (b + k - |rho|) overflows: the advice names no lmax
+    code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "1e308"])
+    assert code == 2 and out == ""
+    assert err == ("domain error: heat tail not controllable at t = 1e+308 with lmax = 30; "
+                   "no finite lmax controls it\n")
     assert main(["gen-spectrum", "--d", "7", "--count", "5", "--seed", "1",
                  "--output", str(tmp_path / "d7.json")]) == 0
     capsys.readouterr()

@@ -12,6 +12,7 @@ from zetaflow import (
     DomainError,
     EigenSpectrum,
     GroupData,
+    SeriesValue,
     TruncationPolicy,
     ValidationError,
     anchor_set,
@@ -32,6 +33,7 @@ from zetaflow import (
     small_t_combination,
     synthesize,
 )
+from zetaflow.quadrature import half_line_integral
 
 
 def test_anchor_set_validation():
@@ -206,8 +208,8 @@ def test_resolvent_geometric_and_heat_routes_agree(gd3):
     tp = TruncationPolicy(lmax=36.0, tail_eps=1e-6)
     aset = anchor_set([2.0, 3.0])
     geo = resolvent_trace_geometric(ls, (0,), aset, tp)
-    heat, diff = resolvent_trace_via_heat(ls, (0,), aset, tp)
-    assert abs(geo.value - heat) <= 1e-6 * abs(heat) + geo.tail_bound + diff
+    heat = resolvent_trace_via_heat(ls, (0,), aset, tp)
+    assert abs(geo.value - heat.value) <= 1e-6 * abs(heat.value) + geo.tail_bound + heat.tail_bound
 
 
 def test_resolvent_route_guards(gd3, ls3):
@@ -255,3 +257,15 @@ def test_heat_route_matches_the_unskipped_reevaluating_rule(d, sigma, dim_chi, c
         lambda t: small_t_combination(aset, t) * heat_totals(ls, sigma, t, tp)
     )
     assert resolvent_trace_via_heat(ls, sigma, aset, tp) == want
+
+
+def test_heat_route_tail_bound_is_the_last_refinement_difference(gd3):
+    ls = synthesize(gd3, 60, systole=0.5, seed=15)
+    tp = TruncationPolicy(lmax=30.0, tail_eps=1e-6)
+    aset = anchor_set([2.5, 3.5])
+    value, diff = half_line_integral(
+        lambda t: small_t_combination(aset, t) * heat_totals(ls, (0,), t, tp)
+    )
+    got = resolvent_trace_via_heat(ls, (0,), aset, tp)
+    assert isinstance(got, SeriesValue)
+    assert (got.value, got.tail_bound) == (value, diff)

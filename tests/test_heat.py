@@ -14,8 +14,11 @@ from zetaflow import (
     geometric_heat_trace,
     heat_totals,
     plancherel_polynomial,
+    save,
     spectral_heat_trace,
 )
+from zetaflow import heat
+from zetaflow.cli import main
 from zetaflow.heat import plancherel_heat_integral
 
 
@@ -52,9 +55,7 @@ def test_geometric_trace_assembles_identity_and_classes(ls3):
     tp = TruncationPolicy(lmax=12.0, tail_eps=1.0)
     ev = geometric_heat_trace(ls3, sigma, t, tp)
     P = plancherel_polynomial(ls3.gd, sigma)
-    assert ev.identity_part == pytest.approx(
-        ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, t), rel=1e-14
-    )
+    hyperbolic = ev.value - ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, t)
     manual = 0j
     cs = classes(ls3)
     for cp in powers_up_to(ls3, 12.0):
@@ -64,8 +65,7 @@ def test_geometric_trace_assembles_identity_and_classes(ls3):
             * math.exp(-cp.length**2 / (4 * t))
         )
     manual /= math.sqrt(4 * math.pi * t)
-    assert ev.hyperbolic_part == pytest.approx(manual, rel=1e-11)
-    assert ev.total == ev.identity_part + ev.hyperbolic_part
+    assert hyperbolic == pytest.approx(manual, rel=1e-11)
     assert ev.tail_bound < 1e-200  # Gaussian tail at lmax = 12, t = 0.05
 
 
@@ -75,7 +75,7 @@ def test_heat_totals_match_scalar_calls(ls3):
     ts = np.geomspace(2e-3, 0.5, 7)
     grid = heat_totals(ls3, sigma, ts, tp)
     for t, v in zip(ts, grid):
-        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).total
+        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).value
 
 
 def test_tail_bound_is_honest_in_time(ls3_twisted):
@@ -83,7 +83,7 @@ def test_tail_bound_is_honest_in_time(ls3_twisted):
     t = 0.04
     short = geometric_heat_trace(ls3_twisted, sigma, t, TruncationPolicy(lmax=6.0, tail_eps=1.0))
     long = geometric_heat_trace(ls3_twisted, sigma, t, TruncationPolicy(lmax=20.0, tail_eps=1.0))
-    assert abs(short.total - long.total) <= short.tail_bound + 1e-15
+    assert abs(short.value - long.value) <= short.tail_bound + 1e-15
 
 
 def test_small_time_blowup_rate(ls3):
@@ -136,7 +136,7 @@ def test_heat_totals_below_the_kernel_underflow(ls3):
     for t, v in zip(ts[dead], grid[dead]):
         assert v == ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, float(t))
     for t, v in zip(ts, grid):
-        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).total
+        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).value
 
 
 def test_plancherel_integral_against_mpmath_at_high_degree():
@@ -158,8 +158,57 @@ def test_nan_heat_time_is_refused(ls3):
     for call in (lambda: spectral_heat_trace(es, nan), lambda: plancherel_heat_integral(P, nan),
                  lambda: geometric_heat_trace(ls3, (0,), nan, tp),
                  lambda: heat_totals(ls3, (0,), np.array([0.1, nan, -1.0]), tp)):
-        with pytest.raises(ValidationError, match="heat time must be positive, got nan"):
+        with pytest.raises(ValidationError, match="heat time must be positive and finite, got nan"):
             call()
+
+
+@pytest.mark.parametrize("route", ["heat-trace", "heat_totals", "spectral_heat_trace"])
+def test_infinite_heat_time_is_refused(ls3, tmp_path, capsys, route):
+    # t = inf used to give 0 (heat_totals, spectral_heat_trace) or advice
+    # to raise lmax above inf (heat-trace)
+    inf = float("inf")
+    tp = TruncationPolicy(lmax=10.0)
+    want = "heat time must be positive and finite, got inf"
+    if route == "heat-trace":
+        save(ls3, tmp_path / "spectrum.json")
+        argv = ["heat-trace", "--spectrum", str(tmp_path / "spectrum.json"), "--t", "inf"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+        return
+    call = {
+        "heat_totals": lambda: heat_totals(ls3, (0,), np.array([0.1, inf]), tp),
+        "spectral_heat_trace": lambda: spectral_heat_trace(EigenSpectrum(((1.5 + 0j, 1),)), inf),
+    }[route]
+    with pytest.raises(ValidationError, match=want):
+        call()
+
+
+def test_a_time_too_small_for_the_tail_formula_has_tail_zero(ls3):
+    # 1 / beta^2 overflows below t ~ 1e-154 at lmax = 10; the factor
+    # exp(-beta lmax) is 0 long before, and so is the tail
+    tp = TruncationPolicy(lmax=10.0, tail_eps=1e-300)
+    P = plancherel_polynomial(ls3.gd, (0,))
+    for t in (1e-160, 1e-200):
+        got = geometric_heat_trace(ls3, (0,), t, tp)
+        assert got == (ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, t), 0.0)
+
+
+def test_the_trace_at_one_time_never_calls_heat_totals(ls3, monkeypatch):
+    # the benchmark counts heat_totals calls and their time nodes as the
+    # heat route's quadrature work; a heat-trace row must add to neither
+    calls = []
+    totals = heat.heat_totals
+
+    def counted(*args):
+        calls.append(args)
+        return totals(*args)
+
+    monkeypatch.setattr(heat, "heat_totals", counted)
+    tp = TruncationPolicy(lmax=10.0, tail_eps=1.0)
+    geometric_heat_trace(ls3, (0,), 0.3, tp)
+    assert calls == []
+    heat.heat_totals(ls3, (0,), np.array([0.3]), tp)
+    assert len(calls) == 1
 
 
 def test_identity_term_past_the_float_range_is_refused():
