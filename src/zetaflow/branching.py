@@ -33,7 +33,8 @@ class VirtualRep:
     """Integer combination of irreducibles of one compact factor.
 
     ``family`` is "B" or "D"; ``terms`` maps highest weights to nonzero
-    integer coefficients, stored sorted for stable iteration.
+    integer coefficients, stored sorted for stable iteration; iterating
+    yields the (weight, coefficient) pairs, so ``dict(rep)`` is that map.
     """
 
     family: str
@@ -53,9 +54,6 @@ class VirtualRep:
     @classmethod
     def from_dict(cls, family: str, d: Mapping[Weight, int]) -> "VirtualRep":
         return cls(family, tuple(sorted((w, c) for w, c in d.items() if c != 0)))
-
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.terms)
 
     def __iter__(self) -> Iterator[tuple[Weight, int]]:
         return iter(self.terms)

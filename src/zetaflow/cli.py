@@ -19,7 +19,8 @@ Two tables declare the command line once: _OPTIONS holds each option's
 flag and argparse keywords under its dest, and _COMMANDS holds each
 command's help, the dests of the options it reads, and its handler. A
 command accepts no other option: --seed only gen-spectrum and verify,
---format only the nine table commands.
+--format only the nine table commands. resolvent reads --sigma, --lmax
+and --tail-eps on its --spectrum route only, and refuses them with --eigen.
 
 A JSON config file may supply any option of the command but not the
 command itself; explicit flags win on conflict. Its keys are the option
@@ -77,7 +78,7 @@ class JobConfig:
     t_grid: tuple[float, ...] = ()
     anchors: tuple[complex, ...] = ()
     lmax: float | None = None
-    tail_eps: float = 1e-8
+    tail_eps: float | None = None  # None: TruncationPolicy's default
     output: str | None = None
     format: str = "csv"
     seed: int = 0
@@ -172,7 +173,8 @@ _OPTIONS = {
     "d": ("--d", dict(type=int, help="ambient odd dimension")),
     "lmax": ("--lmax", dict(type=float, help=(
         "length cutoff (default: max(30, 4x longest primitive))"))),
-    "tail_eps": ("--tail-eps", dict(type=float, help="certified tail budget")),
+    "tail_eps": ("--tail-eps", dict(type=float, help=(
+        f"certified tail budget (default {TruncationPolicy.tail_eps})"))),
     "count": ("--count", dict(type=int, help="number of primitive classes")),
     "systole": ("--systole", dict(type=float, help="shortest primitive length")),
     "dim_chi": ("--dim-chi", dict(type=int, help="twist dimension")),
@@ -187,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="zetaflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
     for command, (doc, dests, _handler) in _COMMANDS.items():
-        g = sub.add_parser(command, help=doc)
+        # no abbreviations: a flag a command lacks is refused by its own name,
+        # never read as another flag it prefixes (--d as --deterministic)
+        g = sub.add_parser(command, help=doc, allow_abbrev=False)
         for dest in dests:
             flag, keywords = _OPTIONS[dest]
             default = getattr(JobConfig, dest, None)
@@ -255,12 +259,7 @@ def _sigma_for(cfg: JobConfig, gd: GroupData) -> tuple[Fraction, ...]:
 def _length_spectrum(cfg: JobConfig) -> LengthSpectrum:
     if cfg.spectrum_path is None:
         raise ValidationError(f"{cfg.command} requires --spectrum")
-    ls = load_length_spectrum(cfg.spectrum_path)
-    if cfg.d is not None and cfg.d != ls.gd.d:
-        raise ValidationError(
-            f"--d {cfg.d} contradicts dimension {ls.gd.d} recorded in {cfg.spectrum_path}"
-        )
-    return ls
+    return load_length_spectrum(cfg.spectrum_path)
 
 
 def _policy(cfg: JobConfig, ls: LengthSpectrum) -> TruncationPolicy:
@@ -269,7 +268,8 @@ def _policy(cfg: JobConfig, ls: LengthSpectrum) -> TruncationPolicy:
         lmax = 30.0
         if ls.l0.size:
             lmax = max(lmax, 4.0 * float(ls.l0.max()))
-    return TruncationPolicy(lmax=lmax, tail_eps=cfg.tail_eps)
+    given = {} if cfg.tail_eps is None else {"tail_eps": cfg.tail_eps}
+    return TruncationPolicy(lmax=lmax, **given)
 
 
 def _grid(cfg: JobConfig) -> tuple[complex, ...]:
@@ -344,6 +344,11 @@ def _cmd_resolvent(cfg: JobConfig) -> int:
         rows = [ResultRow(mark, *route(ls, sigma, aset, tp))
                 for route in (resolvent_trace_geometric, resolvent_trace_via_heat)]
     else:
+        for dest in ("sigma", *_TRUNC):
+            if getattr(cfg, dest) is not None:
+                raise ValidationError(
+                    f"resolvent --eigen does not read {_OPTIONS[dest][0]}; only --spectrum does"
+                )
         es = load_eigen_spectrum(cfg.eigen_path)
         rows = [ResultRow(mark, resolvent_trace_spectral(es, aset), 0.0)]
     emit_table(rows, cfg.format, cfg.output)
@@ -438,7 +443,7 @@ _COMMANDS = {
         "anchored resolvent trace; rows are the geometric then the heat "
         "route for a length spectrum, one spectral row for an eigen file; "
         "the s columns echo the first anchor",
-        (*_TABLE, "sigma", "spectrum_path", "eigen_path", "d", *_TRUNC, "anchors"),
+        (*_TABLE, "sigma", "spectrum_path", "eigen_path", *_TRUNC, "anchors"),
         _cmd_resolvent,
     ),
     "continue": ("evaluate the continued log derivative from eigenvalue data",

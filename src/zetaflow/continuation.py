@@ -145,7 +145,6 @@ class ContinuedL:
                 raise DomainError(
                     f"evaluation at a pole of the continuation: s = {where} "
                     f"sits on +-i sqrt(t_k) for t_k = {tk}",
-                    s=where,
                 )
             acc += (2.0 * m) * z / denom
         acc -= (2.0 * math.pi * self.dim_chi * self.volume) * self.P.evaluate_many(z)
@@ -199,19 +198,15 @@ def residue_order(cl: ContinuedL, point: complex) -> int:
     point = complex(point)
     sings = singularities(cl)
     if not sings:
-        raise DomainError("the continuation has no singularities", s=point)
+        raise DomainError("the continuation has no singularities")
     center = min((p for p, _ in sings), key=lambda p: abs(p - point))
     if abs(center - point) > _LOCATE_TOL:
-        raise DomainError(
-            f"{point} is not within {_LOCATE_TOL:g} of any singularity", s=point
-        )
+        raise DomainError(f"{point} is not within {_LOCATE_TOL:g} of any singularity")
     raw = contour_residue(cl, center)
     nearest = round(raw.real)
     residual = abs(raw - nearest)
     if residual > 1e-3:
-        raise DomainError(
-            f"contour residue {raw} at {center} is not close to an integer", s=center
-        )
+        raise DomainError(f"contour residue {raw} at {center} is not close to an integer")
     return int(nearest)
 
 
@@ -240,7 +235,6 @@ def log_zeta_ratio(
                 if _segment_distance(p, a, b) < _PATH_MARGIN:
                     raise DomainError(
                         f"integration path passes within {_PATH_MARGIN:g} of the pole at {p}",
-                        s=p,
                     )
     return path_integral(L, vertices)
 
@@ -254,7 +248,7 @@ def cauchy_plancherel_identity(s: complex, P: PlancherelPolynomial) -> tuple[com
     tail of the remainder term; right, (pi/s) P(s)."""
     s = complex(s)
     if s.real <= 0:
-        raise DomainError(f"identity requires Re(s) > 0, got s = {s}", s=s)
+        raise DomainError(f"identity requires Re(s) > 0, got s = {s}")
     # R(u) = P(i lambda) with u = lambda^2; divide by (u - u0), u0 = -s^2
     rcoeffs = [c * (-1) ** m for m, c in enumerate(P.coeffs)]
     u0 = -s * s
@@ -301,7 +295,7 @@ def heat_resolvent_identity(s: complex, length: float) -> tuple[complex, complex
     = e^{-s length} / (2s)."""
     s = complex(s)
     if (s * s).real <= 0:
-        raise DomainError(f"identity requires Re(s^2) > 0, got s = {s}", s=s)
+        raise DomainError(f"identity requires Re(s^2) > 0, got s = {s}")
     if length <= 0:
         raise ValidationError(f"length must be positive, got {length!r}")
 
@@ -342,7 +336,7 @@ def resolvent_trace_geometric(
     with L the truncated log-derivative series."""
     for a in aset.anchors:
         if (a * a).real <= 0:
-            raise DomainError(f"anchor {a} has Re(s^2) <= 0", s=a)
+            raise DomainError(f"anchor {a} has Re(s^2) <= 0")
     P = plancherel_polynomial(ls.gd, sigma)
     coeffs = partial_fraction_coeffs(aset)
     dimvol = ls.dim_chi * ls.volume
@@ -377,7 +371,7 @@ def resolvent_trace_via_heat(
         )
     for a in aset.anchors:
         if (a * a).real <= 0:
-            raise DomainError(f"anchor {a} has Re(s^2) <= 0; the time integral diverges", s=a)
+            raise DomainError(f"anchor {a} has Re(s^2) <= 0; the time integral diverges")
 
     def f(t: np.ndarray) -> np.ndarray:
         w = small_t_combination(aset, t)

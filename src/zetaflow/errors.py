@@ -3,10 +3,10 @@
 Two failure families are kept apart on purpose: bad inputs (wrong shapes,
 non-dominant weights, malformed files) and sound inputs that land outside
 the numerical domain of an algorithm (divergent series, unreachable
-tolerance). The command line maps them to distinct exit codes.
+tolerance). The command line maps them to distinct exit codes. An error
+carries only its message, which names the offending field or point and
+what to change.
 """
-
-from __future__ import annotations
 
 
 class ZetaflowError(Exception):
@@ -24,11 +24,8 @@ class ValidationError(ZetaflowError):
 class DomainError(ZetaflowError):
     """Structurally valid input outside an algorithm's numerical domain.
 
-    Carries enough context to act on: the evaluation point when there is
+    The message says what to act on: the evaluation point when there is
     one, and a suggestion (grow the truncation, move the point) when the
-    failure is a tolerance that cannot be met.
+    failure is a tolerance that cannot be met. The exception carries
+    nothing beyond its message.
     """
-
-    def __init__(self, message: str, *, s: complex | None = None):
-        super().__init__(message)
-        self.s = s

@@ -57,7 +57,7 @@ def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
             return acc
     except OverflowError:
         pass
-    raise DomainError(f"identity heat term overflows at t = {t!r}; raise t", s=None)
+    raise DomainError(f"identity heat term overflows at t = {t!r}; raise t")
 
 
 def _hyperbolic_tail(
@@ -78,11 +78,9 @@ def _hyperbolic_tail(
     if beta <= 0:
         need = 4.0 * t * (b + cert.k - rho)
         advice = f"need lmax > {need:g}" if math.isfinite(need) else "no finite lmax controls it"
-        raise DomainError(
-            f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; {advice}", s=None
-        )
+        raise DomainError(f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; {advice}")
     if not plan.size:
-        raise empty_plan_error(ls, lmax, None)
+        raise empty_plan_error(ls, lmax)
     decay = math.exp(-beta * lmax)
     if not decay:  # nothing past lmax survives, and beta**2 may overflow
         return 0.0
@@ -95,7 +93,6 @@ def _hyperbolic_tail(
         raise DomainError(
             f"certified heat tail {tail:.3e} exceeds tail_eps {policy.tail_eps:.1e} "
             f"at t = {t:g}; raise lmax above {lmax:g}",
-            s=None,
         )
     return tail
 

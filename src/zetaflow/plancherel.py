@@ -31,10 +31,6 @@ class PlancherelPolynomial:
     coeffs: tuple[complex, ...]
     exact: tuple[Fraction, ...]
 
-    @property
-    def degree(self) -> int:
-        return 2 * (len(self.coeffs) - 1)
-
     def __call__(self, z: complex) -> complex:
         u = z * z
         acc = 0j

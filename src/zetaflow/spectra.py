@@ -230,15 +230,12 @@ class _PowerTable:
             )
         return floor
 
-    def chars(self, tables: Sequence[CharacterTable]) -> np.ndarray:
-        """Product of the character tables at the power angles, multiplied
-        in table order; memoized by the tables' ((family, highest), ...)."""
-        return self.char_products((tables,))[0]
-
     def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
-        """chars(tables) for each tables of products. The missing products
-        are built in one pass over the chunks, with one evaluate_all call
-        per chunk for all the tables they hold."""
+        """For each tables of products, the product of the character tables
+        at the power angles, multiplied in table order; memoized by the
+        tables' ((family, highest), ...). The missing products are built in
+        one pass over the chunks, with one evaluate_all call per chunk for
+        all the tables they hold."""
         keys = [tuple((t.family, t.highest) for t in tables) for tables in products]
         found = {key: self._char_products.get(key) for key in keys}
         missing = {key: tables for key, tables in zip(keys, products) if found[key] is None}
@@ -261,7 +258,7 @@ class _PowerTable:
         """t-independent heat prefactor l0 tr chi char_sigma e^{-|rho| L} / det
         per power; memoized by the table's (family, highest)."""
         def build() -> np.ndarray:
-            chars = self.chars((sigma_table,))
+            [chars] = self.char_products(((sigma_table,),))
             rho = float(self.gd.rho_norm)
             out = np.empty(self.size, dtype=complex)
             for r in self.chunks():
@@ -419,6 +416,7 @@ class EigenSpectrum:
                 raise ValidationError(f"entries[{i}].t: non-finite value")
             if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
                 raise ValidationError(f"entries[{i}].m: expected a positive integer, got {m!r}")
+            _real(m, f"entries[{i}].m")  # the evaluators take m as a float
             norm.append((t, m))
         norm.sort(key=lambda tm: (tm[0].real, tm[0].imag))
         object.__setattr__(self, "entries", tuple(norm))
@@ -640,11 +638,8 @@ def eigen_spectrum_from_dict(doc: object) -> EigenSpectrum:
             _expect(key in raw, f"{path}.{key}", "missing required field")
         t = raw["t"]
         _expect(isinstance(t, list) and len(t) == 2, f"{path}.t", "expected [re, im]")
-        m = raw["m"]
-        _expect(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
-                f"{path}.m", "expected a positive integer")
-        _real(m, f"{path}.m")  # the evaluators take m as a float
-        entries.append((complex(_real(t[0], f"{path}.t[0]"), _real(t[1], f"{path}.t[1]")), m))
+        entries.append((complex(_real(t[0], f"{path}.t[0]"), _real(t[1], f"{path}.t[1]")),
+                        raw["m"]))
     return EigenSpectrum(entries=tuple(entries))
 
 

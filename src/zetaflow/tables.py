@@ -33,7 +33,6 @@ def render_table(rows: Sequence[ResultRow], format: str) -> str:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise DomainError(
                 f"the value at s = {r.s} overflows double precision; move s toward the origin",
-                s=r.s,
             )
     if format == "csv":
         lines = [",".join(HEADER)]

@@ -90,10 +90,9 @@ def _tail_bound(
             f"series for kind {kind!r} does not converge at s = {s}: "
             f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate "
             f"{abscissa_estimate(ls, kind=kind):.6g}",
-            s=s,
         )
     if not plan.size:
-        raise empty_plan_error(ls, policy.lmax, s)
+        raise empty_plan_error(ls, policy.lmax)
     B = cert.K * dim_eff
     if kind != "ruelle":
         B /= plan.det_floor
@@ -108,18 +107,16 @@ def _tail_bound(
         raise DomainError(
             f"certified tail {tail:.3e} exceeds tail_eps {policy.tail_eps:.1e} at s = {s}; "
             f"raise lmax above {policy.lmax:g} or move s to the right",
-            s=s,
         )
     return tail
 
 
-def empty_plan_error(ls: LengthSpectrum, lmax: float, s: complex | None) -> DomainError:
+def empty_plan_error(ls: LengthSpectrum, lmax: float) -> DomainError:
     """The refusal of a cutoff below the shortest class: no power would be
     summed, and no tail bound covers every power."""
     return DomainError(
         f"no power has length at or below lmax = {lmax:g}; the shortest class has "
         f"length {float(ls.l0.min()):g}, raise lmax to at least that",
-        s=s,
     )
 
 
@@ -137,18 +134,16 @@ def _series_value(
     for t in tables:
         dim_eff *= t.norm_bound()
     tail = _tail_bound(ls, plan, policy, s, kind=kind, dim_eff=dim_eff)
-    chars = plan.chars(tables)
+    [chars] = plan.char_products((tables,))
     rho = float(ls.gd.rho_norm)
     if kind == "ruelle":
         def terms(r: slice) -> np.ndarray:
             return -plan.inv_j(r) * plan.chi_trace[r] * chars[r] * np.exp(-s * plan.length[r])
-    elif kind in ("selberg", "logderiv"):
+    else:
         def terms(r: slice) -> np.ndarray:
             weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
             return (weight * plan.chi_trace[r] * chars[r]
                     * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
-    else:
-        raise ValidationError(f"unknown series kind {kind!r}")
     return SeriesValue(chunked_sum(map(terms, plan.chunks())), tail)
 
 

@@ -267,7 +267,7 @@ def test_criterion_12_branching_identities():
             plus, minus = tau_pm_split(sigma)
             net: dict = {}
             for rep, sign in ((plus, 1), (minus, -1)):
-                for tau, m in rep.as_dict().items():
+                for tau, m in dict(rep).items():
                     for s in branch_weights(tau):
                         net[s] = net.get(s, 0) + sign * m
             net = {k: v for k, v in net.items() if v}
@@ -279,7 +279,7 @@ def test_criterion_12_branching_identities():
         for sigma in inversion_cases:
             rep = m_tau_coeffs(sigma)
             net = {}
-            for tau, m in rep.as_dict().items():
+            for tau, m in dict(rep).items():
                 for s in branch_weights(tau):
                     net[s] = net.get(s, 0) + m
             net = {k: v for k, v in net.items() if v}

@@ -71,7 +71,7 @@ def test_tau_pm_split_restricts_to_sigma_plus_reflection():
         plus, minus = tau_pm_split(sigma)
         net: dict = {}
         for rep, coeff in ((plus, 1), (minus, -1)):
-            for tau, m in rep.as_dict().items():
+            for tau, m in dict(rep).items():
                 for s in branch_weights(tau):
                     net[s] = net.get(s, 0) + coeff * m
         net = {k: v for k, v in net.items() if v}
@@ -92,9 +92,9 @@ def test_m_tau_coeffs_invert_branching():
     sigmas = [(0,), (1, 0), (3, 0), (2, 2, 0), (1, 1, 0)]
     for sigma in sigmas:
         rep = m_tau_coeffs(sigma)
-        assert all(c in (-1, 1) for c in rep.as_dict().values()), sigma
+        assert all(c in (-1, 1) for c in dict(rep).values()), sigma
         net: dict = {}
-        for tau, m in rep.as_dict().items():
+        for tau, m in dict(rep).items():
             for s in branch_weights(tau):
                 net[s] = net.get(s, 0) + m
         net = {k: v for k, v in net.items() if v}
@@ -155,7 +155,7 @@ def test_m_tau_coeffs_equal_greedy_inversion():
     large = [s for r in range(5, 8) for s in _invariant_types(r, 2)]
     assert (len(small), len(large)) == (84, 64)
     for sigma in small + large:
-        assert m_tau_coeffs(sigma).as_dict() == m_tau_coeffs_greedy(sigma), sigma
+        assert dict(m_tau_coeffs(sigma)) == m_tau_coeffs_greedy(sigma), sigma
 
 
 def test_m_tau_coeffs_invert_restriction_at_rank_7():

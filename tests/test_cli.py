@@ -154,6 +154,20 @@ def test_resolvent_eigen_route(workdir, capsys):
         assert code == 1 and out == "" and flag in err
 
 
+@pytest.mark.parametrize("flag,value", [("--sigma", "1"), ("--lmax", "5"), ("--tail-eps", "1e-300")])
+def test_resolvent_eigen_route_refuses_the_spectrum_route_options(workdir, tmp_path, capsys,
+                                                                   flag, value):
+    # resolvent accepts these for its --spectrum route; the spectral route
+    # reads none of them, so a given value is refused, as a flag or a key
+    argv = ["resolvent", "--eigen", str(workdir / "eig.json"), "--anchor", "2", "--anchor", "3"]
+    code, out, err = _run(capsys, [*argv, flag, value])
+    assert (code, out) == (1, "") and flag in err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    code, out, err = _run(capsys, [*argv, "--config", str(conf)])
+    assert (code, out) == (1, "") and flag in err
+
+
 def test_continue_and_residues(workdir, capsys):
     code, out, _ = _run(capsys, [
         "continue", "--eigen", str(workdir / "eig.json"), "--d", "3",
@@ -564,7 +578,7 @@ OPTIONS = {
     "ruelle": _SERIES,
     "log-derivative": _SERIES,
     "heat-trace": _TABLE | _TRUNC | {"sigma", "spectrum_path", "t_grid"},
-    "resolvent": _TABLE | _TRUNC | {"sigma", "spectrum_path", "eigen_path", "d", "anchors"},
+    "resolvent": _TABLE | _TRUNC | {"sigma", "spectrum_path", "eigen_path", "anchors"},
     "continue": _TABLE | {"s_grid", "sigma", "eigen_path", "d", "dim_chi", "volume"},
     "residues": _TABLE | {"sigma", "eigen_path", "d", "dim_chi", "volume"},
     "factorization-check": _SERIES | {"tol"},
@@ -578,6 +592,7 @@ REMOVED = (
     [(c, "--seed", "3") for c in TABLE_COMMANDS]
     + [(c, "--format", "json") for c in ("gen-spectrum", "verify")]
     + [(c, "--abscissa-margin", "0.5") for c in TRUNCATED_COMMANDS]
+    + [("resolvent", "--d", "3")]
 )
 
 
@@ -593,8 +608,8 @@ def test_each_command_accepts_exactly_the_options_it_reads():
         for command, p in _command_parsers().items()
     }
     assert accepted == OPTIONS
-    assert sum(map(len, accepted.values())) == 97
-    assert len(TABLE_COMMANDS) == 9 and len(REMOVED) == 17
+    assert sum(map(len, accepted.values())) == 96
+    assert len(TABLE_COMMANDS) == 9 and len(REMOVED) == 18
 
 
 # the config keys that differ from their flag, as README.md documents them;
@@ -625,6 +640,8 @@ def test_help_lists_the_options_and_their_defaults(capsys, command):
     text = " ".join(out.split())
     for dest in OPTIONS[command]:
         default = getattr(JobConfig, dest, None)
+        if dest == "tail_eps":  # a job that gives none gets the truncation policy's
+            default = TruncationPolicy.tail_eps
         if isinstance(default, (int, float, str)) and not isinstance(default, bool):
             assert f"(default {default})" in text, dest
 
@@ -664,6 +681,16 @@ def test_removed_option_is_rejected(tmp_path, capsys, command, flag, value):
     conf.write_text(json.dumps({key: value}))
     code, out, err = _run(capsys, [command, "--config", str(conf)])
     assert code == 1 and out == "" and repr(key) in err
+
+
+def test_an_abbreviated_flag_is_refused(workdir, capsys):
+    # a prefix is not read as the flag it starts: --spec is not --spectrum,
+    # and --d is not --deterministic on a command without --d
+    spectrum = str(workdir / "spectrum.json")
+    for argv, named in ((["selberg", "--spec", spectrum, "--s", "3"], "--spec"),
+                        (["selberg", "--spectrum", spectrum, "--s", "3", "--d"], "--d")):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "") and f"unrecognized arguments: {named}" in err
 
 
 def test_no_tail_budget_admits_a_point_left_of_the_abscissa(workdir, capsys):

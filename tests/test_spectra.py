@@ -579,6 +579,19 @@ def test_a_bool_count_is_refused_before_save(tmp_path, gd3):
     assert load_eigen_spectrum(tmp_path / "eig.json").entries == ((1 + 0j, 1),)
 
 
+def test_the_eigen_constructor_states_the_multiplicity_rule():
+    # the document loader leaves m to the constructor, so both refuse alike
+    for m, message in ((10**400, "entries[0].m: integer out of float range"),
+                       (0, "entries[0].m: expected a positive integer, got 0"),
+                       (2.0, "entries[0].m: expected a positive integer, got 2.0")):
+        with pytest.raises(ValidationError) as info:
+            EigenSpectrum(entries=((2.0, m),))
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            eigen_spectrum_from_dict({"entries": [{"t": [2.0, 0.0], "m": m}]})
+        assert str(info.value) == message
+
+
 def test_missing_file_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError):
         load_length_spectrum(tmp_path / "absent.json")

@@ -1,5 +1,6 @@
 """Guards on the package surface: no environment reads or thread pools,
-only bounded memos, no unused imports, and an ``__all__`` that resolves."""
+only bounded memos, no unused imports, no unread definition or member, and
+an ``__all__`` that resolves."""
 
 import ast
 import importlib
@@ -118,7 +119,8 @@ def test_no_unused_imports():
         assert not _unused_imports(path), (path.name, _unused_imports(path))
 
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCTIONS, ast.ClassDef)
 
 # the PEP 562 module hooks, which the interpreter calls on the package
 _PACKAGE_HOOKS = {"__getattr__", "__dir__"}
@@ -162,6 +164,58 @@ def test_only_the_package_hooks_of_init_count_as_used(tmp_path):
     assert _unreferenced_definitions(sources, set()) == {
         "_unused", "Unused", "__getattr__", "__dir__"
     }
+
+
+# argparse calls the parser's error hook
+_CALLED_BY_LIBRARIES = {"_Parser.error"}
+
+
+def _unread_members(sources: list[Path], exempt: set[str]) -> set[str]:
+    """Methods and properties of the sources' classes, as ``Class.name``,
+    that no attribute read (``x.name``) anywhere in the sources reaches from
+    outside the member's own body. Dunders, which the interpreter calls, and
+    the names in ``exempt`` count as read."""
+    members: set[tuple[str, str]] = set()
+    read: set[str] = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.Attribute) and node.attr != owner:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, _FUNCTIONS):
+                members.add((node.name, child.name))
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+
+    for path in sources:
+        visit(ast.parse(path.read_text()), None)
+    return {
+        f"{cls}.{name}" for cls, name in members
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    } - exempt
+
+
+def test_every_method_and_property_is_read():
+    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+    assert sources
+    assert not _unread_members(sources, _CALLED_BY_LIBRARIES)
+
+
+def test_a_member_read_only_inside_its_own_body_counts_as_unread(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return self.also()\n\n"
+        "    def also(self):\n        return 1\n\n"
+        "    @property\n    def unread(self):\n        return 2\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1)\n\n"
+        "    def hook(self):\n        pass\n\n\n"
+        "A().used()\n"
+    )
+    sources = [tmp_path / "mod.py"]
+    assert _unread_members(sources, set()) == {"A.unread", "A.recursive", "A.hook"}
+    assert _unread_members(sources, {"A.hook"}) == {"A.unread", "A.recursive"}
 
 
 def _base_class_raises(path: Path) -> list[int]:

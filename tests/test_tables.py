@@ -78,7 +78,6 @@ def test_a_non_finite_value_is_refused_before_writing(tmp_path, fmt):
     rows = [*ROWS, ResultRow(4.0 + 0j, complex(float("nan"), 1.0), 0.0),
             ResultRow(5.0 + 0j, complex(0.0, float("inf")), 0.0)]
     out = tmp_path / "t.out"
-    with pytest.raises(DomainError, match=r"at s = \(4\+0j\) overflows") as info:
+    with pytest.raises(DomainError, match=r"at s = \(4\+0j\) overflows"):
         emit_table(rows, fmt, out)
-    assert info.value.s == 4.0 + 0j
     assert not out.exists()
