@@ -28,6 +28,9 @@ dests, the keys of _OPTIONS. Each value goes through its flag's own
 parser: a string or number stands for the flag's text, a list for a
 repeatable flag's values, true for --deterministic.
 
+A job builds only the subparser of the command it names first; --help,
+no arguments and an unknown command build every command's.
+
 Only the modules the evaluating commands share are imported at the top.
 The plancherel, heat, continuation and verify layers are imported inside
 the commands that run them, so a job loads only what it runs; a fresh
@@ -57,7 +60,7 @@ from .spectra import (
     synthesize,
 )
 from .tables import ResultRow, emit_table, write_text
-from .weights import GroupData
+from .weights import GroupData, weyl_action
 from .zeta import (
     TruncationPolicy,
     log_derivative,
@@ -185,13 +188,17 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser: every command's subparser, or only that of
+    command when one is named. A command's subparser parses, refuses and
+    prints its help alike whichever others are built beside it."""
     p = _Parser(prog="zetaflow", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (doc, dests, _handler) in _COMMANDS.items():
+    commands = _COMMANDS if command is None else {command: _COMMANDS[command]}
+    for name, (doc, dests, _handler) in commands.items():
         # no abbreviations: a flag a command lacks is refused by its own name,
         # never read as another flag it prefixes (--d as --deterministic)
-        g = sub.add_parser(command, help=doc, allow_abbrev=False)
+        g = sub.add_parser(name, help=doc, allow_abbrev=False)
         for dest in dests:
             flag, keywords = _OPTIONS[dest]
             default = getattr(JobConfig, dest, None)
@@ -362,7 +369,16 @@ def _continued(cfg: JobConfig):
         raise ValidationError(f"{cfg.command} requires --eigen")
     es = load_eigen_spectrum(cfg.eigen_path)
     gd = _group(cfg)
-    return continued_from(es, gd, _sigma_for(cfg, gd), cfg.dim_chi, cfg.volume)
+    sigma = gd.validate_m_weight(_sigma_for(cfg, gd))
+    if sigma[-1]:
+        # for sigma != w sigma the eigen data may be those of sigma or of
+        # sigma + w sigma, and neither the file nor the command says which
+        raise ValidationError(
+            f"{cfg.command} reads eigen data of a sigma equal to w sigma only (last coordinate 0); "
+            f"sigma = ({', '.join(map(str, sigma))}) has "
+            f"w sigma = ({', '.join(map(str, weyl_action(sigma)))})"
+        )
+    return continued_from(es, gd, sigma, cfg.dim_chi, cfg.volume)
 
 
 def _cmd_continue(cfg: JobConfig) -> int:
@@ -470,8 +486,10 @@ def run(config: JobConfig) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
+        # --help, no arguments and an unknown command need every command
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         return run(_merge_config(parser, parser.parse_args(argv)))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from .chars import CharacterTable
 from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
-from .summation import chunked_sum
+from .summation import BLOCK, chunked_sum
 from .zeta import SeriesValue, TruncationPolicy, _sigma_table, empty_plan_error
 
 # exp(x) is exactly 0 in double precision for every x below this
@@ -100,16 +100,31 @@ def _hyperbolic_tail(
 def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     """The hyperbolic contribution at time t: the plan's heat prefactors
     against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t), summed
-    one plan chunk at a time. The lengths ascend, so once the kernel
-    underflows to 0 it stays 0: the sum skips every chunk whose first
-    exponent is below _EXP_UNDERFLOW, as all its terms are 0, and is 0
-    when no chunk is left."""
+    one plan chunk at a time. The lengths ascend, so once the exponent
+    -L^2 / 4t falls below _EXP_UNDERFLOW the kernel is 0 from there on:
+    the sum skips every chunk whose first exponent is below it, and is 0
+    when no chunk is left. In the chunk where it falls, only the powers
+    before the first dead one are exponentiated; the terms are zero-filled
+    to the end of that power's block, so every block partial is the whole
+    chunk's, and the blocks after it, exact zeros that add nothing, are
+    not summed."""
     live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= _EXP_UNDERFLOW]
     if not live:
         return 0j
     base = plan.heat_base(sigma_table)
     scale = math.sqrt(4.0 * math.pi * t)
-    return chunked_sum(base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live)
+
+    def terms(r: slice) -> np.ndarray:
+        exponent = -plan.length[r] ** 2 / (4.0 * t)
+        if exponent[-1] >= _EXP_UNDERFLOW:
+            return base[r] * (np.exp(exponent) / scale)
+        # the exponents descend: the dead powers are the last ones
+        dead = exponent.size - np.searchsorted(exponent[::-1], _EXP_UNDERFLOW)
+        out = np.zeros(min(exponent.size, -(-dead // BLOCK) * BLOCK), dtype=complex)
+        np.multiply(base[r][:dead], np.exp(exponent[:dead]) / scale, out=out[:dead])
+        return out
+
+    return chunked_sum(map(terms, live))
 
 
 def _setup(ls: LengthSpectrum, sigma: Sequence[object], tp: TruncationPolicy):

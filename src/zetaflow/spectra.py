@@ -233,12 +233,18 @@ class _PowerTable:
     def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
         """For each tables of products, the product of the character tables
         at the power angles, multiplied in table order; memoized by the
-        tables' ((family, highest), ...). The missing products are built in
-        one pass over the chunks, with one evaluate_all call per chunk for
-        all the tables they hold."""
+        tables' ((family, highest), ...). A product of trivial characters,
+        every highest weight 0, is all ones, as evaluate_all gives it at any
+        finite angles, and is built without the angles. The other missing
+        products are built in one pass over the chunks, with one
+        evaluate_all call per chunk for all the tables they hold."""
         keys = [tuple((t.family, t.highest) for t in tables) for tables in products]
         found = {key: self._char_products.get(key) for key in keys}
         missing = {key: tables for key, tables in zip(keys, products) if found[key] is None}
+        for key in list(missing):
+            if not any(any(highest) for _, highest in key):
+                found[key] = np.ones(self.size, dtype=complex)
+                del missing[key]
         if missing:
             distinct = {(t.family, t.highest): t for tables in missing.values() for t in tables}
             for key in missing:
@@ -411,7 +417,10 @@ class EigenSpectrum:
     def __post_init__(self) -> None:
         norm = []
         for i, (t, m) in enumerate(self.entries):
-            t = complex(t)
+            try:
+                t = complex(t)
+            except OverflowError:  # the rule _real gives m
+                raise ValidationError(f"entries[{i}].t: integer out of float range") from None
             if not (math.isfinite(t.real) and math.isfinite(t.imag)):
                 raise ValidationError(f"entries[{i}].t: non-finite value")
             if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):

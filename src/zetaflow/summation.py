@@ -10,7 +10,10 @@ chunked_sum is the one reduction. A series too long to hold at once is
 passed in chunks of CHUNK terms; CHUNK is a whole number of blocks, so the
 chunks are block-aligned and every block partial, hence the sum, is the
 same as for the whole array. A whole array is the one-chunk case,
-chunked_sum((values,)).
+chunked_sum((values,)). A chunk's whole blocks are summed by one reduction
+along the rows of its (blocks, BLOCK) view, which sums each row as
+np.sum sums the block alone, bit for bit; a trailing part block is summed
+on its own.
 """
 
 from __future__ import annotations
@@ -42,8 +45,12 @@ def chunked_sum(chunks: Iterable[np.ndarray]) -> complex:
     blocks long; see module docstring."""
     re = im = (0.0, 0.0)
     for v in chunks:
-        for i in range(0, v.size, BLOCK):
-            p = np.sum(v[i : i + BLOCK])
-            re = _neumaier(*re, float(np.real(p)))
-            im = _neumaier(*im, float(np.imag(p)))
+        whole = v.size - v.size % BLOCK
+        partials = [v[:whole].reshape(-1, BLOCK).sum(axis=1)] if whole else []
+        if whole < v.size:
+            partials.append(np.sum(v[whole:], keepdims=True))
+        for part in partials:
+            for x, y in zip(np.real(part).tolist(), np.imag(part).tolist()):
+                re = _neumaier(*re, x)
+                im = _neumaier(*im, y)
     return complex(re[0] + re[1], im[0] + im[1])

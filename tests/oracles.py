@@ -82,6 +82,21 @@ def char_D_mp(weight, angles, dps: int = 50) -> complex:
         return complex((cos_l + (1j**n) * sin_l) / den)
 
 
+def hyperbolic_sum_whole(plan, sigma_table, t: float) -> complex:
+    """heat._hyperbolic_sum with the kernel of every live chunk (one whose
+    first exponent -L^2 / 4t is at least -746) exponentiated whole, its
+    underflowed terms included, and every term summed: the sum from before
+    the chunk where the kernel underflows was cut at its first dead
+    power."""
+    live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= -746.0]
+    if not live:
+        return 0j
+    base = plan.heat_base(sigma_table)
+    scale = math.sqrt(4.0 * math.pi * t)
+    return block_sum_whole(np.concatenate(
+        [base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live]))
+
+
 def character_table_loop(family: str, weight, angles) -> np.ndarray:
     """The weight-route character at angles of shape (..., n), one table on
     its own: one pass over all the angles per weight, in sorted weight

@@ -21,6 +21,7 @@ from zetaflow import (
     selberg_log,
     synthesize,
 )
+from zetaflow import cli
 from zetaflow.cli import JobConfig, build_parser, main, run
 
 
@@ -166,6 +167,24 @@ def test_resolvent_eigen_route_refuses_the_spectrum_route_options(workdir, tmp_p
     conf.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
     code, out, err = _run(capsys, [*argv, "--config", str(conf)])
     assert (code, out) == (1, "") and flag in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["continue", "--d", "5", "--sigma", "1,1", "--s", "1.5"], "sigma = (1, 1) has w sigma = (1, -1)"),
+    (["continue", "--d", "5", "--sigma", "1,-1", "--s", "1.5"], "sigma = (1, -1) has w sigma = (1, 1)"),
+    (["residues", "--d", "3", "--sigma", "1"], "sigma = (1) has w sigma = (-1)"),
+])
+def test_continuation_refuses_a_sigma_other_than_w_sigma(workdir, capsys, argv, shown):
+    # the eigen data of such a sigma could be those of sigma or of sigma + w sigma
+    code, out, err = _run(capsys, [*argv, "--eigen", str(workdir / "eig.json")])
+    assert (code, out) == (1, "")
+    assert shown in err and err.startswith(f"error: {argv[0]} reads eigen data of a sigma equal")
+    # sigma = w sigma is read as before
+    fixed = [argv[0], "--d", "5", "--sigma", "1,0", "--eigen", str(workdir / "eig.json")]
+    if argv[0] == "continue":
+        fixed += ["--s", "1.5"]
+    code, _, err = _run(capsys, fixed)
+    assert code == 0, err
 
 
 def test_continue_and_residues(workdir, capsys):
@@ -596,10 +615,56 @@ REMOVED = (
 )
 
 
-def _command_parsers():
-    parser = build_parser()
+def _command_parsers(parser=None):
+    parser = parser or build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices
+
+
+def _outcome(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv), --help's exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_a_command_parses_with_its_own_subparser_as_with_all_of_them(
+        capsys, monkeypatch, tmp_path, command):
+    (tmp_path / "key.json").write_text('{"deterministic": true, "no_such_key": 1}')
+    (tmp_path / "list.json").write_text('{"output": ["a.csv", "b.csv"]}')
+    argvs = [
+        [command, "--help"],
+        [command, "--no-such-option", "1"],
+        [command, "--output"],
+        [command, "--config", str(tmp_path / "key.json")],
+        [command, "--config", str(tmp_path / "list.json")],
+    ]
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda name=None: built.append(name) or build_parser(name))
+    own = [_outcome(capsys, argv) for argv in argvs]
+    assert built == [command] * len(argvs)
+    [(name, _)] = _command_parsers(build_parser(command)).items()
+    assert name == command
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: build_parser())
+    assert own == [_outcome(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in own] == [0, 1, 1, 1, 1]
+
+
+def test_help_no_command_and_an_unknown_command_build_every_subparser(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda name=None: built.append(name) or build_parser(name))
+    code, out, _ = _outcome(capsys, ["--help"])
+    assert code == 0 and all(command in out for command in OPTIONS)
+    assert _outcome(capsys, []) == (1, "", "error: the following arguments are required: command\n")
+    code, out, err = _outcome(capsys, ["no-such-command", "--s", "1"])
+    assert (code, out) == (1, "") and all(repr(command) in err for command in OPTIONS)
+    assert built == [None] * 3
 
 
 def test_each_command_accepts_exactly_the_options_it_reads():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import WholeArrayPlan, block_sum_whole
+from oracles import WholeArrayPlan, block_sum_whole, character_table_loop, hyperbolic_sum_whole
 from zetaflow import (
     DomainError,
     GroupData,
@@ -24,9 +24,9 @@ from zetaflow import (
     validate_cert,
     z_p_log,
 )
-from zetaflow import heat
+from zetaflow import heat, spectra
 from zetaflow.branching import exterior_decomposition
-from zetaflow.chars import character_table
+from zetaflow.chars import character_table, evaluate_all
 from zetaflow.spectra import TwistGrowthCert
 from zetaflow.summation import BLOCK, CHUNK, chunked_sum
 
@@ -139,7 +139,65 @@ def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls,
                 assert not np.exp(-whole.length[edge:] ** 2 / (4.0 * t)).any()
 
 
-@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK, 3 * CHUNK + 5])
+def _time_cutting_at(plan, first_dead: int) -> float:
+    """A time at which the kernel exponent -L^2 / 4t is at least the
+    underflow cutoff before power first_dead and below it from there on;
+    the plan's length past its last power when first_dead is its size."""
+    length = plan.length
+    end = float(length[first_dead]) if first_dead < plan.size else 2.0 * float(length[-1])
+    middle = 0.5 * (float(length[first_dead - 1]) + end)
+    t = middle * middle / (-4.0 * heat._EXP_UNDERFLOW)
+    exponent = -length**2 / (4.0 * t)
+    assert exponent[first_dead - 1] >= heat._EXP_UNDERFLOW
+    assert (exponent[first_dead:] < heat._EXP_UNDERFLOW).all()
+    return t
+
+
+def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
+        ls, sized, monkeypatch):
+    _, plan, _ = sized
+    sig = character_table("D", SIGMA)
+    summed = []
+
+    def recorded(chunks):
+        chunks = list(chunks)
+        summed.append([c.size for c in chunks])
+        return chunked_sum(chunks)
+
+    monkeypatch.setattr(heat, "chunked_sum", recorded)
+    # the first dead power: the first power only live, inside a block, on a
+    # block edge, on a chunk edge, inside a later chunk's block
+    cuts = [k for k in (1, BLOCK // 2 + 3, BLOCK, CHUNK, CHUNK + BLOCK + 7, 2 * CHUNK + 1)
+            if k < plan.size]
+    if plan.size:
+        cuts.append(plan.size)  # no power dead
+    for first_dead in cuts:
+        t = _time_cutting_at(plan, first_dead)
+        summed.clear()
+        assert same_bits(heat._hyperbolic_sum(plan, sig, t), hyperbolic_sum_whole(plan, sig, t))
+        # each chunk with a live power, cut at the end of the block that
+        # holds the first dead one
+        want = [min(len(range(plan.size)[r]), -(-(first_dead - r.start) // BLOCK) * BLOCK)
+                for r in plan.chunks() if r.start < first_dead]
+        assert summed == [want], first_dead
+
+
+def test_a_trivial_product_is_all_ones_and_evaluates_no_character(sized, monkeypatch):
+    _, plan, _ = sized
+    calls = []
+    monkeypatch.setattr(spectra, "evaluate_all",
+                        lambda tables, angles: calls.append(tables) or evaluate_all(tables, angles))
+    trivial = character_table("D", (0, 0))
+    reference = character_table_loop("D", (0, 0), plan.angles())
+    for tables in ((trivial,), (trivial, trivial)):
+        plan._char_products.pop(tuple((t.family, t.highest) for t in tables), None)
+        [chars] = plan.char_products((tables,))
+        assert same_bits(chars, np.ones(plan.size, dtype=complex))
+        assert same_bits(chars, reference)
+    assert calls == []
+
+
+@pytest.mark.parametrize("size", sorted({*SIZES, BLOCK + 1}))
 def test_chunked_sum_equals_one_whole_array_pass(size):
     rng = np.random.default_rng(size)
     values = rng.normal(size=size) * np.exp(rng.uniform(0, 30, size=size))
@@ -150,6 +208,8 @@ def test_chunked_sum_equals_one_whole_array_pass(size):
         pieces = (values[i : i + chunk] for i in range(0, size, chunk))
         assert same_bits(chunked_sum(pieces), want)
     assert same_bits(chunked_sum((values.real,)), block_sum_whole(values.real))
+    # a strided view, whose blocks are not contiguous
+    assert same_bits(chunked_sum((values[::-1],)), block_sum_whole(values[::-1]))
 
 
 def _peak_bytes(evaluate) -> int:

@@ -347,11 +347,12 @@ def test_second_factorization_point_evaluates_no_character(monkeypatch):
         monkeypatch.setattr(module, "evaluate_all", counted)
 
     ruelle_log(s, sigma, ls, tp)
+    # the trivial character's product is all ones, built without a call
+    assert calls == []
     sig = ("D", as_weight(sigma))
-    assert calls == [({sig}, len(plan.length[r])) for r in plan.chunks()]
-    calls.clear()
     ruelle_factorized_log(s, sigma, ls, tp)
-    # sigma with every distinct exterior piece, all in one pass over the plan
+    # sigma with every distinct exterior piece, all in one pass over the
+    # plan, for the products that are not all trivial
     pieces = {("D", psi) for p in range(7) for psi, _ in exterior_decomposition(ls.gd, p)}
     assert len(pieces) == 5
     assert calls == [({sig} | pieces, len(plan.length[r])) for r in plan.chunks()]
@@ -590,6 +591,14 @@ def test_the_eigen_constructor_states_the_multiplicity_rule():
         with pytest.raises(ValidationError) as info:
             eigen_spectrum_from_dict({"entries": [{"t": [2.0, 0.0], "m": m}]})
         assert str(info.value) == message
+
+
+def test_the_eigen_constructor_refuses_a_t_past_the_float_range():
+    # the rule m has: an integer past the float range is invalid input
+    for t in (10**400, -(10**400)):
+        with pytest.raises(ValidationError) as info:
+            EigenSpectrum(entries=((2.0, 1), (t, 1)))
+        assert str(info.value) == "entries[1].t: integer out of float range"
 
 
 def test_missing_file_is_a_validation_error(tmp_path):
