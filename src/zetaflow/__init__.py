@@ -16,7 +16,6 @@ import importlib
 # home module -> the public names it defines
 _EXPORTS = {
     "branching": (
-        "VirtualRep",
         "branch_weights",
         "branching_multiplicity",
         "exterior_decomposition",

@@ -8,15 +8,16 @@ inversion coefficients are closed forms read off that fact: signed sums of
 sigma - mu over mu in {0,1}^n, whose restrictions cancel in pairs. The
 exterior powers of the standard representation of the D factor are closed
 forms too, one highest weight (1^q, 0^(n-q)) per power except two in the
-middle degree. Everything is exact arithmetic over ``weights`` alone.
+middle degree. A virtual representation is a plain dict from highest
+weight to nonzero integer coefficient, sorted by weight. Everything is
+exact arithmetic over ``weights`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 from .weights import (
@@ -26,37 +27,6 @@ from .weights import (
     is_dominant,
     validate_dominant,
 )
-
-
-@dataclass(frozen=True)
-class VirtualRep:
-    """Integer combination of irreducibles of one compact factor.
-
-    ``family`` is "B" or "D"; ``terms`` maps highest weights to nonzero
-    integer coefficients, stored sorted for stable iteration; iterating
-    yields the (weight, coefficient) pairs, so ``dict(rep)`` is that map.
-    """
-
-    family: str
-    terms: tuple[tuple[Weight, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for w, c in self.terms:
-            if w in seen:
-                raise ValidationError(f"duplicate weight {tuple(map(str, w))} in virtual rep")
-            seen.add(w)
-            if c == 0:
-                raise ValidationError("zero coefficient in virtual rep")
-            if not is_dominant(w, self.family):
-                raise ValidationError(f"non-dominant weight {tuple(map(str, w))} in virtual rep")
-
-    @classmethod
-    def from_dict(cls, family: str, d: Mapping[Weight, int]) -> "VirtualRep":
-        return cls(family, tuple(sorted((w, c) for w, c in d.items() if c != 0)))
-
-    def __iter__(self) -> Iterator[tuple[Weight, int]]:
-        return iter(self.terms)
 
 
 def branching_multiplicity(tau: Sequence[object], sigma: Sequence[object]) -> int:
@@ -77,25 +47,18 @@ def branching_multiplicity(tau: Sequence[object], sigma: Sequence[object]) -> in
 
 
 def branch_weights(tau: Sequence[object]) -> Iterator[Weight]:
-    """All D-factor types appearing in the restriction of ``tau``, each once."""
+    """All D-factor types appearing in the restriction of ``tau``, each once.
+
+    sigma_i runs down from tau_i to tau_{i+1} for i < n, and sigma_n from
+    tau_n to -tau_n, in unit steps. Every point of that box interlaces, as
+    sigma_i >= tau_{i+1} >= sigma_{i+1} and sigma_{n-1} >= tau_n >= |sigma_n|,
+    so each one is D-dominant.
+    """
     t = as_weight(tau)
     validate_dominant(t, "B", "tau")
-    n = len(t)
-
-    def ranges(i: int) -> list[Fraction]:
-        lo = -t[n - 1] if i == n - 1 else t[i + 1]
-        hi = t[i]
-        vals = []
-        c = hi
-        while c >= lo:
-            vals.append(c)
-            c -= 1
-        return vals
-
-    for combo in itertools.product(*(ranges(i) for i in range(n))):
-        ok = all(combo[i] >= combo[i + 1] for i in range(n - 2))
-        if ok and (n < 2 or combo[n - 2] >= abs(combo[n - 1])):
-            yield combo
+    lows = t[1:] + (-t[-1],)
+    steps = [[hi - k for k in range(int(hi - lo) + 1)] for hi, lo in zip(t, lows)]
+    return itertools.product(*steps)
 
 
 def _signed_candidates(nu: Weight) -> Iterator[tuple[Weight, int]]:
@@ -106,8 +69,9 @@ def _signed_candidates(nu: Weight) -> Iterator[tuple[Weight, int]]:
             yield cand, -1 if sum(mu) % 2 else 1
 
 
-def tau_pm_split(sigma: Sequence[object]) -> tuple[VirtualRep, VirtualRep]:
-    """The pair of B-factor virtual reps attached to a type with sigma_n != 0.
+def tau_pm_split(sigma: Sequence[object]) -> tuple[dict[Weight, int], dict[Weight, int]]:
+    """The pair of B-factor virtual reps attached to a type with sigma_n != 0,
+    each a map from highest weight to coefficient, sorted by weight.
 
     Closed form: with nu the chamber version of sigma, plus holds the
     B-dominant nu - mu over mu in {0,1}^n with an even count of ones and
@@ -125,16 +89,14 @@ def tau_pm_split(sigma: Sequence[object]) -> tuple[VirtualRep, VirtualRep]:
     validate_dominant(s, "D", "sigma")
     if s[-1] == 0:
         raise ValidationError("a Weyl-invariant type has no plus/minus splitting")
-    plus: dict[Weight, int] = {}
-    minus: dict[Weight, int] = {}
-    for cand, sign in _signed_candidates(s[:-1] + (abs(s[-1]),)):
-        (plus if sign > 0 else minus)[cand] = 1
-    return VirtualRep.from_dict("B", plus), VirtualRep.from_dict("B", minus)
+    signed = sorted(_signed_candidates(s[:-1] + (abs(s[-1]),)))
+    return {w: 1 for w, sign in signed if sign > 0}, {w: 1 for w, sign in signed if sign < 0}
 
 
-def m_tau_coeffs(sigma: Sequence[object]) -> VirtualRep:
-    """Invert restriction at a Weyl-invariant type: coefficients m_tau with
-    sum_tau m_tau [tau restricted] equal to the delta at sigma.
+def m_tau_coeffs(sigma: Sequence[object]) -> dict[Weight, int]:
+    """Invert restriction at a Weyl-invariant type: the map tau -> m_tau,
+    sorted by tau, with sum_tau m_tau [tau restricted] equal to the delta at
+    sigma.
 
     Closed form: m_tau = (-1)^|mu| for tau = sigma - mu, mu in {0,1}^n,
     over the tau that are B-dominant; mu_n = 1 would make tau_n = -1, so
@@ -153,12 +115,12 @@ def m_tau_coeffs(sigma: Sequence[object]) -> VirtualRep:
             "restriction inversion is defined for Weyl-invariant types only "
             "(last coordinate zero); use tau_pm_split otherwise"
         )
-    return VirtualRep.from_dict("B", dict(_signed_candidates(s)))
+    return dict(sorted(_signed_candidates(s)))
 
 
-def exterior_decomposition(gd: GroupData, p: int) -> list[tuple[Weight, int]]:
-    """Irreducible pieces of the p-th exterior power of the 2n-dimensional
-    standard representation of the D factor, paired with the integer p.
+def exterior_decomposition(gd: GroupData, p: int) -> list[Weight]:
+    """Highest weights of the irreducible pieces of the p-th exterior power
+    of the 2n-dimensional standard representation of the D factor.
 
     Closed form: with q = min(p, 2n - p), the piece is the highest weight
     (1^q, 0^(n-q)), except that at q = n there are two, (1^n) and then
@@ -173,5 +135,5 @@ def exterior_decomposition(gd: GroupData, p: int) -> list[tuple[Weight, int]]:
     q = min(p, 2 * n - p)
     top = tuple(Fraction(1 if i < q else 0) for i in range(n))
     if q < n:
-        return [(top, p)]
-    return [(top, p), (top[:-1] + (Fraction(-1),), p)]
+        return [top]
+    return [top, top[:-1] + (Fraction(-1),)]

@@ -48,7 +48,8 @@ def _in_positive_cone(delta: Sequence[Fraction], family: str) -> bool:
     """Is delta a nonnegative integer combination of simple roots?
 
     Simple roots are e_i - e_{i+1} plus e_n (B_n) or e_{n-1} + e_n (D_n);
-    the coefficients solve triangularly from partial sums of delta.
+    the coefficients solve triangularly from partial sums of delta. D_n
+    needs n >= 2; freudenthal_multiplicities answers D_1 without a cone.
     """
     n = len(delta)
     partial = Fraction(0)
@@ -59,10 +60,7 @@ def _in_positive_cone(delta: Sequence[Fraction], family: str) -> bool:
     if family == "B":
         coeffs = partials
     else:
-        if n == 1:
-            return delta[0] == 0
-        total = partials[-1]
-        c_n = total / 2
+        c_n = partials[-1] / 2
         c_prev = (partials[-2] - delta[-1]) / 2
         coeffs = partials[: n - 2] + [c_prev, c_n]
     return all(c.denominator == 1 and c >= 0 for c in coeffs)
@@ -92,11 +90,15 @@ def _dominant_candidates(family: str, lam: Weight) -> list[Weight]:
     return out
 
 
-@lru_cache
 def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of the irreducible with highest
     weight ``lam``, computed by the Freudenthal recursion in exact arithmetic.
-    The result is memoized and shared: callers must not mutate it.
+
+    Every candidate mu != lam is dominant with lam - mu in the positive root
+    cone, so |mu + rho| < |lam + rho| and the recursion's denominator is
+    positive; its quotient is the multiplicity, an integer (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 13.4 and 22.3).
+    Each call computes a new dict.
     """
     validate_dominant(lam, family, "highest weight")
     n = len(lam)
@@ -129,17 +131,7 @@ def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
                 if m:
                     acc += 2 * m * dot(nu, alpha)
                 k += 1
-        den = lam_shift - norm_sq(tuple(a + b for a, b in zip(mu, rho)))
-        if den == 0:
-            # only reachable for lattice points outside the weight system
-            value = 0
-        else:
-            q = acc / den
-            if q.denominator != 1:
-                raise ValidationError(
-                    f"non-integer multiplicity at {tuple(map(str, mu))}"
-                )
-            value = int(q)
+        value = int(acc / (lam_shift - norm_sq(tuple(a + b for a, b in zip(mu, rho)))))
         mults[mu] = value
         return value
 
@@ -150,15 +142,13 @@ def weight_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     """Full weight system of the irreducible: every weight with multiplicity,
     obtained by expanding the dominant multiplicities over the Weyl orbit
     (sign flips with the family parity rule, then coordinate permutations).
+    An image reached twice is assigned the same multiplicity again.
     """
     full: dict[Weight, int] = {}
     for mu, m in freudenthal_multiplicities(family, lam).items():
-        seen: set[Weight] = set()
         for flipped in weyl_orbit_signs(mu, family):
             for perm in itertools.permutations(flipped):
-                if perm not in seen:
-                    seen.add(perm)
-                    full[perm] = m
+                full[perm] = m
     return full
 
 

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
 from .weights import GroupData, Weight, norm_sq
 
 
@@ -72,10 +71,7 @@ def _exact_coeffs(gd: GroupData, sigma: Weight) -> tuple[Fraction, ...]:
 
 def plancherel_polynomial(gd: GroupData, sigma: Sequence[object]) -> PlancherelPolynomial:
     """The even degree-2n Plancherel polynomial attached to ``sigma``."""
-    s = gd.validate_m_weight(sigma)
-    exact = _exact_coeffs(gd, s)
-    if len(exact) != gd.n + 1:
-        raise ValidationError("Plancherel polynomial has wrong degree")
+    exact = _exact_coeffs(gd, gd.validate_m_weight(sigma))
     return PlancherelPolynomial(tuple(complex(c) for c in exact), exact)
 
 

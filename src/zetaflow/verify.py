@@ -239,10 +239,9 @@ def suite_branching(seed: int = 0) -> list[CheckResult]:
         for sigma in sigmas:
             sigma = tuple(Fraction(c) for c in sigma)
             plus, minus = tau_pm_split(sigma)
-            taus = [t for t, _ in plus] + [t for t, _ in minus]
-            for sp in _restriction_candidates(taus):
-                net = sum(c * branching_multiplicity(t, sp) for t, c in plus) - sum(
-                    c * branching_multiplicity(t, sp) for t, c in minus
+            for sp in _restriction_candidates([*plus, *minus]):
+                net = sum(c * branching_multiplicity(t, sp) for t, c in plus.items()) - sum(
+                    c * branching_multiplicity(t, sp) for t, c in minus.items()
                 )
                 want = int(sp == sigma) + int(sp == weyl_action(sigma))
                 split_err = max(split_err, abs(net - want))
@@ -252,9 +251,8 @@ def suite_branching(seed: int = 0) -> list[CheckResult]:
         for sigma in sigmas:
             sigma = tuple(Fraction(c) for c in sigma)
             coeffs = m_tau_coeffs(sigma)
-            taus = [t for t, _ in coeffs]
-            for sp in _restriction_candidates(taus):
-                net = sum(c * branching_multiplicity(t, sp) for t, c in coeffs)
+            for sp in _restriction_candidates(coeffs):
+                net = sum(c * branching_multiplicity(t, sp) for t, c in coeffs.items())
                 inversion_err = max(inversion_err, abs(net - int(sp == sigma)))
 
     ext_err = 0
@@ -263,7 +261,7 @@ def suite_branching(seed: int = 0) -> list[CheckResult]:
         total = 0
         for p in range(0, d):
             # each constituent is listed once, with multiplicity one
-            dim = sum(weyl_dim(w, "D") for w, _ in exterior_decomposition(gd, p))
+            dim = sum(weyl_dim(w, "D") for w in exterior_decomposition(gd, p))
             total += dim
             ext_err = max(ext_err, abs(dim - math.comb(d - 1, p)))
         ext_err = max(ext_err, abs(total - 2 ** (d - 1)))

@@ -206,7 +206,7 @@ def z_p_log(
     shifted = _point(s) + gd.rho_norm - p
     total = 0j
     tail = 0.0
-    for psi, _lam in exterior_decomposition(gd, p):
+    for psi in exterior_decomposition(gd, p):
         tables = (sig, character_table("D", psi))
         val = _series_value(ls, tables, shifted, tp, "selberg")
         total += val.value
@@ -218,7 +218,7 @@ def _exterior_pieces(gd: GroupData) -> list[tuple[int, CharacterTable]]:
     """(p, table of psi) for each piece psi of each exterior power p = 0..2n."""
     return [(p, character_table("D", psi))
             for p in range(0, 2 * gd.n + 1)
-            for psi, _lam in exterior_decomposition(gd, p)]
+            for psi in exterior_decomposition(gd, p)]
 
 
 def ruelle_factorized_log(

@@ -288,6 +288,37 @@ def test_validation_failures_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+SERIES = ["selberg", "--spectrum", "{spectrum}", "--s", "3"]
+ONE_ROUTE = "resolvent takes exactly one of --spectrum or --eigen"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-spectrum", "--d", "3", "--output", "{tmp}/x.json"], "gen-spectrum requires --count"),
+    (["heat-trace", "--spectrum", "{spectrum}"], "heat-trace requires at least one --t time"),
+    (["resolvent", "--spectrum", "{spectrum}", "--anchor", "2"],
+     "resolvent requires at least two --anchor points"),
+    (["resolvent", "--spectrum", "{spectrum}", "--eigen", "{eigen}",
+      "--anchor", "2", "--anchor", "3"], ONE_ROUTE),
+    (["resolvent", "--anchor", "2", "--anchor", "3"], ONE_ROUTE),
+    (["continue", "--d", "3", "--s", "2"], "continue requires --eigen"),
+    (["selberg", "--spectrum", "{spectrum}", "--s", "nan"], "non-finite evaluation point 'nan'"),
+    ([*SERIES, "--sigma", "1,x"], "cannot parse '1,x' as a comma-separated list of rationals"),
+    ([*SERIES, "--config", "{tmp}/missing.json"], "cannot read config file {tmp}/missing.json: "),
+    ([*SERIES, "--config", "{tmp}/bad.json"], "config file {tmp}/bad.json is not valid JSON: "),
+    ([*SERIES, "--config", "{tmp}/list.json"], "config file must hold a JSON object"),
+])
+def test_a_refused_job_exits_one_with_its_message_on_stderr_only(
+    workdir, capsys, tmp_path, argv, message
+):
+    (tmp_path / "bad.json").write_text('{"d": 3')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    paths = {"spectrum": workdir / "spectrum.json", "eigen": workdir / "eig.json", "tmp": tmp_path}
+    code, out, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message.format(**paths)}"), err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_domain_failures_exit_two(workdir, capsys):
     # below the abscissa of convergence: the offending point is named
     code, _, err = _run(capsys, [

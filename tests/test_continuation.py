@@ -195,6 +195,18 @@ def test_heat_resolvent_identity_needs_positive_re_s_squared():
         heat_resolvent_identity(0.3 + 2.0j, 1.0)
 
 
+def test_identity_and_residue_refusals(gd3):
+    with pytest.raises(ValidationError, match="length must be positive, got 0.0"):
+        heat_resolvent_identity(2.0, 0.0)
+    P = plancherel_polynomial(gd3, (0,))
+    for s in (0.0, -1 + 2j):
+        with pytest.raises(DomainError, match=r"identity requires Re\(s\) > 0"):
+            cauchy_plancherel_identity(s, P)
+    cl = continued_from(EigenSpectrum(entries=()), gd3, (0,), 1, 1.0)
+    with pytest.raises(DomainError, match="the continuation has no singularities"):
+        residue_order(cl, 1.0)
+
+
 def test_resolvent_spectral_route():
     es = EigenSpectrum(entries=((2.0 + 0j, 2), (5.0 + 0j, 1)))
     aset = anchor_set([1.0, 2.0])

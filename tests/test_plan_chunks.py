@@ -83,7 +83,7 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
     assert same_bits(plan.cert.K, whole.cert_K())
     assert same_bits(plan.counting_constant, whole.counting_constant())
     sig = character_table("D", SIGMA)
-    psi = character_table("D", exterior_decomposition(ls.gd, 1)[0][0])
+    psi = character_table("D", exterior_decomposition(ls.gd, 1)[0])
     for tables in ((sig,), (sig, psi)):
         [chars] = plan.char_products((tables,))
         assert same_bits(chars, whole.chars(tables))
@@ -110,7 +110,7 @@ def test_series_values_equal_the_whole_array_formulas(ls, sized):
     p = 1
     shifted = s_ruelle + ls.gd.rho_norm - p
     want = 0j
-    for psi, _ in exterior_decomposition(ls.gd, p):
+    for psi in exterior_decomposition(ls.gd, p):
         want += whole.series((sig, character_table("D", psi)), shifted, "selberg")
     assert same_bits(z_p_log(s_ruelle, p, SIGMA, ls, tp).value, want)
 

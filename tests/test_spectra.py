@@ -248,6 +248,18 @@ def test_growth_certificate(ls3, ls3_twisted):
     assert certify_twist_growth(ls3).k == 0.0
 
 
+def test_spectrum_refusals(gd3, ls3, tmp_path):
+    with pytest.raises(ValidationError, match="cannot certify an empty spectrum"):
+        certify_twist_growth(synthesize(gd3, 0, systole=0.5, seed=0))
+    with pytest.raises(ValidationError, match="length cutoff must be positive and finite, got nan"):
+        ls3.power_table(math.nan)
+    with pytest.raises(ValidationError, match=r"entries\[0\]\.t: non-finite value"):
+        EigenSpectrum(entries=((complex(math.nan), 1),))
+    with pytest.raises(ValidationError, match="cannot serialize object"):
+        save(object(), tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_plan_certificate_matches_scalar_oracle(gd3):
     ls = synthesize(gd3, 400, systole=0.5, seed=21, dim_chi=3, chi_norm=1.3)
     for lmax in (4.0, 9.0):
@@ -353,7 +365,7 @@ def test_second_factorization_point_evaluates_no_character(monkeypatch):
     ruelle_factorized_log(s, sigma, ls, tp)
     # sigma with every distinct exterior piece, all in one pass over the
     # plan, for the products that are not all trivial
-    pieces = {("D", psi) for p in range(7) for psi, _ in exterior_decomposition(ls.gd, p)}
+    pieces = {("D", psi) for p in range(7) for psi in exterior_decomposition(ls.gd, p)}
     assert len(pieces) == 5
     assert calls == [({sig} | pieces, len(plan.length[r])) for r in plan.chunks()]
     assert len(plan._char_products) == 6 <= _PRODUCTS_PER_PLAN

@@ -51,17 +51,18 @@ def test_no_environment_reads_or_thread_pools():
 
 def test_module_memos_are_bounded_lru_caches():
     assert len(MODULES) > 10
-    memos = 0
+    memos = set()
     for mod in MODULES:
         for name, value in vars(mod).items():
             if hasattr(value, "cache_parameters"):
-                memos += 1
+                memos.add(f"{mod.__name__}.{name}")
                 maxsize = value.cache_parameters()["maxsize"]
                 assert maxsize is not None, f"{mod.__name__}.{name} is unbounded"
             assert not (name.endswith("_cache") and isinstance(value, dict)), (
                 f"{mod.__name__}.{name} is a hand-rolled cache"
             )
-    assert memos > 0
+    # the package's one memo; adding another edits this set
+    assert memos == {"zetaflow.chars._character_table"}
 
 
 def test_public_names_resolve():

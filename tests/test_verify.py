@@ -196,9 +196,12 @@ def test_branching_suite_fails_on_each_mutated_quantity(monkeypatch):
     coeffs = verify.m_tau_coeffs
     decomposition = verify.exterior_decomposition
 
+    def doubled(rep):
+        return {t: 2 * c for t, c in rep.items()}
+
     def doubled_plus(sigma):
         plus, minus = split(sigma)
-        return [(t, 2 * c) for t, c in plus], minus
+        return doubled(plus), minus
 
     def dropped_piece(gd, p):
         pieces = decomposition(gd, p)
@@ -208,8 +211,7 @@ def test_branching_suite_fails_on_each_mutated_quantity(monkeypatch):
     for patch, failing in (
         ((verify, "branch_weights", lambda tau: list(weights(tau))[:-1]), names[0]),
         ((verify, "tau_pm_split", doubled_plus), names[1]),
-        ((verify, "m_tau_coeffs", lambda sigma: [(t, 2 * c) for t, c in coeffs(sigma)]),
-         names[2]),
+        ((verify, "m_tau_coeffs", lambda sigma: doubled(coeffs(sigma))), names[2]),
         ((verify, "exterior_decomposition", dropped_piece), names[3]),
     ):
         assert _outcomes_under(monkeypatch, "branching", patch) == [

@@ -1,9 +1,18 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zetaflow import GroupData, ValidationError, weyl_action, weyl_dim
+from zetaflow import (
+    GroupData,
+    TruncationPolicy,
+    ValidationError,
+    plancherel_polynomial,
+    selberg_log,
+    weyl_action,
+    weyl_dim,
+)
 from zetaflow.weights import (
     as_weight,
     dominant_representative,
@@ -54,6 +63,23 @@ def test_as_weight_rejects_mixed_integrality():
     # thirds are not in the weight lattice at all
     with pytest.raises(ValidationError):
         as_weight((Fraction(1, 3),))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_are_refused_as_not_rational(bad, gd3, ls3):
+    message = re.escape(f"weight coordinate {bad!r} is not rational")
+    with pytest.raises(ValidationError, match=message):
+        as_weight((bad,))
+    with pytest.raises(ValidationError, match=message):
+        selberg_log(3.0, (bad,), ls3, TruncationPolicy(lmax=10.0))
+    with pytest.raises(ValidationError, match=message):
+        plancherel_polynomial(gd3, (bad,))
+
+
+def test_float_coordinates_must_be_half_integral():
+    assert as_weight((1.5, 0.5)) == (Fraction(3, 2), Fraction(1, 2))
+    with pytest.raises(ValidationError, match="1/4 is not half-integral"):
+        as_weight((0.25,))
 
 
 def test_dominance():

@@ -154,6 +154,16 @@ def test_empty_spectrum_gives_zero(gd3):
     for fn in (selberg_log, ruelle_log, log_derivative):
         out = fn(2.0, (0,), ls, tp)
         assert out.value == 0j and out.tail_bound == 0.0
+    # every s lies right of an empty spectrum's abscissa
+    for kind in ("selberg", "ruelle", "logderiv"):
+        assert abscissa_estimate(ls, kind) == -math.inf
+
+
+def test_det_term_refuses_the_wrong_number_of_angles(gd3, gd5):
+    with pytest.raises(ValidationError, match="expected 1 angles, got 2"):
+        det_term(gd3, 1.0, (0.1, 0.2))
+    with pytest.raises(ValidationError, match="expected 2 angles, got 1"):
+        det_term(gd5, 1.0, (0.1,))
 
 
 def test_det_term_positive_and_factorized(gd3, gd5):
