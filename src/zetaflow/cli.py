@@ -35,11 +35,20 @@ Only the modules the evaluating commands share are imported at the top.
 The plancherel, heat, continuation and verify layers are imported inside
 the commands that run them, so a job loads only what it runs; a fresh
 interpreter compiles every module it imports when no bytecode is cached.
+
+A command-line run, main() with no argv, freezes the garbage collector's
+heap as it returns: the process exits next, and the interpreter's
+shutdown collections then skip the objects still alive, some 22,000 of
+numpy and this package, that the operating system reclaims with the
+process anyway. Everything else of the exit is kept: atexit handlers,
+the flush of stdout and stderr, the status. main(argv) with a list runs in
+a process that goes on, and leaves the collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -486,7 +495,26 @@ def run(config: JobConfig) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command line and return its exit status.
+
+    With argv None the command line is the process's own, sys.argv[1:], as
+    the zetaflow console script and ``sys.exit(main())`` run it, and the
+    process exits once main returns. main then freezes the collector's
+    heap on every way out (a status, --help's SystemExit, an escaping
+    exception), so the shutdown collections do not walk and free, one by
+    one, objects the process's exit reclaims at once: about 25 ms of a
+    one-point job. A caller that passes argv goes on running, as tests and
+    in-process harnesses do, and its collector is left untouched.
+    """
+    if argv is not None:
+        return _main(list(argv))
+    try:
+        return _main(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _main(argv: list[str]) -> int:
     try:
         # --help, no arguments and an unknown command need every command
         parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)

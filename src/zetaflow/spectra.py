@@ -194,6 +194,16 @@ class _PowerTable:
         return TwistGrowthCert(K=K, k=self.rate)
 
     @cached_property
+    def overflow_length(self) -> float | None:
+        """The length of the shortest power whose twist trace overflows
+        double precision, None when every trace is finite."""
+        for r in self.chunks():
+            bad = np.flatnonzero(~np.isfinite(self.chi_trace[r]))
+            if bad.size:
+                return float(self.length[r.start + bad[0]])
+        return None
+
+    @cached_property
     def counting_constant(self) -> float:
         """C' = max over the enumerated powers of N(L) exp(-b L), the
         constant of the counting majorant N(L) <= C' exp(b L). Observed
@@ -329,9 +339,20 @@ class LengthSpectrum:
     def twist_norms(self) -> np.ndarray:
         """r_c = max(1, ||chi_c||_2) per class, (N,), read-only. The Frobenius
         norm bounds the spectral norm, so only the classes it puts above 1,
-        with room for rounding, go through the one batched SVD."""
+        with room for rounding, go through the one batched SVD. A candidate
+        within 1e-12 of unitary, ||chi^H chi - I||_F <= 1e-12, is spared it:
+        ||chi||_2^2 <= 1 + ||chi^H chi - I||_F puts its r_c below
+        1 + 5e-13, which twist_rate's guard reads as 1, so it takes r_c = 1.
+        Only candidates whose ||chi||_F^2 = tr(chi^H chi) is within
+        dim_chi * 1e-12 of dim_chi can be that close, and only they are
+        checked."""
         norms = np.ones(self.l0.size)
-        rows = np.flatnonzero(np.linalg.norm(self.chi, axis=(1, 2)) > 1.0 + 0.9e-12)
+        frobenius = np.linalg.norm(self.chi, axis=(1, 2))
+        svd = frobenius > 1.0 + 0.9e-12
+        near = np.flatnonzero(svd & (np.abs(frobenius**2 - self.dim_chi) <= 1e-12 * self.dim_chi))
+        gram = np.conj(self.chi[near].transpose(0, 2, 1)) @ self.chi[near] - np.eye(self.dim_chi)
+        svd[near[np.linalg.norm(gram, axis=(1, 2)) <= 1e-12]] = False
+        rows = np.flatnonzero(svd)
         norms[rows] = np.maximum(1.0, np.linalg.norm(self.chi[rows], 2, axis=(1, 2)))
         norms.setflags(write=False)
         return norms

@@ -11,6 +11,8 @@ on s (power columns, certificate, counting constant, det terms and their
 floor, character products) comes from the prepared plan of (spectrum,
 lmax), looked up once per point, so a grid of s-points pays for it once.
 The terms are formed and summed one plan chunk at a time.
+The exterior-power factorization imports the branching layer inside its
+functions, so a job that sums no factorized series never loads it.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -27,7 +29,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .branching import exterior_decomposition
 from .chars import CharacterTable, character_table, evaluate_all
 from .errors import DomainError, ValidationError
 from .spectra import LengthSpectrum
@@ -78,7 +79,9 @@ def _tail_bound(
     bound rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
     continuing past the cutoff. The abscissa refusal holds at every cutoff
     and comes first; an lmax below the shortest class of a non-empty
-    spectrum is refused next, as nothing would be summed."""
+    spectrum is refused next, as nothing would be summed, and then an
+    lmax that reaches a twist trace past the float range, whose terms
+    and certificate would be inf or nan."""
     cert = plan.cert
     if kind == "ruelle":
         a = s.real - cert.k
@@ -93,6 +96,11 @@ def _tail_bound(
         )
     if not plan.size:
         raise empty_plan_error(ls, policy.lmax)
+    if plan.overflow_length is not None:
+        raise DomainError(
+            f"the twist trace of the power of length {plan.overflow_length:g} overflows "
+            f"double precision; lower lmax below {plan.overflow_length:g}",
+        )
     B = cert.K * dim_eff
     if kind != "ruelle":
         B /= plan.det_floor
@@ -201,6 +209,8 @@ def z_p_log(
     """Log of the p-th factor in the exterior-power factorization: the sum
     over the pieces psi of the p-th exterior power of Selberg-type series
     twisted by psi tensor sigma, evaluated at s + |rho| - p."""
+    from .branching import exterior_decomposition
+
     gd = ls.gd
     sig = _sigma_table(ls, sigma)
     shifted = _point(s) + gd.rho_norm - p
@@ -216,6 +226,8 @@ def z_p_log(
 
 def _exterior_pieces(gd: GroupData) -> list[tuple[int, CharacterTable]]:
     """(p, table of psi) for each piece psi of each exterior power p = 0..2n."""
+    from .branching import exterior_decomposition
+
     return [(p, character_table("D", psi))
             for p in range(0, 2 * gd.n + 1)
             for psi in exterior_decomposition(gd, p)]

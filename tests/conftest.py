@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -6,6 +7,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from zetaflow import GroupData, synthesize
+
+
+@pytest.fixture(autouse=True)
+def collector_left_running():
+    """Fail a test after which the garbage collector is frozen or disabled:
+    only a command-line run, whose process exits next, may freeze its heap,
+    never a host that calls the package in process. The collector is
+    restored first, so the tests after it run as usual."""
+    yield
+    state = {"frozen objects": gc.get_freeze_count(), "enabled": gc.isenabled()}
+    gc.unfreeze()
+    gc.enable()
+    assert state == {"frozen objects": 0, "enabled": True}
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import re
 import subprocess
@@ -368,6 +369,25 @@ def test_cutoff_below_the_shortest_class_exits_two(workdir, capsys):
         assert "shortest class has length" in err
 
 
+def test_a_cutoff_past_an_overflowing_twist_trace_exits_two(capsys, tmp_path):
+    # |chi| = 100 on the class of length 0.5: its traces pass the float range
+    # from length 77.5 on, which no move of s mends
+    spectrum = tmp_path / "overflow.json"
+    save(LengthSpectrum(gd=GroupData(3), l0=[0.5, 1.0], angles=[[0.3], [1.0]],
+                        chi=[[[100.0]], [[1.0]]], volume=1.0, dim_chi=1), spectrum)
+    flags = ["--spectrum", str(spectrum), "--lmax", "80", "--tail-eps", "1"]
+    for command in ("selberg", "ruelle", "log-derivative", "factorization-check"):
+        assert _run(capsys, [command, "--s", "60", *flags]) == (2, "", (
+            "domain error: the twist trace of the power of length 77.5 overflows double "
+            "precision; lower lmax below 77.5\n"))
+    code, out, _ = _run(capsys, ["selberg", "--s", "60", *flags[:2], "--lmax", "77",
+                                 "--tail-eps", "1"])
+    assert code == 0 and "60.0,0.0,-2.715668763327e-11,0.0,0.0" in out
+    # the heat kernel zeroes those powers
+    assert _run(capsys, ["heat-trace", "--t", "0.1", *flags]) == (0, (
+        "s_re,s_im,value_re,value_im,tail_bound\n0.1,0.0,1122.8367915925285,0.0,0.0\n"), "")
+
+
 def test_config_file_merge(workdir, capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"sigma": "0", "s_grid": ["3.5"], "lmax": 25.0}))
@@ -439,6 +459,76 @@ def test_console_entry_point_smoke(tmp_path):
     assert json.loads((tmp_path / "s.json").read_text())["d"] == 3
 
 
+# a process's own command line, as the console script and the benchmark run it
+_LAUNCH = "import sys; from zetaflow.cli import main; sys.exit(main())"
+
+
+def _exit_cases(workdir):
+    """A command line per way out of main: status 0, 1 and 2, and --help."""
+    spectrum = str(workdir / "spectrum.json")
+    return [
+        ["selberg", "--spectrum", spectrum, "--s", "4", "--s", "5+1j"],
+        ["selberg", "--s", "4"],
+        ["selberg", "--spectrum", spectrum, "--s", "0.25"],
+        ["--help"],
+    ]
+
+
+def test_a_command_line_run_prints_and_exits_as_main_in_process(workdir, capsys):
+    cases = _exit_cases(workdir)
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-c", _LAUNCH, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _outcome(capsys, argv), argv
+    assert [_outcome(capsys, argv)[0] for argv in cases] == [0, 1, 2, 0]
+
+
+def test_a_long_table_arrives_whole_from_a_command_line_run(tmp_path, capsys):
+    argv = ["plancherel", "--d", "5", "--sigma", "1,0"]
+    for k in range(2000):
+        argv += ["--s", f"{k / 7:.6f}+{k % 13}j"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == "" and len(out.splitlines()) == 2001
+    proc = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    path = tmp_path / "long.csv"
+    proc = subprocess.run([sys.executable, "-c", _LAUNCH, *argv, "--output", str(path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert path.read_text() == out
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(workdir, capsys):
+    for argv in _exit_cases(workdir):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        _outcome(capsys, argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+
+
+def test_a_command_line_run_freezes_the_heap_on_every_way_out(workdir):
+    # main() with no argv, then the freeze count; the last run's handler raises
+    code = """if True:
+        import gc, json, sys
+        from zetaflow import cli
+        frozen = []
+        for argv in json.loads(sys.argv[1]) + [["gen-spectrum"]]:
+            gc.unfreeze()
+            sys.argv = ["zetaflow", *argv]
+            if argv == ["gen-spectrum"]:
+                cli.run = lambda config: 1 / 0
+            try:
+                cli.main()
+            except (SystemExit, ZeroDivisionError):
+                pass
+            frozen.append(gc.get_freeze_count() > 0)
+        print(json.dumps(frozen))
+    """
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(_exit_cases(workdir))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True] * 5
+
+
 def test_a_twisted_selberg_run_leaves_numpy_ma_unimported(tmp_path):
     # numpy.ma takes 10-25 ms and about 1.5 MB to import, and no command
     # needs it; class 3 gets a Jordan block, so the plan build also takes
@@ -485,6 +575,8 @@ def test_series_and_synthesis_commands_load_no_lazy_layer(workdir, argv):
     assert status == 0
     assert {"cli", "zeta", "spectra"} <= modules
     assert not modules & _LAZY
+    # only the exterior-power factorization reads the branching layer
+    assert ("branching" in modules) == (argv[0] == "factorization-check")
 
 
 def test_heat_trace_loads_only_the_heat_layers(workdir):

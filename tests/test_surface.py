@@ -49,6 +49,16 @@ def test_no_environment_reads_or_thread_pools():
         ), path.name
 
 
+def test_only_the_command_line_imports_gc():
+    # freezing the heap is for a process about to exit, which only a
+    # command-line run of cli.main knows it is
+    importers = {
+        path.name for path in Path(zetaflow.__file__).parent.glob("*.py")
+        if any(name.split(".")[0] == "gc" for name in _imported_and_read(path)[0])
+    }
+    assert importers == {"cli.py"}
+
+
 def test_module_memos_are_bounded_lru_caches():
     assert len(MODULES) > 10
     memos = set()

@@ -236,6 +236,33 @@ def test_cutoff_below_the_shortest_class_is_refused(ls3):
     assert at.value != 0
 
 
+def _overflowing_twist(gd):
+    # |chi| = 100 on the class of length 0.5: its traces 100^j pass the float
+    # range from j = 155, length 77.5, on
+    return LengthSpectrum(gd=gd, l0=[0.5, 1.0], angles=[[0.3], [1.0]],
+                          chi=[[[100.0]], [[1.0]]], volume=1.0, dim_chi=1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning",
+                            "ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_a_cutoff_past_an_overflowing_twist_trace_is_refused(gd3):
+    # those traces made the series nan, and the table writer then blamed s
+    ls = _overflowing_twist(gd3)
+    tp = TruncationPolicy(lmax=80.0, tail_eps=1.0)
+    assert ls.power_table(80.0).overflow_length == 77.5
+    for op in (selberg_log, ruelle_log, log_derivative, ruelle_factorized_log):
+        with pytest.raises(DomainError, match=re.escape(
+                "the twist trace of the power of length 77.5 overflows double precision; "
+                "lower lmax below 77.5")):
+            op(60.0, (0,), ls, tp)
+    # below it every trace is finite and the value holds
+    assert ls.power_table(77.0).overflow_length is None
+    assert selberg_log(60.0, (0,), ls, TruncationPolicy(lmax=77.0, tail_eps=1.0)) == (
+        -2.715668763327e-11, 0.0)
+    # the heat kernel zeroes those powers, and the heat route keeps its value
+    assert geometric_heat_trace(ls, (0,), 0.1, tp) == (1122.8367915925285, 0.0)
+
+
 def test_ruelle_factorizes_through_exterior_powers(ls3, ls5):
     for ls, s in ((ls3, 4.6), (ls5, 8.4 + 0.7j)):
         sigma = (0,) * ls.gd.n
