@@ -339,20 +339,9 @@ class LengthSpectrum:
     def twist_norms(self) -> np.ndarray:
         """r_c = max(1, ||chi_c||_2) per class, (N,), read-only. The Frobenius
         norm bounds the spectral norm, so only the classes it puts above 1,
-        with room for rounding, go through the one batched SVD. A candidate
-        within 1e-12 of unitary, ||chi^H chi - I||_F <= 1e-12, is spared it:
-        ||chi||_2^2 <= 1 + ||chi^H chi - I||_F puts its r_c below
-        1 + 5e-13, which twist_rate's guard reads as 1, so it takes r_c = 1.
-        Only candidates whose ||chi||_F^2 = tr(chi^H chi) is within
-        dim_chi * 1e-12 of dim_chi can be that close, and only they are
-        checked."""
+        with room for rounding, go through the one batched SVD."""
         norms = np.ones(self.l0.size)
-        frobenius = np.linalg.norm(self.chi, axis=(1, 2))
-        svd = frobenius > 1.0 + 0.9e-12
-        near = np.flatnonzero(svd & (np.abs(frobenius**2 - self.dim_chi) <= 1e-12 * self.dim_chi))
-        gram = np.conj(self.chi[near].transpose(0, 2, 1)) @ self.chi[near] - np.eye(self.dim_chi)
-        svd[near[np.linalg.norm(gram, axis=(1, 2)) <= 1e-12]] = False
-        rows = np.flatnonzero(svd)
+        rows = np.flatnonzero(np.linalg.norm(self.chi, axis=(1, 2)) > 1.0 + 0.9e-12)
         norms[rows] = np.maximum(1.0, np.linalg.norm(self.chi[rows], 2, axis=(1, 2)))
         norms.setflags(write=False)
         return norms

@@ -98,8 +98,8 @@ def _tail_bound(
         raise empty_plan_error(ls, policy.lmax)
     if plan.overflow_length is not None:
         raise DomainError(
-            f"the twist trace of the power of length {plan.overflow_length:g} overflows "
-            f"double precision; lower lmax below {plan.overflow_length:g}",
+            f"the twist trace of the power of length {plan.overflow_length!r} overflows "
+            f"double precision; lower lmax below {plan.overflow_length!r}",
         )
     B = cert.K * dim_eff
     if kind != "ruelle":

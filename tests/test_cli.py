@@ -1,5 +1,4 @@
 import argparse
-import gc
 import json
 import re
 import subprocess
@@ -496,13 +495,6 @@ def test_a_long_table_arrives_whole_from_a_command_line_run(tmp_path, capsys):
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert path.read_text() == out
-
-
-def test_main_in_process_leaves_the_collector_as_it_was(workdir, capsys):
-    for argv in _exit_cases(workdir):
-        before = (gc.get_freeze_count(), gc.isenabled())
-        _outcome(capsys, argv)
-        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
 
 
 def test_a_command_line_run_freezes_the_heap_on_every_way_out(workdir):

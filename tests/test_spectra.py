@@ -238,34 +238,6 @@ def test_twist_norms_are_the_spectral_norms_above_one(gd3):
         assert ls.twist_norms[c] == want, c
 
 
-def test_unitary_twists_take_norm_one_without_the_svd(gd5, monkeypatch):
-    # every class unitary but one, scaled above 1: only that one reaches the SVD
-    def scaled(chi):
-        chi[7] *= 1.05
-        return chi
-
-    ls = _edited(synthesize(gd5, 50, systole=0.5, seed=33, dim_chi=2), "chi", scaled)
-    svd_rows = []
-    norm = np.linalg.norm
-
-    def recorded(x, ord=None, axis=None):
-        if ord == 2:
-            svd_rows.append(len(x))
-        return norm(x, ord, axis)
-
-    monkeypatch.setattr(np.linalg, "norm", recorded)
-    r = ls.twist_norms
-    monkeypatch.undo()
-    assert svd_rows == [1]
-    assert (np.delete(r, 7) == 1.0).all() and r[7] == np.linalg.norm(ls.chi[7], 2) > 1.0
-    # the rate every class's SVD gives, bit for bit
-    spectral = np.maximum(1.0, np.linalg.norm(ls.chi, 2, axis=(1, 2)))
-    # the SVD puts some unitary classes at 1 +- eps, which the rate's guard reads as 1
-    assert (np.delete(spectral, 7) != 1.0).any()
-    assert ls.twist_rate == max(math.log(float(n)) / float(l0)
-                                for n, l0 in zip(spectral, ls.l0) if n > 1.0 + 1e-12)
-
-
 def test_growth_certificate(ls3, ls3_twisted):
     for ls in (ls3, ls3_twisted):
         cert = certify_twist_growth(ls)

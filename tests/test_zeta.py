@@ -236,10 +236,10 @@ def test_cutoff_below_the_shortest_class_is_refused(ls3):
     assert at.value != 0
 
 
-def _overflowing_twist(gd):
-    # |chi| = 100 on the class of length 0.5: its traces 100^j pass the float
-    # range from j = 155, length 77.5, on
-    return LengthSpectrum(gd=gd, l0=[0.5, 1.0], angles=[[0.3], [1.0]],
+def _overflowing_twist(gd, l0=0.5):
+    # |chi| = 100 on the class of length l0: its traces 100^j pass the float
+    # range from j = 155, length 77.5 at l0 = 0.5, on
+    return LengthSpectrum(gd=gd, l0=[l0, 1.0], angles=[[0.3], [1.0]],
                           chi=[[[100.0]], [[1.0]]], volume=1.0, dim_chi=1)
 
 
@@ -261,6 +261,23 @@ def test_a_cutoff_past_an_overflowing_twist_trace_is_refused(gd3):
         -2.715668763327e-11, 0.0)
     # the heat kernel zeroes those powers, and the heat route keeps its value
     assert geometric_heat_trace(ls, (0,), 0.1, tp) == (1122.8367915925285, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_the_overflow_refusal_names_a_cutoff_that_is_accepted(gd3):
+    # a length with more digits than a rounded print keeps: the bound named is
+    # the length itself, and an lmax below it by more than the cutoff's
+    # rounding allowance (1e-12 relative) is accepted
+    ls = _overflowing_twist(gd3, l0=0.500079707)
+    length = ls.power_table(80.0).overflow_length
+    assert length == 155 * 0.500079707 and f"{length:g}" != repr(length)
+    with pytest.raises(DomainError, match=re.escape(f"lower lmax below {length!r}")):
+        selberg_log(60.0, (0,), ls, TruncationPolicy(lmax=80.0, tail_eps=1.0))
+    below = length * (1.0 - 1e-11)
+    assert f"{below:g}" == f"{length:g}"
+    assert ls.power_table(below).overflow_length is None
+    assert math.isfinite(selberg_log(60.0, (0,), ls, TruncationPolicy(lmax=below, tail_eps=1.0))
+                         .value.real)
 
 
 def test_ruelle_factorizes_through_exterior_powers(ls3, ls5):
