@@ -47,8 +47,6 @@ _EXPORTS = {
     "spectra": (
         "EigenSpectrum",
         "LengthSpectrum",
-        "TwistGrowthCert",
-        "certify_twist_growth",
         "counting_function",
         "load_eigen_spectrum",
         "load_length_spectrum",

@@ -5,7 +5,8 @@ dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
 density, in closed form by Gamma factors, plus a hyperbolic contribution
 summing the per-power symbols against the scalar heat kernel on the length
 axis. One setup and one per-time total serve a single time, returned with
-its tail bound as a SeriesValue, and a time grid alike. Consistency between
+its tail bound as a SeriesValue, and a time grid alike. The plan refuses an
+overflowing twist trace only where the kernel reaches it. Consistency between
 the spectral sum and the geometric expansion is never assumed here; the
 resolvent identities downstream test it through independent routes.
 """
@@ -23,7 +24,7 @@ from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
 from .summation import BLOCK, chunked_sum
-from .zeta import SeriesValue, TruncationPolicy, _sigma_table, empty_plan_error
+from .zeta import SeriesValue, TruncationPolicy, _sigma_table
 
 # exp(x) is exactly 0 in double precision for every x below this
 _EXP_UNDERFLOW = -746.0
@@ -60,31 +61,36 @@ def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
     raise DomainError(f"identity heat term overflows at t = {t!r}; raise t")
 
 
+def _reached(length: float, t: float) -> bool:
+    """Whether the heat kernel exp(-length^2 / 4t) is nonzero in double
+    precision, that is its exponent at least _EXP_UNDERFLOW."""
+    return -(length ** 2) / (4.0 * t) >= _EXP_UNDERFLOW
+
+
 def _hyperbolic_tail(
     ls: LengthSpectrum, plan, sigma_dim: float, t: float, policy: TruncationPolicy
 ) -> float:
     """Certified bound on the dropped powers of the Gaussian-damped series,
-    from the plan (ls.power_table(policy.lmax)): its certificate (K, k),
-    counting constant C' and det floor; C' is observed only up to lmax, as
-    for the zeta tails. 0 for an empty spectrum; after the check that the
-    tail is controllable at t, an lmax below the shortest class is refused."""
+    from the plan (ls.power_table(policy.lmax)): its growth constants K and
+    k, counting constant C' and det floor; C' is observed only up to lmax,
+    as for the zeta tails. 0 for an empty spectrum; after the check that the
+    tail is controllable at t come the plan's refusals (plan.check; the
+    kernel reads the powers where it is nonzero), then tail_eps."""
     if not ls.l0.size:
         return 0.0
-    cert = plan.cert
     b = plan.b
     rho = float(plan.gd.rho_norm)
     lmax = policy.lmax
-    beta = lmax / (4.0 * t) - (b + cert.k - rho)
+    beta = lmax / (4.0 * t) - (b + plan.rate - rho)
     if beta <= 0:
-        need = 4.0 * t * (b + cert.k - rho)
+        need = 4.0 * t * (b + plan.rate - rho)
         advice = f"need lmax > {need:g}" if math.isfinite(need) else "no finite lmax controls it"
         raise DomainError(f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; {advice}")
-    if not plan.size:
-        raise empty_plan_error(ls, lmax)
+    plan.check(lambda length: _reached(length, t))
     decay = math.exp(-beta * lmax)
     if not decay:  # nothing past lmax survives, and beta**2 may overflow
         return 0.0
-    B = cert.K * sigma_dim / plan.det_floor
+    B = plan.K * sigma_dim / plan.det_floor
     cprime = plan.counting_constant
     i1 = decay * (lmax / beta + 1.0 / beta**2)
     i2 = decay * (lmax**2 / beta + 2.0 * lmax / beta**2 + 2.0 / beta**3)
@@ -108,7 +114,7 @@ def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     to the end of that power's block, so every block partial is the whole
     chunk's, and the blocks after it, exact zeros that add nothing, are
     not summed."""
-    live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= _EXP_UNDERFLOW]
+    live = [r for r in plan.chunks() if _reached(plan.length[r.start], t)]
     if not live:
         return 0j
     base = plan.heat_base(sigma_table)

@@ -12,8 +12,9 @@ tests and demos.
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
 enumeration plus everything that does not depend on the evaluation point
-(twist certificate, counting constant, det terms and their floor,
-character products, heat prefactors); the evaluators only read it. The
+(the twist growth constants K and k, counting constant, det terms and
+their floor, character products, heat prefactors) and the refusals that
+depend on (spectrum, lmax) alone; the evaluators only read it. The
 plan stores four columns per power: length, j, class index and twist
 trace. The class length l0, 1/j and the power angles j * theta are
 rebuilt from them for one chunk of summation.CHUNK powers at a time, by
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,17 +126,19 @@ class _PowerTable:
     The traces are powers of the spectrum's twist_eigen and the rate k is
     its twist_rate: a plan factors no twist matrix. Alongside sits the
     point-independent data the series and heat evaluators read at every s
-    or t: the twist certificate (K, k), the counting constant C' for
-    b = 2|rho|, the det terms and their floor, the character products of
-    the series kernels and the t-independent prefactors of the heat route.
-    Each is built on first use, the products several at once when asked
-    together (char_products); the products and prefactors, one per twist,
-    are kept for the _PRODUCTS_PER_PLAN most recently used twists, the rest
-    for the life of the plan.
+    or t: the twist growth constant K of the rate k, the counting constant
+    C' for b = 2|rho|, the det terms and their floor, the character
+    products of the series kernels and the t-independent prefactors of the
+    heat route. Each is built on first use, the products several at once
+    when asked together (char_products); the products and prefactors, one
+    per twist, are kept for the _PRODUCTS_PER_PLAN most recently used
+    twists, the rest for the life of the plan. check raises the refusals of
+    a sum over the plan that depend on (spectrum, lmax) alone.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
         self.gd = ls.gd
+        self.lmax = lmax
         self.dim_chi = ls.dim_chi
         self.rate = ls.twist_rate
         self.b = 2.0 * ls.gd.rho_norm
@@ -183,15 +186,20 @@ class _PowerTable:
         return self.j[rows, None] * self._class_angles[self.class_index[rows]]
 
     @cached_property
-    def cert(self) -> "TwistGrowthCert":
+    def K(self) -> float:
+        """K of the growth certificate |tr chi(power)| <= K exp(k length),
+        k = rate. ||chi^j|| <= ||chi||^j makes k = max_c log(r_c) / l0_c
+        valid for every power, and dim_chi dominates |tr chi^j| exp(-k j l0)
+        for every power, even one whose trace overflows double precision;
+        K starts there and is raised to the supremum of the finite samples
+        if rounding pushes one above it. The tails also use the counting
+        constant C', observed only up to lmax, so a bound past lmax rests
+        on the growth N(L) <= C' exp(2|rho| L) continuing past the cutoff."""
         K = float(self.dim_chi)
-        if self.size:
-            # np.max of the chunk maxima: a NaN anywhere comes out as from
-            # one whole-array max
-            observed = [(np.abs(self.chi_trace[r]) * np.exp(-self.rate * self.length[r])).max()
-                        for r in self.chunks()]
-            K = max(K, float(np.max(observed)))
-        return TwistGrowthCert(K=K, k=self.rate)
+        for r in self.chunks():
+            observed = np.abs(self.chi_trace[r]) * np.exp(-self.rate * self.length[r])
+            K = float(np.max(observed, initial=K, where=np.isfinite(observed)))
+        return K
 
     @cached_property
     def overflow_length(self) -> float | None:
@@ -202,6 +210,22 @@ class _PowerTable:
             if bad.size:
                 return float(self.length[r.start + bad[0]])
         return None
+
+    def check(self, reads: Callable[[float], bool]) -> None:
+        """The refusals of a sum over this plan of a non-empty spectrum
+        that depend on (spectrum, lmax) alone: a plan with no power, as no
+        tail bound covers every power; then a twist trace past the float
+        range, if the sum reads the shortest such power (reads(length)).
+        A det floor of 0 is refused where det_floor is read."""
+        if not self.size:
+            raise DomainError(
+                f"no power has length at or below lmax = {self.lmax:g}; the shortest class "
+                f"has length {float(self._class_l0.min()):g}, raise lmax to at least that",
+            )
+        length = self.overflow_length
+        if length is not None and reads(length):
+            raise DomainError(f"the twist trace of the power of length {length!r} "
+                              f"overflows double precision; lower lmax below {length!r}")
 
     @cached_property
     def counting_constant(self) -> float:
@@ -380,40 +404,12 @@ def counting_function(ls: LengthSpectrum, r: float) -> int:
     return int(_max_power(ls.l0, r).sum()) if r > 0 else 0
 
 
-@dataclass(frozen=True)
-class TwistGrowthCert:
-    """Certified bound |tr chi(power)| <= K exp(k * length)."""
-
-    K: float
-    k: float
-
-
-def certify_twist_growth(ls: LengthSpectrum, lmax: float | None = None) -> TwistGrowthCert:
-    """Growth certificate for the twist traces: the one held by the
-    prepared plan of (ls, lmax), built once per plan.
-
-    k is driven by spectral norms: ||chi^j|| <= ||chi||^j makes
-    k = max_c log(max(1, ||chi_c||)) / l0_c valid for every power, not just
-    the enumerated ones; the spectrum keeps r_c and k for every cutoff. K
-    starts at dim_chi (which already dominates |tr chi^j| exp(-k j l0)) and
-    is raised to the observed supremum if rounding ever pushes a sample
-    above it. The tail bounds built from this certificate also use the
-    counting constant C' of the same plan, which is observed only on the
-    powers up to lmax: "certified" beyond lmax rests on the prime-geodesic
-    growth N(L) <= C' exp(2|rho| L) continuing past the cutoff.
-    """
-    if not ls.l0.size:
-        raise ValidationError("cannot certify an empty spectrum")
-    if lmax is None:
-        lmax = 4.0 * float(ls.l0.max())
-    return ls.power_table(lmax).cert
-
-
-def validate_cert(cert: TwistGrowthCert, ls: LengthSpectrum, lmax: float) -> bool:
-    """Re-check the certificate against a (possibly denser) enumeration."""
+def validate_cert(K: float, k: float, ls: LengthSpectrum, lmax: float) -> bool:
+    """Re-check the growth certificate |tr chi(power)| <= K exp(k length)
+    against a (possibly denser) enumeration."""
     t = ls.power_table(lmax)
     return all(
-        (np.abs(t.chi_trace[r]) <= cert.K * np.exp(cert.k * t.length[r]) * (1.0 + 1e-9)).all()
+        (np.abs(t.chi_trace[r]) <= K * np.exp(k * t.length[r]) * (1.0 + 1e-9)).all()
         for r in t.chunks()
     )
 

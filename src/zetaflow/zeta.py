@@ -3,13 +3,13 @@
 All series run over the power enumeration of a length spectrum, truncated
 at a policy length. Each evaluator returns the deterministic block sum of
 its terms together with a certified tail bound obtained from the twist
-growth certificate, the observed counting constant, and integration by parts
-against the majorant; the convergence abscissa is enforced by the bound
-itself (the tail formula degenerates exactly when the series stops
+growth constants (K, k), the observed counting constant, and integration by
+parts against the majorant; the convergence abscissa is enforced by the
+bound itself (the tail formula degenerates exactly when the series stops
 converging absolutely, and that raises). Everything that does not depend
-on s (power columns, certificate, counting constant, det terms and their
-floor, character products) comes from the prepared plan of (spectrum,
-lmax), looked up once per point, so a grid of s-points pays for it once.
+on s (power columns, K and k, counting constant, det terms and their
+floor, character products, the refusals of (spectrum, lmax) alone) comes
+from the prepared plan of (spectrum, lmax), looked up once per point.
 The terms are formed and summed one plan chunk at a time.
 The exterior-power factorization imports the branching layer inside its
 functions, so a job that sums no factorized series never loads it.
@@ -74,19 +74,16 @@ def _tail_bound(
     ls: LengthSpectrum, plan, policy: TruncationPolicy, s: complex, *, kind: str, dim_eff: float
 ) -> float:
     """Certified bound on the powers beyond policy.lmax, from the plan
-    (ls.power_table(policy.lmax)): its certificate (K, k), counting
+    (ls.power_table(policy.lmax)): its growth constants K and k, counting
     constant C' and det floor. C' is observed only up to lmax, so the
     bound rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
     continuing past the cutoff. The abscissa refusal holds at every cutoff
-    and comes first; an lmax below the shortest class of a non-empty
-    spectrum is refused next, as nothing would be summed, and then an
-    lmax that reaches a twist trace past the float range, whose terms
-    and certificate would be inf or nan."""
-    cert = plan.cert
+    and comes first, then the plan's refusals (plan.check; the series reads
+    every power), then tail_eps."""
     if kind == "ruelle":
-        a = s.real - cert.k
+        a = s.real - plan.rate
     else:
-        a = s.real + ls.gd.rho_norm - cert.k
+        a = s.real + ls.gd.rho_norm - plan.rate
     gap = a - plan.b
     if gap <= 0:
         raise DomainError(
@@ -94,14 +91,8 @@ def _tail_bound(
             f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate "
             f"{abscissa_estimate(ls, kind=kind):.6g}",
         )
-    if not plan.size:
-        raise empty_plan_error(ls, policy.lmax)
-    if plan.overflow_length is not None:
-        raise DomainError(
-            f"the twist trace of the power of length {plan.overflow_length!r} overflows "
-            f"double precision; lower lmax below {plan.overflow_length!r}",
-        )
-    B = cert.K * dim_eff
+    plan.check(lambda length: True)
+    B = plan.K * dim_eff
     if kind != "ruelle":
         B /= plan.det_floor
     cprime = plan.counting_constant
@@ -117,15 +108,6 @@ def _tail_bound(
             f"raise lmax above {policy.lmax:g} or move s to the right",
         )
     return tail
-
-
-def empty_plan_error(ls: LengthSpectrum, lmax: float) -> DomainError:
-    """The refusal of a cutoff below the shortest class: no power would be
-    summed, and no tail bound covers every power."""
-    return DomainError(
-        f"no power has length at or below lmax = {lmax:g}; the shortest class has "
-        f"length {float(ls.l0.min()):g}, raise lmax to at least that",
-    )
 
 
 def _series_value(

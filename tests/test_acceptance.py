@@ -20,7 +20,6 @@ from zetaflow import (
     abscissa_estimate,
     anchor_set,
     branch_weights,
-    certify_twist_growth,
     contour_residue,
     continued_from,
     fitted_growth_exponent,
@@ -251,12 +250,12 @@ def test_criterion_11_growth_certification():
         fit = fitted_growth_exponent(ls)
         assert abs(fit - 2.0) <= 0.15 * 2.0, fit
         lmax = 6.0 * max(c.l0 for c in classes(ls))
-        cert = certify_twist_growth(ls, lmax)
-        assert validate_cert(cert, ls, lmax)
+        plan = ls.power_table(lmax)
+        assert validate_cert(plan.K, plan.rate, ls, lmax)
         twisted = synthesize(GroupData(3), 400, systole=0.5, seed=24, dim_chi=3, chi_norm=1.3)
         lmax = 6.0 * max(c.l0 for c in classes(twisted))
-        cert = certify_twist_growth(twisted, lmax)
-        assert validate_cert(cert, twisted, lmax)
+        plan = twisted.power_table(lmax)
+        assert validate_cert(plan.K, plan.rate, twisted, lmax)
 
 
 def test_criterion_12_branching_identities():

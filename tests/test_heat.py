@@ -216,3 +216,50 @@ def test_identity_term_past_the_float_range_is_refused():
     P = plancherel_polynomial(GroupData(3), (10**150,))
     with pytest.raises(DomainError, match="overflows at t = 1e-30"):
         plancherel_heat_integral(P, 1e-30)
+
+
+def _overflowing_twist_file(tmp_path):
+    # |chi| = 100 on the class of length 0.5: its traces 100^j pass the float
+    # range from j = 155, length 77.5, on
+    ls = LengthSpectrum(gd=GroupData(3), l0=[0.5, 1.0], angles=[[0.3], [1.0]],
+                        chi=[[[100.0]], [[1.0]]], volume=1.0, dim_chi=1)
+    path = tmp_path / "spectrum.json"
+    save(ls, path)
+    return str(path)
+
+
+def _heat_trace(path, t, lmax, capsys):
+    status = main(["heat-trace", "--spectrum", path, "--tail-eps", "1e300",
+                   "--t", t, "--lmax", lmax])
+    return status, *capsys.readouterr()
+
+
+def test_the_heat_route_refuses_an_overflowing_trace_only_where_the_kernel_reaches_it(
+        tmp_path, capsys):
+    path = _overflowing_twist_file(tmp_path)
+    # at t = 0.1 the kernel zeroes every overflowing power
+    assert _heat_trace(path, "0.1", "80", capsys) == (
+        0, "s_re,s_im,value_re,value_im,tail_bound\n0.1,0.0,1122.8367915925285,0.0,0.0\n", "")
+    # at t = 1.5 too (-77.5^2 / 6 < -746), so the value is the one below the
+    # overflow, and the tail bound reads the finite traces only
+    status, out, err = _heat_trace(path, "1.5", "80", capsys)
+    assert (status, err) == (0, "")
+    [row] = out.splitlines()[1:]
+    value, tail = float(row.split(",")[2]), float(row.split(",")[4])
+    assert math.isfinite(tail)
+    assert abs(value - 8.193773502783738e+43) <= 1e-12 * 8.193773502783738e+43
+    # at t = 3 the kernel reaches the power of length 77.5: the plan's refusal
+    assert _heat_trace(path, "3", "200", capsys) == (
+        2, "", "domain error: the twist trace of the power of length 77.5 overflows double "
+               "precision; lower lmax below 77.5\n")
+
+
+def test_series_and_heat_trace_print_the_same_plan_refusals(tmp_path, capsys):
+    path = _overflowing_twist_file(tmp_path)
+    for lmax, t in (("200", "3"), ("0.3", "0.001")):
+        assert main(["selberg", "--spectrum", path, "--tail-eps", "1e300",
+                     "--s", "60", "--lmax", lmax]) == 2
+        series = capsys.readouterr()
+        assert _heat_trace(path, t, lmax, capsys) == (2, *series)
+        assert series.out == "" and series.err.startswith(
+            "domain error: the twist trace" if lmax == "200" else "domain error: no power has")

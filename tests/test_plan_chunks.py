@@ -27,7 +27,6 @@ from zetaflow import (
 from zetaflow import heat, spectra
 from zetaflow.branching import exterior_decomposition
 from zetaflow.chars import character_table, evaluate_all
-from zetaflow.spectra import TwistGrowthCert
 from zetaflow.summation import BLOCK, CHUNK, chunked_sum
 
 SIZES = [0, 1, BLOCK - 1, BLOCK, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
@@ -80,7 +79,7 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
     assert same_bits(plan.angles(), whole.angles)
     assert plan.angles().shape == whole.angles.shape == (plan.size, ls.gd.n)
     assert same_bits(plan.det, whole.det)
-    assert same_bits(plan.cert.K, whole.cert_K())
+    assert same_bits(plan.K, whole.cert_K())
     assert same_bits(plan.counting_constant, whole.counting_constant())
     sig = character_table("D", SIGMA)
     psi = character_table("D", exterior_decomposition(ls.gd, 1)[0])
@@ -88,9 +87,8 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
         [chars] = plan.char_products((tables,))
         assert same_bits(chars, whole.chars(tables))
     assert same_bits(plan.heat_base(sig), whole.heat_base(sig))
-    for K in (plan.cert.K, 0.5 * plan.cert.K, 1.0):
-        cert = TwistGrowthCert(K=K, k=plan.cert.k)
-        assert validate_cert(cert, ls, lmax) == whole.cert_holds(K, cert.k)
+    for K in (plan.K, 0.5 * plan.K, 1.0):
+        assert validate_cert(K, plan.rate, ls, lmax) == whole.cert_holds(K, plan.rate)
 
 
 def test_series_values_equal_the_whole_array_formulas(ls, sized):

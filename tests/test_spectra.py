@@ -19,7 +19,6 @@ from zetaflow import (
     TruncationPolicy,
     ValidationError,
     abscissa_estimate,
-    certify_twist_growth,
     counting_function,
     geometric_heat_trace,
     load_eigen_spectrum,
@@ -209,7 +208,7 @@ def test_a_second_plan_factors_no_twist_matrix(monkeypatch):
     for name in ("eig", "cond", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, refused)
     plan = ls.power_table(9.0)
-    assert plan.size > ls.power_table(6.0).size and plan.cert.k == ls.twist_rate > 0.0
+    assert plan.size > ls.power_table(6.0).size and plan.rate == ls.twist_rate > 0.0
 
 
 def test_twist_arrays_are_read_only():
@@ -240,17 +239,15 @@ def test_twist_norms_are_the_spectral_norms_above_one(gd3):
 
 def test_growth_certificate(ls3, ls3_twisted):
     for ls in (ls3, ls3_twisted):
-        cert = certify_twist_growth(ls)
-        assert cert.k >= 0.0
-        assert cert.K >= 1.0
-        assert validate_cert(cert, ls, lmax=12.0)
+        plan = ls.power_table(4.0 * float(ls.l0.max()))
+        assert plan.rate >= 0.0
+        assert plan.K >= 1.0
+        assert validate_cert(plan.K, plan.rate, ls, lmax=12.0)
     # unitary twists stay bounded, so no exponential rate is needed
-    assert certify_twist_growth(ls3).k == 0.0
+    assert ls3.power_table(4.0 * float(ls3.l0.max())).rate == 0.0
 
 
 def test_spectrum_refusals(gd3, ls3, tmp_path):
-    with pytest.raises(ValidationError, match="cannot certify an empty spectrum"):
-        certify_twist_growth(synthesize(gd3, 0, systole=0.5, seed=0))
     with pytest.raises(ValidationError, match="length cutoff must be positive and finite, got nan"):
         ls3.power_table(math.nan)
     with pytest.raises(ValidationError, match=r"entries\[0\]\.t: non-finite value"):
@@ -263,11 +260,10 @@ def test_spectrum_refusals(gd3, ls3, tmp_path):
 def test_plan_certificate_matches_scalar_oracle(gd3):
     ls = synthesize(gd3, 400, systole=0.5, seed=21, dim_chi=3, chi_norm=1.3)
     for lmax in (4.0, 9.0):
-        cert = certify_twist_growth(ls, lmax)
-        assert cert is ls.power_table(lmax).cert
-        assert cert.k > 0.0
-        assert (cert.K, cert.k) == twist_growth_cert_loop(ls, lmax)
-    assert ls.twist_rate == cert.k
+        plan = ls.power_table(lmax)
+        assert plan.rate > 0.0
+        assert (plan.K, plan.rate) == twist_growth_cert_loop(ls, lmax)
+    assert ls.twist_rate == plan.rate
 
 
 def test_twist_rate_matches_scalar_oracle_near_the_guard(gd3):
@@ -289,7 +285,7 @@ def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
     def evaluate(lmax):
         plan = ls.power_table(lmax)
         value = selberg_log(4.0, (0,), ls, TruncationPolicy(lmax=lmax, tail_eps=1.0))
-        return certify_twist_growth(ls, lmax), plan.counting_constant, plan.size, value
+        return (plan.K, plan.rate), plan.counting_constant, plan.size, value
 
     first = {lmax: evaluate(lmax) for lmax in cutoffs}
     assert list(ls._plans) == cutoffs[-_PLANS_PER_SPECTRUM:]
