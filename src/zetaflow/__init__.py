@@ -52,7 +52,6 @@ _EXPORTS = {
         "load_length_spectrum",
         "save",
         "synthesize",
-        "validate_cert",
     ),
     "verify": ("CheckResult", "fitted_growth_exponent", "run_suite"),
     "weights": ("GroupData", "weyl_action", "weyl_dim"),

@@ -5,7 +5,9 @@ dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
 density, in closed form by Gamma factors, plus a hyperbolic contribution
 summing the per-power symbols against the scalar heat kernel on the length
 axis. One setup and one per-time total serve a single time, returned with
-its tail bound as a SeriesValue, and a time grid alike. The plan refuses an
+its tail bound as a SeriesValue, and a time grid alike. The bound is the
+series' per-class tail of the dropped powers, since past lmax the kernel
+exp(-L^2 / 4t) is at most exp(-L lmax / 4t). The plan refuses an
 overflowing twist trace only where the kernel reaches it. Consistency between
 the spectral sum and the geometric expansion is never assumed here; the
 resolvent identities downstream test it through independent routes.
@@ -70,16 +72,17 @@ def _reached(length: float, t: float) -> bool:
 def _hyperbolic_tail(
     ls: LengthSpectrum, plan, sigma_dim: float, t: float, policy: TruncationPolicy
 ) -> float:
-    """Certified bound on the dropped powers of the Gaussian-damped series,
-    from the plan (ls.power_table(policy.lmax)): its growth constants K and
-    k, counting constant C' and det floor; C' is observed only up to lmax,
-    as for the zeta tails. 0 for an empty spectrum; after the check that the
-    tail is controllable at t come the plan's refusals (plan.check; the
-    kernel reads the powers where it is nonzero), then tail_eps."""
+    """Bound on the dropped powers of the Gaussian-damped series, from the
+    plan (ls.power_table(policy.lmax)): past lmax, e^{-L^2/4t} is at most
+    e^{-L lmax/4t}, so the plan's per-class tail at a = |rho| + lmax/4t with
+    weight l0_c, times 1/sqrt(4 pi t), bounds them. 0 for an empty spectrum;
+    the check that the tail is controllable at t comes first (beta > 0, which
+    makes every q_c < 1), then the plan's refusals (plan.check; the kernel
+    reads the powers where it is nonzero), then tail_eps."""
     if not ls.l0.size:
         return 0.0
-    b = plan.b
     rho = float(plan.gd.rho_norm)
+    b = 2.0 * rho  # the counting exponent of the abscissa
     lmax = policy.lmax
     beta = lmax / (4.0 * t) - (b + plan.rate - rho)
     if beta <= 0:
@@ -87,14 +90,7 @@ def _hyperbolic_tail(
         advice = f"need lmax > {need:g}" if math.isfinite(need) else "no finite lmax controls it"
         raise DomainError(f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; {advice}")
     plan.check(lambda length: _reached(length, t))
-    decay = math.exp(-beta * lmax)
-    if not decay:  # nothing past lmax survives, and beta**2 may overflow
-        return 0.0
-    B = plan.K * sigma_dim / plan.det_floor
-    cprime = plan.counting_constant
-    i1 = decay * (lmax / beta + 1.0 / beta**2)
-    i2 = decay * (lmax**2 / beta + 2.0 * lmax / beta**2 + 2.0 / beta**3)
-    tail = cprime * B * (i2 / (2.0 * t) + rho * i1) / math.sqrt(4.0 * math.pi * t)
+    tail = plan.class_tail(rho + lmax / (4.0 * t), ls.l0, sigma_dim / math.sqrt(4.0 * math.pi * t))
     if tail > policy.tail_eps:
         raise DomainError(
             f"certified heat tail {tail:.3e} exceeds tail_eps {policy.tail_eps:.1e} "

@@ -11,10 +11,12 @@ tests and demos.
 
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
-enumeration plus everything that does not depend on the evaluation point
-(the twist growth constants K and k, counting constant, det terms and
-their floor, character products, heat prefactors) and the refusals that
-depend on (spectrum, lmax) alone; the evaluators only read it. The
+enumeration with the count J_c of each class's powers, plus everything
+that does not depend on the evaluation point (det terms, character
+products, heat prefactors) and the refusals that depend on (spectrum,
+lmax) alone; the evaluators only read it. A document lists finitely many
+classes, so a cutoff drops only the powers j > J_c of each, and the plan's
+class_tail bounds them by one closed-form geometric tail per class. The
 plan stores four columns per power: length, j, class index and twist
 trace. The class length l0, 1/j and the power angles j * theta are
 rebuilt from them for one chunk of summation.CHUNK powers at a time, by
@@ -119,21 +121,21 @@ class _PowerTable:
 
     Stores every power of length <= lmax as four columns sorted by
     (length, class index, j): length, j, class_index and chi_trace, built
-    by whole-array operations on the class columns. The per-power l0, 1/j
-    and angles j * theta are derived for any rows by the methods of those
-    names, bit for bit the values of whole columns; every plan-sized
-    computation runs over chunks(), so its temporaries hold one chunk.
-    The traces are powers of the spectrum's twist_eigen and the rate k is
-    its twist_rate: a plan factors no twist matrix. Alongside sits the
-    point-independent data the series and heat evaluators read at every s
-    or t: the twist growth constant K of the rate k, the counting constant
-    C' for b = 2|rho|, the det terms and their floor, the character
-    products of the series kernels and the t-independent prefactors of the
-    heat route. Each is built on first use, the products several at once
-    when asked together (char_products); the products and prefactors, one
-    per twist, are kept for the _PRODUCTS_PER_PLAN most recently used
-    twists, the rest for the life of the plan. check raises the refusals of
-    a sum over the plan that depend on (spectrum, lmax) alone.
+    by whole-array operations on the class columns, and counts, the number
+    J_c of powers of each class. The per-power l0, 1/j and angles j * theta
+    are derived for any rows by the methods of those names, bit for bit the
+    values of whole columns; every plan-sized computation runs over
+    chunks(), so its temporaries hold one chunk. The traces are powers of
+    the spectrum's twist_eigen and the rate k is its twist_rate: a plan
+    factors no twist matrix. Alongside sits the point-independent data the
+    series and heat evaluators read at every s or t: the det terms, the
+    character products of the series kernels and the t-independent
+    prefactors of the heat route. Each is built on first use, the products
+    several at once when asked together (char_products); the products and
+    prefactors, one per twist, are kept for the _PRODUCTS_PER_PLAN most
+    recently used twists, the det terms for the life of the plan. check
+    raises the refusals of a sum over the plan that depend on (spectrum,
+    lmax) alone, and class_tail bounds what the cutoff drops.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -141,11 +143,11 @@ class _PowerTable:
         self.lmax = lmax
         self.dim_chi = ls.dim_chi
         self.rate = ls.twist_rate
-        self.b = 2.0 * ls.gd.rho_norm
         self._class_l0 = ls.l0
         self._class_angles = ls.angles
-        # the powers j = 1..jmax of class 0, then of class 1, ...
-        counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
+        self._log_norms = np.log(ls.twist_norms)
+        # the powers j = 1..J_c of class 0, then of class 1, ...
+        self.counts = counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
         index = np.repeat(np.arange(counts.size), counts)
         j = np.arange(1, index.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
         length = j.astype(float) * ls.l0[index]
@@ -186,22 +188,6 @@ class _PowerTable:
         return self.j[rows, None] * self._class_angles[self.class_index[rows]]
 
     @cached_property
-    def K(self) -> float:
-        """K of the growth certificate |tr chi(power)| <= K exp(k length),
-        k = rate. ||chi^j|| <= ||chi||^j makes k = max_c log(r_c) / l0_c
-        valid for every power, and dim_chi dominates |tr chi^j| exp(-k j l0)
-        for every power, even one whose trace overflows double precision;
-        K starts there and is raised to the supremum of the finite samples
-        if rounding pushes one above it. The tails also use the counting
-        constant C', observed only up to lmax, so a bound past lmax rests
-        on the growth N(L) <= C' exp(2|rho| L) continuing past the cutoff."""
-        K = float(self.dim_chi)
-        for r in self.chunks():
-            observed = np.abs(self.chi_trace[r]) * np.exp(-self.rate * self.length[r])
-            K = float(np.max(observed, initial=K, where=np.isfinite(observed)))
-        return K
-
-    @cached_property
     def overflow_length(self) -> float | None:
         """The length of the shortest power whose twist trace overflows
         double precision, None when every trace is finite."""
@@ -215,8 +201,7 @@ class _PowerTable:
         """The refusals of a sum over this plan of a non-empty spectrum
         that depend on (spectrum, lmax) alone: a plan with no power, as no
         tail bound covers every power; then a twist trace past the float
-        range, if the sum reads the shortest such power (reads(length)).
-        A det floor of 0 is refused where det_floor is read."""
+        range, if the sum reads the shortest such power (reads(length))."""
         if not self.size:
             raise DomainError(
                 f"no power has length at or below lmax = {self.lmax:g}; the shortest class "
@@ -228,19 +213,6 @@ class _PowerTable:
                               f"overflows double precision; lower lmax below {length!r}")
 
     @cached_property
-    def counting_constant(self) -> float:
-        """C' = max over the enumerated powers of N(L) exp(-b L), the
-        constant of the counting majorant N(L) <= C' exp(b L). Observed
-        up to lmax only."""
-        if not self.size:
-            return 0.0
-        return float(np.max([
-            (np.arange(r.start + 1, min(r.stop, self.size) + 1, dtype=float)
-             * np.exp(-self.b * self.length[r])).max()
-            for r in self.chunks()
-        ]))
-
-    @cached_property
     def det(self) -> np.ndarray:
         """prod_j (1 - 2 e^{-L} cos(j-th angle) + e^{-2L}) per power."""
         out = np.empty(self.size)
@@ -249,20 +221,25 @@ class _PowerTable:
             out[rows] = np.prod(1.0 - 2.0 * e * np.cos(self.angles(rows)) + e * e, axis=1)
         return out
 
-    @cached_property
-    def det_floor(self) -> float:
-        """(1 - e^{-systole})^(2n), a lower bound of every det term. Read
-        on a non-empty plan only: its first power is the shortest class
-        itself, at the exact length l0 (the j = 1 power). A floor of 0,
-        where e^{-systole} rounds to 1, bounds nothing and is refused."""
-        systole = float(self.length[0])
-        floor = (1.0 - math.exp(-systole)) ** (2 * self.gd.n)
-        if floor == 0:
-            raise DomainError(
-                f"the shortest class length {systole!r} is too short for a det floor: "
-                f"(1 - e^-l)^{2 * self.gd.n} rounds to 0, so no tail bound holds"
-            )
-        return floor
+    def class_tail(self, a: float, weight: np.ndarray, scale: float, det: bool = True) -> float:
+        """A bound on the sum over the dropped powers j > J_c of
+        scale * w |tr chi_c^j| e^{-a j l0_c} / det, where weight_c bounds each
+        dropped power's w (1/(J_c + 1) bounds 1/j): one geometric tail per
+        class, scale * dim_chi / floor * sum_c weight_c q_c^(J_c+1) / (1 - q_c)
+        with q_c = r_c e^{-a l0_c} and r_c the spectrum's twist_norms. It holds
+        as |tr chi_c^j| <= dim_chi r_c^j and every det term past lmax is at
+        least floor = (1 - e^{-lmax})^(2n); det=False takes floor = 1. A class
+        with q_c >= 1 has no such tail, and a bound that is not a finite
+        number is refused."""
+        log_q = self._log_norms - a * self._class_l0
+        floor = np.float64(-math.expm1(-self.lmax)) ** (2 * self.gd.n) if det else 1.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = np.exp((self.counts + 1) * log_q) / np.maximum(-np.expm1(log_q), 0.0)
+            tail = float(scale * self.dim_chi * np.sum(weight * ratio) / floor)
+        if not math.isfinite(tail):
+            raise DomainError(f"the per-class tail past lmax = {self.lmax:g} is not a finite "
+                              "number, so no tail bound holds")
+        return tail
 
     def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
         """For each tables of products, the product of the character tables
@@ -402,16 +379,6 @@ class LengthSpectrum:
 def counting_function(ls: LengthSpectrum, r: float) -> int:
     """Number of powers (primitive or not) with length <= r."""
     return int(_max_power(ls.l0, r).sum()) if r > 0 else 0
-
-
-def validate_cert(K: float, k: float, ls: LengthSpectrum, lmax: float) -> bool:
-    """Re-check the growth certificate |tr chi(power)| <= K exp(k length)
-    against a (possibly denser) enumeration."""
-    t = ls.power_table(lmax)
-    return all(
-        (np.abs(t.chi_trace[r]) <= K * np.exp(k * t.length[r]) * (1.0 + 1e-9)).all()
-        for r in t.chunks()
-    )
 
 
 @dataclass(frozen=True, eq=False)

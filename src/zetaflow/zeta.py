@@ -2,14 +2,14 @@
 
 All series run over the power enumeration of a length spectrum, truncated
 at a policy length. Each evaluator returns the deterministic block sum of
-its terms together with a certified tail bound obtained from the twist
-growth constants (K, k), the observed counting constant, and integration by
-parts against the majorant; the convergence abscissa is enforced by the
-bound itself (the tail formula degenerates exactly when the series stops
-converging absolutely, and that raises). Everything that does not depend
-on s (power columns, K and k, counting constant, det terms and their
-floor, character products, the refusals of (spectrum, lmax) alone) comes
-from the prepared plan of (spectrum, lmax), looked up once per point.
+its terms together with a tail bound on the powers it drops: a document
+lists finitely many classes, so past the cutoff only the powers j > J_c
+of each class are missing, and their closed-form geometric tail per class
+bounds them (the plan's class_tail). The convergence abscissa is refused
+first, at every cutoff. Everything that does not depend on s (power
+columns, per-class power counts, det terms, character products, the
+refusals of (spectrum, lmax) alone) comes from the prepared plan of
+(spectrum, lmax), looked up once per point.
 The terms are formed and summed one plan chunk at a time.
 The exterior-power factorization imports the branching layer inside its
 functions, so a job that sums no factorized series never loads it.
@@ -73,35 +73,24 @@ def det_term(gd: GroupData, length: float, angles: Sequence[float]) -> float:
 def _tail_bound(
     ls: LengthSpectrum, plan, policy: TruncationPolicy, s: complex, *, kind: str, dim_eff: float
 ) -> float:
-    """Certified bound on the powers beyond policy.lmax, from the plan
-    (ls.power_table(policy.lmax)): its growth constants K and k, counting
-    constant C' and det floor. C' is observed only up to lmax, so the
-    bound rests on the prime-geodesic growth N(L) <= C' exp(2|rho| L)
-    continuing past the cutoff. The abscissa refusal holds at every cutoff
-    and comes first, then the plan's refusals (plan.check; the series reads
-    every power), then tail_eps."""
-    if kind == "ruelle":
-        a = s.real - plan.rate
-    else:
-        a = s.real + ls.gd.rho_norm - plan.rate
-    gap = a - plan.b
-    if gap <= 0:
+    """Bound on the powers beyond policy.lmax, from the plan
+    (ls.power_table(policy.lmax)): its per-class tail at a = Re s + |rho|,
+    or a = Re s for Ruelle, which has no det term, with weight 1/(J_c + 1)
+    for the logarithms and l0_c for the log derivative. The abscissa
+    refusal holds at every cutoff and comes first, and it makes every
+    q_c < 1; then the plan's refusals (plan.check; the series reads every
+    power), then tail_eps."""
+    ruelle = kind == "ruelle"
+    a = s.real if ruelle else s.real + ls.gd.rho_norm
+    if a - plan.rate - 2.0 * ls.gd.rho_norm <= 0:
         raise DomainError(
             f"series for kind {kind!r} does not converge at s = {s}: "
             f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate "
             f"{abscissa_estimate(ls, kind=kind):.6g}",
         )
     plan.check(lambda length: True)
-    B = plan.K * dim_eff
-    if kind != "ruelle":
-        B /= plan.det_floor
-    cprime = plan.counting_constant
-    if kind == "logderiv":
-        tail = a * B * cprime * math.exp(-gap * policy.lmax) * (
-            policy.lmax / gap + 1.0 / (gap * gap)
-        )
-    else:
-        tail = cprime * B * (a / gap) * math.exp(-gap * policy.lmax)
+    weight = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
+    tail = plan.class_tail(a, weight, dim_eff, det=not ruelle)
     if tail > policy.tail_eps:
         raise DomainError(
             f"certified tail {tail:.3e} exceeds tail_eps {policy.tail_eps:.1e} at s = {s}; "

@@ -301,25 +301,35 @@ def fd_derivative(f, s: complex, h: float = 1e-2) -> complex:
     return (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h) - f(s + 2 * h)) / (12 * h)
 
 
-def twist_growth_cert_loop(ls, lmax: float) -> tuple[float, float]:
-    """(K, k) of the twist growth certificate, one class at a time.
-
-    k takes one spectral norm per class in a Python loop, in class order,
-    with the same 1 + 1e-12 guard against unitary rounding; K takes one
-    sample |tr chi^j| exp(-k j l0) per enumerated power.
-    """
+def twist_rate_loop(ls) -> float:
+    """The twist growth rate k, one spectral norm per class in a Python
+    loop, in class order, with the same 1 + 1e-12 guard against unitary
+    rounding."""
     k = 0.0
     for c in classes(ls):
         norm = float(np.linalg.norm(c.chi, 2))
         if norm > 1.0 + 1e-12:
             k = max(k, math.log(norm) / c.l0)
-    K = float(ls.dim_chi)
-    for c in classes(ls):
-        chi_j = np.eye(ls.dim_chi, dtype=complex)
-        for j in range(1, int(lmax / c.l0) + 1):
-            chi_j = chi_j @ c.chi
-            K = max(K, abs(np.trace(chi_j)) * math.exp(-k * j * c.l0))
-    return K, k
+    return k
+
+
+def class_tail_loop(ls, lmax: float, a: float, weight: str, scale: float,
+                    det: bool = True) -> float:
+    """The per-class tail bound past lmax, one class at a time in scalar
+    arithmetic: J_c counted from the enumerated powers, r_c the class's
+    spectral norm (at least 1), q_c = r_c e^{-a l0_c}, and the classes'
+    terms w_c q_c^(J_c + 1) / (1 - q_c), with w_c = 1 / (J_c + 1) for
+    weight "inv_j" and l0_c for "l0", added by math.fsum."""
+    counts = [0] * ls.l0.size
+    for cp in powers_up_to(ls, lmax):
+        counts[cp.class_index] += 1
+    terms = []
+    for c, J in zip(classes(ls), counts):
+        q = max(1.0, float(np.linalg.norm(c.chi, 2))) * math.exp(-a * c.l0)
+        w = c.l0 if weight == "l0" else 1.0 / (J + 1)
+        terms.append(w * q ** (J + 1) / (1.0 - q))
+    floor = (1.0 - math.exp(-lmax)) ** (2 * ls.gd.n) if det else 1.0
+    return scale * ls.dim_chi * math.fsum(terms) / floor
 
 
 def half_line_integral_reeval(f, rel_tol: float = 1e-9, h0: float = 0.5,
@@ -581,9 +591,6 @@ class WholeArrayPlan:
     def __init__(self, ls, lmax: float):
         t = ls.power_table(lmax)
         self.gd = ls.gd
-        self.dim_chi = ls.dim_chi
-        self.rate = ls.twist_rate
-        self.b = 2.0 * ls.gd.rho_norm
         self.size = t.size
         self.length, self.j, self.chi_trace = t.length, t.j, t.chi_trace
         self.l0 = ls.l0[t.class_index]
@@ -591,23 +598,6 @@ class WholeArrayPlan:
         self.inv_j = 1.0 / t.j
         e = np.exp(-self.length)[:, None]
         self.det = np.prod(1.0 - 2.0 * e * np.cos(self.angles) + e * e, axis=1)
-
-    def cert_K(self) -> float:
-        K = float(self.dim_chi)
-        if self.size:
-            observed = np.abs(self.chi_trace) * np.exp(-self.rate * self.length)
-            K = max(K, float(observed.max()))
-        return K
-
-    def counting_constant(self) -> float:
-        if not self.size:
-            return 0.0
-        counts = np.arange(1, self.size + 1, dtype=float)
-        return float(np.max(counts * np.exp(-self.b * self.length)))
-
-    def cert_holds(self, K: float, k: float) -> bool:
-        bound = K * np.exp(k * self.length) * (1.0 + 1e-9)
-        return bool((np.abs(self.chi_trace) <= bound).all())
 
     def chars(self, tables) -> np.ndarray:
         acc = np.ones(self.size, dtype=complex)
@@ -620,16 +610,18 @@ class WholeArrayPlan:
         rho = float(self.gd.rho_norm)
         return self.l0 * self.chi_trace * chars * np.exp(-rho * self.length) / self.det
 
-    def series(self, tables, s: complex, kind: str) -> complex:
-        """The truncated series value of zeta._series_value."""
+    def terms(self, tables, s: complex, kind: str) -> np.ndarray:
+        """The terms of the series of zeta._series_value, one per power."""
         chars = self.chars(tables)
         rho = float(self.gd.rho_norm)
         if kind == "ruelle":
-            terms = -self.inv_j * self.chi_trace * chars * np.exp(-s * self.length)
-        else:
-            weight = -self.inv_j if kind == "selberg" else self.l0
-            terms = weight * self.chi_trace * chars * np.exp(-(s + rho) * self.length) / self.det
-        return block_sum_whole(terms)
+            return -self.inv_j * self.chi_trace * chars * np.exp(-s * self.length)
+        weight = -self.inv_j if kind == "selberg" else self.l0
+        return weight * self.chi_trace * chars * np.exp(-(s + rho) * self.length) / self.det
+
+    def series(self, tables, s: complex, kind: str) -> complex:
+        """The truncated series value of zeta._series_value."""
+        return block_sum_whole(self.terms(tables, s, kind))
 
     def hyperbolic_sum(self, sigma_table, t: float) -> complex:
         """The hyperbolic heat contribution at time t of heat._hyperbolic_sum."""

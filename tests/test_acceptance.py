@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import classes, fd_derivative, plancherel_coeffs_symbolic
+from oracles import WholeArrayPlan, fd_derivative, plancherel_coeffs_symbolic
 from zetaflow import (
     EigenSpectrum,
     GroupData,
@@ -41,9 +41,9 @@ from zetaflow import (
     small_t_combination,
     synthesize,
     tau_pm_split,
-    validate_cert,
     weyl_action,
 )
+from zetaflow.chars import character_table
 from zetaflow.cli import main
 from zetaflow.continuation import cauchy_plancherel_identity
 from zetaflow.heat import plancherel_heat_integral
@@ -245,17 +245,21 @@ def test_criterion_10_rank_one_closed_forms():
 
 
 def test_criterion_11_growth_certification():
-    with _Budget(11, 30.0, "counting growth fits 2|rho| and the twist certificate holds"):
+    with _Budget(11, 30.0, "counting growth fits 2|rho| and the per-class tail covers the "
+                           "dropped terms"):
         ls = synthesize(GroupData(3), 5000, systole=0.5, seed=23)
         fit = fitted_growth_exponent(ls)
         assert abs(fit - 2.0) <= 0.15 * 2.0, fit
-        lmax = 6.0 * max(c.l0 for c in classes(ls))
-        plan = ls.power_table(lmax)
-        assert validate_cert(plan.K, plan.rate, ls, lmax)
         twisted = synthesize(GroupData(3), 400, systole=0.5, seed=24, dim_chi=3, chi_norm=1.3)
-        lmax = 6.0 * max(c.l0 for c in classes(twisted))
-        plan = twisted.power_table(lmax)
-        assert validate_cert(plan.K, plan.rate, twisted, lmax)
+        s = abscissa_estimate(twisted) + 0.5
+        long = selberg_log(s, (0,), twisted, TruncationPolicy(lmax=40.0, tail_eps=math.inf))
+        terms = WholeArrayPlan(twisted, 40.0).terms((character_table("D", (0,)),), s, "selberg")
+        rounding = 64.0 * 2.0**-53 * float(np.abs(terms).sum())
+        for lmax in (3.0, 6.0):
+            short = selberg_log(s, (0,), twisted, TruncationPolicy(lmax=lmax, tail_eps=math.inf))
+            dropped = abs(short.value - long.value)
+            assert dropped <= short.tail_bound + rounding, lmax
+            assert dropped > 10.0 * rounding and dropped <= short.tail_bound, lmax
 
 
 def test_criterion_12_branching_identities():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -678,24 +679,34 @@ def tiny_class(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv", [
-    ["selberg", "--s", "5"],
-    ["log-derivative", "--s", "5"],
-    ["heat-trace", "--t", "1e-21"],
-    ["resolvent", "--anchor", "2", "--anchor", "3"],
+@pytest.mark.parametrize("argv,tail", [
+    (["selberg", "--s", "5"], "tail 1.515e+56 exceeds tail_eps 1.0e-08 at s = (5+0j)"),
+    (["log-derivative", "--s", "5"], "tail 1.692e+37 exceeds tail_eps 1.0e-08 at s = (5+0j)"),
+    (["heat-trace", "--t", "1e-21"], "heat tail 3.431e+46 exceeds tail_eps 1.0e-08 at t = 1e-21"),
+    (["resolvent", "--anchor", "2", "--anchor", "3"],
+     "tail 3.857e+37 exceeds tail_eps 1.0e-08 at s = (2+0j)"),
 ])
-def test_a_class_too_short_for_a_det_floor_exits_two(tiny_class, capsys, argv):
-    # the det floor (1 - e^{-l0})^2 was 0, and the tail bound divided by it
+def test_a_class_too_short_for_a_det_floor_exits_two(tiny_class, capsys, argv, tail):
+    # the class of length 1e-20 keeps its powers j <= 10 and drops the rest,
+    # whose ratio q = e^{-a 1e-20} is within 1e-19 of 1, and the det floor
+    # (1 - e^{-1e-19})^2 is 1e-38: the tail bound is far above tail_eps
     code, out, err = _run(capsys, [*argv, "--spectrum", str(tiny_class), "--lmax", "1e-19"])
     assert (code, out) == (2, "")
-    assert err == ("domain error: the shortest class length 1e-20 is too short for a det "
-                   "floor: (1 - e^-l)^2 rounds to 0, so no tail bound holds\n")
+    advice = "" if argv[0] == "heat-trace" else " or move s to the right"
+    assert err == f"domain error: certified {tail}; raise lmax above 1e-19{advice}\n"
 
 
-def test_ruelle_needs_no_det_floor(tiny_class, capsys):
+def test_the_ruelle_tail_covers_what_a_class_too_short_drops(tiny_class, capsys):
+    # class 0 keeps its powers j <= 10 of the ratio q = e^{-5e-20}; it drops
+    # log(1 / (1 - q)) - sum_{j <= 10} q^j / j, about 41.51
     code, out, _ = _run(capsys, ["ruelle", "--s", "5", "--spectrum", str(tiny_class),
-                                 "--lmax", "1e-19", "--tail-eps", "100"])
-    assert code == 0 and len(out.splitlines()) == 2
+                                 "--lmax", "1e-19", "--tail-eps", "1e19"])
+    assert code == 0
+    [row] = out.splitlines()[1:]
+    dropped = -math.log(-math.expm1(-5e-20)) - math.fsum(math.exp(-5e-20 * j) / j
+                                                         for j in range(1, 11))
+    assert dropped > 41.51
+    assert float(row.split(",")[4]) >= dropped
 
 
 # the option dests each command accepts: every one is read by its handler

@@ -10,7 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import WholeArrayPlan, block_sum_whole, character_table_loop, hyperbolic_sum_whole
+from oracles import (
+    WholeArrayPlan,
+    block_sum_whole,
+    character_table_loop,
+    class_tail_loop,
+    hyperbolic_sum_whole,
+)
 from zetaflow import (
     DomainError,
     GroupData,
@@ -21,7 +27,6 @@ from zetaflow import (
     ruelle_log,
     selberg_log,
     synthesize,
-    validate_cert,
     z_p_log,
 )
 from zetaflow import heat, spectra
@@ -79,16 +84,22 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
     assert same_bits(plan.angles(), whole.angles)
     assert plan.angles().shape == whole.angles.shape == (plan.size, ls.gd.n)
     assert same_bits(plan.det, whole.det)
-    assert same_bits(plan.K, whole.cert_K())
-    assert same_bits(plan.counting_constant, whole.counting_constant())
     sig = character_table("D", SIGMA)
     psi = character_table("D", exterior_decomposition(ls.gd, 1)[0])
     for tables in ((sig,), (sig, psi)):
         [chars] = plan.char_products((tables,))
         assert same_bits(chars, whole.chars(tables))
     assert same_bits(plan.heat_base(sig), whole.heat_base(sig))
-    for K in (plan.K, 0.5 * plan.K, 1.0):
-        assert validate_cert(K, plan.rate, ls, lmax) == whole.cert_holds(K, plan.rate)
+
+
+def test_class_tail_equals_the_scalar_oracle(ls, sized):
+    # every class is in the tail, with J_c = 0 on the empty plan
+    lmax, plan, _ = sized
+    a = ls.gd.rho_norm + ls.twist_rate + 1.5
+    got = plan.class_tail(a, 1.0 / (plan.counts + 1.0), 2.0)
+    assert math.isclose(got, class_tail_loop(ls, lmax, a, "inv_j", 2.0), rel_tol=1e-12)
+    got = plan.class_tail(a, ls.l0, 3.0, det=False)
+    assert math.isclose(got, class_tail_loop(ls, lmax, a, "l0", 3.0, det=False), rel_tol=1e-12)
 
 
 def test_series_values_equal_the_whole_array_formulas(ls, sized):

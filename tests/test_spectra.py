@@ -1,18 +1,21 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oracles import (
+    class_tail_loop,
     classes,
     length_spectrum_to_dict,
     power_table_loop,
     powers_up_to,
     synthesize_loop,
-    twist_growth_cert_loop,
+    twist_rate_loop,
 )
 from zetaflow import (
+    DomainError,
     EigenSpectrum,
     GroupData,
     LengthSpectrum,
@@ -29,7 +32,6 @@ from zetaflow import (
     save,
     selberg_log,
     synthesize,
-    validate_cert,
 )
 from zetaflow import chars, spectra, zeta
 from zetaflow.branching import exterior_decomposition
@@ -237,14 +239,35 @@ def test_twist_norms_are_the_spectral_norms_above_one(gd3):
         assert ls.twist_norms[c] == want, c
 
 
-def test_growth_certificate(ls3, ls3_twisted):
+def test_class_tail_matches_the_scalar_oracle(ls3, ls3_twisted):
     for ls in (ls3, ls3_twisted):
-        plan = ls.power_table(4.0 * float(ls.l0.max()))
-        assert plan.rate >= 0.0
-        assert plan.K >= 1.0
-        assert validate_cert(plan.K, plan.rate, ls, lmax=12.0)
+        lmax = 4.0 * float(ls.l0.max())
+        plan = ls.power_table(lmax)
+        a = abscissa_estimate(ls) + ls.gd.rho_norm + 0.3
+        assert plan.counts.tolist() == [int(lmax / l0) for l0 in ls.l0.tolist()]
+        got = plan.class_tail(a, 1.0 / (plan.counts + 1.0), 1.5)
+        assert math.isclose(got, class_tail_loop(ls, lmax, a, "inv_j", 1.5), rel_tol=1e-12)
+        got = plan.class_tail(a, ls.l0, 1.0, det=False)
+        assert math.isclose(got, class_tail_loop(ls, lmax, a, "l0", 1.0, det=False), rel_tol=1e-12)
     # unitary twists stay bounded, so no exponential rate is needed
     assert ls3.power_table(4.0 * float(ls3.l0.max())).rate == 0.0
+
+
+def test_a_class_tail_that_is_not_finite_is_refused(gd3):
+    # (1 - e^-lmax)^2 underflows to 0 at lmax = 1e-200, and a class with
+    # q_c >= 1, left of the abscissa, has no geometric tail
+    ls = LengthSpectrum(gd=gd3, l0=[1e-201, 1.0], angles=[[0.5], [1.5]],
+                        chi=np.ones((2, 1, 1)), volume=1.0, dim_chi=1)
+    plan = ls.power_table(1e-200)
+    with pytest.raises(DomainError, match=re.escape(
+            "the per-class tail past lmax = 1e-200 is not a finite number, so no tail "
+            "bound holds")):
+        plan.class_tail(3.0, ls.l0, 1.0)
+    assert math.isfinite(plan.class_tail(3.0, ls.l0, 1.0, det=False))
+    grown = LengthSpectrum(gd=gd3, l0=[1.0], angles=[[0.5]], chi=[[[3.0]]], volume=1.0,
+                           dim_chi=1)
+    with pytest.raises(DomainError, match="no tail bound holds"):
+        grown.power_table(5.0).class_tail(1.0, np.ones(1), 1.0, det=False)
 
 
 def test_spectrum_refusals(gd3, ls3, tmp_path):
@@ -257,12 +280,11 @@ def test_spectrum_refusals(gd3, ls3, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_plan_certificate_matches_scalar_oracle(gd3):
+def test_plan_rate_matches_scalar_oracle(gd3):
     ls = synthesize(gd3, 400, systole=0.5, seed=21, dim_chi=3, chi_norm=1.3)
     for lmax in (4.0, 9.0):
         plan = ls.power_table(lmax)
-        assert plan.rate > 0.0
-        assert (plan.K, plan.rate) == twist_growth_cert_loop(ls, lmax)
+        assert plan.rate == twist_rate_loop(ls) > 0.0
     assert ls.twist_rate == plan.rate
 
 
@@ -274,7 +296,7 @@ def test_twist_rate_matches_scalar_oracle_near_the_guard(gd3):
         return chi
 
     ls = _edited(synthesize(gd3, 90, systole=0.5, seed=31), "chi", scaled)
-    k = twist_growth_cert_loop(ls, 4.0)[1]
+    k = twist_rate_loop(ls)
     assert ls.twist_rate == k > 0.0
 
 
@@ -285,7 +307,7 @@ def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
     def evaluate(lmax):
         plan = ls.power_table(lmax)
         value = selberg_log(4.0, (0,), ls, TruncationPolicy(lmax=lmax, tail_eps=1.0))
-        return (plan.K, plan.rate), plan.counting_constant, plan.size, value
+        return plan.rate, plan.counts.tolist(), plan.size, value
 
     first = {lmax: evaluate(lmax) for lmax in cutoffs}
     assert list(ls._plans) == cutoffs[-_PLANS_PER_SPECTRUM:]

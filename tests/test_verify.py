@@ -73,16 +73,23 @@ def test_characters_suite_fails_on_a_perturbed_weight_table(monkeypatch):
 
 
 def test_growth_suite_fails_without_the_twist_rate(monkeypatch):
-    # k = 0 certifies only the traces seen up to the default cutoff
+    # the per-class tail reads each class's twist norm r_c, not the rate k,
+    # so k = 0 moves only the abscissa and the tail still covers the dropped
+    # terms; a tail that starts one power late, at q_c^(J_c + 2), misses
+    # each class's first dropped power, and the check fails
+    names = ["counting exponent vs 2|rho|", "per-class tail covers the dropped terms"]
     monkeypatch.setattr(spectra.LengthSpectrum, "twist_rate", property(lambda self: 0.0))
-    try:
-        results = run_suite("growth")
-    finally:
-        monkeypatch.undo()
-    assert [(r.name, r.passed) for r in results] == [
-        ("counting exponent vs 2|rho|", True),
-        ("growth certificate validates", False),
-    ]
+    results = run_suite("growth")
+    assert [(r.name, r.passed) for r in results] == [(names[0], True), (names[1], True)]
+    original = spectra._PowerTable.class_tail
+
+    def late(plan, a, weight, scale, det=True):
+        q = np.exp(plan._log_norms - a * plan._class_l0)
+        return original(plan, a, weight * q, scale, det)
+
+    monkeypatch.setattr(spectra._PowerTable, "class_tail", late)
+    results = run_suite("growth")
+    assert [(r.name, r.passed) for r in results] == [(names[0], True), (names[1], False)]
 
 
 def test_zeta_suite_fails_on_a_dropped_exterior_piece(monkeypatch):
