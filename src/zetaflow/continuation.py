@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .heat import heat_totals
-from .plancherel import PlancherelPolynomial, plancherel_polynomial
+from .plancherel import PlancherelPolynomial, horner, plancherel_polynomial
 from .quadrature import half_line_integral, path_integral, segment_integral
 from .spectra import EigenSpectrum, LengthSpectrum, checked_volume
 from .zeta import SeriesValue, TruncationPolicy, log_derivative
@@ -262,13 +262,7 @@ def cauchy_plancherel_identity(s: complex, P: PlancherelPolynomial) -> tuple[com
 
     def integrand(lam: np.ndarray) -> np.ndarray:
         u = lam * lam
-        rval = np.zeros(u.shape, dtype=complex)
-        for c in reversed(rcoeffs):
-            rval = rval * u + c
-        qval = np.zeros(u.shape, dtype=complex)
-        for c in reversed(q):
-            qval = qval * u + c
-        return rval / (u + s * s) - qval
+        return horner(rcoeffs, u) / (u + s * s) - horner(q, u)
 
     lam_max = 50.0 * (1.0 + abs(s))
     rhs = (math.pi / s) * P(s)
@@ -276,12 +270,8 @@ def cauchy_plancherel_identity(s: complex, P: PlancherelPolynomial) -> tuple[com
     # floor is set by their amplitude, not by the (possibly zero) integral;
     # a tolerance below coherent rounding noise would never be reached
     u_s = np.linspace(0.0, lam_max, 65) ** 2
-    ra = np.zeros_like(u_s)
-    for c in reversed(rcoeffs):
-        ra = ra * u_s + abs(c)
-    qa = np.zeros_like(u_s)
-    for c in reversed(q):
-        qa = qa * u_s + abs(c)
+    ra = horner([abs(c) for c in rcoeffs], u_s, float)
+    qa = horner([abs(c) for c in q], u_s, float)
     amp = float(np.max(ra / np.abs(u_s + s * s) + qa))
     budget = max(1e-13 * (1.0 + abs(rhs)), 4.6e-16 * amp * 2.0 * lam_max)
     finite = segment_integral(integrand, -lam_max, lam_max, budget)

@@ -7,7 +7,9 @@ summing the per-power symbols against the scalar heat kernel on the length
 axis. One setup and one per-time total serve a single time, returned with
 its tail bound as a SeriesValue, and a time grid alike. The bound is the
 series' per-class tail of the dropped powers, since past lmax the kernel
-exp(-L^2 / 4t) is at most exp(-L lmax / 4t). The plan refuses an
+exp(-L^2 / 4t) is at most exp(-L lmax / 4t); it holds at any t > 0 where
+every class's ratio q_c = r_c exp(-(|rho| + lmax/4t) l0_c) is below 1, and
+the plan refuses it elsewhere, naming a longer cutoff. The plan refuses an
 overflowing twist trace only where the kernel reaches it. Consistency between
 the spectral sum and the geometric expansion is never assumed here; the
 resolvent identities downstream test it through independent routes.
@@ -69,34 +71,11 @@ def _reached(length: float, t: float) -> bool:
     return -(length ** 2) / (4.0 * t) >= _EXP_UNDERFLOW
 
 
-def _hyperbolic_tail(
-    ls: LengthSpectrum, plan, sigma_dim: float, t: float, policy: TruncationPolicy
-) -> float:
-    """Bound on the dropped powers of the Gaussian-damped series, from the
-    plan (ls.power_table(policy.lmax)): past lmax, e^{-L^2/4t} is at most
-    e^{-L lmax/4t}, so the plan's per-class tail at a = |rho| + lmax/4t with
-    weight l0_c, times 1/sqrt(4 pi t), bounds them. 0 for an empty spectrum;
-    the check that the tail is controllable at t comes first (beta > 0, which
-    makes every q_c < 1), then the plan's refusals (plan.check; the kernel
-    reads the powers where it is nonzero), then tail_eps."""
-    if not ls.l0.size:
-        return 0.0
-    rho = float(plan.gd.rho_norm)
-    b = 2.0 * rho  # the counting exponent of the abscissa
-    lmax = policy.lmax
-    beta = lmax / (4.0 * t) - (b + plan.rate - rho)
-    if beta <= 0:
-        need = 4.0 * t * (b + plan.rate - rho)
-        advice = f"need lmax > {need:g}" if math.isfinite(need) else "no finite lmax controls it"
-        raise DomainError(f"heat tail not controllable at t = {t:g} with lmax = {lmax:g}; {advice}")
-    plan.check(lambda length: _reached(length, t))
-    tail = plan.class_tail(rho + lmax / (4.0 * t), ls.l0, sigma_dim / math.sqrt(4.0 * math.pi * t))
-    if tail > policy.tail_eps:
-        raise DomainError(
-            f"certified heat tail {tail:.3e} exceeds tail_eps {policy.tail_eps:.1e} "
-            f"at t = {t:g}; raise lmax above {lmax:g}",
-        )
-    return tail
+def _kernel_scale(t: float) -> float:
+    """sqrt(4 pi t), the scalar heat kernel's normalization, also at a time
+    so long that 4 pi t overflows."""
+    scale = math.sqrt(4.0 * math.pi * t)
+    return scale if scale < math.inf else math.sqrt(4.0 * math.pi) * math.sqrt(t)
 
 
 def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
@@ -114,7 +93,7 @@ def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     if not live:
         return 0j
     base = plan.heat_base(sigma_table)
-    scale = math.sqrt(4.0 * math.pi * t)
+    scale = _kernel_scale(t)
 
     def terms(r: slice) -> np.ndarray:
         exponent = -plan.length[r] ** 2 / (4.0 * t)
@@ -143,11 +122,22 @@ def _total(ls: LengthSpectrum, P, plan, sig: CharacterTable, t: float) -> comple
 def geometric_heat_trace(
     ls: LengthSpectrum, sigma: Sequence[object], t: float, tp: TruncationPolicy
 ) -> SeriesValue:
-    """The geometric heat trace at time t, with a certified bound for the
-    truncated hyperbolic tail, which is checked before anything is summed."""
+    """The geometric heat trace at time t, with a bound on the dropped
+    powers, which is checked before anything is summed: past lmax,
+    e^{-L^2/4t} is at most e^{-L lmax/4t}, so the plan's per-class tail at
+    a = |rho| + lmax/4t with weight l0_c, times dim sigma / sqrt(4 pi t),
+    bounds them. The plan's refusals come first (plan.check, where the
+    kernel is nonzero; class_tail, where some q_c >= 1), then tail_eps."""
     _check_time(t)
     P, plan, sig = _setup(ls, sigma, tp)
-    tail = _hyperbolic_tail(ls, plan, sig.norm_bound(), t, tp)
+    plan.check(lambda length: _reached(length, t))
+    scale = sig.norm_bound() / _kernel_scale(t)
+    tail = plan.class_tail(float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), ls.l0, scale)
+    if tail > tp.tail_eps:
+        raise DomainError(
+            f"certified heat tail {tail:.3e} exceeds tail_eps {tp.tail_eps:.1e} "
+            f"at t = {t:g}; raise lmax above {tp.lmax:g}",
+        )
     return SeriesValue(_total(ls, P, plan, sig, t), tail)
 
 

@@ -39,11 +39,17 @@ class PlancherelPolynomial:
 
     def evaluate_many(self, z) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
-        u = zz * zz
-        acc = np.zeros_like(u)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
+        return horner(self.coeffs, zz * zz)
+
+
+def horner(coeffs: Sequence[complex], u, dtype=complex) -> np.ndarray:
+    """sum_m coeffs[m] u^m at every entry of u by Horner's rule,
+    acc = acc * u + c from the highest coefficient down, starting from
+    zeros of dtype."""
+    acc = np.zeros(np.shape(u), dtype=dtype)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
 
 
 def _exact_coeffs(gd: GroupData, sigma: Weight) -> tuple[Fraction, ...]:

@@ -126,7 +126,7 @@ class _PowerTable:
     are derived for any rows by the methods of those names, bit for bit the
     values of whole columns; every plan-sized computation runs over
     chunks(), so its temporaries hold one chunk. The traces are powers of
-    the spectrum's twist_eigen and the rate k is its twist_rate: a plan
+    the spectrum's twist_eigen and the tail reads its twist_norms: a plan
     factors no twist matrix. Alongside sits the point-independent data the
     series and heat evaluators read at every s or t: the det terms, the
     character products of the series kernels and the t-independent
@@ -142,7 +142,6 @@ class _PowerTable:
         self.gd = ls.gd
         self.lmax = lmax
         self.dim_chi = ls.dim_chi
-        self.rate = ls.twist_rate
         self._class_l0 = ls.l0
         self._class_angles = ls.angles
         self._log_norms = np.log(ls.twist_norms)
@@ -198,11 +197,12 @@ class _PowerTable:
         return None
 
     def check(self, reads: Callable[[float], bool]) -> None:
-        """The refusals of a sum over this plan of a non-empty spectrum
-        that depend on (spectrum, lmax) alone: a plan with no power, as no
+        """The refusals of a sum over this plan that depend on (spectrum,
+        lmax) alone: a plan with no power of a spectrum with a class, as no
         tail bound covers every power; then a twist trace past the float
-        range, if the sum reads the shortest such power (reads(length))."""
-        if not self.size:
+        range, if the sum reads the shortest such power (reads(length)).
+        A spectrum with no class passes: its sum is 0 and so is its tail."""
+        if not self.size and self._class_l0.size:
             raise DomainError(
                 f"no power has length at or below lmax = {self.lmax:g}; the shortest class "
                 f"has length {float(self._class_l0.min()):g}, raise lmax to at least that",
@@ -238,7 +238,7 @@ class _PowerTable:
             tail = float(scale * self.dim_chi * np.sum(weight * ratio) / floor)
         if not math.isfinite(tail):
             raise DomainError(f"the per-class tail past lmax = {self.lmax:g} is not a finite "
-                              "number, so no tail bound holds")
+                              f"number, so no tail bound holds; raise lmax above {self.lmax:g}")
         return tail
 
     def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:

@@ -5,11 +5,11 @@ at a policy length. Each evaluator returns the deterministic block sum of
 its terms together with a tail bound on the powers it drops: a document
 lists finitely many classes, so past the cutoff only the powers j > J_c
 of each class are missing, and their closed-form geometric tail per class
-bounds them (the plan's class_tail). The convergence abscissa is refused
-first, at every cutoff. Everything that does not depend on s (power
-columns, per-class power counts, det terms, character products, the
-refusals of (spectrum, lmax) alone) comes from the prepared plan of
-(spectrum, lmax), looked up once per point.
+bounds them (the plan's class_tail). A point at or left of
+abscissa_estimate is refused first, at every cutoff. Everything that does
+not depend on s (power columns, per-class power counts, det terms,
+character products, the refusals of (spectrum, lmax) alone) comes from the
+prepared plan of (spectrum, lmax), looked up once per point.
 The terms are formed and summed one plan chunk at a time.
 The exterior-power factorization imports the branching layer inside its
 functions, so a job that sums no factorized series never loads it.
@@ -76,18 +76,18 @@ def _tail_bound(
     """Bound on the powers beyond policy.lmax, from the plan
     (ls.power_table(policy.lmax)): its per-class tail at a = Re s + |rho|,
     or a = Re s for Ruelle, which has no det term, with weight 1/(J_c + 1)
-    for the logarithms and l0_c for the log derivative. The abscissa
-    refusal holds at every cutoff and comes first, and it makes every
-    q_c < 1; then the plan's refusals (plan.check; the series reads every
-    power), then tail_eps."""
-    ruelle = kind == "ruelle"
-    a = s.real if ruelle else s.real + ls.gd.rho_norm
-    if a - plan.rate - 2.0 * ls.gd.rho_norm <= 0:
+    for the logarithms and l0_c for the log derivative. A point at or left
+    of abscissa_estimate is refused first, at every cutoff; right of it
+    every q_c < 1. Then come the plan's refusals (plan.check; the series
+    reads every power; class_tail), then tail_eps."""
+    abscissa = abscissa_estimate(ls, kind)
+    if s.real <= abscissa:
         raise DomainError(
             f"series for kind {kind!r} does not converge at s = {s}: "
-            f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate "
-            f"{abscissa_estimate(ls, kind=kind):.6g}",
+            f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate {abscissa:.6g}",
         )
+    ruelle = kind == "ruelle"
+    a = s.real if ruelle else s.real + ls.gd.rho_norm
     plan.check(lambda length: True)
     weight = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
     tail = plan.class_tail(a, weight, dim_eff, det=not ruelle)
@@ -106,8 +106,6 @@ def _series_value(
     policy: TruncationPolicy,
     kind: str,
 ) -> SeriesValue:
-    if not ls.l0.size:
-        return SeriesValue(0j, 0.0)
     plan = ls.power_table(policy.lmax)
     dim_eff = 1.0
     for t in tables:
@@ -211,9 +209,8 @@ def ruelle_factorized_log(
     term on the shared truncation. The products of sigma with every
     exterior piece are built first, in one pass over the plan."""
     s = _point(s)
-    if ls.l0.size:
-        sig = _sigma_table(ls, sigma)
-        ls.power_table(tp.lmax).char_products([(sig, psi) for _, psi in _exterior_pieces(ls.gd)])
+    sig = _sigma_table(ls, sigma)
+    ls.power_table(tp.lmax).char_products([(sig, psi) for _, psi in _exterior_pieces(ls.gd)])
     total = 0j
     tail = 0.0
     for p in range(0, 2 * ls.gd.n + 1):

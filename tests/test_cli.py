@@ -658,6 +658,32 @@ def test_a_heat_tail_above_tail_eps_exits_two(workdir, capsys):
     assert err.endswith(" exceeds tail_eps 1.0e-300 at t = 0.5; raise lmax above 30\n")
 
 
+def test_a_long_heat_time_has_a_tail(tmp_path, capsys):
+    # lmax / 4t = 2.5 is below |rho| = 3: the kernel still beats every
+    # class's powers, so the per-class tail holds
+    path = str(tmp_path / "d7.json")
+    assert main(["gen-spectrum", "--d", "7", "--count", "5", "--seed", "1", "--output", path]) == 0
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["heat-trace", "--spectrum", path, "--t", "3", "--lmax", "30"])
+    assert (code, err) == (0, "")
+    [row] = out.splitlines()[1:]
+    assert 0.0 < float(row.split(",")[4]) < 1e-8
+
+
+def test_a_heat_class_with_no_tail_exits_two(tmp_path, capsys):
+    # twists of norm up to 40 outgrow the kernel's e^{-(|rho| + lmax/4t) l0}
+    # at t = 5, so some class has q_c >= 1
+    path = str(tmp_path / "d5.json")
+    assert main(["gen-spectrum", "--d", "5", "--count", "200", "--seed", "7", "--dim-chi", "2",
+                 "--chi-norm", "40", "--output", path]) == 0
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["heat-trace", "--spectrum", path, "--t", "5",
+                                   "--tail-eps", "inf"])
+    assert (code, out) == (2, "")
+    assert err == ("domain error: the per-class tail past lmax = 30 is not a finite number, "
+                   "so no tail bound holds; raise lmax above 30\n")
+
+
 def test_a_heat_resolvent_with_too_few_anchors_exits_two(tmp_path, capsys):
     assert main(["gen-spectrum", "--d", "5", "--count", "20", "--output",
                  str(tmp_path / "d5.json")]) == 0
@@ -944,11 +970,16 @@ def test_heat_time_refusals(workdir, capsys, tmp_path):
     spectrum = str(workdir / "spectrum.json")
     code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "nan"])
     assert (code, out, err) == (1, "", "error: heat time must be positive and finite, got nan\n")
-    # 4 t (b + k - |rho|) overflows: the advice names no lmax
-    code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", "1e308"])
-    assert code == 2 and out == ""
-    assert err == ("domain error: heat tail not controllable at t = 1e+308 with lmax = 30; "
-                   "no finite lmax controls it\n")
+    # every finite t has a value and a tail, also where 4 pi t overflows: far
+    # out, the trace and its tail fall like t^(-1/2)
+    rows = {}
+    for t in ("1e300", "1e308"):
+        code, out, err = _run(capsys, ["heat-trace", "--spectrum", spectrum, "--t", t])
+        assert (code, err) == (0, "")
+        rows[t] = [float(x) for x in out.splitlines()[1].split(",")[2:]]
+    assert rows["1e300"][2] > 0.0
+    for far, near in zip(rows["1e308"], rows["1e300"]):
+        assert math.isclose(far, 1e-4 * near, rel_tol=1e-12)
     assert main(["gen-spectrum", "--d", "7", "--count", "5", "--seed", "1",
                  "--output", str(tmp_path / "d7.json")]) == 0
     capsys.readouterr()

@@ -5,8 +5,10 @@ its s and value columns (the first four) is compared against a digest
 recorded before the tail bounds became one geometric tail per class, so
 a change to a tail bound can never hide a change to a value. The sha256
 of its full stdout (all five table columns) is compared against a digest
-recorded after that change, so a changed tail bound moves it. The sha256
-of each ``gen-spectrum`` file was recorded before the spectrum was stored
+recorded after that change, so a changed tail bound moves it. Both
+digests of the d5 ``heat-trace-long`` job were recorded when the heat
+trace stopped refusing times with lmax / 4t at or below |rho| + k, such
+as its t = 3. The sha256 of each ``gen-spectrum`` file was recorded before the spectrum was stored
 as columns (d3, d5), before the twists were drawn as whole arrays (d7,
 whose 3x3 twists take the stacked QR above 2x2), or before the documents
 were written from a per-class template instead of json's indent encoder
@@ -46,6 +48,8 @@ JOBS = {
     ("d5", "ruelle"): ["ruelle", "--s", "6.5", "--s", "7-1j"],
     ("d5", "log-derivative"): ["log-derivative", "--s", "4.5", "--s", "5+0.5j"],
     ("d5", "heat-trace"): ["heat-trace", "--t", "0.05", "--t", "0.2", "--lmax", "12"],
+    # lmax / 4t = 6 and 1, on both sides of |rho| + k = 2.03
+    ("d5", "heat-trace-long"): ["heat-trace", "--t", "0.5", "--t", "3", "--lmax", "12"],
     ("d5", "resolvent"): ["resolvent", "--anchor", "3", "--anchor", "4", "--anchor", "5",
                           "--lmax", "30", "--tail-eps", "1e-5"],
     ("d5", "factorization-check"): ["factorization-check", "--s", "6.5", "--lmax", "14",
@@ -66,6 +70,7 @@ DIGESTS = {
     ("d5", "ruelle"): "578dbd1bd406818c9cc127a80903f04a60b18f396c25551d63b41fb3c292b64b",
     ("d5", "log-derivative"): "cece34b07bb32599913caab535e5b265de712d21233f00fd64bb7c4e1dc05b7f",
     ("d5", "heat-trace"): "1c440c6aef6ab2310ef9193c3a4cd89f5f4719c9e869dc72ec34afb49aa68112",
+    ("d5", "heat-trace-long"): "08be6309f84cfafe57a7e2633c42391e195bb89fb79741df5b446bb97dd24288",
     ("d5", "resolvent"): "7aa586a927946d34486e8bab0c8b6c22f4594eeca00c69fb157a0b3f95f1998c",
     ("d5", "factorization-check"):
         "3c53eec87f9fce803fac0c33c19e28d4892b95531847e5b4252516df7db7467f",
@@ -85,6 +90,7 @@ VALUE_DIGESTS = {
     ("d5", "ruelle"): "df5caabce19e9c463fe5d4dad1cc1281339eaa71fa36573d35dd09317f9d14b4",
     ("d5", "log-derivative"): "4be6242f80179a00e1f7e7935388cc6d7f099ca6f766b4a545b80c38857e42a1",
     ("d5", "heat-trace"): "de181344fde53a486d65fc1619a8f487df8c9ace421724384e3e7789e86ae390",
+    ("d5", "heat-trace-long"): "bf8e36144a2acf243465b60172974d87f38941cf20543518564e30db0041e931",
     ("d5", "resolvent"): "94af99156bb7343af5dbcfa18cdec718297ea2a692540e447fae5789695b188f",
     ("d5", "factorization-check"):
         "5aa582d40d16769de7de1e2b9dd84765f6a66fdea2c9ba466f66acc922097fe0",

@@ -92,8 +92,10 @@ def _series_cases(d: int) -> list[tuple]:
 
 
 def _heat_cases(d: int) -> list[tuple]:
-    """(label, bound, observed, R) of the heat trace at three times with
-    beta > 0 for each short cutoff; the identity term is one of the terms."""
+    """(label, bound, observed, R) of the heat trace at five times for
+    each short cutoff, three with lmax / 4t above |rho| + k and two at or
+    below it, where a tail from the growth of the lengths would need a
+    longer cutoff; the identity term is one of the terms."""
     ls = _spectrum(d)
     sigma, cutoffs = SPECTRA[d][1:]
     sig = character_table("D", sigma)
@@ -101,8 +103,8 @@ def _heat_cases(d: int) -> list[tuple]:
     P = plancherel_polynomial(ls.gd, sigma)
     cases = []
     for lmax in cutoffs:
-        for fraction in (0.2, 0.5, 0.9):
-            # beta = lmax / 4t - (|rho| + k) > 0
+        for fraction in (0.2, 0.5, 0.9, 1.0, 3.0):
+            # lmax / 4t = (|rho| + k) / fraction
             t = fraction * lmax / (4.0 * (ls.gd.rho_norm + ls.twist_rate))
             reference = geometric_heat_trace(ls, sigma, t, REFERENCE).value
             identity = ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)

@@ -125,6 +125,15 @@ def test_abscissa_refusal(ls3):
         ruelle_log(2.0, (0,), ls3, TruncationPolicy(lmax=0.1, tail_eps=math.inf))
 
 
+def test_a_point_on_the_abscissa_is_refused(gd3):
+    # the refusal compares Re(s) with the abscissa_estimate its message
+    # prints; here Re(s) + |rho| - k - 2|rho| rounds to a positive number
+    ls = synthesize(gd3, 50, systole=0.5, seed=39, dim_chi=2, chi_norm=1.2)
+    a = abscissa_estimate(ls)
+    with pytest.raises(DomainError, match=re.escape(f"abscissa estimate {a:.6g}")):
+        selberg_log(complex(a, 0.3), (0,), ls, TruncationPolicy(30.0, math.inf))
+
+
 @pytest.mark.parametrize("s", [complex("nan"), complex("inf"), complex("1+nanj")])
 @pytest.mark.parametrize("series", [
     selberg_log, ruelle_log, log_derivative, ruelle_factorized_log,
@@ -151,7 +160,8 @@ def test_empty_spectrum_gives_zero(gd3):
     ls = LengthSpectrum(gd=gd3, l0=np.empty(0), angles=np.empty((0, 1)),
                         chi=np.empty((0, 1, 1)), volume=1.0, dim_chi=1)
     tp = TruncationPolicy(lmax=10.0)
-    for fn in (selberg_log, ruelle_log, log_derivative):
+    for fn in (selberg_log, ruelle_log, log_derivative, ruelle_factorized_log,
+               lambda s, sigma, ls, tp: z_p_log(s, 1, sigma, ls, tp)):
         out = fn(2.0, (0,), ls, tp)
         assert out.value == 0j and out.tail_bound == 0.0
     # every s lies right of an empty spectrum's abscissa
