@@ -17,15 +17,17 @@ products, heat prefactors) and the refusals that depend on (spectrum,
 lmax) alone; the evaluators only read it. A document lists finitely many
 classes, so a cutoff drops only the powers j > J_c of each, and the plan's
 class_tail bounds them by one closed-form geometric tail per class. The
-plan stores four columns per power: length, j, class index and twist
-trace. The class length l0, 1/j and the power angles j * theta are
-rebuilt from them for one chunk of summation.CHUNK powers at a time, by
-the same arithmetic, so every plan-sized computation holds temporaries of
-one chunk only. A spectrum keeps its few most recently used plans, a plan
-those products and prefactors for its most recently used twists. What no
-cutoff affects, the spectrum makes once and every plan reads: the twist
-eigenvalues with a well-conditioned mask, r_c = max(1, ||chi_c||_2) and
-the growth rate.
+plan stores four columns per power in 32 bytes: length (float64), j and
+class index (int32) and twist trace (complex128). The class length l0,
+1/j and the power angles j * theta are rebuilt from them for one chunk of
+summation.CHUNK powers at a time, by the same arithmetic, so every
+plan-sized computation holds temporaries of one chunk only; the build
+makes the traces a chunk at a time and frees each sorting column once
+read, so it peaks below 40 bytes a power. A spectrum keeps its few most
+recently used plans, a plan those products and prefactors for its most
+recently used twists. What no cutoff affects, the spectrum makes once and
+every plan reads: the twist eigenvalues with a well-conditioned mask,
+r_c = max(1, ||chi_c||_2) and the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -60,17 +62,37 @@ def canonicalize_angles(angles) -> np.ndarray:
     return out
 
 
+def _rows(size: int) -> list[slice]:
+    """Consecutive block-aligned slices of summation.CHUNK rows covering
+    size rows, the last one shorter."""
+    return [slice(start, start + CHUNK) for start in range(0, size, CHUNK)]
+
+
+def _lengths(l0: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The power lengths j * l0[index], made in the gathered column."""
+    out = l0[index]
+    return np.multiply(j, out, out=out)
+
+
 def _power_traces(ls: "LengthSpectrum", index: np.ndarray, j: np.ndarray) -> np.ndarray:
     """tr(chi[index]^j) per (class, power) pair, each class's powers in
-    ascending j. Twists of dimension > 1 take their eigenvalues' powers
-    from the spectrum's twist_eigen where the eigenvector basis is well
-    conditioned, repeated multiplication elsewhere."""
-    if ls.dim_chi == 1:
-        return ls.chi[index, 0, 0] ** j
+    ascending j, written into the column one chunk at a time. Twists of
+    dimension > 1 take their eigenvalues' powers from the spectrum's
+    twist_eigen where the eigenvector basis is well conditioned, repeated
+    multiplication elsewhere."""
     out = np.empty(index.size, dtype=complex)
+    if ls.dim_chi == 1:
+        for r in _rows(index.size):
+            np.power(ls.chi[index[r], 0, 0], j[r], out=out[r])
+        return out
     vals, good_class = ls.twist_eigen
-    good = good_class[index]
-    out[good] = (vals[index[good]] ** j[good, None]).sum(axis=1)
+    # 0 for the ill-conditioned classes, whose rows the loop below refills
+    vals = np.where(good_class[:, None], vals, 0)
+    for r in _rows(index.size):
+        powers = vals[index[r]]
+        np.power(powers, j[r, None], out=powers)
+        np.sum(powers, axis=1, out=out[r])
+        del powers  # before the next chunk's gather
     # by class, not np.unique, which imports numpy.ma
     for i in np.flatnonzero(~good_class):
         rows = np.flatnonzero(index == i)
@@ -93,10 +115,11 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-# a plan holds fewer than 2^_PLAN_POWER_BITS powers at 40 bytes each in its
-# four columns, about 670 MB, plus 8 bytes for the det terms and 16 per kept
-# product or prefactor; a longer cutoff is refused before the plan allocates
-# anything
+# a plan holds fewer than 2^_PLAN_POWER_BITS powers at 32 bytes each in its
+# four columns, about 537 MB, plus 8 bytes for the det terms and 16 per kept
+# product or prefactor other than a trivial one; a longer cutoff is refused
+# before the plan allocates anything. j and the class index are int32, which
+# holds every count below 2^_PLAN_POWER_BITS
 _PLAN_POWER_BITS = 24
 # plans kept per spectrum, and character products and heat prefactors kept
 # per plan; the least recently used entry is evicted first
@@ -120,22 +143,24 @@ class _PowerTable:
     """Prepared plan for one (spectrum, lmax).
 
     Stores every power of length <= lmax as four columns sorted by
-    (length, class index, j): length, j, class_index and chi_trace, built
-    by whole-array operations on the class columns, and counts, the number
-    J_c of powers of each class. The per-power l0, 1/j and angles j * theta
-    are derived for any rows by the methods of those names, bit for bit the
-    values of whole columns; every plan-sized computation runs over
-    chunks(), so its temporaries hold one chunk. The traces are powers of
-    the spectrum's twist_eigen and the tail reads its twist_norms: a plan
-    factors no twist matrix. Alongside sits the point-independent data the
+    (length, class index, j), 32 bytes a power: length (float64), j and
+    class_index (int32) and chi_trace (complex128), built by whole-array
+    operations on the class columns with the traces made a chunk at a time,
+    and counts, the number J_c of powers of each class. The per-power l0,
+    1/j and angles j * theta are derived for any rows by the methods of
+    those names, bit for bit the values of whole columns; every plan-sized
+    computation runs over chunks(), so its temporaries hold one chunk. The
+    traces are powers of the spectrum's twist_eigen and the tail reads its
+    twist_norms: a plan factors no twist matrix. Alongside sits the point-independent data the
     series and heat evaluators read at every s or t: the det terms, the
     character products of the series kernels and the t-independent
     prefactors of the heat route. Each is built on first use, the products
-    several at once when asked together (char_products); the products and
-    prefactors, one per twist, are kept for the _PRODUCTS_PER_PLAN most
-    recently used twists, the det terms for the life of the plan. check
-    raises the refusals of a sum over the plan that depend on (spectrum,
-    lmax) alone, and class_tail bounds what the cutoff drops.
+    several at once when asked together (char_products), a product of
+    trivial characters as one shared 1 + 0j; the products and prefactors,
+    one per twist, are kept for the _PRODUCTS_PER_PLAN most recently used
+    twists, the det terms for the life of the plan. check raises the
+    refusals of a sum over the plan that depend on (spectrum, lmax) alone,
+    and class_tail bounds what the cutoff drops.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -145,22 +170,24 @@ class _PowerTable:
         self._class_l0 = ls.l0
         self._class_angles = ls.angles
         self._log_norms = np.log(ls.twist_norms)
-        # the powers j = 1..J_c of class 0, then of class 1, ...
+        # the powers j = 1..J_c of class 0, then of class 1, ...; fewer than
+        # 2^_PLAN_POWER_BITS of them, so j and the class index fit int32
         self.counts = counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
-        index = np.repeat(np.arange(counts.size), counts)
-        j = np.arange(1, index.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        length = j.astype(float) * ls.l0[index]
+        index = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+        j = np.arange(1, index.size + 1, dtype=np.int32)
+        j -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
         # stable, so equal lengths keep their (class index, j) order; a class's
         # lengths rise with j, so its powers stay in ascending j, as
-        # _power_traces needs. The traces are made in sorted order, after the
-        # unsorted columns are freed, so no unsorted complex column exists.
-        order = np.argsort(length, kind="stable")
-        self.length = length[order]
+        # _power_traces needs. Each unsorted column is freed after its last
+        # read; the sorted lengths are made again from the sorted j and class
+        # index, and the traces in sorted order, so no unsorted one exists.
+        order = np.argsort(_lengths(ls.l0, index, j), kind="stable")
         self.class_index = index[order]
-        j = j[order]
-        del length, index, order
-        self.chi_trace = _power_traces(ls, self.class_index, j)
-        self.j = j.astype(float)
+        del index
+        self.j = j[order]
+        del j, order
+        self.length = _lengths(ls.l0, self.class_index, self.j)
+        self.chi_trace = _power_traces(ls, self.class_index, self.j)
         self._char_products: dict[tuple, np.ndarray] = {}
         self._heat_bases: dict[tuple, np.ndarray] = {}
 
@@ -171,7 +198,7 @@ class _PowerTable:
     def chunks(self) -> list[slice]:
         """The rows of the plan as consecutive block-aligned slices of
         summation.CHUNK powers, the last one shorter."""
-        return [slice(start, start + CHUNK) for start in range(0, self.size, CHUNK)]
+        return _rows(self.size)
 
     def l0(self, rows: slice = slice(None)) -> np.ndarray:
         """The length of each power's primitive class, for the given rows."""
@@ -246,7 +273,8 @@ class _PowerTable:
         at the power angles, multiplied in table order; memoized by the
         tables' ((family, highest), ...). A product of trivial characters,
         every highest weight 0, is all ones, as evaluate_all gives it at any
-        finite angles, and is built without the angles. The other missing
+        finite angles: it is built without the angles, as a read-only
+        zero-stride view of one 1 + 0j that holds 16 bytes. The other missing
         products are built in one pass over the chunks, with one
         evaluate_all call per chunk for all the tables they hold."""
         keys = [tuple((t.family, t.highest) for t in tables) for tables in products]
@@ -254,7 +282,7 @@ class _PowerTable:
         missing = {key: tables for key, tables in zip(keys, products) if found[key] is None}
         for key in list(missing):
             if not any(any(highest) for _, highest in key):
-                found[key] = np.ones(self.size, dtype=complex)
+                found[key] = np.broadcast_to(np.complex128(1), (self.size,))
                 del missing[key]
         if missing:
             distinct = {(t.family, t.highest): t for tables in missing.values() for t in tables}

@@ -493,7 +493,8 @@ def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:
 
     For each class of ``classes(ls)``: its powers j = 1..jmax as
     arrays, traces by ``trace_powers``; then one lexsort by
-    (length, class index, j) over the concatenation.
+    (length, class index, j) over the concatenation. j and the class
+    index come out as int32, the plan's dtype for both.
     """
     lengths, l0s, js, idxs, traces, angs = [], [], [], [], [], []
     for i, c in enumerate(classes(ls)):
@@ -509,8 +510,8 @@ def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:
         angs.append(jj[:, None] * np.asarray(c.angles)[None, :])
     if not lengths:
         return {
-            "length": np.empty(0), "l0": np.empty(0), "j": np.empty(0),
-            "class_index": np.empty(0, dtype=np.int64),
+            "length": np.empty(0), "l0": np.empty(0), "j": np.empty(0, dtype=np.int32),
+            "class_index": np.empty(0, dtype=np.int32),
             "chi_trace": np.empty(0, dtype=complex), "angles": np.empty((0, ls.gd.n)),
         }
     length = np.concatenate(lengths)
@@ -518,8 +519,8 @@ def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:
     return {
         "length": length[order],
         "l0": np.concatenate(l0s)[order],
-        "j": np.concatenate(js)[order],
-        "class_index": np.concatenate(idxs)[order],
+        "j": np.concatenate(js)[order].astype(np.int32),
+        "class_index": np.concatenate(idxs)[order].astype(np.int32),
         "chi_trace": np.concatenate(traces)[order],
         "angles": np.concatenate(angs)[order],
     }

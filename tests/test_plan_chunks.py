@@ -2,7 +2,8 @@
 chunks: each derived column, kernel array and sum must be bit for bit the
 whole-array formula's (oracles.WholeArrayPlan), at every plan size around
 a block or chunk edge, and the memory one point needs must not grow with
-the plan."""
+the plan. A built plan keeps 32 bytes a power and its build peaks below 40
+bytes a power plus one chunk."""
 
 import math
 import tracemalloc
@@ -203,6 +204,9 @@ def test_a_trivial_product_is_all_ones_and_evaluates_no_character(sized, monkeyp
         [chars] = plan.char_products((tables,))
         assert same_bits(chars, np.ones(plan.size, dtype=complex))
         assert same_bits(chars, reference)
+        # one shared 1 + 0j, whatever the plan size
+        assert not chars.flags.writeable and chars.strides == (0,)
+        assert chars.base.nbytes == 16
     assert calls == []
 
 
@@ -221,14 +225,15 @@ def test_chunked_sum_equals_one_whole_array_pass(size):
     assert same_bits(chunked_sum((values[::-1],)), block_sum_whole(values[::-1]))
 
 
-def _peak_bytes(evaluate) -> int:
-    """Peak traced allocation above the starting level during evaluate()."""
+def _traced(evaluate) -> tuple[object, int, int]:
+    """evaluate()'s value, the traced bytes it leaves allocated and its
+    peak traced allocation, both above the starting level."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        evaluate()
-        return tracemalloc.get_traced_memory()[1] - base
+        value = evaluate()
+        kept, peak = tracemalloc.get_traced_memory()
+        return value, kept - base, peak - base
     finally:
         tracemalloc.stop()
 
@@ -250,12 +255,12 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
         }
         for name, point in points.items():
             point()  # warm: the plan's products, prefactors and det terms
-            peaks[name, size] = _peak_bytes(point)
+            peaks[name, size] = _traced(point)[2]
         # a cold build of every product of the factorization, less the
         # products it stores
         products = ls.power_table(lmax)._char_products
         products.clear()
-        peak = _peak_bytes(lambda: ruelle_factorized_log(3.0 + 0.5j, sigma, ls, tp))
+        peak = _traced(lambda: ruelle_factorized_log(3.0 + 0.5j, sigma, ls, tp))[2]
         assert len(products) == 3
         peaks["products", size] = peak - sum(p.nbytes for p in products.values())
     for name in ("series", "heat", "products"):
@@ -264,3 +269,48 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
         # complex column (16 bytes a power) of the longer plan
         assert large <= small + 4096, (name, small, large)
         assert large < 16 * 12 * CHUNK, (name, small, large)
+
+
+# spectra shaped like the benchmark's, each with a plan of at least 3 chunks
+MEMORY_SPECTRA = {
+    "d3 dim_chi 1": (lambda: synthesize(GroupData(3), 4000, systole=0.5, seed=5), 60.0),
+    "d5 dim_chi 2": (lambda: synthesize(GroupData(5), 2000, systole=0.5, seed=5,
+                                        dim_chi=2, chi_norm=1.02), 60.0),
+    "d7 dim_chi 1": (lambda: synthesize(GroupData(7), 3000, systole=0.5, seed=5), 30.0),
+}
+# room for the per-plan Python objects and small arrays
+SLACK = 64 * 1024
+
+
+@pytest.fixture(scope="module", params=sorted(MEMORY_SPECTRA))
+def built(request):
+    """A spectrum and its plan, with the traced bytes the build kept and
+    its peak. The spectrum's own per-class caches are made first, so only
+    the plan is counted."""
+    make, lmax = MEMORY_SPECTRA[request.param]
+    ls = make()
+    ls.twist_norms, ls.twist_eigen
+    plan, kept, peak = _traced(lambda: ls.power_table(lmax))
+    assert plan.size >= 3 * CHUNK
+    return ls, plan, kept, peak
+
+
+def test_a_plan_keeps_32_bytes_a_power(built):
+    # length, j, class index and trace; counts and log r_c per class
+    ls, plan, kept, _ = built
+    assert kept <= 32 * plan.size + 16 * ls.l0.size + SLACK, kept / plan.size
+
+
+def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_chunk(built):
+    _, plan, _, peak = built
+    assert peak <= 40 * (plan.size + CHUNK), peak / plan.size
+
+
+def test_the_first_trivial_heat_time_keeps_the_det_terms_and_one_prefactor(built):
+    # 8 bytes a power of det terms and 16 of prefactor; the trivial
+    # character product shares one value
+    ls, plan, _, _ = built
+    tp = TruncationPolicy(lmax=plan.lmax, tail_eps=math.inf)
+    sigma = (0,) * ls.gd.n
+    _, kept, _ = _traced(lambda: geometric_heat_trace(ls, sigma, 1.0, tp))
+    assert kept <= 24 * plan.size + SLACK, kept / plan.size
