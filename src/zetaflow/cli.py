@@ -21,6 +21,7 @@ command's help, the dests of the options it reads, and its handler. A
 command accepts no other option: --seed only gen-spectrum and verify,
 --format only the nine table commands. resolvent reads --sigma, --lmax
 and --tail-eps on its --spectrum route only, and refuses them with --eigen.
+Every job over a length spectrum reads it, sigma and lmax in _spectrum_job.
 
 A JSON config file may supply any option of the command but not the
 command itself; explicit flags win on conflict. Its keys are the option
@@ -272,20 +273,17 @@ def _sigma_for(cfg: JobConfig, gd: GroupData) -> tuple[Fraction, ...]:
     return cfg.sigma if cfg.sigma is not None else (Fraction(0),) * gd.n
 
 
-def _length_spectrum(cfg: JobConfig) -> LengthSpectrum:
+def _spectrum_job(cfg: JobConfig) -> tuple[LengthSpectrum, tuple, TruncationPolicy]:
+    """The length spectrum, sigma and truncation policy of a --spectrum job;
+    lmax is max(30, 4x longest primitive) by default."""
     if cfg.spectrum_path is None:
         raise ValidationError(f"{cfg.command} requires --spectrum")
-    return load_length_spectrum(cfg.spectrum_path)
-
-
-def _policy(cfg: JobConfig, ls: LengthSpectrum) -> TruncationPolicy:
+    ls = load_length_spectrum(cfg.spectrum_path)
     lmax = cfg.lmax
     if lmax is None:
-        lmax = 30.0
-        if ls.l0.size:
-            lmax = max(lmax, 4.0 * float(ls.l0.max()))
+        lmax = max(30.0, 4.0 * float(ls.l0.max(initial=0.0)))
     given = {} if cfg.tail_eps is None else {"tail_eps": cfg.tail_eps}
-    return TruncationPolicy(lmax=lmax, **given)
+    return ls, _sigma_for(cfg, ls.gd), TruncationPolicy(lmax=lmax, **given)
 
 
 def _grid(cfg: JobConfig) -> tuple[complex, ...]:
@@ -318,9 +316,7 @@ def _cmd_plancherel(cfg: JobConfig) -> int:
 
 def _cmd_series(op, cfg: JobConfig) -> int:
     grid = _grid(cfg)
-    ls = _length_spectrum(cfg)
-    sigma = _sigma_for(cfg, ls.gd)
-    tp = _policy(cfg, ls)
+    ls, sigma, tp = _spectrum_job(cfg)
     rows = [ResultRow(s, *op(s, sigma, ls, tp)) for s in grid]
     emit_table(rows, cfg.format, cfg.output)
     return 0
@@ -329,9 +325,7 @@ def _cmd_series(op, cfg: JobConfig) -> int:
 def _cmd_heat_trace(cfg: JobConfig) -> int:
     from .heat import geometric_heat_trace
 
-    ls = _length_spectrum(cfg)
-    sigma = _sigma_for(cfg, ls.gd)
-    tp = _policy(cfg, ls)
+    ls, sigma, tp = _spectrum_job(cfg)
     if not cfg.t_grid:
         raise ValidationError("heat-trace requires at least one --t time")
     rows = [ResultRow(complex(t), *geometric_heat_trace(ls, sigma, t, tp)) for t in cfg.t_grid]
@@ -354,9 +348,7 @@ def _cmd_resolvent(cfg: JobConfig) -> int:
         raise ValidationError("resolvent takes exactly one of --spectrum or --eigen")
     mark = cfg.anchors[0]
     if cfg.spectrum_path is not None:
-        ls = _length_spectrum(cfg)
-        sigma = _sigma_for(cfg, ls.gd)
-        tp = _policy(cfg, ls)
+        ls, sigma, tp = _spectrum_job(cfg)
         rows = [ResultRow(mark, *route(ls, sigma, aset, tp))
                 for route in (resolvent_trace_geometric, resolvent_trace_via_heat)]
     else:
@@ -412,9 +404,7 @@ def _cmd_residues(cfg: JobConfig) -> int:
 
 def _cmd_factorization_check(cfg: JobConfig) -> int:
     grid = _grid(cfg)
-    ls = _length_spectrum(cfg)
-    sigma = _sigma_for(cfg, ls.gd)
-    tp = _policy(cfg, ls)
+    ls, sigma, tp = _spectrum_job(cfg)
     rows = []
     worst = 0.0
     for s in grid:

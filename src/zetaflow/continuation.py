@@ -350,10 +350,12 @@ def resolvent_trace_via_heat(
     d/2 anchors for integrability at t = 0 and anchors with Re(s^2) > 0
     for integrability at infinity. Nodes where w(t) is exactly 0 (every
     exp(-t s_i^2) underflows) contribute exactly 0 and are not sent to the
-    heat trace. A refusal of the quadrature is raised again as one that
-    names the anchors. The tail_bound is the quadrature's last refinement
-    difference at relative tolerance 1e-9: an estimate, not a bound, and
-    blind to the truncated hyperbolic heat sum."""
+    heat trace. The plan's refusals come first, reading every power as
+    resolvent_trace_geometric does; they name the cutoff to move. A refusal
+    of the quadrature is raised again as one that names the anchors. The
+    tail_bound is the quadrature's last refinement difference at relative
+    tolerance 1e-9: an estimate, not a bound, and blind to the truncated
+    hyperbolic heat sum."""
     if 2 * aset.size <= ls.gd.d:
         raise DomainError(
             f"need more than {ls.gd.d / 2:g} anchors to cancel the small-time "
@@ -362,6 +364,7 @@ def resolvent_trace_via_heat(
     for a in aset.anchors:
         if (a * a).real <= 0:
             raise DomainError(f"anchor {a} has Re(s^2) <= 0; the time integral diverges")
+    ls.power_table(tp.lmax).check(lambda length: True)
 
     def f(t: np.ndarray) -> np.ndarray:
         w = small_t_combination(aset, t)

@@ -4,15 +4,16 @@ The geometric heat trace at time t is an identity contribution
 dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
 density, in closed form by Gamma factors, plus a hyperbolic contribution
 summing the per-power symbols against the scalar heat kernel on the length
-axis. One setup and one per-time total serve a single time, returned with
-its tail bound as a SeriesValue, and a time grid alike. The bound is the
-series' per-class tail of the dropped powers, since past lmax the kernel
+axis. One gated setup and one per-time total serve a single time, returned
+with its tail bound as a SeriesValue, and a time grid alike. The bound is
+the series' per-class tail of the dropped powers, since past lmax the kernel
 exp(-L^2 / 4t) is at most exp(-L lmax / 4t); it holds at any t > 0 where
 every class's ratio q_c = r_c exp(-(|rho| + lmax/4t) l0_c) is below 1, and
-the plan refuses it elsewhere, naming a longer cutoff. The plan refuses an
-overflowing twist trace only where the kernel reaches it. Consistency between
-the spectral sum and the geometric expansion is never assumed here; the
-resolvent identities downstream test it through independent routes.
+the plan refuses it elsewhere, naming a longer cutoff. The setup makes the
+plan's other refusals for a time and a grid alike: a cutoff below the
+shortest class, and an overflowing twist trace the kernel reaches. The
+spectral sum and the geometric expansion are never assumed to agree here;
+the resolvent identities downstream test that through independent routes.
 """
 
 from __future__ import annotations
@@ -108,10 +109,18 @@ def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
     return chunked_sum(map(terms, live))
 
 
-def _setup(ls: LengthSpectrum, sigma: Sequence[object], tp: TruncationPolicy):
-    """The Plancherel polynomial, the plan and the sigma table of one
-    evaluation, each looked up once."""
-    return plancherel_polynomial(ls.gd, sigma), ls.power_table(tp.lmax), _sigma_table(ls, sigma)
+def _setup(ls: LengthSpectrum, sigma: Sequence[object], ts: Sequence[float], tp: TruncationPolicy):
+    """The Plancherel polynomial, the plan and the sigma table of a sum at
+    the times ts, looked up once after every time is checked, and the
+    plan's refusals for the powers the longest time's kernel reaches (a
+    shorter time's reaches fewer; an empty grid's, none)."""
+    for t in ts:
+        _check_time(t)
+    P = plancherel_polynomial(ls.gd, sigma)
+    plan = ls.power_table(tp.lmax)
+    sig = _sigma_table(ls, sigma)
+    plan.check(lambda length: bool(ts) and _reached(length, max(ts)))
+    return P, plan, sig
 
 
 def _total(ls: LengthSpectrum, P, plan, sig: CharacterTable, t: float) -> complex:
@@ -126,11 +135,9 @@ def geometric_heat_trace(
     powers, which is checked before anything is summed: past lmax,
     e^{-L^2/4t} is at most e^{-L lmax/4t}, so the plan's per-class tail at
     a = |rho| + lmax/4t with weight l0_c, times dim sigma / sqrt(4 pi t),
-    bounds them. The plan's refusals come first (plan.check, where the
+    bounds them. The plan's refusals come first (those of _setup, where the
     kernel is nonzero; class_tail, where some q_c >= 1), then tail_eps."""
-    _check_time(t)
-    P, plan, sig = _setup(ls, sigma, tp)
-    plan.check(lambda length: _reached(length, t))
+    P, plan, sig = _setup(ls, sigma, (t,), tp)
     scale = sig.norm_bound() / _kernel_scale(t)
     tail = plan.class_tail(float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), ls.l0, scale)
     if tail > tp.tail_eps:
@@ -145,13 +152,12 @@ def heat_totals(
     ls: LengthSpectrum, sigma: Sequence[object], ts: np.ndarray, tp: TruncationPolicy
 ) -> np.ndarray:
     """Vector of geometric heat trace totals over a time grid, each equal
-    to ``geometric_heat_trace(...).value`` at that time bit for bit. Tail
-    bounds are not re-certified per time; callers quantify their own error
-    budget.
+    to ``geometric_heat_trace(...).value`` at that time bit for bit; the
+    plan refuses the grid as it refuses its longest time. Tail bounds are
+    not re-certified per time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
-    for t in ts.ravel():  # every time is checked before any setup
-        _check_time(float(t))
-    P, plan, sig = _setup(ls, sigma, tp)
-    totals = [_total(ls, P, plan, sig, t) for t in map(float, ts.ravel())]
+    times = ts.ravel().tolist()
+    P, plan, sig = _setup(ls, sigma, times, tp)
+    totals = [_total(ls, P, plan, sig, t) for t in times]
     return np.array(totals, dtype=complex).reshape(ts.shape)

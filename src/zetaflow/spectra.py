@@ -41,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,6 +50,7 @@ import numpy as np
 from .chars import CharacterTable, evaluate_all
 from .errors import DomainError, ValidationError
 from .summation import CHUNK
+from .tables import write_text
 from .weights import GroupData
 
 TWO_PI = 2.0 * math.pi
@@ -79,7 +80,7 @@ def _power_traces(ls: "LengthSpectrum", index: np.ndarray, j: np.ndarray) -> np.
     ascending j, written into the column one chunk at a time. Twists of
     dimension > 1 take their eigenvalues' powers from the spectrum's
     twist_eigen where the eigenvector basis is well conditioned, repeated
-    multiplication elsewhere."""
+    multiplication elsewhere, one power of every such class at a time."""
     out = np.empty(index.size, dtype=complex)
     if ls.dim_chi == 1:
         for r in _rows(index.size):
@@ -93,12 +94,21 @@ def _power_traces(ls: "LengthSpectrum", index: np.ndarray, j: np.ndarray) -> np.
         np.power(powers, j[r, None], out=powers)
         np.sum(powers, axis=1, out=out[r])
         del powers  # before the next chunk's gather
-    # by class, not np.unique, which imports numpy.ma
-    for i in np.flatnonzero(~good_class):
-        rows = np.flatnonzero(index == i)
-        if rows.size:
-            powers = list(accumulate(repeat(ls.chi[i], rows.size), np.matmul))
-            out[rows] = np.trace(powers, axis1=1, axis2=2)
+    # the ill-conditioned rows grouped by class (stable sort; np.unique
+    # imports numpy.ma), j = 1..J_c each; the classes by descending J_c, so
+    # those with a j-th power lead, and chi^j = chi^(j-1) chi for all at once
+    rows = np.flatnonzero(~good_class[index])
+    rows = rows[np.argsort(index[rows], kind="stable")]
+    first = np.flatnonzero(j[rows] == 1)
+    count = np.diff(first, append=rows.size)
+    by_count = np.argsort(-count, kind="stable")
+    first, count = first[by_count], count[by_count]
+    power = chi = ls.chi[index[rows[first]]]
+    for k in range(count.max(initial=0)):
+        live = np.count_nonzero(count > k)
+        if k:
+            power = power[:live] @ chi[:live]
+        out[rows[first[:live] + k]] = np.trace(power, axis1=1, axis2=2)
     return out
 
 
@@ -656,14 +666,15 @@ def eigen_spectrum_from_dict(doc: object) -> EigenSpectrum:
 def save(value: LengthSpectrum | EigenSpectrum, path: str | Path) -> None:
     """Write either spectrum kind as a JSON document, byte for byte what
     json.dumps(doc, indent=1) writes, plus a final newline; a length
-    spectrum goes through length_spectrum_to_json."""
+    spectrum goes through length_spectrum_to_json. A path that cannot be
+    written is refused as tables.write_text refuses it."""
     if isinstance(value, LengthSpectrum):
         text = length_spectrum_to_json(value)
     elif isinstance(value, EigenSpectrum):
         text = json.dumps(eigen_spectrum_to_dict(value), indent=1)
     else:
         raise ValidationError(f"cannot serialize {type(value).__name__}")
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text(text + "\n", path)
 
 
 def _load_doc(path: str | Path) -> object:

@@ -15,7 +15,11 @@ were written from a per-class template instead of json's indent encoder
 (d5-empty, a spectrum with no classes), so a shifted draw or float repr
 moves it. The sha256 of ``verify --suite all --seed 0`` stdout was
 recorded when the growth suite's certificate check became the per-class
-tail check. Any change to a value, a tail bound or the table layout moves
+tail check. The ``--format json`` jobs, and the CSV jobs of ``plancherel``,
+``continue`` and ``residues`` (which read no length spectrum: the first
+from --d alone, the other two from the eigenvalue file ``eigen``), were
+recorded before each table row came to be formatted once for both
+formats. Any change to a value, a tail bound or the table layout moves
 a digest; a deliberate change of output must update the tables below and
 say why in CHANGES.md.
 """
@@ -24,7 +28,11 @@ import hashlib
 
 import pytest
 
+from zetaflow import EigenSpectrum, save
 from zetaflow.cli import main
+
+# the input flag of each job by its spec: "none" reads no file
+INPUT_FLAG = {"none": None, "eigen": "--eigen"}
 
 SPECTRA = {
     "d3": ["--d", "3", "--count", "40", "--systole", "0.6", "--seed", "7"],
@@ -56,6 +64,21 @@ JOBS = {
                                     "--tail-eps", "1e-2"],
     ("d7", "factorization-check"): ["factorization-check", "--s", "7.5", "--s", "8+1j",
                                     "--sigma", "1,0,0", "--lmax", "12", "--tail-eps", "1e-2"],
+    ("none", "plancherel"): ["plancherel", "--d", "5", "--sigma", "1,0", "--s", "2",
+                            "--s", "3+1j", "--s", "0.5-2j"],
+    ("eigen", "continue"): ["continue", "--d", "5", "--sigma", "1,0", "--dim-chi", "2",
+                            "--volume", "1.5", "--s", "0.5", "--s", "1.5+0.5j"],
+    ("eigen", "residues"): ["residues", "--d", "3"],
+}
+
+# an eigenvalue file: a zero mode, a double real mode and a complex one
+EIGEN = EigenSpectrum(entries=((0j, 1), (2.0 + 0j, 2), (5.5 + 0.5j, 1)))
+
+JSON_JOBS = {
+    ("d3", "selberg"): [*JOBS["d3", "selberg"], "--format", "json"],
+    ("d5", "resolvent"): [*JOBS["d5", "resolvent"], "--format", "json"],
+    ("none", "plancherel"): [*JOBS["none", "plancherel"], "--format", "json"],
+    ("eigen", "residues"): [*JOBS["eigen", "residues"], "--format", "json"],
 }
 
 DIGESTS = {
@@ -76,6 +99,9 @@ DIGESTS = {
         "3c53eec87f9fce803fac0c33c19e28d4892b95531847e5b4252516df7db7467f",
     ("d7", "factorization-check"):
         "c993093cd2b5f4465a33c0836cf1024b69a280f03eec8e71b9608ed7358de488",
+    ("none", "plancherel"): "74bdab7731fd93d78724c32f68d44a45f12579067954983712458b574fbc6280",
+    ("eigen", "continue"): "fda1ee5ae941456584d75f5c8f93b079f79645b817baf49d4c999532b6b30b1f",
+    ("eigen", "residues"): "207a404e16d01d5601b9a36cdbf641f095c1ce3c3745201918a554d015dd3c7f",
 }
 
 VALUE_DIGESTS = {
@@ -96,6 +122,9 @@ VALUE_DIGESTS = {
         "5aa582d40d16769de7de1e2b9dd84765f6a66fdea2c9ba466f66acc922097fe0",
     ("d7", "factorization-check"):
         "49e6d8857f32cf7903ab3b37f5505b621a7078097707c31865d466379b2ea8d0",
+    ("none", "plancherel"): "9c7905b249d6c13ca3e9fff94ecde6223b213b00000ccf8174f85646045101a1",
+    ("eigen", "continue"): "03248d4d809ea7ce569668fd989064fcf05c85d69d05c7173f7626cc7403b649",
+    ("eigen", "residues"): "3a5786353f951984a0c1f246fdc35cc987b1d986e7afb5a8a2795b9a9d94b569",
 }
 
 SPECTRUM_DIGESTS = {
@@ -103,6 +132,13 @@ SPECTRUM_DIGESTS = {
     "d5": "4cb94802cf7ac5c5f15dbe22ee54056d4fea3e4e181b1788f4c7d36fbc10ad3b",
     "d7": "98d9c51627a3843c35e5f895c08e02f8c2764f5d01c38c75caaf466233cea49d",
     "d5-empty": "3b07ef524627cfb7fab7c5678c2001ff39dd0670074e586eb9061762f9a25856",
+}
+
+JSON_DIGESTS = {
+    ("d3", "selberg"): "8d9f05ef2a3c9c8f4da7e8c210397d97c730354d5d6011853a5e39c9e7a4dafb",
+    ("d5", "resolvent"): "a2c31a9f9af7990362dd8a32d160435dd63c1455ef15e6446dbcbbcdebbc549b",
+    ("none", "plancherel"): "5e41c9c34c2630758d428f4c77c16c9f49b1e8ca78652b9ce1f5e86efc05280f",
+    ("eigen", "residues"): "cd2f73f88194d185e2d9340699c4fa7397c27184d8750bd45d0af6f437eac0fd",
 }
 
 VERIFY_ARGS = ["verify", "--suite", "all", "--seed", "0"]
@@ -116,7 +152,14 @@ def spectra(tmp_path_factory):
     for name, args in SPECTRA.items():
         paths[name] = root / f"{name}.json"
         assert main(["gen-spectrum", *args, "--output", str(paths[name])]) == 0
+    paths["eigen"] = root / "eigen.json"
+    save(EIGEN, paths["eigen"])
     return paths
+
+
+def _argv(spectra, spec: str, job: list[str]) -> list[str]:
+    flag = INPUT_FLAG.get(spec, "--spectrum")
+    return job if flag is None else [*job, flag, str(spectra[spec])]
 
 
 def _sha256(text: str) -> str:
@@ -131,11 +174,20 @@ def _value_columns(out: str) -> str:
 @pytest.mark.parametrize("spec,command", sorted(DIGESTS))
 def test_stdout_matches_recorded_digest(spectra, capsys, spec, command):
     capsys.readouterr()
-    code = main([*JOBS[spec, command], "--spectrum", str(spectra[spec])])
+    code = main(_argv(spectra, spec, JOBS[spec, command]))
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert _sha256(_value_columns(captured.out)) == VALUE_DIGESTS[spec, command]
     assert _sha256(captured.out) == DIGESTS[spec, command]
+
+
+@pytest.mark.parametrize("spec,command", sorted(JSON_DIGESTS))
+def test_json_stdout_matches_recorded_digest(spectra, capsys, spec, command):
+    capsys.readouterr()
+    code = main(_argv(spectra, spec, JSON_JOBS[spec, command]))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert _sha256(captured.out) == JSON_DIGESTS[spec, command]
 
 
 @pytest.mark.parametrize("spec", sorted(SPECTRUM_DIGESTS))

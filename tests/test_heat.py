@@ -11,11 +11,20 @@ from zetaflow import (
     LengthSpectrum,
     TruncationPolicy,
     ValidationError,
+    anchor_set,
     geometric_heat_trace,
     heat_totals,
+    log_derivative,
     plancherel_polynomial,
+    resolvent_trace_geometric,
+    resolvent_trace_via_heat,
+    ruelle_factorized_log,
+    ruelle_log,
     save,
+    selberg_log,
     spectral_heat_trace,
+    synthesize,
+    z_p_log,
 )
 from zetaflow import heat
 from zetaflow.cli import main
@@ -217,13 +226,16 @@ def test_identity_term_past_the_float_range_is_refused():
         plancherel_heat_integral(P, 1e-30)
 
 
-def _overflowing_twist_file(tmp_path):
+def _overflowing_twist():
     # |chi| = 100 on the class of length 0.5: its traces 100^j pass the float
     # range from j = 155, length 77.5, on
-    ls = LengthSpectrum(gd=GroupData(3), l0=[0.5, 1.0], angles=[[0.3], [1.0]],
-                        chi=[[[100.0]], [[1.0]]], volume=1.0, dim_chi=1)
+    return LengthSpectrum(gd=GroupData(3), l0=[0.5, 1.0], angles=[[0.3], [1.0]],
+                          chi=[[[100.0]], [[1.0]]], volume=1.0, dim_chi=1)
+
+
+def _overflowing_twist_file(tmp_path):
     path = tmp_path / "spectrum.json"
-    save(ls, path)
+    save(_overflowing_twist(), path)
     return str(path)
 
 
@@ -262,3 +274,64 @@ def test_series_and_heat_trace_print_the_same_plan_refusals(tmp_path, capsys):
         assert _heat_trace(path, t, lmax, capsys) == (2, *series)
         assert series.out == "" and series.err.startswith(
             "domain error: the twist trace" if lmax == "200" else "domain error: no power has")
+
+
+ANCHORS = anchor_set([2, 3])
+
+# every evaluator that sums a plan, at a point where its sum converges
+PLAN_SUMS = {
+    "selberg_log": lambda ls, tp: selberg_log(6.0, (0,), ls, tp),
+    "ruelle_log": lambda ls, tp: ruelle_log(6.0, (0,), ls, tp),
+    "log_derivative": lambda ls, tp: log_derivative(6.0, (0,), ls, tp),
+    "z_p_log": lambda ls, tp: z_p_log(6.0, 1, (0,), ls, tp),
+    "ruelle_factorized_log": lambda ls, tp: ruelle_factorized_log(6.0, (0,), ls, tp),
+    "geometric_heat_trace": lambda ls, tp: geometric_heat_trace(ls, (0,), 0.5, tp),
+    "heat_totals": lambda ls, tp: heat_totals(ls, (0,), np.array([0.01, 0.5]), tp),
+    "resolvent_trace_geometric": lambda ls, tp: resolvent_trace_geometric(ls, (0,), ANCHORS, tp),
+    "resolvent_trace_via_heat": lambda ls, tp: resolvent_trace_via_heat(ls, (0,), ANCHORS, tp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_SUMS))
+def test_every_plan_sum_refuses_a_cutoff_below_the_shortest_class(name):
+    # heat_totals used to return the identity term alone, and the heat route
+    # its integral, with a tail of 0
+    ls = synthesize(GroupData(3), 200, 0.5, 7)
+    tp = TruncationPolicy(lmax=0.5 * float(ls.l0.min()), tail_eps=1.0)
+    with pytest.raises(DomainError, match="shortest class has length 0.72632, raise lmax"):
+        PLAN_SUMS[name](ls, tp)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning",
+                            "ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_a_grid_and_the_heat_route_refuse_an_overflowing_trace_the_kernel_reaches():
+    # heat_totals used to give nan at t = 3, and the heat route blamed the
+    # anchors for it
+    ls = _overflowing_twist()
+    tp = TruncationPolicy(lmax=80.0, tail_eps=1e300)
+    refusal = ("the twist trace of the power of length 77.5 overflows double precision; "
+               "lower lmax below 77.5")
+    for call in (lambda: heat_totals(ls, (0,), np.array([0.5, 3.0]), tp),
+                 lambda: resolvent_trace_via_heat(ls, (0,), ANCHORS, tp)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == refusal
+    # at t = 0.5 alone the kernel zeroes every overflowing power: the total
+    # is the one it always was, bit for bit
+    [total] = heat_totals(ls, (0,), np.array([0.5]), tp)
+    assert (total.real.hex(), total.imag.hex()) == ("0x1.8aeaca845bce0p+48", "0x0.0p+0")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_an_empty_grid_sums_nothing_and_reaches_no_power(monkeypatch):
+    times = []
+    reached = heat._reached
+
+    def spy(length, t):
+        times.append(t)
+        return reached(length, t)
+
+    monkeypatch.setattr(heat, "_reached", spy)
+    tp = TruncationPolicy(lmax=80.0, tail_eps=1e300)
+    totals = heat_totals(_overflowing_twist(), (0,), np.array([]), tp)
+    assert totals.shape == (0,) and totals.dtype == complex and times == []

@@ -149,6 +149,14 @@ def _jordan_block(chi):
     return chi
 
 
+def _jordan_blocks(chi):
+    # every fourth class gets a 3x3 Jordan block of its own eigenvalue; the
+    # classes differ in length, so in their power counts J_c
+    for c in range(0, len(chi), 4):
+        chi[c] = np.exp(0.1j * c) * np.eye(3) + np.eye(3, k=1)
+    return chi
+
+
 def _tied_lengths(l0):
     # powers of equal length in different classes: 2 l0[0] = 1 * l0[10], ...
     l0[10], l0[11], l0[12] = 2.0 * l0[0], l0[0], 3.0 * l0[1]
@@ -166,6 +174,9 @@ PLAN_SPECTRA = {
                                        dim_chi=3, chi_norm=1.3),
     "d3 Jordan block": lambda: _edited(
         synthesize(GroupData(3), 40, systole=0.5, seed=29, dim_chi=2), "chi", _jordan_block),
+    "d3 Jordan blocks": lambda: _edited(
+        synthesize(GroupData(3), 60, systole=0.5, seed=31, dim_chi=3, chi_norm=1.3),
+        "chi", _jordan_blocks),
     "d3 tied lengths": lambda: _edited(
         synthesize(GroupData(3), 50, systole=0.5, seed=30), "l0", _tied_lengths),
 }
@@ -196,6 +207,19 @@ def test_jordan_block_takes_the_multiplication_route():
     rows = plan.class_index == 3
     powers = [np.trace(np.linalg.matrix_power(ls.chi[3], int(j))) for j in plan.j[rows]]
     assert np.allclose(plan.chi_trace[rows], powers, rtol=1e-12)
+
+
+def test_jordan_blocks_of_different_counts_equal_the_per_class_loop_bit_for_bit():
+    # the ill-conditioned classes take chi^j = chi^(j-1) chi together, one
+    # j at a time, while the others take their eigenvalues' powers
+    ls = PLAN_SPECTRA["d3 Jordan blocks"]()
+    good = ls.twist_eigen[1]
+    assert not good[0::4].any() and good.sum() == 45
+    for lmax in (4.0, 9.5, 30.0):
+        plan = ls.power_table(lmax)
+        assert len(set(plan.counts[~good].tolist())) >= 4
+        want = power_table_loop(ls, lmax)["chi_trace"]
+        assert np.array_equal(plan.chi_trace.view(np.uint64), want.view(np.uint64)), lmax
 
 
 def test_a_second_plan_factors_no_twist_matrix(monkeypatch):
@@ -635,6 +659,15 @@ def test_missing_file_is_a_validation_error(tmp_path):
     junk.write_text("{not json")
     with pytest.raises(ValidationError):
         load_eigen_spectrum(junk)
+
+
+def test_an_unwritable_path_is_a_validation_error(tmp_path, ls3_twisted):
+    # as --output and the loaders' "cannot read" refuse theirs
+    path = tmp_path / "absent" / "spectrum.json"
+    for value in (ls3_twisted, EigenSpectrum(entries=((2.0, 1),))):
+        with pytest.raises(ValidationError) as info:
+            save(value, path)
+        assert str(info.value) == f"cannot write {path}: No such file or directory"
 
 
 def test_synthesize_argument_validation(gd3):
