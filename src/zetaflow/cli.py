@@ -325,9 +325,9 @@ def _cmd_series(op, cfg: JobConfig) -> int:
 def _cmd_heat_trace(cfg: JobConfig) -> int:
     from .heat import geometric_heat_trace
 
-    ls, sigma, tp = _spectrum_job(cfg)
     if not cfg.t_grid:
         raise ValidationError("heat-trace requires at least one --t time")
+    ls, sigma, tp = _spectrum_job(cfg)
     rows = [ResultRow(complex(t), *geometric_heat_trace(ls, sigma, t, tp)) for t in cfg.t_grid]
     emit_table(rows, cfg.format, cfg.output)
     return 0

@@ -2,18 +2,17 @@
 
 The geometric heat trace at time t is an identity contribution
 dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
-density, in closed form by Gamma factors, plus a hyperbolic contribution
-summing the per-power symbols against the scalar heat kernel on the length
-axis. One gated setup and one per-time total serve a single time, returned
-with its tail bound as a SeriesValue, and a time grid alike. The bound is
-the series' per-class tail of the dropped powers, since past lmax the kernel
+density, in closed form by Gamma factors, plus a hyperbolic contribution,
+the plan's bounded sum of the per-power symbols against the scalar heat
+kernel on the length axis. A single time goes through the plan's gate and
+returns its tail bound in a SeriesValue; a grid runs the plan's check for
+its longest time once and certifies no per-time tail. The bound is the
+series' per-class tail of the dropped powers, since past lmax the kernel
 exp(-L^2 / 4t) is at most exp(-L lmax / 4t); it holds at any t > 0 where
 every class's ratio q_c = r_c exp(-(|rho| + lmax/4t) l0_c) is below 1, and
-the plan refuses it elsewhere, naming a longer cutoff. The setup makes the
-plan's other refusals for a time and a grid alike: a cutoff below the
-shortest class, and an overflowing twist trace the kernel reaches. The
-spectral sum and the geometric expansion are never assumed to agree here;
-the resolvent identities downstream test that through independent routes.
+the plan refuses it elsewhere, naming a longer cutoff. The spectral sum
+and the geometric expansion are never assumed to agree here; the
+resolvent identities downstream test that through independent routes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .chars import CharacterTable
 from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
-from .summation import BLOCK, chunked_sum
+from .summation import BLOCK
 from .zeta import SeriesValue, TruncationPolicy, _sigma_table
 
 # exp(x) is exactly 0 in double precision for every x below this
@@ -80,47 +79,36 @@ def _kernel_scale(t: float) -> float:
 
 
 def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
-    """The hyperbolic contribution at time t: the plan's heat prefactors
-    against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t), summed
-    one plan chunk at a time. The lengths ascend, so once the exponent
-    -L^2 / 4t falls below _EXP_UNDERFLOW the kernel is 0 from there on:
-    the sum skips every chunk whose first exponent is below it, and is 0
-    when no chunk is left. In the chunk where it falls, only the powers
-    before the first dead one are exponentiated; the terms are zero-filled
-    to the end of that power's block, so every block partial is the whole
-    chunk's, and the blocks after it, exact zeros that add nothing, are
-    not summed."""
-    live = [r for r in plan.chunks() if _reached(plan.length[r.start], t)]
-    if not live:
-        return 0j
-    base = plan.heat_base(sigma_table)
+    """The hyperbolic contribution at time t: the plan's sum of its heat
+    prefactors against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t)
+    over the chunks the kernel reaches; no prefactor is built if it reaches
+    none. Where the exponent falls below _EXP_UNDERFLOW, only the powers
+    before the first dead one are exponentiated; the terms are zero-filled to
+    the end of that power's block, so every block partial is the whole
+    chunk's, and the blocks after it, exact zeros that add nothing, are not
+    summed."""
     scale = _kernel_scale(t)
 
     def terms(r: slice) -> np.ndarray:
+        base = plan.heat_base(sigma_table)[r]
         exponent = -plan.length[r] ** 2 / (4.0 * t)
         if exponent[-1] >= _EXP_UNDERFLOW:
-            return base[r] * (np.exp(exponent) / scale)
+            return base * (np.exp(exponent) / scale)
         # the exponents descend: the dead powers are the last ones
         dead = exponent.size - np.searchsorted(exponent[::-1], _EXP_UNDERFLOW)
         out = np.zeros(min(exponent.size, -(-dead // BLOCK) * BLOCK), dtype=complex)
-        np.multiply(base[r][:dead], np.exp(exponent[:dead]) / scale, out=out[:dead])
+        np.multiply(base[:dead], np.exp(exponent[:dead]) / scale, out=out[:dead])
         return out
 
-    return chunked_sum(map(terms, live))
+    return plan.sum(terms, lambda length: _reached(length, t))
 
 
 def _setup(ls: LengthSpectrum, sigma: Sequence[object], ts: Sequence[float], tp: TruncationPolicy):
     """The Plancherel polynomial, the plan and the sigma table of a sum at
-    the times ts, looked up once after every time is checked, and the
-    plan's refusals for the powers the longest time's kernel reaches (a
-    shorter time's reaches fewer; an empty grid's, none)."""
+    the times ts, looked up once after every time is checked."""
     for t in ts:
         _check_time(t)
-    P = plancherel_polynomial(ls.gd, sigma)
-    plan = ls.power_table(tp.lmax)
-    sig = _sigma_table(ls, sigma)
-    plan.check(lambda length: bool(ts) and _reached(length, max(ts)))
-    return P, plan, sig
+    return plancherel_polynomial(ls.gd, sigma), ls.power_table(tp.lmax), _sigma_table(ls, sigma)
 
 
 def _total(ls: LengthSpectrum, P, plan, sig: CharacterTable, t: float) -> complex:
@@ -135,16 +123,12 @@ def geometric_heat_trace(
     powers, which is checked before anything is summed: past lmax,
     e^{-L^2/4t} is at most e^{-L lmax/4t}, so the plan's per-class tail at
     a = |rho| + lmax/4t with weight l0_c, times dim sigma / sqrt(4 pi t),
-    bounds them. The plan's refusals come first (those of _setup, where the
-    kernel is nonzero; class_tail, where some q_c >= 1), then tail_eps."""
+    bounds them. The plan's gate makes the refusals, reading the powers
+    the kernel reaches."""
     P, plan, sig = _setup(ls, sigma, (t,), tp)
-    scale = sig.norm_bound() / _kernel_scale(t)
-    tail = plan.class_tail(float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), ls.l0, scale)
-    if tail > tp.tail_eps:
-        raise DomainError(
-            f"certified heat tail {tail:.3e} exceeds tail_eps {tp.tail_eps:.1e} "
-            f"at t = {t:g}; raise lmax above {tp.lmax:g}",
-        )
+    a, scale = float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), sig.norm_bound() / _kernel_scale(t)
+    tail = plan.gate(lambda length: _reached(length, t), a, ls.l0, scale, True, tp.tail_eps,
+                     ("heat ", f"t = {t:g}", ""))
     return SeriesValue(_total(ls, P, plan, sig, t), tail)
 
 
@@ -153,11 +137,13 @@ def heat_totals(
 ) -> np.ndarray:
     """Vector of geometric heat trace totals over a time grid, each equal
     to ``geometric_heat_trace(...).value`` at that time bit for bit; the
-    plan refuses the grid as it refuses its longest time. Tail bounds are
-    not re-certified per time; callers quantify their own error budget.
+    plan refuses the grid as it refuses its longest time, whose kernel
+    reaches the most powers (an empty grid's, none). Tail bounds are not
+    certified per time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
     times = ts.ravel().tolist()
     P, plan, sig = _setup(ls, sigma, times, tp)
+    plan.check(lambda length: bool(times) and _reached(length, max(times)))
     totals = [_total(ls, P, plan, sig, t) for t in times]
     return np.array(totals, dtype=complex).reshape(ts.shape)

@@ -45,10 +45,13 @@ class PlancherelPolynomial:
 def horner(coeffs: Sequence[complex], u, dtype=complex) -> np.ndarray:
     """sum_m coeffs[m] u^m at every entry of u by Horner's rule,
     acc = acc * u + c from the highest coefficient down, starting from
-    zeros of dtype."""
+    zeros of dtype, which must hold every product and coefficient. The
+    steps run in place but on one entry: numpy (2.4.6) rounds a complex
+    product of one element in place unlike the same one into a new array."""
     acc = np.zeros(np.shape(u), dtype=dtype)
     for c in reversed(coeffs):
-        acc = acc * u + c
+        acc = np.multiply(acc, u, out=acc if acc.size > 1 else None)
+        acc += c
     return acc
 
 

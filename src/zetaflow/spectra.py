@@ -17,13 +17,16 @@ products, heat prefactors) and the refusals that depend on (spectrum,
 lmax) alone; the evaluators only read it. A document lists finitely many
 classes, so a cutoff drops only the powers j > J_c of each, and the plan's
 class_tail bounds them by one closed-form geometric tail per class. The
+series and the heat trace make one bounded sum over it: the plan's gate,
+then its sum of their kernel. The
 plan stores four columns per power in 32 bytes: length (float64), j and
 class index (int32) and twist trace (complex128). The class length l0,
 1/j and the power angles j * theta are rebuilt from them for one chunk of
 summation.CHUNK powers at a time, by the same arithmetic, so every
 plan-sized computation holds temporaries of one chunk only; the build
 makes the traces a chunk at a time and frees each sorting column once
-read, so it peaks below 40 bytes a power. A spectrum keeps its few most
+read, so it peaks below 40 bytes a power; a det column exists only once a
+series reads it. A spectrum keeps its few most
 recently used plans, a plan those products and prefactors for its most
 recently used twists. What no cutoff affects, the spectrum makes once and
 every plan reads: the twist eigenvalues with a well-conditioned mask,
@@ -49,7 +52,7 @@ import numpy as np
 
 from .chars import CharacterTable, evaluate_all
 from .errors import DomainError, ValidationError
-from .summation import CHUNK
+from .summation import CHUNK, chunked_sum
 from .tables import write_text
 from .weights import GroupData
 
@@ -126,10 +129,10 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
 
 
 # a plan holds fewer than 2^_PLAN_POWER_BITS powers at 32 bytes each in its
-# four columns, about 537 MB, plus 8 bytes for the det terms and 16 per kept
-# product or prefactor other than a trivial one; a longer cutoff is refused
-# before the plan allocates anything. j and the class index are int32, which
-# holds every count below 2^_PLAN_POWER_BITS
+# four columns, about 537 MB, plus 8 bytes for the det terms once a series
+# reads them and 16 per kept product or prefactor other than a trivial one;
+# a longer cutoff is refused before the plan allocates anything. j and the
+# class index are int32, which holds every count below 2^_PLAN_POWER_BITS
 _PLAN_POWER_BITS = 24
 # plans kept per spectrum, and character products and heat prefactors kept
 # per plan; the least recently used entry is evicted first
@@ -168,9 +171,8 @@ class _PowerTable:
     several at once when asked together (char_products), a product of
     trivial characters as one shared 1 + 0j; the products and prefactors,
     one per twist, are kept for the _PRODUCTS_PER_PLAN most recently used
-    twists, the det terms for the life of the plan. check raises the
-    refusals of a sum over the plan that depend on (spectrum, lmax) alone,
-    and class_tail bounds what the cutoff drops.
+    twists, the det column for the life of the plan. The one bounded sum
+    of the series and the heat trace is gate, then sum.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -249,13 +251,18 @@ class _PowerTable:
             raise DomainError(f"the twist trace of the power of length {length!r} "
                               f"overflows double precision; lower lmax below {length!r}")
 
+    def det_rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """prod_k (1 - 2 e^{-L} cos(k-th angle) + e^{-2L}) per power of the
+        given rows."""
+        e = np.exp(-self.length[rows])[:, None]
+        return np.prod(1.0 - 2.0 * e * np.cos(self.angles(rows)) + e * e, axis=1)
+
     @cached_property
     def det(self) -> np.ndarray:
-        """prod_j (1 - 2 e^{-L} cos(j-th angle) + e^{-2L}) per power."""
+        """det_rows of every power, as one column."""
         out = np.empty(self.size)
         for rows in self.chunks():
-            e = np.exp(-self.length[rows])[:, None]
-            out[rows] = np.prod(1.0 - 2.0 * e * np.cos(self.angles(rows)) + e * e, axis=1)
+            out[rows] = self.det_rows(rows)
         return out
 
     def class_tail(self, a: float, weight: np.ndarray, scale: float, det: bool = True) -> float:
@@ -277,6 +284,24 @@ class _PowerTable:
             raise DomainError(f"the per-class tail past lmax = {self.lmax:g} is not a finite "
                               f"number, so no tail bound holds; raise lmax above {self.lmax:g}")
         return tail
+
+    def gate(self, reads: Callable[[float], bool], a: float, weight: np.ndarray, scale: float,
+             det: bool, tail_eps: float, refusal: tuple[str, str, str]) -> float:
+        """check(reads), then the tail class_tail(a, weight, scale, det), refused
+        above tail_eps with the (noun, point, advice) of refusal: "certified
+        {noun}tail ... at {point}; raise lmax above ...{advice}"."""
+        self.check(reads)
+        tail = self.class_tail(a, weight, scale, det)
+        if tail > tail_eps:
+            noun, point, advice = refusal
+            raise DomainError(f"certified {noun}tail {tail:.3e} exceeds tail_eps {tail_eps:.1e} "
+                              f"at {point}; raise lmax above {self.lmax:g}{advice}")
+        return tail
+
+    def sum(self, terms: Callable[[slice], np.ndarray], reads: Callable[[float], bool]) -> complex:
+        """The chunked_sum of terms(rows) over the chunks whose first power
+        reads accepts (reads(length)); 0 when there is none."""
+        return chunked_sum(terms(r) for r in self.chunks() if reads(self.length[r.start]))
 
     def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
         """For each tables of products, the product of the character tables
@@ -311,14 +336,16 @@ class _PowerTable:
 
     def heat_base(self, sigma_table: CharacterTable) -> np.ndarray:
         """t-independent heat prefactor l0 tr chi char_sigma e^{-|rho| L} / det
-        per power; memoized by the table's (family, highest)."""
+        per power; memoized by the table's (family, highest). Its det terms
+        are the det column where a series built it, det_rows otherwise."""
         def build() -> np.ndarray:
             [chars] = self.char_products(((sigma_table,),))
             rho = float(self.gd.rho_norm)
+            det = vars(self).get("det")
             out = np.empty(self.size, dtype=complex)
             for r in self.chunks():
-                out[r] = (self.l0(r) * self.chi_trace[r] * chars[r]
-                          * np.exp(-rho * self.length[r]) / self.det[r])
+                out[r] = (self.l0(r) * self.chi_trace[r] * chars[r] * np.exp(-rho * self.length[r])
+                          / (self.det_rows(r) if det is None else det[r]))
             return out
 
         key = (sigma_table.family, sigma_table.highest)

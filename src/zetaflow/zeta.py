@@ -6,11 +6,13 @@ its terms together with a tail bound on the powers it drops: a document
 lists finitely many classes, so past the cutoff only the powers j > J_c
 of each class are missing, and their closed-form geometric tail per class
 bounds them (the plan's class_tail). A point at or left of
-abscissa_estimate is refused first, at every cutoff. Everything that does
+abscissa_estimate is refused first, at every cutoff; right of it every
+class's ratio q_c is below 1. Everything that does
 not depend on s (power columns, per-class power counts, det terms,
 character products, the refusals of (spectrum, lmax) alone) comes from the
-prepared plan of (spectrum, lmax), looked up once per point.
-The terms are formed and summed one plan chunk at a time.
+prepared plan of (spectrum, lmax), looked up once per point. Its gate and
+sum, shared with the heat trace, make the refusals, the tail and the
+chunk-by-chunk sum of the kernel a series passes in.
 The exterior-power factorization imports the branching layer inside its
 functions, so a job that sums no factorized series never loads it.
 
@@ -32,7 +34,6 @@ import numpy as np
 from .chars import CharacterTable, character_table, evaluate_all
 from .errors import DomainError, ValidationError
 from .spectra import LengthSpectrum
-from .summation import chunked_sum
 from .weights import GroupData
 
 
@@ -70,16 +71,17 @@ def det_term(gd: GroupData, length: float, angles: Sequence[float]) -> float:
     return out
 
 
-def _tail_bound(
-    ls: LengthSpectrum, plan, policy: TruncationPolicy, s: complex, *, kind: str, dim_eff: float
-) -> float:
-    """Bound on the powers beyond policy.lmax, from the plan
-    (ls.power_table(policy.lmax)): its per-class tail at a = Re s + |rho|,
-    or a = Re s for Ruelle, which has no det term, with weight 1/(J_c + 1)
-    for the logarithms and l0_c for the log derivative. A point at or left
-    of abscissa_estimate is refused first, at every cutoff; right of it
-    every q_c < 1. Then come the plan's refusals (plan.check; the series
-    reads every power; class_tail), then tail_eps."""
+def _series_value(
+    ls: LengthSpectrum,
+    tables: tuple[CharacterTable, ...],
+    s: complex,
+    policy: TruncationPolicy,
+    kind: str,
+) -> SeriesValue:
+    """The series of kind at s and its tail, which the plan's gate takes at
+    a = Re s + |rho| (Re s, no det term, for Ruelle) with weight 1/(J_c + 1)
+    for the logarithms and l0_c for the log derivative."""
+    plan = ls.power_table(policy.lmax)
     abscissa = abscissa_estimate(ls, kind)
     if s.real <= abscissa:
         raise DomainError(
@@ -88,32 +90,12 @@ def _tail_bound(
         )
     ruelle = kind == "ruelle"
     a = s.real if ruelle else s.real + ls.gd.rho_norm
-    plan.check(lambda length: True)
-    weight = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
-    tail = plan.class_tail(a, weight, dim_eff, det=not ruelle)
-    if tail > policy.tail_eps:
-        raise DomainError(
-            f"certified tail {tail:.3e} exceeds tail_eps {policy.tail_eps:.1e} at s = {s}; "
-            f"raise lmax above {policy.lmax:g} or move s to the right",
-        )
-    return tail
-
-
-def _series_value(
-    ls: LengthSpectrum,
-    tables: tuple[CharacterTable, ...],
-    s: complex,
-    policy: TruncationPolicy,
-    kind: str,
-) -> SeriesValue:
-    plan = ls.power_table(policy.lmax)
-    dim_eff = 1.0
-    for t in tables:
-        dim_eff *= t.norm_bound()
-    tail = _tail_bound(ls, plan, policy, s, kind=kind, dim_eff=dim_eff)
+    bound = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
+    tail = plan.gate(lambda length: True, a, bound, math.prod(t.norm_bound() for t in tables),
+                     not ruelle, policy.tail_eps, ("", f"s = {s}", " or move s to the right"))
     [chars] = plan.char_products((tables,))
     rho = float(ls.gd.rho_norm)
-    if kind == "ruelle":
+    if ruelle:
         def terms(r: slice) -> np.ndarray:
             return -plan.inv_j(r) * plan.chi_trace[r] * chars[r] * np.exp(-s * plan.length[r])
     else:
@@ -121,7 +103,7 @@ def _series_value(
             weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
             return (weight * plan.chi_trace[r] * chars[r]
                     * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
-    return SeriesValue(chunked_sum(map(terms, plan.chunks())), tail)
+    return SeriesValue(plan.sum(terms, lambda length: True), tail)
 
 
 def _point(s: complex) -> complex:

@@ -296,6 +296,9 @@ ONE_ROUTE = "resolvent takes exactly one of --spectrum or --eigen"
 @pytest.mark.parametrize("argv, message", [
     (["gen-spectrum", "--d", "3", "--output", "{tmp}/x.json"], "gen-spectrum requires --count"),
     (["heat-trace", "--spectrum", "{spectrum}"], "heat-trace requires at least one --t time"),
+    # the grid is checked before the spectrum is read, as every spectrum command does
+    (["heat-trace", "--spectrum", "{tmp}/missing.json"],
+     "heat-trace requires at least one --t time"),
     (["resolvent", "--spectrum", "{spectrum}", "--anchor", "2"],
      "resolvent requires at least two --anchor points"),
     (["resolvent", "--spectrum", "{spectrum}", "--eigen", "{eigen}",

@@ -26,7 +26,7 @@ from zetaflow import (
     synthesize,
     z_p_log,
 )
-from zetaflow import heat
+from zetaflow import heat, spectra
 from zetaflow.cli import main
 from zetaflow.heat import plancherel_heat_integral
 
@@ -324,14 +324,32 @@ def test_a_grid_and_the_heat_route_refuse_an_overflowing_trace_the_kernel_reache
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_an_empty_grid_sums_nothing_and_reaches_no_power(monkeypatch):
-    times = []
-    reached = heat._reached
-
-    def spy(length, t):
-        times.append(t)
-        return reached(length, t)
-
-    monkeypatch.setattr(heat, "_reached", spy)
+    ls = _overflowing_twist()
     tp = TruncationPolicy(lmax=80.0, tail_eps=1e300)
-    totals = heat_totals(_overflowing_twist(), (0,), np.array([]), tp)
-    assert totals.shape == (0,) and totals.dtype == complex and times == []
+    checks, sums = [], []
+    check = spectra._PowerTable.check
+    monkeypatch.setattr(spectra._PowerTable, "check",
+                        lambda plan, reads: checks.append(reads) or check(plan, reads))
+    monkeypatch.setattr(spectra._PowerTable, "sum", lambda plan, *args: sums.append(args))
+    totals = heat_totals(ls, (0,), np.array([]), tp)
+    assert totals.shape == (0,) and totals.dtype == complex and sums == []
+    # the one check reads no power, the overflowing ones included
+    [reads] = checks
+    assert not any(reads(length) for length in ls.power_table(tp.lmax).length.tolist())
+
+
+def test_a_grid_certifies_no_tail_and_a_single_time_one(monkeypatch):
+    ls = synthesize(GroupData(3), 200, systole=0.5, seed=7)
+    tp = TruncationPolicy(lmax=12.0, tail_eps=1.0)
+    times = [0.5, 1.0, 2.0, 4.0]
+    tails = []
+    class_tail = spectra._PowerTable.class_tail
+    monkeypatch.setattr(spectra._PowerTable, "class_tail",
+                        lambda plan, *args: tails.append(args) or class_tail(plan, *args))
+    totals = heat_totals(ls, (0,), np.array(times), tp)
+    assert tails == []
+    singles = [geometric_heat_trace(ls, (0,), t, tp) for t in times]
+    assert len(tails) == len(times)
+    # the same totals, bit for bit
+    assert [(z.real.hex(), z.imag.hex()) for z in totals.tolist()] == [
+        (v.value.real.hex(), v.value.imag.hex()) for v in singles]

@@ -7,6 +7,7 @@ bytes a power plus one chunk."""
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
         summed.append([c.size for c in chunks])
         return chunked_sum(chunks)
 
-    monkeypatch.setattr(heat, "chunked_sum", recorded)
+    monkeypatch.setattr(spectra, "chunked_sum", recorded)
     # the first dead power: the first power only live, inside a block, on a
     # block edge, on a chunk edge, inside a later chunk's block
     cuts = [k for k in (1, BLOCK // 2 + 3, BLOCK, CHUNK, CHUNK + BLOCK + 7, 2 * CHUNK + 1)
@@ -306,11 +307,24 @@ def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_chunk(built):
     assert peak <= 40 * (plan.size + CHUNK), peak / plan.size
 
 
-def test_the_first_trivial_heat_time_keeps_the_det_terms_and_one_prefactor(built):
-    # 8 bytes a power of det terms and 16 of prefactor; the trivial
-    # character product shares one value
+def test_the_first_trivial_heat_time_keeps_one_prefactor_and_no_det_column(built):
+    # 16 bytes a power of prefactor; the prefactor makes its det terms a
+    # chunk at a time, and the trivial character product shares one value
     ls, plan, _, _ = built
     tp = TruncationPolicy(lmax=plan.lmax, tail_eps=math.inf)
     sigma = (0,) * ls.gd.n
     _, kept, _ = _traced(lambda: geometric_heat_trace(ls, sigma, 1.0, tp))
-    assert kept <= 24 * plan.size + SLACK, kept / plan.size
+    assert kept <= 16 * plan.size + SLACK, kept / plan.size
+    assert "det" not in vars(plan)
+
+
+def test_det_rows_equal_the_product_of_the_angle_factors_along_the_rows():
+    # n = 3, one chunk of random lengths and power angles j * theta
+    rng = np.random.default_rng(11)
+    length = rng.uniform(0.05, 40.0, CHUNK)
+    angles = rng.integers(1, 60, (CHUNK, 1)) * rng.uniform(0.0, 2.0 * math.pi, (CHUNK, 3))
+    plan = SimpleNamespace(length=length, angles=lambda rows: angles[rows],
+                           gd=SimpleNamespace(n=3))
+    e = np.exp(-length)[:, None]
+    want = np.prod(1.0 - 2.0 * e * np.cos(angles) + e * e, axis=1)
+    assert same_bits(spectra._PowerTable.det_rows(plan, slice(None)), want)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import plancherel_coeffs_symbolic
 from zetaflow import GroupData, ValidationError, c_sigma, plancherel_polynomial
+from zetaflow.plancherel import horner
 from zetaflow.weights import norm_sq
 
 CASES = [
@@ -76,6 +77,25 @@ def test_evaluate_many_matches_call():
         for j in range(6):
             # scalar and array Horner may round differently in the last ulp
             assert grid[i, j] == pytest.approx(P(complex(z[i, j])), rel=1e-15)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 40001])
+def test_horner_in_place_equals_the_new_array_steps(size):
+    # acc = acc * u + c, each step into a new array, is the reference bit
+    # for bit; one complex entry is the size numpy rounds differently in place
+    rng = np.random.default_rng(size)
+    coeffs = [complex(*rng.normal(size=2)) for _ in range(6)]
+    for u, dtype, cs in (
+        (rng.normal(size=size) + 1j * rng.normal(size=size), complex, coeffs),
+        (rng.normal(size=size), complex, coeffs),
+        (rng.normal(size=size), float, [abs(c) for c in coeffs]),
+    ):
+        want = np.zeros(size, dtype=dtype)
+        for c in reversed(cs):
+            want = want * u + c
+        got = horner(cs, u, dtype)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_c_sigma_definition():

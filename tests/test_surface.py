@@ -247,3 +247,37 @@ def test_no_raise_of_the_base_error_class():
     assert sources
     raises = {path.name: _base_class_raises(path) for path in sources}
     assert not {name: lines for name, lines in raises.items() if lines}
+
+
+def _chunked_sum_callers(path: Path) -> set[str]:
+    """The functions of a source file, as ``Class.name`` or ``name``, that
+    call ``chunked_sum`` by name; module-level calls count as ``<module>``."""
+    callers: set[str] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "chunked_sum"):
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFS):
+                name = child.name if owner == "<module>" else f"{owner}.{child.name}"
+                visit(child, name)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return callers
+
+
+def test_one_bounded_plan_sum():
+    # the series and the heat trace sum through the plan: one tail_eps
+    # refusal, in its gate, and one chunked_sum call, in its sum
+    sources = sorted(Path(zetaflow.__file__).parent.glob("*.py"))
+    assert sources
+    refusals = {path.name: path.read_text().count("exceeds tail_eps") for path in sources}
+    assert {name: count for name, count in refusals.items() if count} == {"spectra.py": 1}
+    callers = {path.name: _chunked_sum_callers(path) for path in sources
+               if path.name != "summation.py"}
+    assert {name: found for name, found in callers.items() if found} == {
+        "spectra.py": {"_PowerTable.sum"}
+    }
