@@ -14,6 +14,11 @@ weight whose negative is also held takes the conjugate of that term
 instead, so the products of the factorization exponentiate about half of
 {-1, 0, 1}^n per power whatever their number.
 
+A weight system comes from two closures: the dominant weights below the
+highest weight, reached by lowering it by positive roots while it stays
+dominant, carry the Freudenthal multiplicities, and each spreads over its
+Weyl orbit, the closure of the weight under the simple reflections.
+
 Conventions: a weight mu pairs with an angle vector theta through
 exp(i <mu, theta>). Angle vectors are taken literally; callers must not
 reduce j * theta modulo 2 pi before evaluating at a power, since
@@ -22,10 +27,9 @@ half-integral (spinor) weights see the difference as a sign.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,122 +38,69 @@ from .summation import BLOCK
 from .weights import (
     Weight,
     as_weight,
+    closure,
     dominant_representative,
     dot,
+    is_dominant,
     norm_sq,
     positive_roots,
     validate_dominant,
-    weyl_orbit_signs,
+    weyl_orbit,
     weyl_vector,
 )
-
-
-def _in_positive_cone(delta: Sequence[Fraction], family: str) -> bool:
-    """Is delta a nonnegative integer combination of simple roots?
-
-    Simple roots are e_i - e_{i+1} plus e_n (B_n) or e_{n-1} + e_n (D_n);
-    the coefficients solve triangularly from partial sums of delta. D_n
-    needs n >= 2; freudenthal_multiplicities answers D_1 without a cone.
-    """
-    n = len(delta)
-    partial = Fraction(0)
-    partials = []
-    for c in delta:
-        partial += c
-        partials.append(partial)
-    if family == "B":
-        coeffs = partials
-    else:
-        c_n = partials[-1] / 2
-        c_prev = (partials[-2] - delta[-1]) / 2
-        coeffs = partials[: n - 2] + [c_prev, c_n]
-    return all(c.denominator == 1 and c >= 0 for c in coeffs)
-
-
-def _dominant_candidates(family: str, lam: Weight) -> list[Weight]:
-    """Dominant weights mu with lam - mu in the positive root cone."""
-    n = len(lam)
-    top = lam[0]
-    out: list[Weight] = []
-
-    def build(prefix: tuple[Fraction, ...]) -> None:
-        k = len(prefix)
-        if k == n:
-            if _in_positive_cone(tuple(a - b for a, b in zip(lam, prefix)), family):
-                out.append(prefix)
-            return
-        hi = prefix[-1] if prefix else top
-        last = k == n - 1
-        lo = -hi if (last and family == "D") else Fraction(0)
-        c = hi
-        while c >= lo:
-            build(prefix + (c,))
-            c -= 1
-
-    build(())
-    return out
 
 
 def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of the irreducible with highest
     weight ``lam``, computed by the Freudenthal recursion in exact arithmetic.
 
-    Every candidate mu != lam is dominant with lam - mu in the positive root
-    cone, so |mu + rho| < |lam + rho| and the recursion's denominator is
-    positive; its quotient is the multiplicity, an integer (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, 13.4 and 22.3).
-    Each call computes a new dict.
+    The candidates are the closure of {lam} under the steps mu -> mu - alpha,
+    alpha a positive root, that stay dominant: that closure is every
+    dominant mu <= lam (Stembridge, The partial order of dominant weights,
+    Adv. Math. 136 (1998)). For every candidate mu != lam,
+    |mu + rho| < |lam + rho|, so the recursion's denominator is positive;
+    its quotient is the multiplicity, an integer (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 13.4 and 22.3). Each call
+    computes a new dict.
     """
     validate_dominant(lam, family, "highest weight")
     n = len(lam)
-    if family == "D" and n == 1:
-        return {lam: 1}
-
     rho = weyl_vector(family, n)
     roots = positive_roots(family, n)
     lam_shift = norm_sq(tuple(a + b for a, b in zip(lam, rho)))
     lam_norm = norm_sq(lam)
-    candidates = set(_dominant_candidates(family, lam))
-    mults: dict[Weight, int] = {}
 
-    def mult(mu: Weight) -> int:
-        if mu == lam:
-            return 1
-        if mu not in candidates:
-            return 0
-        known = mults.get(mu)
-        if known is not None:
-            return known
+    def lowered(mu: Weight) -> Iterator[Weight]:
+        for alpha in roots:
+            nu = tuple(c - a for c, a in zip(mu, alpha))
+            if is_dominant(nu, family):
+                yield nu
+
+    mults = {lam: 1}
+    # the recursion at mu reads only dominant weights above mu, which pair
+    # more with rho, so they come first
+    for mu in sorted(closure(lam, lowered) - {lam}, key=lambda mu: dot(mu, rho), reverse=True):
         acc = Fraction(0)
         for alpha in roots:
             k = 1
-            while True:
-                nu = tuple(c + k * a for c, a in zip(mu, alpha))
-                if norm_sq(nu) > lam_norm:
-                    break
-                m = mult(dominant_representative(nu, family))
-                if m:
+            while norm_sq(nu := tuple(c + k * a for c, a in zip(mu, alpha))) <= lam_norm:
+                if m := mults.get(dominant_representative(nu, family), 0):
                     acc += 2 * m * dot(nu, alpha)
                 k += 1
-        value = int(acc / (lam_shift - norm_sq(tuple(a + b for a, b in zip(mu, rho)))))
-        mults[mu] = value
-        return value
-
-    return {mu: m for mu in candidates if (m := mult(mu)) != 0}
+        mults[mu] = int(acc / (lam_shift - norm_sq(tuple(a + b for a, b in zip(mu, rho)))))
+    return {mu: m for mu, m in mults.items() if m}
 
 
 def weight_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     """Full weight system of the irreducible: every weight with multiplicity,
-    obtained by expanding the dominant multiplicities over the Weyl orbit
-    (sign flips with the family parity rule, then coordinate permutations).
-    An image reached twice is assigned the same multiplicity again.
+    each dominant multiplicity spread over the Weyl orbit of its weight, the
+    weight's closure under the simple reflections.
     """
-    full: dict[Weight, int] = {}
-    for mu, m in freudenthal_multiplicities(family, lam).items():
-        for flipped in weyl_orbit_signs(mu, family):
-            for perm in itertools.permutations(flipped):
-                full[perm] = m
-    return full
+    return {
+        nu: m
+        for mu, m in freudenthal_multiplicities(family, lam).items()
+        for nu in weyl_orbit(mu, family)
+    }
 
 
 class CharacterTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -138,24 +138,35 @@ def weyl_dim(w: Weight, family: str) -> int:
     return int(num / den)
 
 
-def weyl_orbit_signs(w: Weight, family: str) -> Iterator[Weight]:
-    """Images of ``w`` under the sign-change part of the Weyl group.
+def closure(start: Weight, images: Callable[[Weight], Iterable[Weight]]) -> set[Weight]:
+    """The smallest set that holds ``start`` and every image of its members."""
+    found, todo = {start}, [start]
+    while todo:
+        new = set(images(todo.pop())) - found
+        found |= new
+        todo += new
+    return found
 
-    B_n flips any subset of coordinates. D_n flips evenly many, and when
-    some coordinate vanishes every flip pattern is reachable, so parity is
-    only enforced on weights with all coordinates nonzero. Permutations are
-    not applied here; callers sort when they need chamber representatives.
+
+def weyl_orbit(w: Weight, family: str) -> set[Weight]:
+    """The Weyl orbit of ``w``: its closure under the simple reflections,
+    at a cost that follows the orbit's size, not the group's order n! 2^n.
+
+    These swap adjacent coordinates, and negate the last coordinate (B_n)
+    or swap the last two and negate both (D_n, n >= 2; D_1's Weyl group
+    is trivial).
     """
     n = len(w)
-    has_zero = any(c == 0 for c in w)
-    seen: set[Weight] = set()
-    for mask in range(1 << n):
-        if family == "D" and not has_zero and bin(mask).count("1") % 2 == 1:
-            continue
-        flipped = tuple(-c if (mask >> i) & 1 else c for i, c in enumerate(w))
-        if flipped not in seen:
-            seen.add(flipped)
-            yield flipped
+
+    def reflections(v: Weight) -> Iterator[Weight]:
+        for i in range(n - 1):
+            yield v[:i] + (v[i + 1], v[i]) + v[i + 2 :]
+        if family == "B":
+            yield v[:-1] + (-v[-1],)
+        elif n >= 2:
+            yield v[:-2] + (-v[-1], -v[-2])
+
+    return closure(w, reflections)
 
 
 def dominant_representative(w: Weight, family: str) -> Weight:
@@ -191,6 +202,8 @@ class GroupData:
     d: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.d, bool) or not isinstance(self.d, int):
+            raise ValidationError(f"d must be an int, got {self.d!r}")
         if self.d < 3 or self.d % 2 == 0:
             raise ValidationError(f"d must be odd and >= 3, got {self.d}")
 

@@ -143,15 +143,15 @@ def log_derivative(
 def abscissa_estimate(ls: LengthSpectrum, kind: str = "selberg") -> float:
     """Abscissa of absolute convergence: |rho| + k for Selberg-type series,
     2|rho| + k for Ruelle, where k is the certified twist growth rate."""
+    if kind not in ("ruelle", "selberg", "logderiv"):
+        raise ValidationError(f"unknown series kind {kind!r}")
     if not ls.l0.size:
         return -math.inf
     k = ls.twist_rate
     rho = ls.gd.rho_norm
     if kind == "ruelle":
         return 2.0 * rho + k
-    if kind in ("selberg", "logderiv"):
-        return float(rho) + k
-    raise ValidationError(f"unknown series kind {kind!r}")
+    return float(rho) + k
 
 
 def z_p_log(

@@ -97,6 +97,21 @@ def hyperbolic_sum_whole(plan, sigma_table, t: float) -> complex:
         [base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live]))
 
 
+def weyl_orbit_signed_permutations(w, family: str) -> set[tuple]:
+    """The Weyl orbit of ``w`` as a set of signed permutations, listed
+    whole instead of closed under reflections: any signs for B_n; for D_n
+    evenly many sign changes, unless some coordinate is 0, whose sign
+    change is a no-op that makes every pattern even."""
+    w = tuple(w)
+    free = family == "B" or 0 in w
+    return {
+        tuple(sign * c for sign, c in zip(signs, perm))
+        for perm in itertools.permutations(w)
+        for signs in itertools.product((1, -1), repeat=len(w))
+        if free or signs.count(-1) % 2 == 0
+    }
+
+
 def character_table_loop(family: str, weight, angles) -> np.ndarray:
     """The weight-route character at angles of shape (..., n), one table on
     its own: one pass over all the angles per weight, in sorted weight

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from zetaflow import (
 )
 from zetaflow.chars import evaluate_all
 from zetaflow.summation import BLOCK
-from zetaflow.weights import as_weight, weyl_orbit_signs
+from zetaflow.weights import as_weight, is_dominant, weyl_orbit
 
 B_WEIGHTS = [
     (1,),
@@ -103,14 +104,29 @@ def test_weight_multiplicities_small_tables():
     assert all(m == 1 for w, m in adj.items() if w != (0, 0))
 
 
+def _dominant_box(family: str, top: int) -> list[tuple]:
+    """Every dominant weight of ranks 1-3 with coordinates of size at most
+    ``top``, integral and half-integral."""
+    out = []
+    for n in (1, 2, 3):
+        for offset in (0, Fraction(1, 2)):
+            sizes = [c + offset for c in range(top + 1) if c + offset <= top]
+            coords = sizes + [-c for c in sizes if c]
+            out += [w for w in itertools.product(coords, repeat=n)
+                    if is_dominant(as_weight(w), family)]
+    return out
+
+
 def test_weight_multiplicities_sum_to_dimension_and_flip_invariance():
+    # the listed weights and every dominant weight of a small box; the
+    # Weyl dimension formula is the independent reference
     for fam, ws in (("B", B_WEIGHTS), ("D", D_WEIGHTS)):
-        for w in ws:
+        for w in ws + _dominant_box(fam, 3):
             lam = as_weight(w)
             table = weight_multiplicities(fam, lam)
-            assert sum(table.values()) == weyl_dim(lam, fam)
+            assert sum(table.values()) == weyl_dim(lam, fam), (fam, w)
             for mu, m in table.items():
-                for nu in weyl_orbit_signs(mu, fam):
+                for nu in weyl_orbit(mu, fam):
                     assert table.get(nu) == m, (w, mu, nu)
 
 

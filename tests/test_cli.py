@@ -462,6 +462,28 @@ def test_console_entry_point_smoke(tmp_path):
     assert json.loads((tmp_path / "s.json").read_text())["d"] == 3
 
 
+def test_a_large_dimension_with_the_trivial_sigma_runs_in_seconds(tmp_path):
+    # the trivial weight of D_12 is its own Weyl orbit; expanding it over
+    # every sign mask and permutation would make 12! 2^12 tuples, so the
+    # subprocess's timeout fails that instead of hanging the suite
+    spectrum = str(tmp_path / "d25.json")
+    save(synthesize(GroupData(25), 5, systole=0.5, seed=1), spectrum)
+    code = (
+        "import sys; from zetaflow import weight_multiplicities; from zetaflow.cli import main\n"
+        "assert weight_multiplicities('D', (0,) * 12) == {(0,) * 12: 1}\n"
+        "sys.exit(main(sys.argv[1:4] + ['--s', '30', '--lmax', '10'])"
+        " or main(sys.argv[4:] + ['--t', '1']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "selberg", "--spectrum", spectrum,
+         "heat-trace", "--spectrum", spectrum],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split(",")[0] for row in rows] == ["s_re", "30.0", "s_re", "1.0"]
+
+
 # a process's own command line, as the console script and the benchmark run it
 _LAUNCH = "import sys; from zetaflow.cli import main; sys.exit(main())"
 

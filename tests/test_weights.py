@@ -19,9 +19,11 @@ from zetaflow.weights import (
     is_dominant,
     norm_sq,
     positive_roots,
-    weyl_orbit_signs,
+    weyl_orbit,
     weyl_vector,
 )
+
+from oracles import weyl_orbit_signed_permutations
 
 # dimensions from the classical product formulas, worked out by hand:
 # B_1 spin-m has 2m+1 states, the B_2 vector/spinor/adjoint are 5/4/10,
@@ -111,11 +113,14 @@ def test_orbit_and_dominant_representative():
         for _ in range(50):
             n = int(rng.integers(1, 5))
             w = tuple(sorted((int(x) for x in rng.integers(0, 6, n)), reverse=True))
+            if rng.random() < 0.5:
+                w = tuple(Fraction(2 * c + 1, 2) for c in w)
             if family == "D" and rng.random() < 0.5:
                 w = w[:-1] + (-w[-1],)
             if not is_dominant(as_weight(w), family):
                 continue
-            orbit = list(weyl_orbit_signs(as_weight(w), family))
+            orbit = weyl_orbit(as_weight(w), family)
+            assert orbit == weyl_orbit_signed_permutations(as_weight(w), family), (family, w)
             for q in orbit:
                 assert dominant_representative(q, family) == as_weight(w)
                 assert norm_sq(q) == norm_sq(as_weight(w))
@@ -131,6 +136,13 @@ def test_group_data_invariants():
         assert gd.rho_m == as_weight(tuple(range(n - 1, -1, -1)))
     for bad in (2, 4, 1, -3, 0):
         with pytest.raises(ValidationError):
+            GroupData(bad)
+
+
+def test_group_data_refuses_a_d_that_is_not_an_int():
+    # a float d would make n a float, which no degree or range can take
+    for bad in (3.0, 5.5, True, "5", Fraction(5)):
+        with pytest.raises(ValidationError, match=re.escape(f"d must be an int, got {bad!r}")):
             GroupData(bad)
 
 

@@ -169,6 +169,14 @@ def test_empty_spectrum_gives_zero(gd3):
         assert abscissa_estimate(ls, kind) == -math.inf
 
 
+def test_an_unknown_series_kind_is_refused_on_any_spectrum(ls3, gd3):
+    empty = LengthSpectrum(gd=gd3, l0=np.empty(0), angles=np.empty((0, 1)),
+                           chi=np.empty((0, 1, 1)), volume=1.0, dim_chi=1)
+    for ls in (ls3, empty):
+        with pytest.raises(ValidationError, match="unknown series kind 'bogus'"):
+            abscissa_estimate(ls, "bogus")
+
+
 def test_det_term_refuses_the_wrong_number_of_angles(gd3, gd5):
     with pytest.raises(ValidationError, match="expected 1 angles, got 2"):
         det_term(gd3, 1.0, (0.1, 0.2))
