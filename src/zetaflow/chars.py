@@ -17,7 +17,9 @@ instead, so the products of the factorization exponentiate about half of
 A weight system comes from two closures: the dominant weights below the
 highest weight, reached by lowering it by positive roots while it stays
 dominant, carry the Freudenthal multiplicities, and each spreads over its
-Weyl orbit, the closure of the weight under the simple reflections.
+Weyl orbit, the closure of the weight under the simple reflections. Both
+closures, and a table's weight sort, run on doubled coordinates, tuples
+of ints; only weight_multiplicities returns Fraction weights.
 
 Conventions: a weight mu pairs with an angle vector theta through
 exp(i <mu, theta>). Angle vectors are taken literally; callers must not
@@ -50,9 +52,20 @@ from .weights import (
 )
 
 
-def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
+# a weight with every coordinate doubled: ints, as every coordinate is
+# half-integral
+Doubled = tuple[int, ...]
+
+
+def _doubled(w: Weight) -> Doubled:
+    return tuple(int(2 * c) for c in w)
+
+
+def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Doubled, int]:
     """Multiplicities of the dominant weights of the irreducible with highest
-    weight ``lam``, computed by the Freudenthal recursion in exact arithmetic.
+    weight ``lam``, in doubled coordinates, computed by the Freudenthal
+    recursion in exact integer arithmetic: doubling scales every pairing,
+    hence the recursion's sum and its denominator alike, by 4.
 
     The candidates are the closure of {lam} under the steps mu -> mu - alpha,
     alpha a positive root, that stay dominant: that closure is every
@@ -65,30 +78,37 @@ def freudenthal_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     """
     validate_dominant(lam, family, "highest weight")
     n = len(lam)
-    rho = weyl_vector(family, n)
-    roots = positive_roots(family, n)
-    lam_shift = norm_sq(tuple(a + b for a, b in zip(lam, rho)))
-    lam_norm = norm_sq(lam)
+    rho = _doubled(weyl_vector(family, n))
+    roots = [tuple(2 * a for a in alpha) for alpha in positive_roots(family, n)]
+    top = _doubled(lam)
+    top_shift = norm_sq(tuple(a + b for a, b in zip(top, rho)))
+    top_norm = norm_sq(top)
 
-    def lowered(mu: Weight) -> Iterator[Weight]:
+    def lowered(mu: Doubled) -> Iterator[Doubled]:
         for alpha in roots:
             nu = tuple(c - a for c, a in zip(mu, alpha))
             if is_dominant(nu, family):
                 yield nu
 
-    mults = {lam: 1}
+    mults = {top: 1}
     # the recursion at mu reads only dominant weights above mu, which pair
     # more with rho, so they come first
-    for mu in sorted(closure(lam, lowered) - {lam}, key=lambda mu: dot(mu, rho), reverse=True):
-        acc = Fraction(0)
+    for mu in sorted(closure(top, lowered) - {top}, key=lambda mu: dot(mu, rho), reverse=True):
+        acc = 0
         for alpha in roots:
             k = 1
-            while norm_sq(nu := tuple(c + k * a for c, a in zip(mu, alpha))) <= lam_norm:
+            while norm_sq(nu := tuple(c + k * a for c, a in zip(mu, alpha))) <= top_norm:
                 if m := mults.get(dominant_representative(nu, family), 0):
                     acc += 2 * m * dot(nu, alpha)
                 k += 1
-        mults[mu] = int(acc / (lam_shift - norm_sq(tuple(a + b for a, b in zip(mu, rho)))))
+        mults[mu] = acc // (top_shift - norm_sq(tuple(a + b for a, b in zip(mu, rho))))
     return {mu: m for mu, m in mults.items() if m}
+
+
+def _weight_system(family: str, lam: Weight) -> dict[Doubled, int]:
+    """weight_multiplicities in doubled coordinates."""
+    return {nu: m for mu, m in freudenthal_multiplicities(family, lam).items()
+            for nu in weyl_orbit(mu, family)}
 
 
 def weight_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
@@ -96,32 +116,28 @@ def weight_multiplicities(family: str, lam: Weight) -> dict[Weight, int]:
     each dominant multiplicity spread over the Weyl orbit of its weight, the
     weight's closure under the simple reflections.
     """
-    return {
-        nu: m
-        for mu, m in freudenthal_multiplicities(family, lam).items()
-        for nu in weyl_orbit(mu, family)
-    }
+    return {tuple(Fraction(c, 2) for c in nu): m for nu, m in _weight_system(family, lam).items()}
 
 
 class CharacterTable:
     """A character packaged for fast repeated evaluation at many angle vectors.
 
-    Stores the full weight system as float arrays, sorted. Evaluation is
-    evaluate_all of this one table: it adds the weights' terms in sorted
-    order with vectorized elementwise work per weight, which keeps the
-    reduction order fixed. Tables evaluated together share the term of
-    each distinct weight, and the term of -mu is the conjugate of the term
-    of mu.
+    Stores the full weight system, given in doubled coordinates, as float
+    arrays, sorted. Evaluation is evaluate_all of this one table: it adds
+    the weights' terms in sorted order with vectorized elementwise work per
+    weight, which keeps the reduction order fixed. Tables evaluated
+    together share the term of each distinct weight, and the term of -mu is
+    the conjugate of the term of mu.
     """
 
     __slots__ = ("family", "rank", "highest", "_weights", "_mults")
 
-    def __init__(self, family: str, highest: Weight, system: Mapping[Weight, int]):
+    def __init__(self, family: str, highest: Weight, system: Mapping[Doubled, int]):
         self.family = family
         self.rank = len(highest)
         self.highest = highest
         items = sorted(system.items())
-        self._weights = np.array([[float(c) for c in mu] for mu, _ in items])
+        self._weights = np.array([mu for mu, _ in items], dtype=float) / 2.0
         self._mults = np.array([float(m) for _, m in items])
 
     def evaluate(self, angles: np.ndarray) -> np.ndarray:
@@ -198,7 +214,7 @@ def character_table(family: str, weight: Sequence[object]) -> CharacterTable:
 
 @lru_cache
 def _character_table(family: str, lam: Weight) -> CharacterTable:
-    return CharacterTable(family, lam, weight_multiplicities(family, lam))
+    return CharacterTable(family, lam, _weight_system(family, lam))
 
 
 def _batched_det(entries: np.ndarray) -> np.ndarray:

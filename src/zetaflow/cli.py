@@ -328,7 +328,8 @@ def _cmd_heat_trace(cfg: JobConfig) -> int:
     if not cfg.t_grid:
         raise ValidationError("heat-trace requires at least one --t time")
     ls, sigma, tp = _spectrum_job(cfg)
-    rows = [ResultRow(complex(t), *geometric_heat_trace(ls, sigma, t, tp)) for t in cfg.t_grid]
+    values = geometric_heat_trace(ls, sigma, cfg.t_grid, tp)
+    rows = [ResultRow(complex(t), *value) for t, value in zip(cfg.t_grid, values)]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 

@@ -364,7 +364,9 @@ def resolvent_trace_via_heat(
     for a in aset.anchors:
         if (a * a).real <= 0:
             raise DomainError(f"anchor {a} has Re(s^2) <= 0; the time integral diverges")
-    ls.power_table(tp.lmax).check(lambda length: True)
+    plan = ls.power_table(tp.lmax)
+    plan.check(lambda length: True)
+    plan.det  # one det column for the quadrature's many heat grids
 
     def f(t: np.ndarray) -> np.ndarray:
         w = small_t_combination(aset, t)

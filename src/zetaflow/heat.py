@@ -4,22 +4,22 @@ The geometric heat trace at time t is an identity contribution
 dim_chi * volume * integral of exp(-t lambda^2) against the Plancherel
 density, in closed form by Gamma factors, plus a hyperbolic contribution,
 the plan's bounded sum of the per-power symbols against the scalar heat
-kernel on the length axis. A single time goes through the plan's gate and
-returns its tail bound in a SeriesValue; a grid runs the plan's check for
-its longest time once and certifies no per-time tail. The bound is the
-series' per-class tail of the dropped powers, since past lmax the kernel
-exp(-L^2 / 4t) is at most exp(-L lmax / 4t); it holds at any t > 0 where
-every class's ratio q_c = r_c exp(-(|rho| + lmax/4t) l0_c) is below 1, and
-the plan refuses it elsewhere, naming a longer cutoff. The spectral sum
-and the geometric expansion are never assumed to agree here; the
-resolvent identities downstream test that through independent routes.
+kernel on the length axis, made for all the times of a call in one pass.
+geometric_heat_trace gates each time and returns its tail bound in a
+SeriesValue; heat_totals checks its longest time once and certifies no
+tail. The bound is the series' per-class tail of the dropped powers, since
+past lmax the kernel exp(-L^2 / 4t) is at most exp(-L lmax / 4t); it holds
+at any t > 0 where every class's ratio q_c = r_c exp(-(|rho| + lmax/4t) l0_c)
+is below 1, and the plan refuses it elsewhere, naming a longer cutoff. The
+spectral sum and the geometric expansion are never assumed to agree here;
+the resolvent identities downstream test that through independent routes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,29 +78,37 @@ def _kernel_scale(t: float) -> float:
     return scale if scale < math.inf else math.sqrt(4.0 * math.pi) * math.sqrt(t)
 
 
-def _hyperbolic_sum(plan, sigma_table: CharacterTable, t: float) -> complex:
-    """The hyperbolic contribution at time t: the plan's sum of its heat
-    prefactors against the scalar heat kernel exp(-L^2 / 4t) / sqrt(4 pi t)
-    over the chunks the kernel reaches; no prefactor is built if it reaches
-    none. Where the exponent falls below _EXP_UNDERFLOW, only the powers
-    before the first dead one are exponentiated; the terms are zero-filled to
-    the end of that power's block, so every block partial is the whole
-    chunk's, and the blocks after it, exact zeros that add nothing, are not
-    summed."""
-    scale = _kernel_scale(t)
+def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> list[complex]:
+    """The hyperbolic contribution at each of times, in one pass: the plan's
+    sums of the prefactors l0 tr chi char_sigma e^{-|rho| L} / det against
+    the heat kernel exp(-L^2 / 4t) / sqrt(4 pi t). A chunk some kernel
+    reaches makes its prefactors (det from the det column if built, else
+    det_rows) and -L^2 once, then each such time's terms: the powers before
+    the first with exponent below _EXP_UNDERFLOW, zero-filled to the end of
+    its block, so the block partials are the whole chunk's but for the
+    blocks after it, exact zeros that add nothing and are not summed."""
+    scales = [_kernel_scale(t) for t in times]
+    rho, det = float(plan.gd.rho_norm), vars(plan).get("det")
 
-    def terms(r: slice) -> np.ndarray:
-        base = plan.heat_base(sigma_table)[r]
-        exponent = -plan.length[r] ** 2 / (4.0 * t)
-        if exponent[-1] >= _EXP_UNDERFLOW:
-            return base * (np.exp(exponent) / scale)
-        # the exponents descend: the dead powers are the last ones
-        dead = exponent.size - np.searchsorted(exponent[::-1], _EXP_UNDERFLOW)
-        out = np.zeros(min(exponent.size, -(-dead // BLOCK) * BLOCK), dtype=complex)
-        np.multiply(base[:dead], np.exp(exponent[:dead]) / scale, out=out[:dead])
-        return out
+    def terms(r: slice) -> Iterator[np.ndarray | None]:
+        live = [_reached(plan.length[r.start], t) for t in times]
+        if any(live):
+            [chars] = plan.char_products(((sigma_table,),))
+            base = (plan.l0(r) * plan.chi_trace[r] * chars[r] * np.exp(-rho * plan.length[r])
+                    / (plan.det_rows(r) if det is None else det[r]))
+            square = -plan.length[r] ** 2
+        for t, scale, reached in zip(times, scales, live):
+            if not reached:
+                yield None
+                continue
+            exponent = square / (4.0 * t)
+            # the exponents descend: the dead powers are the last ones
+            dead = exponent.size - np.searchsorted(exponent[::-1], _EXP_UNDERFLOW)
+            out = np.zeros(min(exponent.size, -(-dead // BLOCK) * BLOCK), dtype=complex)
+            np.multiply(base[:dead], np.exp(exponent[:dead]) / scale, out=out[:dead])
+            yield out
 
-    return plan.sum(terms, lambda length: _reached(length, t))
+    return plan.sum(terms, len(times)) if times else []
 
 
 def _setup(ls: LengthSpectrum, sigma: Sequence[object], ts: Sequence[float], tp: TruncationPolicy):
@@ -111,39 +119,40 @@ def _setup(ls: LengthSpectrum, sigma: Sequence[object], ts: Sequence[float], tp:
     return plancherel_polynomial(ls.gd, sigma), ls.power_table(tp.lmax), _sigma_table(ls, sigma)
 
 
-def _total(ls: LengthSpectrum, P, plan, sig: CharacterTable, t: float) -> complex:
-    """The geometric heat trace at time t: identity plus hyperbolic part."""
-    return ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) + _hyperbolic_sum(plan, sig, t)
-
-
 def geometric_heat_trace(
-    ls: LengthSpectrum, sigma: Sequence[object], t: float, tp: TruncationPolicy
-) -> SeriesValue:
-    """The geometric heat trace at time t, with a bound on the dropped
-    powers, which is checked before anything is summed: past lmax,
-    e^{-L^2/4t} is at most e^{-L lmax/4t}, so the plan's per-class tail at
-    a = |rho| + lmax/4t with weight l0_c, times dim sigma / sqrt(4 pi t),
-    bounds them. The plan's gate makes the refusals, reading the powers
-    the kernel reaches."""
-    P, plan, sig = _setup(ls, sigma, (t,), tp)
-    a, scale = float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), sig.norm_bound() / _kernel_scale(t)
-    tail = plan.gate(lambda length: _reached(length, t), a, ls.l0, scale, True, tp.tail_eps,
-                     ("heat ", f"t = {t:g}", ""))
-    return SeriesValue(_total(ls, P, plan, sig, t), tail)
+    ls: LengthSpectrum, sigma: Sequence[object], ts: Sequence[float], tp: TruncationPolicy
+) -> list[SeriesValue]:
+    """The geometric heat trace at each time t of ts, with a bound on the
+    dropped powers: past lmax, e^{-L^2/4t} is at most e^{-L lmax/4t}, so the
+    plan's per-class tail at a = |rho| + lmax/4t with weight l0_c, times
+    dim sigma / sqrt(4 pi t), bounds them. Time by time: the time check, the
+    plan's gate (its refusals read the powers the kernel reaches) and the
+    identity part; then one pass sums every hyperbolic part."""
+    P, plan, sig = _setup(ls, sigma, ts[:1], tp)
+    parts = []
+    for t in ts:
+        _check_time(t)
+        a, scale = float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), sig.norm_bound() / _kernel_scale(t)
+        tail = plan.gate(lambda length: _reached(length, t), a, ls.l0, scale, True, tp.tail_eps,
+                         ("heat ", f"t = {t:g}", ""))
+        parts.append((ls.dim_chi * ls.volume * plancherel_heat_integral(P, t), tail))
+    sums = _hyperbolic_sums(plan, sig, list(ts))
+    return [SeriesValue(identity + h, tail) for (identity, tail), h in zip(parts, sums)]
 
 
 def heat_totals(
     ls: LengthSpectrum, sigma: Sequence[object], ts: np.ndarray, tp: TruncationPolicy
 ) -> np.ndarray:
     """Vector of geometric heat trace totals over a time grid, each equal
-    to ``geometric_heat_trace(...).value`` at that time bit for bit; the
-    plan refuses the grid as it refuses its longest time, whose kernel
-    reaches the most powers (an empty grid's, none). Tail bounds are not
-    certified per time; callers quantify their own error budget.
+    to ``geometric_heat_trace`` at that time bit for bit; the plan refuses
+    the grid as it refuses its longest time, whose kernel reaches the most
+    powers (an empty grid's, none). Tail bounds are not certified per
+    time; callers quantify their own error budget.
     """
     ts = np.asarray(ts, dtype=float)
     times = ts.ravel().tolist()
     P, plan, sig = _setup(ls, sigma, times, tp)
     plan.check(lambda length: bool(times) and _reached(length, max(times)))
-    totals = [_total(ls, P, plan, sig, t) for t in times]
+    identities = [ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) for t in times]
+    totals = [i + h for i, h in zip(identities, _hyperbolic_sums(plan, sig, times))]
     return np.array(totals, dtype=complex).reshape(ts.shape)

@@ -13,12 +13,12 @@ Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
 enumeration with the count J_c of each class's powers, plus everything
 that does not depend on the evaluation point (det terms, character
-products, heat prefactors) and the refusals that depend on (spectrum,
-lmax) alone; the evaluators only read it. A document lists finitely many
-classes, so a cutoff drops only the powers j > J_c of each, and the plan's
-class_tail bounds them by one closed-form geometric tail per class. The
-series and the heat trace make one bounded sum over it: the plan's gate,
-then its sum of their kernel. The
+products) and the refusals that depend on (spectrum, lmax) alone; the
+evaluators only read it. A document lists finitely many classes, so a
+cutoff drops only the powers j > J_c of each, and the plan's class_tail
+bounds them by one closed-form geometric tail per class. The series and
+the heat trace make one bounded sum over it: the plan's gate, then its
+sum of their kernel, the heat trace's at all its times in one pass. The
 plan stores four columns per power in 32 bytes: length (float64), j and
 class index (int32) and twist trace (complex128). The class length l0,
 1/j and the power angles j * theta are rebuilt from them for one chunk of
@@ -26,10 +26,10 @@ summation.CHUNK powers at a time, by the same arithmetic, so every
 plan-sized computation holds temporaries of one chunk only; the build
 makes the traces a chunk at a time and frees each sorting column once
 read, so it peaks below 40 bytes a power; a det column exists only once a
-series reads it. A spectrum keeps its few most
-recently used plans, a plan those products and prefactors for its most
-recently used twists. What no cutoff affects, the spectrum makes once and
-every plan reads: the twist eigenvalues with a well-conditioned mask,
+series or the heat route's resolvent reads it. A spectrum keeps its few
+most recently used plans, a plan the products of its most recently used
+twists. What no cutoff affects, the spectrum makes once and every plan
+reads: the twist eigenvalues with a well-conditioned mask,
 r_c = max(1, ||chi_c||_2) and the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -129,13 +129,13 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
 
 
 # a plan holds fewer than 2^_PLAN_POWER_BITS powers at 32 bytes each in its
-# four columns, about 537 MB, plus 8 bytes for the det terms once a series
-# reads them and 16 per kept product or prefactor other than a trivial one;
-# a longer cutoff is refused before the plan allocates anything. j and the
+# four columns, about 537 MB, plus 8 bytes for the det terms once they are
+# read as a column and 16 per kept product other than a trivial one; a
+# longer cutoff is refused before the plan allocates anything. j and the
 # class index are int32, which holds every count below 2^_PLAN_POWER_BITS
 _PLAN_POWER_BITS = 24
-# plans kept per spectrum, and character products and heat prefactors kept
-# per plan; the least recently used entry is evicted first
+# plans kept per spectrum, and character products kept per plan; the least
+# recently used entry is evicted first
 _PLANS_PER_SPECTRUM = 4
 _PRODUCTS_PER_PLAN = 16
 
@@ -164,15 +164,14 @@ class _PowerTable:
     those names, bit for bit the values of whole columns; every plan-sized
     computation runs over chunks(), so its temporaries hold one chunk. The
     traces are powers of the spectrum's twist_eigen and the tail reads its
-    twist_norms: a plan factors no twist matrix. Alongside sits the point-independent data the
-    series and heat evaluators read at every s or t: the det terms, the
-    character products of the series kernels and the t-independent
-    prefactors of the heat route. Each is built on first use, the products
+    twist_norms: a plan factors no twist matrix. Alongside sits the
+    point-independent data the evaluators read at every s or t: the det
+    column and the character products, built on first use, the products
     several at once when asked together (char_products), a product of
-    trivial characters as one shared 1 + 0j; the products and prefactors,
-    one per twist, are kept for the _PRODUCTS_PER_PLAN most recently used
-    twists, the det column for the life of the plan. The one bounded sum
-    of the series and the heat trace is gate, then sum.
+    trivial characters as one shared 1 + 0j. The products are kept for the
+    _PRODUCTS_PER_PLAN most recently used twists, the det column for the
+    life of the plan; no heat prefactor is kept. The one bounded sum of
+    the series and the heat trace is gate, then sum.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -201,7 +200,6 @@ class _PowerTable:
         self.length = _lengths(ls.l0, self.class_index, self.j)
         self.chi_trace = _power_traces(ls, self.class_index, self.j)
         self._char_products: dict[tuple, np.ndarray] = {}
-        self._heat_bases: dict[tuple, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -252,10 +250,13 @@ class _PowerTable:
                               f"overflows double precision; lower lmax below {length!r}")
 
     def det_rows(self, rows: slice = slice(None)) -> np.ndarray:
-        """prod_k (1 - 2 e^{-L} cos(k-th angle) + e^{-2L}) per power of the
-        given rows."""
-        e = np.exp(-self.length[rows])[:, None]
-        return np.prod(1.0 - 2.0 * e * np.cos(self.angles(rows)) + e * e, axis=1)
+        """prod_k (1 - 2 e^{-L} cos(j theta_k) + e^{-2L}) per power of the
+        given rows, one angle column at a time in k order, as np.prod."""
+        e = np.exp(-self.length[rows])
+        j, index, out = self.j[rows], self.class_index[rows], np.ones(e.size)
+        for k in range(self.gd.n):
+            out *= 1.0 - 2.0 * e * np.cos(j * self._class_angles[index, k]) + e * e
+        return out
 
     @cached_property
     def det(self) -> np.ndarray:
@@ -298,10 +299,11 @@ class _PowerTable:
                               f"at {point}; raise lmax above {self.lmax:g}{advice}")
         return tail
 
-    def sum(self, terms: Callable[[slice], np.ndarray], reads: Callable[[float], bool]) -> complex:
-        """The chunked_sum of terms(rows) over the chunks whose first power
-        reads accepts (reads(length)); 0 when there is none."""
-        return chunked_sum(terms(r) for r in self.chunks() if reads(self.length[r.start]))
+    def sum(self, terms: Callable[[slice], Iterable[np.ndarray | None]], count: int) -> list[complex]:
+        """The chunked_sum of count series in one pass over the chunks:
+        terms(rows) yields each series' terms at the rows in turn, None for
+        one with none there."""
+        return chunked_sum(map(terms, self.chunks()), count)
 
     def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
         """For each tables of products, the product of the character tables
@@ -333,23 +335,6 @@ class _PowerTable:
                     found[key][rows] = acc
         return [_lru(self._char_products, key, lambda key=key: found[key], _PRODUCTS_PER_PLAN)
                 for key in keys]
-
-    def heat_base(self, sigma_table: CharacterTable) -> np.ndarray:
-        """t-independent heat prefactor l0 tr chi char_sigma e^{-|rho| L} / det
-        per power; memoized by the table's (family, highest). Its det terms
-        are the det column where a series built it, det_rows otherwise."""
-        def build() -> np.ndarray:
-            [chars] = self.char_products(((sigma_table,),))
-            rho = float(self.gd.rho_norm)
-            det = vars(self).get("det")
-            out = np.empty(self.size, dtype=complex)
-            for r in self.chunks():
-                out[r] = (self.l0(r) * self.chi_trace[r] * chars[r] * np.exp(-rho * self.length[r])
-                          / (self.det_rows(r) if det is None else det[r]))
-            return out
-
-        key = (sigma_table.family, sigma_table.highest)
-        return _lru(self._heat_bases, key, build, _PRODUCTS_PER_PLAN)
 
 
 def checked_volume(dim_chi: object, volume: object) -> int | float:

@@ -116,7 +116,8 @@ def weyl_vector(family: str, n: int) -> Weight:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    """The pairing, exact on Fractions and ints alike."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def norm_sq(u: Sequence[Fraction]) -> Fraction:

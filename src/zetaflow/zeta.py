@@ -103,7 +103,7 @@ def _series_value(
             weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
             return (weight * plan.chi_trace[r] * chars[r]
                     * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
-    return SeriesValue(plan.sum(terms, lambda length: True), tail)
+    return SeriesValue(*plan.sum(lambda r: (terms(r),), 1), tail)
 
 
 def _point(s: complex) -> complex:

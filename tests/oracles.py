@@ -83,15 +83,21 @@ def char_D_mp(weight, angles, dps: int = 50) -> complex:
 
 
 def hyperbolic_sum_whole(plan, sigma_table, t: float) -> complex:
-    """heat._hyperbolic_sum with the kernel of every live chunk (one whose
-    first exponent -L^2 / 4t is at least -746) exponentiated whole, its
-    underflowed terms included, and every term summed: the sum from before
-    the chunk where the kernel underflows was cut at its first dead
-    power."""
+    """heat._hyperbolic_sums at the one time t, with the prefactors of the
+    whole plan, l0 tr chi char_sigma e^{-|rho| L} / det, their det terms
+    the plan's det column if built and det_rows of every power otherwise,
+    and the kernel of every live chunk (one whose first exponent -L^2 / 4t
+    is at least -746) exponentiated whole, its underflowed terms included,
+    and every term summed: the sum from before the chunk where the kernel
+    underflows was cut at its first dead power."""
     live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= -746.0]
     if not live:
         return 0j
-    base = plan.heat_base(sigma_table)
+    [chars] = plan.char_products(((sigma_table,),))
+    det = vars(plan).get("det")
+    rho = float(plan.gd.rho_norm)
+    base = (plan.l0() * plan.chi_trace * chars * np.exp(-rho * plan.length)
+            / (plan.det_rows() if det is None else det))
     scale = math.sqrt(4.0 * math.pi * t)
     return block_sum_whole(np.concatenate(
         [base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live]))
@@ -640,7 +646,7 @@ class WholeArrayPlan:
         return block_sum_whole(self.terms(tables, s, kind))
 
     def hyperbolic_sum(self, sigma_table, t: float) -> complex:
-        """The hyperbolic heat contribution at time t of heat._hyperbolic_sum."""
+        """The hyperbolic heat contribution at time t of heat._hyperbolic_sums."""
         if not self.size or math.exp(-(self.length[0] * self.length[0]) / (4.0 * t)) == 0.0:
             return 0j
         kernel = np.exp(-self.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)

@@ -488,6 +488,24 @@ def test_a_large_dimension_with_the_trivial_sigma_runs_in_seconds(tmp_path):
 _LAUNCH = "import sys; from zetaflow.cli import main; sys.exit(main())"
 
 
+def test_the_factorization_check_at_d21_runs_in_seconds(tmp_path, capsys):
+    # its exterior-power tables of D_10 hold large Weyl orbits; their
+    # closures and sort on Fraction weights took about 20 s, on doubled int
+    # coordinates a few
+    spectrum = str(tmp_path / "d21.json")
+    assert main(["gen-spectrum", "--d", "21", "--count", "5", "--seed", "1",
+                 "--output", spectrum]) == 0
+    capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, "factorization-check", "--spectrum", spectrum,
+         "--s", "30", "--lmax", "10"], capture_output=True, text=True, timeout=15,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("30.0,0.0,")
+    assert proc.stderr.startswith("factorization check: max |difference| ")
+    assert proc.stderr.endswith(": OK\n")
+
+
 def _exit_cases(workdir):
     """A command line per way out of main: status 0, 1 and 2, and --help."""
     spectrum = str(workdir / "spectrum.json")

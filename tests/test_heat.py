@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import L_sym, classes, heat_integral_mp, powers_up_to
+from oracles import L_sym, classes, heat_integral_mp, hyperbolic_sum_whole, powers_up_to
 from zetaflow import (
     DomainError,
     EigenSpectrum,
@@ -28,7 +28,9 @@ from zetaflow import (
 )
 from zetaflow import heat, spectra
 from zetaflow.cli import main
+from zetaflow.chars import character_table
 from zetaflow.heat import plancherel_heat_integral
+from zetaflow.summation import CHUNK
 
 
 def test_spectral_trace_is_a_plain_sum():
@@ -62,7 +64,7 @@ def test_geometric_trace_assembles_identity_and_classes(ls3):
     sigma = (0,)
     t = 0.05
     tp = TruncationPolicy(lmax=12.0, tail_eps=1.0)
-    ev = geometric_heat_trace(ls3, sigma, t, tp)
+    [ev] = geometric_heat_trace(ls3, sigma, [t], tp)
     P = plancherel_polynomial(ls3.gd, sigma)
     hyperbolic = ev.value - ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, t)
     manual = 0j
@@ -78,20 +80,59 @@ def test_geometric_trace_assembles_identity_and_classes(ls3):
     assert ev.tail_bound < 1e-200  # Gaussian tail at lmax = 12, t = 0.05
 
 
-def test_heat_totals_match_scalar_calls(ls3):
+@pytest.fixture(scope="module")
+def chunked7():
+    """A d = 7 spectrum whose plan holds at least 3 chunks, its cutoff and
+    sigma, and times whose kernels stop in different chunks: at
+    t = L^2 / 2984 the exponent -L^2 / 4t is -746, so the kernel of each
+    time stops just past the power of length L, here the 100th of each
+    chunk, then the 5000th of the first; the last time reaches every power."""
+    ls = synthesize(GroupData(7), 3000, systole=0.5, seed=5)
+    tp = TruncationPolicy(lmax=30.0, tail_eps=math.inf)
+    plan = ls.power_table(tp.lmax)
+    assert plan.size >= 3 * CHUNK
+    rows = [*range(100, plan.size, CHUNK), 5000]
+    times = [float(plan.length[k]) ** 2 / (-4.0 * heat._EXP_UNDERFLOW) for k in rows] + [50.0]
+    return ls, tp, (1, 1, 0), times
+
+
+def _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, totals):
+    """Each total is the identity part plus oracles.hyperbolic_sum_whole,
+    bit for bit, and the time's own geometric_heat_trace value."""
+    plan, sig = ls.power_table(tp.lmax), character_table("D", sigma)
+    P = plancherel_polynomial(ls.gd, sigma)
+    for t, total in zip(times, totals):
+        want = (ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
+                + hyperbolic_sum_whole(plan, sig, t))
+        assert (total.real.hex(), total.imag.hex()) == (want.real.hex(), want.imag.hex()), t
+        assert total == geometric_heat_trace(ls, sigma, [t], tp)[0].value
+
+
+def test_heat_totals_match_scalar_calls(ls3, chunked7):
     sigma = (0,)
     tp = TruncationPolicy(lmax=10.0, tail_eps=1.0)
     ts = np.geomspace(2e-3, 0.5, 7)
     grid = heat_totals(ls3, sigma, ts, tp)
     for t, v in zip(ts, grid):
-        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).value
+        assert v == geometric_heat_trace(ls3, sigma, [float(t)], tp)[0].value
+    # one pass over a plan of several chunks, each time stopping in its own,
+    # with the det terms made a chunk at a time and then read from the column
+    ls, tp, sigma, times = chunked7
+    plan = ls.power_table(tp.lmax)
+    vars(plan).pop("det", None)
+    _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, heat_totals(ls, sigma, times, tp))
+    assert "det" not in vars(plan)
+    plan.det
+    _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, heat_totals(ls, sigma, times, tp))
+    grid = [v.value for v in geometric_heat_trace(ls, sigma, times, tp)]
+    _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, grid)
 
 
 def test_tail_bound_is_honest_in_time(ls3_twisted):
     sigma = (1,)
     t = 0.04
-    short = geometric_heat_trace(ls3_twisted, sigma, t, TruncationPolicy(lmax=6.0, tail_eps=1.0))
-    long = geometric_heat_trace(ls3_twisted, sigma, t, TruncationPolicy(lmax=20.0, tail_eps=1.0))
+    [short], [long] = (geometric_heat_trace(ls3_twisted, sigma, [t], TruncationPolicy(
+        lmax=lmax, tail_eps=1.0)) for lmax in (6.0, 20.0))
     assert abs(short.value - long.value) <= short.tail_bound + 1e-15
 
 
@@ -107,7 +148,7 @@ def test_small_time_blowup_rate(ls3):
 def test_large_time_needs_large_lmax(ls3):
     # at t = 5 the Gaussian no longer kills the far powers under lmax = 6
     with pytest.raises(DomainError):
-        geometric_heat_trace(ls3, (0,), 5.0, TruncationPolicy(lmax=6.0, tail_eps=1e-10))
+        geometric_heat_trace(ls3, (0,), [5.0], TruncationPolicy(lmax=6.0, tail_eps=1e-10))
 
 
 def test_cutoff_below_the_shortest_class_is_refused(ls3):
@@ -116,21 +157,21 @@ def test_cutoff_below_the_shortest_class_is_refused(ls3):
     # at a short time and at one where lmax / 4t is below |rho| alike
     for t in (0.01, 1.0):
         with pytest.raises(DomainError, match=f"shortest class has length {shortest:g}"):
-            geometric_heat_trace(ls3, (0,), t, tp)
+            geometric_heat_trace(ls3, (0,), [t], tp)
     # an empty spectrum has nothing to drop
     empty = LengthSpectrum(gd=ls3.gd, l0=[], angles=np.empty((0, 1)), chi=np.empty((0, 1, 1)),
                            volume=1.0, dim_chi=1)
-    assert geometric_heat_trace(empty, (0,), 0.01, tp).tail_bound == 0.0
+    assert geometric_heat_trace(empty, (0,), [0.01], tp)[0].tail_bound == 0.0
 
 
 def test_time_validation(ls3):
     with pytest.raises(ValidationError):
-        geometric_heat_trace(ls3, (0,), 0.0, TruncationPolicy(lmax=10.0))
+        geometric_heat_trace(ls3, (0,), [0.0], TruncationPolicy(lmax=10.0))
     with pytest.raises(ValidationError):
         heat_totals(ls3, (0,), np.array([0.1, -0.2]), TruncationPolicy(lmax=10.0))
 
 
-def test_heat_totals_below_the_kernel_underflow(ls3):
+def test_heat_totals_below_the_kernel_underflow(ls3, chunked7):
     # below t = lmin^2 / 2980 every exp(-L^2 / 4t) underflows and only the
     # identity part is left
     sigma = (0,)
@@ -144,7 +185,18 @@ def test_heat_totals_below_the_kernel_underflow(ls3):
     for t, v in zip(ts[dead], grid[dead]):
         assert v == ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, float(t))
     for t, v in zip(ts, grid):
-        assert v == geometric_heat_trace(ls3, sigma, float(t), tp).value
+        assert v == geometric_heat_trace(ls3, sigma, [float(t)], tp)[0].value
+    # on a plan of several chunks, times whose kernels reach no power, only
+    # the first power, and into the later chunks, in one grid
+    ls, tp, sigma, times = chunked7
+    plan = ls.power_table(tp.lmax)
+    first = float(plan.length[0]) ** 2 / (-4.0 * heat._EXP_UNDERFLOW)
+    grid = [1e-6, first * (1 - 1e-12), first, *times, first * 1.001]
+    totals = heat_totals(ls, sigma, np.array(grid), tp)
+    P = plancherel_polynomial(ls.gd, sigma)
+    for t, total in zip(grid[:2], totals[:2]):
+        assert total == ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
+    _totals_match_the_whole_plan_oracle(ls, sigma, tp, grid, totals)
 
 
 def test_plancherel_integral_against_mpmath_at_high_degree():
@@ -164,7 +216,7 @@ def test_nan_heat_time_is_refused(ls3):
     es = EigenSpectrum(entries=((1.5 + 0j, 1),))
     P = plancherel_polynomial(ls3.gd, (0,))
     for call in (lambda: spectral_heat_trace(es, nan), lambda: plancherel_heat_integral(P, nan),
-                 lambda: geometric_heat_trace(ls3, (0,), nan, tp),
+                 lambda: geometric_heat_trace(ls3, (0,), [nan], tp),
                  lambda: heat_totals(ls3, (0,), np.array([0.1, nan, -1.0]), tp)):
         with pytest.raises(ValidationError, match="heat time must be positive and finite, got nan"):
             call()
@@ -197,7 +249,7 @@ def test_a_time_too_small_for_the_tail_formula_has_tail_zero(ls3):
     tp = TruncationPolicy(lmax=10.0, tail_eps=1e-300)
     P = plancherel_polynomial(ls3.gd, (0,))
     for t in (1e-160, 1e-200):
-        got = geometric_heat_trace(ls3, (0,), t, tp)
+        [got] = geometric_heat_trace(ls3, (0,), [t], tp)
         assert got == (ls3.dim_chi * ls3.volume * plancherel_heat_integral(P, t), 0.0)
 
 
@@ -213,7 +265,7 @@ def test_the_trace_at_one_time_never_calls_heat_totals(ls3, monkeypatch):
 
     monkeypatch.setattr(heat, "heat_totals", counted)
     tp = TruncationPolicy(lmax=10.0, tail_eps=1.0)
-    geometric_heat_trace(ls3, (0,), 0.3, tp)
+    geometric_heat_trace(ls3, (0,), [0.3], tp)
     assert calls == []
     heat.heat_totals(ls3, (0,), np.array([0.3]), tp)
     assert len(calls) == 1
@@ -265,6 +317,29 @@ def test_the_heat_route_refuses_an_overflowing_trace_only_where_the_kernel_reach
                "precision; lower lmax below 77.5\n")
 
 
+_TAIL_REFUSAL = "certified heat tail 4.781e+00 exceeds tail_eps 1.0e-08 at t = 5; raise lmax above 2"
+
+
+@pytest.mark.parametrize("times, status, message", [
+    (("1e-300", "5"), 2, "domain error: identity heat term overflows at t = 1e-300; raise t"),
+    (("5", "1e-300"), 2, f"domain error: {_TAIL_REFUSAL}"),
+    (("1e-300", "-1"), 2, "domain error: identity heat term overflows at t = 1e-300; raise t"),
+    (("-1", "1e-300"), 1, "error: heat time must be positive and finite, got -1.0"),
+])
+def test_a_heat_trace_of_several_times_refuses_time_by_time(tmp_path, capsys, times, status,
+                                                            message):
+    # each time in turn is checked, gated and given its identity term before
+    # the next: checking or gating every time first would refuse the first
+    # and third grids for their second time instead
+    path = str(tmp_path / "spectrum.json")
+    assert main(["gen-spectrum", "--d", "3", "--count", "200", "--seed", "7",
+                 "--output", path]) == 0
+    capsys.readouterr()
+    argv = ["heat-trace", "--spectrum", path, "--lmax", "2", "--tail-eps", "1e-8"]
+    assert main(argv + [arg for t in times for arg in ("--t", t)]) == status
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_series_and_heat_trace_print_the_same_plan_refusals(tmp_path, capsys):
     path = _overflowing_twist_file(tmp_path)
     for lmax, t in (("200", "3"), ("0.3", "0.001")):
@@ -285,7 +360,7 @@ PLAN_SUMS = {
     "log_derivative": lambda ls, tp: log_derivative(6.0, (0,), ls, tp),
     "z_p_log": lambda ls, tp: z_p_log(6.0, 1, (0,), ls, tp),
     "ruelle_factorized_log": lambda ls, tp: ruelle_factorized_log(6.0, (0,), ls, tp),
-    "geometric_heat_trace": lambda ls, tp: geometric_heat_trace(ls, (0,), 0.5, tp),
+    "geometric_heat_trace": lambda ls, tp: geometric_heat_trace(ls, (0,), [0.5], tp),
     "heat_totals": lambda ls, tp: heat_totals(ls, (0,), np.array([0.01, 0.5]), tp),
     "resolvent_trace_geometric": lambda ls, tp: resolvent_trace_geometric(ls, (0,), ANCHORS, tp),
     "resolvent_trace_via_heat": lambda ls, tp: resolvent_trace_via_heat(ls, (0,), ANCHORS, tp),
@@ -348,7 +423,7 @@ def test_a_grid_certifies_no_tail_and_a_single_time_one(monkeypatch):
                         lambda plan, *args: tails.append(args) or class_tail(plan, *args))
     totals = heat_totals(ls, (0,), np.array(times), tp)
     assert tails == []
-    singles = [geometric_heat_trace(ls, (0,), t, tp) for t in times]
+    singles = [geometric_heat_trace(ls, (0,), [t], tp)[0] for t in times]
     assert len(tails) == len(times)
     # the same totals, bit for bit
     assert [(z.real.hex(), z.imag.hex()) for z in totals.tolist()] == [

@@ -91,7 +91,6 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
     for tables in ((sig,), (sig, psi)):
         [chars] = plan.char_products((tables,))
         assert same_bits(chars, whole.chars(tables))
-    assert same_bits(plan.heat_base(sig), whole.heat_base(sig))
 
 
 def test_class_tail_equals_the_scalar_oracle(ls, sized):
@@ -132,22 +131,27 @@ def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls,
     sig = character_table("D", SIGMA)
     if not plan.size:
         with pytest.raises(DomainError, match="no power has length"):
-            geometric_heat_trace(ls, SIGMA, 0.01, tp)
+            geometric_heat_trace(ls, SIGMA, [0.01], tp)
         return
     # the kernel exponent -L^2 / 4t at the first length L of a chunk, the
     # plan's first power included, lands on both sides of exp's own
     # underflow to 0 near -745.13 and just above, at and below the -746
     # cutoff where the sum stops
+    times = []
     for edge in range(0, plan.size, CHUNK):
         first = float(plan.length[edge])
         for exponent in (-740.0, -745.1, -745.2, -746.0 * (1 - 1e-15), -746.0,
                          -746.0 * (1 + 1e-15), -760.0):
             t = first * first / (-4.0 * exponent)
-            got = heat._hyperbolic_sum(plan, sig, t)
+            [got] = heat._hyperbolic_sums(plan, sig, [t])
             assert same_bits(got, whole.hyperbolic_sum(sig, t)), (edge, exponent)
+            times.append(t)
             if exponent < -746.0:
                 # what the stop skips is exact zeros in the whole-array kernel
                 assert not np.exp(-whole.length[edge:] ** 2 / (4.0 * t)).any()
+    # all the times in one pass, each stopping in its own chunk
+    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times)):
+        assert same_bits(got, whole.hyperbolic_sum(sig, t)), t
 
 
 def _time_cutting_at(plan, first_dead: int) -> float:
@@ -170,10 +174,11 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
     sig = character_table("D", SIGMA)
     summed = []
 
-    def recorded(chunks):
-        chunks = list(chunks)
-        summed.append([c.size for c in chunks])
-        return chunked_sum(chunks)
+    def recorded(chunks, count):
+        chunks = [list(chunk) for chunk in chunks]
+        # per series, the length of its terms at each chunk, None for none
+        summed.append([[None if v is None else v.size for v in chunk] for chunk in chunks])
+        return chunked_sum(chunks, count)
 
     monkeypatch.setattr(spectra, "chunked_sum", recorded)
     # the first dead power: the first power only live, inside a block, on a
@@ -182,15 +187,24 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
             if k < plan.size]
     if plan.size:
         cuts.append(plan.size)  # no power dead
+    wants = []
     for first_dead in cuts:
         t = _time_cutting_at(plan, first_dead)
         summed.clear()
-        assert same_bits(heat._hyperbolic_sum(plan, sig, t), hyperbolic_sum_whole(plan, sig, t))
+        [got] = heat._hyperbolic_sums(plan, sig, [t])
+        assert same_bits(got, hyperbolic_sum_whole(plan, sig, t))
         # each chunk with a live power, cut at the end of the block that
-        # holds the first dead one
+        # holds the first dead one; no terms at the chunks after it
         want = [min(len(range(plan.size)[r]), -(-(first_dead - r.start) // BLOCK) * BLOCK)
-                for r in plan.chunks() if r.start < first_dead]
-        assert summed == [want], first_dead
+                if r.start < first_dead else None for r in plan.chunks()]
+        assert summed == [[[size] for size in want]], first_dead
+        wants.append(want)
+    # every cut in one pass: each time's terms as they were alone
+    times = [_time_cutting_at(plan, first_dead) for first_dead in cuts]
+    summed.clear()
+    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times)):
+        assert same_bits(got, hyperbolic_sum_whole(plan, sig, t)), t
+    assert summed == ([[list(sizes) for sizes in zip(*wants)]] if cuts else [])
 
 
 def test_a_trivial_product_is_all_ones_and_evaluates_no_character(sized, monkeypatch):
@@ -217,13 +231,23 @@ def test_chunked_sum_equals_one_whole_array_pass(size):
     values = rng.normal(size=size) * np.exp(rng.uniform(0, 30, size=size))
     values = values + 1j * rng.normal(size=size)
     want = block_sum_whole(values)
-    assert same_bits(chunked_sum((values,)), want)
+
+    def alone(pieces) -> complex:
+        [total] = chunked_sum(((v,) for v in pieces), 1)
+        return total
+
+    assert same_bits(alone((values,)), want)
     for chunk in (BLOCK, CHUNK):
-        pieces = (values[i : i + chunk] for i in range(0, size, chunk))
-        assert same_bits(chunked_sum(pieces), want)
-    assert same_bits(chunked_sum((values.real,)), block_sum_whole(values.real))
+        assert same_bits(alone(values[i : i + chunk] for i in range(0, size, chunk)), want)
+    assert same_bits(alone((values.real,)), block_sum_whole(values.real))
     # a strided view, whose blocks are not contiguous
-    assert same_bits(chunked_sum((values[::-1],)), block_sum_whole(values[::-1]))
+    assert same_bits(alone((values[::-1],)), block_sum_whole(values[::-1]))
+    # three series side by side: every chunk, every chunk past the first
+    # reversed and the first chunk's real parts; each sum the one it has alone
+    pieces = [values[i : i + CHUNK] for i in range(0, size, CHUNK)]
+    chunks = [(v, v[::-1] if i else None, None if i else v.real) for i, v in enumerate(pieces)]
+    want = [want, alone(v[::-1] for v in pieces[1:]), alone(v.real for v in pieces[:1])]
+    assert same_bits(chunked_sum(chunks, 3), want)
 
 
 def _traced(evaluate) -> tuple[object, int, int]:
@@ -252,10 +276,10 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
         t = lmax * lmax / (4.0 * 700.0)
         points = {
             "series": lambda: selberg_log(3.0 + 0.5j, sigma, ls, tp),
-            "heat": lambda: geometric_heat_trace(ls, sigma, t, tp),
+            "heat": lambda: geometric_heat_trace(ls, sigma, [t], tp),
         }
         for name, point in points.items():
-            point()  # warm: the plan's products, prefactors and det terms
+            point()  # warm: the plan's products and det terms
             peaks[name, size] = _traced(point)[2]
         # a cold build of every product of the factorization, less the
         # products it stores
@@ -307,24 +331,28 @@ def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_chunk(built):
     assert peak <= 40 * (plan.size + CHUNK), peak / plan.size
 
 
-def test_the_first_trivial_heat_time_keeps_one_prefactor_and_no_det_column(built):
-    # 16 bytes a power of prefactor; the prefactor makes its det terms a
-    # chunk at a time, and the trivial character product shares one value
+def test_the_first_trivial_heat_time_keeps_no_prefactor_and_no_det_column(built):
+    # the one pass makes its prefactors and their det terms a chunk at a
+    # time, and the trivial character product shares one value
     ls, plan, _, _ = built
     tp = TruncationPolicy(lmax=plan.lmax, tail_eps=math.inf)
     sigma = (0,) * ls.gd.n
-    _, kept, _ = _traced(lambda: geometric_heat_trace(ls, sigma, 1.0, tp))
-    assert kept <= 16 * plan.size + SLACK, kept / plan.size
+    _, kept, _ = _traced(lambda: geometric_heat_trace(ls, sigma, [1.0], tp))
+    assert kept <= SLACK, kept / plan.size
     assert "det" not in vars(plan)
 
 
 def test_det_rows_equal_the_product_of_the_angle_factors_along_the_rows():
-    # n = 3, one chunk of random lengths and power angles j * theta
+    # n = 3, one chunk of random lengths and power angles j * theta, the
+    # class angles theta gathered by a shuffled class index
     rng = np.random.default_rng(11)
     length = rng.uniform(0.05, 40.0, CHUNK)
-    angles = rng.integers(1, 60, (CHUNK, 1)) * rng.uniform(0.0, 2.0 * math.pi, (CHUNK, 3))
-    plan = SimpleNamespace(length=length, angles=lambda rows: angles[rows],
-                           gd=SimpleNamespace(n=3))
+    j = rng.integers(1, 60, (CHUNK, 1)).astype(np.int32)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (CHUNK, 3))
+    angles = j * theta
+    order = rng.permutation(CHUNK)
+    plan = SimpleNamespace(length=length, j=j[:, 0], class_index=np.argsort(order).astype(np.int32),
+                           _class_angles=theta[order], gd=SimpleNamespace(n=3))
     e = np.exp(-length)[:, None]
     want = np.prod(1.0 - 2.0 * e * np.cos(angles) + e * e, axis=1)
     assert same_bits(spectra._PowerTable.det_rows(plan, slice(None)), want)

@@ -344,7 +344,7 @@ def test_plan_memos_are_bounded_and_products_survive_eviction(gd3):
     sigmas = [(k,) for k in range(_PRODUCTS_PER_PLAN + 4)]
 
     def evaluate(sigma):
-        return selberg_log(4.0, sigma, ls, tp), geometric_heat_trace(ls, sigma, 0.5, tp)
+        return selberg_log(4.0, sigma, ls, tp), geometric_heat_trace(ls, sigma, [0.5], tp)[0]
 
     first = evaluate(sigmas[0])
     key = next(iter(plan._char_products))
@@ -352,7 +352,6 @@ def test_plan_memos_are_bounded_and_products_survive_eviction(gd3):
     for sigma in sigmas[1:]:
         evaluate(sigma)
     assert len(plan._char_products) == _PRODUCTS_PER_PLAN
-    assert len(plan._heat_bases) == _PRODUCTS_PER_PLAN
     assert key not in plan._char_products
     assert evaluate(sigmas[0]) == first
     assert plan._char_products[key].tobytes() == product.tobytes()
@@ -373,7 +372,7 @@ def test_one_plan_lookup_per_point(gd3, monkeypatch):
     # cold and warm plan alike
     for point in (lambda: selberg_log(4.0, (0,), ls, tp),
                   lambda: log_derivative(4.5, (0,), ls, tp),
-                  lambda: geometric_heat_trace(ls, (0,), 0.5, tp)) * 2:
+                  lambda: geometric_heat_trace(ls, (0,), [0.5], tp)) * 2:
         lookups.clear()
         point()
         assert lookups == [tp.lmax]

@@ -75,6 +75,24 @@ def test_module_memos_are_bounded_lru_caches():
     assert memos == {"zetaflow.chars._character_table"}
 
 
+def test_a_plans_only_per_twist_memo_is_its_character_products():
+    # the series, the factorization, the heat grid (whose one pass every heat
+    # trace shares) and the heat route, at two twists each: the heat pass
+    # makes its prefactors a chunk at a time and keeps none, so a prefactor
+    # memo brought back edits this set
+    ls = zetaflow.synthesize(zetaflow.GroupData(5), 40, systole=0.5, seed=3)
+    tp = zetaflow.TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    anchors = zetaflow.anchor_set([2, 3, 4])
+    for sigma in ((0, 0), (1, 0)):
+        zetaflow.selberg_log(6.0, sigma, ls, tp)
+        zetaflow.ruelle_factorized_log(9.0, sigma, ls, tp)
+        zetaflow.heat_totals(ls, sigma, [0.3], tp)
+        zetaflow.resolvent_trace_via_heat(ls, sigma, anchors, tp)
+    plan = ls.power_table(tp.lmax)
+    memos = {name for name, value in vars(plan).items() if isinstance(value, dict)}
+    assert memos == {"_char_products"}
+
+
 def test_public_names_resolve():
     for name in zetaflow.__all__:
         assert hasattr(zetaflow, name), name

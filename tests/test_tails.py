@@ -106,12 +106,12 @@ def _heat_cases(d: int) -> list[tuple]:
         for fraction in (0.2, 0.5, 0.9, 1.0, 3.0):
             # lmax / 4t = (|rho| + k) / fraction
             t = fraction * lmax / (4.0 * (ls.gd.rho_norm + ls.twist_rate))
-            reference = geometric_heat_trace(ls, sigma, t, REFERENCE).value
+            reference = geometric_heat_trace(ls, sigma, [t], REFERENCE)[0].value
             identity = ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
             kernel = np.exp(-whole.length**2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
             size = abs(identity) + float(np.abs(whole.heat_base(sig) * kernel).sum())
-            short = geometric_heat_trace(ls, sigma, t, TruncationPolicy(lmax=lmax,
-                                                                         tail_eps=math.inf))
+            short = geometric_heat_trace(ls, sigma, [t], TruncationPolicy(lmax=lmax,
+                                                                           tail_eps=math.inf))[0]
             cases.append((("heat", d, t, lmax), short.tail_bound,
                           abs(short.value - reference), 64.0 * U * size))
     return cases

@@ -54,7 +54,8 @@ def test_fitted_growth_exponent(gd3):
 
 
 def test_characters_suite_fails_on_a_perturbed_weight_table(monkeypatch):
-    original = chars.weight_multiplicities
+    # the weight systems of the tables, in doubled coordinates
+    original = chars._weight_system
 
     def flipped(family, lam):
         system = dict(original(family, lam))
@@ -62,7 +63,7 @@ def test_characters_suite_fails_on_a_perturbed_weight_table(monkeypatch):
         system[mu] = -system[mu]
         return system
 
-    monkeypatch.setattr(chars, "weight_multiplicities", flipped)
+    monkeypatch.setattr(chars, "_weight_system", flipped)
     # tables built from the flipped systems must not outlive this test
     chars._character_table.cache_clear()
     try:

@@ -278,7 +278,7 @@ def test_a_cutoff_past_an_overflowing_twist_trace_is_refused(gd3):
     assert selberg_log(60.0, (0,), ls, TruncationPolicy(lmax=77.0, tail_eps=1.0)) == (
         -2.715668763327e-11, 0.0)
     # the heat kernel zeroes those powers, and the heat route keeps its value
-    assert geometric_heat_trace(ls, (0,), 0.1, tp) == (1122.8367915925285, 0.0)
+    assert geometric_heat_trace(ls, (0,), [0.1], tp)[0] == (1122.8367915925285, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
@@ -333,10 +333,11 @@ def test_warm_plan_matches_cold_evaluation(tmp_path, gd5):
     for i, s in enumerate(grid):
         for op in ops:
             op(s, sigma, warm, tp)
-        geometric_heat_trace(warm, sigma, 0.1 + 0.01 * i, tp)
+        geometric_heat_trace(warm, sigma, [0.1 + 0.01 * i], tp)
     for s in (grid[0], grid[12], grid[-1]):
         for op in ops:
             cold = load_length_spectrum(path)
             assert op(s, sigma, warm, tp) == op(s, sigma, cold, tp)
     cold = load_length_spectrum(path)
-    assert geometric_heat_trace(warm, sigma, 0.2, tp) == geometric_heat_trace(cold, sigma, 0.2, tp)
+    assert (geometric_heat_trace(warm, sigma, [0.2], tp)
+            == geometric_heat_trace(cold, sigma, [0.2], tp))
