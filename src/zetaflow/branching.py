@@ -130,6 +130,8 @@ def exterior_decomposition(gd: GroupData, p: int) -> list[Weight]:
     and anti-self-dual halves. Each call returns a new list.
     """
     n = gd.n
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValidationError(f"exterior power degree: expected an integer, got {p!r}")
     if not 0 <= p <= 2 * n:
         raise ValidationError(f"exterior power degree {p} outside [0, {2 * n}]")
     q = min(p, 2 * n - p)

@@ -74,7 +74,7 @@ from .weights import GroupData, weyl_action
 from .zeta import (
     TruncationPolicy,
     log_derivative,
-    ruelle_factorized_log,
+    ruelle_factorization,
     ruelle_log,
     selberg_log,
 )
@@ -406,14 +406,9 @@ def _cmd_residues(cfg: JobConfig) -> int:
 def _cmd_factorization_check(cfg: JobConfig) -> int:
     grid = _grid(cfg)
     ls, sigma, tp = _spectrum_job(cfg)
-    rows = []
-    worst = 0.0
-    for s in grid:
-        direct = ruelle_log(s, sigma, ls, tp)
-        split = ruelle_factorized_log(s, sigma, ls, tp)
-        diff = direct.value - split.value
-        worst = max(worst, abs(diff))
-        rows.append(ResultRow(s, diff, direct.tail_bound + split.tail_bound))
+    rows = [ResultRow(s, direct.value - split.value, direct.tail_bound + split.tail_bound)
+            for s, (direct, split) in zip(grid, ruelle_factorization(grid, sigma, ls, tp))]
+    worst = max(0.0, *(abs(row.value) for row in rows))
     emit_table(rows, cfg.format, cfg.output)
     ok = worst <= cfg.tol
     print(

@@ -93,7 +93,7 @@ def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> l
     def terms(r: slice) -> Iterator[np.ndarray | None]:
         live = [_reached(plan.length[r.start], t) for t in times]
         if any(live):
-            [chars] = plan.char_products(((sigma_table,),))
+            chars = plan.character(sigma_table)
             base = (plan.l0(r) * plan.chi_trace[r] * chars[r] * np.exp(-rho * plan.length[r])
                     / (plan.det_rows(r) if det is None else det[r]))
             square = -plan.length[r] ** 2

@@ -12,13 +12,13 @@ tests and demos.
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
 enumeration with the count J_c of each class's powers, plus everything
-that does not depend on the evaluation point (det terms, character
-products) and the refusals that depend on (spectrum, lmax) alone; the
-evaluators only read it. A document lists finitely many classes, so a
-cutoff drops only the powers j > J_c of each, and the plan's class_tail
-bounds them by one closed-form geometric tail per class. The series and
-the heat trace make one bounded sum over it: the plan's gate, then its
-sum of their kernel, the heat trace's at all its times in one pass. The
+that does not depend on the evaluation point (det terms, characters) and
+the refusals that depend on (spectrum, lmax) alone; the evaluators only
+read it. A document lists finitely many classes, so a cutoff drops only
+the powers j > J_c of each, and the plan's class_tail bounds them by one
+closed-form geometric tail per class. The series and the heat trace
+make one bounded sum over it: the plan's gate, then its sum of their
+kernels, in one pass for all the times of a grid or series of a call. The
 plan stores four columns per power in 32 bytes: length (float64), j and
 class index (int32) and twist trace (complex128). The class length l0,
 1/j and the power angles j * theta are rebuilt from them for one chunk of
@@ -27,10 +27,10 @@ plan-sized computation holds temporaries of one chunk only; the build
 makes the traces a chunk at a time and frees each sorting column once
 read, so it peaks below 40 bytes a power; a det column exists only once a
 series or the heat route's resolvent reads it. A spectrum keeps its few
-most recently used plans, a plan the products of its most recently used
-twists. What no cutoff affects, the spectrum makes once and every plan
-reads: the twist eigenvalues with a well-conditioned mask,
-r_c = max(1, ||chi_c||_2) and the growth rate.
+most recently used plans, a plan one character for each of its most
+recently used twists and no product of two. What no cutoff affects, the
+spectrum makes once and every plan reads: the twist eigenvalues with a
+well-conditioned mask, r_c = max(1, ||chi_c||_2) and the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -46,11 +46,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .chars import CharacterTable, evaluate_all
+from .chars import CharacterTable
 from .errors import DomainError, ValidationError
 from .summation import CHUNK, chunked_sum
 from .tables import write_text
@@ -130,12 +130,12 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
 
 # a plan holds fewer than 2^_PLAN_POWER_BITS powers at 32 bytes each in its
 # four columns, about 537 MB, plus 8 bytes for the det terms once they are
-# read as a column and 16 per kept product other than a trivial one; a
+# read as a column and 16 per kept character other than a trivial one; a
 # longer cutoff is refused before the plan allocates anything. j and the
 # class index are int32, which holds every count below 2^_PLAN_POWER_BITS
 _PLAN_POWER_BITS = 24
-# plans kept per spectrum, and character products kept per plan; the least
-# recently used entry is evicted first
+# plans kept per spectrum, and characters kept per plan, one per twist; the
+# least recently used entry is evicted first
 _PLANS_PER_SPECTRUM = 4
 _PRODUCTS_PER_PLAN = 16
 
@@ -165,13 +165,11 @@ class _PowerTable:
     computation runs over chunks(), so its temporaries hold one chunk. The
     traces are powers of the spectrum's twist_eigen and the tail reads its
     twist_norms: a plan factors no twist matrix. Alongside sits the
-    point-independent data the evaluators read at every s or t: the det
-    column and the character products, built on first use, the products
-    several at once when asked together (char_products), a product of
-    trivial characters as one shared 1 + 0j. The products are kept for the
-    _PRODUCTS_PER_PLAN most recently used twists, the det column for the
-    life of the plan; no heat prefactor is kept. The one bounded sum of
-    the series and the heat trace is gate, then sum.
+    point-independent data the evaluators read at every s or t, built on
+    first use: the det column, kept for the life of the plan, and the
+    character of each of the _PRODUCTS_PER_PLAN most recently used twists.
+    No product of characters and no heat prefactor is kept. The one bounded
+    sum of the series and the heat trace is gate, then sum.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -199,7 +197,7 @@ class _PowerTable:
         del j, order
         self.length = _lengths(ls.l0, self.class_index, self.j)
         self.chi_trace = _power_traces(ls, self.class_index, self.j)
-        self._char_products: dict[tuple, np.ndarray] = {}
+        self._characters: dict[tuple, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -305,36 +303,20 @@ class _PowerTable:
         one with none there."""
         return chunked_sum(map(terms, self.chunks()), count)
 
-    def char_products(self, products: Sequence[Sequence[CharacterTable]]) -> list[np.ndarray]:
-        """For each tables of products, the product of the character tables
-        at the power angles, multiplied in table order; memoized by the
-        tables' ((family, highest), ...). A product of trivial characters,
-        every highest weight 0, is all ones, as evaluate_all gives it at any
-        finite angles: it is built without the angles, as a read-only
-        zero-stride view of one 1 + 0j that holds 16 bytes. The other missing
-        products are built in one pass over the chunks, with one
-        evaluate_all call per chunk for all the tables they hold."""
-        keys = [tuple((t.family, t.highest) for t in tables) for tables in products]
-        found = {key: self._char_products.get(key) for key in keys}
-        missing = {key: tables for key, tables in zip(keys, products) if found[key] is None}
-        for key in list(missing):
-            if not any(any(highest) for _, highest in key):
-                found[key] = np.broadcast_to(np.complex128(1), (self.size,))
-                del missing[key]
-        if missing:
-            distinct = {(t.family, t.highest): t for tables in missing.values() for t in tables}
-            for key in missing:
-                found[key] = np.empty(self.size, dtype=complex)
+    def character(self, table: CharacterTable) -> np.ndarray:
+        """The table's character at the power angles, memoized by (family,
+        highest). A trivial one, highest weight 0, is all ones at any finite
+        angles: a read-only zero-stride view of one 1 + 0j, 16 bytes, built
+        without the angles; any other is evaluated a chunk at a time."""
+        def build() -> np.ndarray:
+            if not any(table.highest):
+                return np.broadcast_to(np.complex128(1), (self.size,))
+            out = np.empty(self.size, dtype=complex)
             for rows in self.chunks():
-                angles = self.angles(rows)
-                values = dict(zip(distinct, evaluate_all(list(distinct.values()), angles)))
-                for key in missing:
-                    acc = np.ones(len(angles), dtype=complex)
-                    for table in key:
-                        acc = acc * values[table]
-                    found[key][rows] = acc
-        return [_lru(self._char_products, key, lambda key=key: found[key], _PRODUCTS_PER_PLAN)
-                for key in keys]
+                out[rows] = table.evaluate(self.angles(rows))
+            return out
+
+        return _lru(self._characters, (table.family, table.highest), build, _PRODUCTS_PER_PLAN)
 
 
 def checked_volume(dim_chi: object, volume: object) -> int | float:

@@ -52,7 +52,7 @@ from .zeta import (
     abscissa_estimate,
     exterior_class_sum,
     log_derivative,
-    ruelle_factorized_log,
+    ruelle_factorization,
     ruelle_log,
     selberg_log,
 )
@@ -352,11 +352,10 @@ def suite_zeta(seed: int = 0) -> list[CheckResult]:
         sig = (0,) * gdd.n
         tpd = TruncationPolicy(lmax=30.0 if d == 3 else 14.0, tail_eps=1e-2)
         ar = abscissa_estimate(lsd, kind="ruelle")
-        for _ in range(5):
-            s = complex(ar + 1.0 + rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
-            lhs = ruelle_log(s, sig, lsd, tpd).value
-            rhs = ruelle_factorized_log(s, sig, lsd, tpd).value
-            fact_err = max(fact_err, abs(lhs - rhs))
+        points = [complex(ar + 1.0 + rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
+                  for _ in range(5)]
+        for lhs, rhs in ruelle_factorization(points, sig, lsd, tpd):
+            fact_err = max(fact_err, abs(lhs.value - rhs.value))
 
     bracket_err = 0.0
     for d in (3, 5):

@@ -7,14 +7,14 @@ lists finitely many classes, so past the cutoff only the powers j > J_c
 of each class are missing, and their closed-form geometric tail per class
 bounds them (the plan's class_tail). A point at or left of
 abscissa_estimate is refused first, at every cutoff; right of it every
-class's ratio q_c is below 1. Everything that does
-not depend on s (power columns, per-class power counts, det terms,
-character products, the refusals of (spectrum, lmax) alone) comes from the
-prepared plan of (spectrum, lmax), looked up once per point. Its gate and
-sum, shared with the heat trace, make the refusals, the tail and the
-chunk-by-chunk sum of the kernel a series passes in.
-The exterior-power factorization imports the branching layer inside its
-functions, so a job that sums no factorized series never loads it.
+class's ratio q_c is below 1. Everything that does not depend on s (power
+columns, per-class power counts, det terms, the character of sigma, the
+refusals of (spectrum, lmax) alone) comes from the prepared plan of
+(spectrum, lmax), looked up once per call, whose gate takes the call's
+series in turn and whose sum adds them all in one pass: a factorization
+point's Ruelle series and exterior pieces side by side, each chunk making
+and dropping the sigma tensor psi characters. Only the factorization
+imports the branching layer, inside its functions, so no other job loads it.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -25,9 +25,10 @@ log derivative is the literal s-derivative of log Z, a plus-signed series.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,39 +72,57 @@ def det_term(gd: GroupData, length: float, angles: Sequence[float]) -> float:
     return out
 
 
-def _series_value(
-    ls: LengthSpectrum,
-    tables: tuple[CharacterTable, ...],
-    s: complex,
-    policy: TruncationPolicy,
-    kind: str,
-) -> SeriesValue:
-    """The series of kind at s and its tail, which the plan's gate takes at
-    a = Re s + |rho| (Re s, no det term, for Ruelle) with weight 1/(J_c + 1)
-    for the logarithms and l0_c for the log derivative."""
+def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
+          policy: TruncationPolicy) -> list[SeriesValue]:
+    """Per group, its series (kind, tables, s) and their tails, each _added
+    in turn. Series by series, the abscissa refusal and the plan's gate at
+    a = Re s + |rho| (Re s, no det term, for Ruelle), weight 1/(J_c + 1) for
+    the logs and l0_c for the log derivative; then one pass of the plan's
+    sum. A series' characters: the plan's character of its first table times
+    its other tables, which each chunk evaluates by one evaluate_all call."""
     plan = ls.power_table(policy.lmax)
-    abscissa = abscissa_estimate(ls, kind)
-    if s.real <= abscissa:
-        raise DomainError(
-            f"series for kind {kind!r} does not converge at s = {s}: "
-            f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate {abscissa:.6g}",
-        )
-    ruelle = kind == "ruelle"
-    a = s.real if ruelle else s.real + ls.gd.rho_norm
-    bound = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
-    tail = plan.gate(lambda length: True, a, bound, math.prod(t.norm_bound() for t in tables),
-                     not ruelle, policy.tail_eps, ("", f"s = {s}", " or move s to the right"))
-    [chars] = plan.char_products((tables,))
+    series = [item for group in groups for item in group]
+    tails = []
+    for kind, tables, s in series:
+        abscissa = abscissa_estimate(ls, kind)
+        if s.real <= abscissa:
+            raise DomainError(
+                f"series for kind {kind!r} does not converge at s = {s}: "
+                f"Re(s) = {s.real:.6g} is at or left of the abscissa estimate {abscissa:.6g}",
+            )
+        ruelle = kind == "ruelle"
+        a = s.real if ruelle else s.real + ls.gd.rho_norm
+        bound = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
+        tails.append(plan.gate(lambda length: True, a, bound,
+                               math.prod(t.norm_bound() for t in tables), not ruelle,
+                               policy.tail_eps, ("", f"s = {s}", " or move s to the right")))
+    others = list(dict.fromkeys(t for _, tables, _ in series for t in tables[1:]))
     rho = float(ls.gd.rho_norm)
-    if ruelle:
-        def terms(r: slice) -> np.ndarray:
-            return -plan.inv_j(r) * plan.chi_trace[r] * chars[r] * np.exp(-s * plan.length[r])
-    else:
-        def terms(r: slice) -> np.ndarray:
-            weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
-            return (weight * plan.chi_trace[r] * chars[r]
-                    * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
-    return SeriesValue(*plan.sum(lambda r: (terms(r),), 1), tail)
+
+    def terms(r: slice) -> Iterator[np.ndarray]:
+        values = dict(zip(others, evaluate_all(others, plan.angles(r)))) if others else {}
+        for kind, tables, s in series:
+            chars = plan.character(tables[0])[r]
+            for table in tables[1:]:
+                chars = chars * values[table]
+            if kind == "ruelle":
+                yield -plan.inv_j(r) * plan.chi_trace[r] * chars * np.exp(-s * plan.length[r])
+            else:
+                weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
+                yield (weight * plan.chi_trace[r] * chars
+                       * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
+
+    sums = zip(plan.sum(terms, len(series)), tails)
+    return [_added(itertools.islice(sums, len(group))) for group in groups]
+
+
+def _added(terms: Iterable[tuple[complex, float]]) -> SeriesValue:
+    """The values added in turn to 0j, and the tails to 0."""
+    total, tail = 0j, 0.0
+    for value, bound in terms:
+        total += value
+        tail += bound
+    return SeriesValue(total, tail)
 
 
 def _point(s: complex) -> complex:
@@ -123,21 +142,21 @@ def selberg_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated log of the twisted Selberg zeta at s, with tail bound."""
-    return _series_value(ls, (_sigma_table(ls, sigma),), _point(s), tp, "selberg")
+    return _sums(ls, [[("selberg", (_sigma_table(ls, sigma),), _point(s))]], tp)[0]
 
 
 def ruelle_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated log of the twisted Ruelle zeta at s, with tail bound."""
-    return _series_value(ls, (_sigma_table(ls, sigma),), _point(s), tp, "ruelle")
+    return _sums(ls, [[("ruelle", (_sigma_table(ls, sigma),), _point(s))]], tp)[0]
 
 
 def log_derivative(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated logarithmic derivative of the Selberg zeta at s."""
-    return _series_value(ls, (_sigma_table(ls, sigma),), _point(s), tp, "logderiv")
+    return _sums(ls, [[("logderiv", (_sigma_table(ls, sigma),), _point(s))]], tp)[0]
 
 
 def abscissa_estimate(ls: LengthSpectrum, kind: str = "selberg") -> float:
@@ -154,52 +173,47 @@ def abscissa_estimate(ls: LengthSpectrum, kind: str = "selberg") -> float:
     return float(rho) + k
 
 
+def _factors(ls: LengthSpectrum, sig: CharacterTable, s: complex, powers: Sequence[int]):
+    """For each p of powers, the series of the p-th factor at s: one at
+    s + |rho| - p for each piece psi of the p-th power, twisted by sigma tensor psi."""
+    from .branching import exterior_decomposition
+
+    return [[("selberg", (sig, character_table("D", psi)), s + ls.gd.rho_norm - p)
+             for psi in exterior_decomposition(ls.gd, p)] for p in powers]
+
+
 def z_p_log(
     s: complex, p: int, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Log of the p-th factor in the exterior-power factorization: the sum
     over the pieces psi of the p-th exterior power of Selberg-type series
     twisted by psi tensor sigma, evaluated at s + |rho| - p."""
-    from .branching import exterior_decomposition
-
-    gd = ls.gd
-    sig = _sigma_table(ls, sigma)
-    shifted = _point(s) + gd.rho_norm - p
-    total = 0j
-    tail = 0.0
-    for psi in exterior_decomposition(gd, p):
-        tables = (sig, character_table("D", psi))
-        val = _series_value(ls, tables, shifted, tp, "selberg")
-        total += val.value
-        tail += val.tail_bound
-    return SeriesValue(total, tail)
-
-
-def _exterior_pieces(gd: GroupData) -> list[tuple[int, CharacterTable]]:
-    """(p, table of psi) for each piece psi of each exterior power p = 0..2n."""
-    from .branching import exterior_decomposition
-
-    return [(p, character_table("D", psi))
-            for p in range(0, 2 * gd.n + 1)
-            for psi in exterior_decomposition(gd, p)]
+    return _sums(ls, _factors(ls, _sigma_table(ls, sigma), _point(s), [p]), tp)[0]
 
 
 def ruelle_factorized_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Alternating sum over p of z_p_log; agrees with ruelle_log term by
-    term on the shared truncation. The products of sigma with every
-    exterior piece are built first, in one pass over the plan."""
+    term on the shared truncation."""
     s = _point(s)
     sig = _sigma_table(ls, sigma)
-    ls.power_table(tp.lmax).char_products([(sig, psi) for _, psi in _exterior_pieces(ls.gd)])
-    total = 0j
-    tail = 0.0
-    for p in range(0, 2 * ls.gd.n + 1):
-        val = z_p_log(s, p, sigma, ls, tp)
-        total += (-1) ** p * val.value
-        tail += val.tail_bound
-    return SeriesValue(total, tail)
+    factors = _sums(ls, _factors(ls, sig, s, range(2 * ls.gd.n + 1)), tp)
+    return _added(((-1) ** p * f.value, f.tail_bound) for p, f in enumerate(factors))
+
+
+def ruelle_factorization(
+    points: Sequence[complex], sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
+) -> list[tuple[SeriesValue, SeriesValue]]:
+    """(ruelle_log, ruelle_factorized_log) at each of points, refused point
+    by point in that order, then summed in one pass."""
+    sig = _sigma_table(ls, sigma)
+    step = 2 * ls.gd.n + 2
+    values = _sums(ls, [group for s in map(_point, points) for group in
+                        [[("ruelle", (sig,), s)], *_factors(ls, sig, s, range(step - 1))]], tp)
+    return [(values[i], _added(((-1) ** p * f.value, f.tail_bound)
+                               for p, f in enumerate(values[i + 1:i + step])))
+            for i in range(0, len(values), step)]
 
 
 def exterior_class_sum(
@@ -214,6 +228,8 @@ def exterior_class_sum(
     their brackets (N,). The exterior pieces are evaluated together on all
     rows, by one evaluate_all call; the sum over the pieces runs per class.
     """
+    from .branching import exterior_decomposition
+
     # The alternating sum cancels all the way down to det_term, so the
     # characters come from the exact weight expansion; alternant rounding
     # near its singular set would otherwise dominate the residual.
@@ -224,7 +240,8 @@ def exterior_class_sum(
             f"expected {lengths.size} angle vectors of rank {gd.n}, got shape {th.shape}"
         )
     rows = th.reshape(-1, gd.n)
-    parts = _exterior_pieces(gd)
+    parts = [(p, character_table("D", psi)) for p in range(2 * gd.n + 1)
+             for psi in exterior_decomposition(gd, p)]
     values = evaluate_all([psi for _, psi in parts], rows)
     pieces = [((-1) ** p, p - 2 * gd.n, chars.tolist()) for (p, _), chars in zip(parts, values)]
     out = []

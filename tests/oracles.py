@@ -93,7 +93,7 @@ def hyperbolic_sum_whole(plan, sigma_table, t: float) -> complex:
     live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= -746.0]
     if not live:
         return 0j
-    [chars] = plan.char_products(((sigma_table,),))
+    chars = sigma_table.evaluate(plan.angles())
     det = vars(plan).get("det")
     rho = float(plan.gd.rho_norm)
     base = (plan.l0() * plan.chi_trace * chars * np.exp(-rho * plan.length)

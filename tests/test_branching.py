@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 
@@ -131,6 +132,14 @@ def test_exterior_decomposition_dimensions():
             exterior_decomposition(gd, 2 * n + 1)
         with pytest.raises(ValidationError):
             exterior_decomposition(gd, -1)
+
+
+@pytest.mark.parametrize("p", [2.5, 2.0, True, False, "1", None])
+def test_exterior_decomposition_refuses_a_degree_that_is_not_an_int(p):
+    # 2.5 would otherwise take the pieces of min(2.5, 4 - 2.5) and 2.0 or
+    # True those of 2 or 1
+    with pytest.raises(ValidationError, match=f"expected an integer, got {re.escape(repr(p))}"):
+        exterior_decomposition(GroupData(5), p)
 
 
 def test_exterior_decomposition_is_self_dual():

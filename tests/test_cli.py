@@ -213,6 +213,33 @@ def test_factorization_check_passes(workdir, capsys):
     assert "OK" in err
 
 
+@pytest.fixture(scope="module")
+def spectrum_d3_200(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fact") / "spectrum.json"
+    assert main(["gen-spectrum", "--d", "3", "--count", "200", "--seed", "7",
+                 "--output", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("points, tail_eps, message", [
+    # the p = 2 piece at s + |rho| - 2 = 3 refuses; the Ruelle series at s = 4
+    # passes with its tail 8.095e-03
+    (("4", "1.9"), "9e-3", "certified tail 1.083e-02 exceeds tail_eps 9.0e-03 at s = (3+0j)"),
+    (("1.9", "4"), "9e-3", "series for kind 'ruelle' does not converge at s = (1.9+0j)"),
+    (("4", "1.9"), "1e-4", "certified tail 8.095e-03 exceeds tail_eps 1.0e-04 at s = (4+0j)"),
+])
+def test_factorization_check_refuses_point_by_point(spectrum_d3_200, capsys, points, tail_eps,
+                                                    message):
+    # per point, the Ruelle series' refusals, then each piece's in p order;
+    # a refusal at any point leaves no row
+    code, out, err = _run(capsys, [
+        "factorization-check", "--spectrum", str(spectrum_d3_200), "--lmax", "2",
+        "--tail-eps", tail_eps, *[arg for s in points for arg in ("--s", s)],
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"domain error: {message}"), err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1e-3", "-0.5", "abc"])
 def test_factorization_check_refuses_a_nan_or_negative_tol(workdir, capsys, tmp_path, tol):
     # a tolerance no difference can meet is a bad option, not a FAIL of the check

@@ -31,7 +31,7 @@ from zetaflow import (
     synthesize,
     z_p_log,
 )
-from zetaflow import heat, spectra
+from zetaflow import chars, heat, spectra
 from zetaflow.branching import exterior_decomposition
 from zetaflow.chars import character_table, evaluate_all
 from zetaflow.summation import BLOCK, CHUNK, chunked_sum
@@ -86,11 +86,9 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
     assert same_bits(plan.angles(), whole.angles)
     assert plan.angles().shape == whole.angles.shape == (plan.size, ls.gd.n)
     assert same_bits(plan.det, whole.det)
-    sig = character_table("D", SIGMA)
-    psi = character_table("D", exterior_decomposition(ls.gd, 1)[0])
-    for tables in ((sig,), (sig, psi)):
-        [chars] = plan.char_products((tables,))
-        assert same_bits(chars, whole.chars(tables))
+    for weight in (SIGMA, exterior_decomposition(ls.gd, 1)[0]):
+        table = character_table("D", weight)
+        assert same_bits(plan.character(table), whole.chars((table,)))
 
 
 def test_class_tail_equals_the_scalar_oracle(ls, sized):
@@ -207,21 +205,20 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
     assert summed == ([[list(sizes) for sizes in zip(*wants)]] if cuts else [])
 
 
-def test_a_trivial_product_is_all_ones_and_evaluates_no_character(sized, monkeypatch):
+def test_a_trivial_character_is_all_ones_and_evaluates_nothing(sized, monkeypatch):
     _, plan, _ = sized
     calls = []
-    monkeypatch.setattr(spectra, "evaluate_all",
+    monkeypatch.setattr(chars, "evaluate_all",
                         lambda tables, angles: calls.append(tables) or evaluate_all(tables, angles))
     trivial = character_table("D", (0, 0))
     reference = character_table_loop("D", (0, 0), plan.angles())
-    for tables in ((trivial,), (trivial, trivial)):
-        plan._char_products.pop(tuple((t.family, t.highest) for t in tables), None)
-        [chars] = plan.char_products((tables,))
-        assert same_bits(chars, np.ones(plan.size, dtype=complex))
-        assert same_bits(chars, reference)
-        # one shared 1 + 0j, whatever the plan size
-        assert not chars.flags.writeable and chars.strides == (0,)
-        assert chars.base.nbytes == 16
+    plan._characters.pop(("D", trivial.highest), None)
+    values = plan.character(trivial)
+    assert same_bits(values, np.ones(plan.size, dtype=complex))
+    assert same_bits(values, reference)
+    # one shared 1 + 0j, whatever the plan size
+    assert not values.flags.writeable and values.strides == (0,)
+    assert values.base.nbytes == 16
     assert calls == []
 
 
@@ -277,18 +274,13 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
         points = {
             "series": lambda: selberg_log(3.0 + 0.5j, sigma, ls, tp),
             "heat": lambda: geometric_heat_trace(ls, sigma, [t], tp),
+            # its sigma tensor psi products are made a chunk at a time
+            "factorization": lambda: ruelle_factorized_log(3.0 + 0.5j, sigma, ls, tp),
         }
         for name, point in points.items():
-            point()  # warm: the plan's products and det terms
+            point()  # warm: the plan's characters and det terms
             peaks[name, size] = _traced(point)[2]
-        # a cold build of every product of the factorization, less the
-        # products it stores
-        products = ls.power_table(lmax)._char_products
-        products.clear()
-        peak = _traced(lambda: ruelle_factorized_log(3.0 + 0.5j, sigma, ls, tp))[2]
-        assert len(products) == 3
-        peaks["products", size] = peak - sum(p.nbytes for p in products.values())
-    for name in ("series", "heat", "products"):
+    for name in points:
         small, large = peaks[name, 3 * CHUNK], peaks[name, 12 * CHUNK]
         # a few chunk-sized temporaries, whatever the plan size: below one
         # complex column (16 bytes a power) of the longer plan

@@ -33,7 +33,7 @@ from zetaflow import (
     selberg_log,
     synthesize,
 )
-from zetaflow import chars, spectra, zeta
+from zetaflow import chars, zeta
 from zetaflow.branching import exterior_decomposition
 from zetaflow.spectra import (
     _PLANS_PER_SPECTRUM,
@@ -337,7 +337,7 @@ def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
     assert len(ls._plans) == _PLANS_PER_SPECTRUM
 
 
-def test_plan_memos_are_bounded_and_products_survive_eviction(gd3):
+def test_plan_memos_are_bounded_and_characters_survive_eviction(gd3):
     ls = synthesize(gd3, 60, systole=0.5, seed=24)
     tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
     plan = ls.power_table(tp.lmax)
@@ -347,14 +347,14 @@ def test_plan_memos_are_bounded_and_products_survive_eviction(gd3):
         return selberg_log(4.0, sigma, ls, tp), geometric_heat_trace(ls, sigma, [0.5], tp)[0]
 
     first = evaluate(sigmas[0])
-    key = next(iter(plan._char_products))
-    product = plan._char_products[key].copy()
+    key = next(iter(plan._characters))
+    character = plan._characters[key].copy()
     for sigma in sigmas[1:]:
         evaluate(sigma)
-    assert len(plan._char_products) == _PRODUCTS_PER_PLAN
-    assert key not in plan._char_products
+    assert len(plan._characters) == _PRODUCTS_PER_PLAN
+    assert key not in plan._characters
     assert evaluate(sigmas[0]) == first
-    assert plan._char_products[key].tobytes() == product.tobytes()
+    assert plan._characters[key].tobytes() == character.tobytes()
     assert ls.power_table(tp.lmax) is plan
 
 
@@ -378,10 +378,10 @@ def test_one_plan_lookup_per_point(gd3, monkeypatch):
         assert lookups == [tp.lmax]
 
 
-def test_second_factorization_point_evaluates_no_character(monkeypatch):
+@pytest.mark.parametrize("sigma", [(0, 0, 0), (1, 0, 0)])
+def test_each_factorization_point_evaluates_its_pieces_once_per_chunk(monkeypatch, sigma):
     ls = synthesize(GroupData(7), 400, systole=0.6, seed=26)
     tp = TruncationPolicy(lmax=80.0, tail_eps=1.0)
-    sigma = (0, 0, 0)
     s = abscissa_estimate(ls, kind="ruelle") + 2.0
     plan = ls.power_table(tp.lmax)
     assert len(plan.chunks()) >= 2
@@ -393,24 +393,25 @@ def test_second_factorization_point_evaluates_no_character(monkeypatch):
         return evaluate_all(tables, angles)
 
     # every module that evaluates characters holds evaluate_all by name
-    for module in (chars, spectra, zeta):
+    for module in (chars, zeta):
         monkeypatch.setattr(module, "evaluate_all", counted)
 
-    ruelle_log(s, sigma, ls, tp)
-    # the trivial character's product is all ones, built without a call
-    assert calls == []
     sig = ("D", as_weight(sigma))
-    ruelle_factorized_log(s, sigma, ls, tp)
-    # sigma with every distinct exterior piece, all in one pass over the
-    # plan, for the products that are not all trivial
+    ruelle_log(s, sigma, ls, tp)
+    # the plan keeps sigma's character, built a chunk at a time unless it is
+    # trivial, all ones without a call
+    chunks = [len(plan.length[r]) for r in plan.chunks()]
+    assert calls == ([] if not any(sigma) else [({sig}, n) for n in chunks])
+    assert list(plan._characters) == [sig]
+    # each point evaluates every distinct exterior piece, one call a chunk,
+    # and keeps no product of sigma with a piece
     pieces = {("D", psi) for p in range(7) for psi in exterior_decomposition(ls.gd, p)}
     assert len(pieces) == 5
-    assert calls == [({sig} | pieces, len(plan.length[r])) for r in plan.chunks()]
-    assert len(plan._char_products) == 6 <= _PRODUCTS_PER_PLAN
-    calls.clear()
-    ruelle_log(s + 0.5j, sigma, ls, tp)
-    ruelle_factorized_log(s + 0.5j, sigma, ls, tp)
-    assert calls == []
+    for point in (s, s + 0.5j):
+        calls.clear()
+        ruelle_factorized_log(point, sigma, ls, tp)
+        assert calls == [(pieces, n) for n in chunks]
+        assert list(plan._characters) == [sig]
 
 
 def test_save_and_load_round_trip(tmp_path, ls3_twisted):

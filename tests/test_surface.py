@@ -75,11 +75,11 @@ def test_module_memos_are_bounded_lru_caches():
     assert memos == {"zetaflow.chars._character_table"}
 
 
-def test_a_plans_only_per_twist_memo_is_its_character_products():
+def test_a_plans_only_per_twist_memo_is_its_characters():
     # the series, the factorization, the heat grid (whose one pass every heat
     # trace shares) and the heat route, at two twists each: the heat pass
-    # makes its prefactors a chunk at a time and keeps none, so a prefactor
-    # memo brought back edits this set
+    # makes its prefactors and the factorization its products a chunk at a
+    # time and keeps none, so a prefactor memo brought back edits this set
     ls = zetaflow.synthesize(zetaflow.GroupData(5), 40, systole=0.5, seed=3)
     tp = zetaflow.TruncationPolicy(lmax=8.0, tail_eps=1.0)
     anchors = zetaflow.anchor_set([2, 3, 4])
@@ -90,7 +90,37 @@ def test_a_plans_only_per_twist_memo_is_its_character_products():
         zetaflow.resolvent_trace_via_heat(ls, sigma, anchors, tp)
     plan = ls.power_table(tp.lmax)
     memos = {name for name, value in vars(plan).items() if isinstance(value, dict)}
-    assert memos == {"_char_products"}
+    assert memos == {"_characters"}
+
+
+def test_a_plan_keeps_one_character_per_twist(monkeypatch):
+    # after a series, a two-point factorization and a heat grid, every key of
+    # the plan's memo is one table's (family, highest); each factorization
+    # call evaluates the exterior pieces with one evaluate_all call a chunk
+    from zetaflow import chars, zeta
+
+    ls = zetaflow.synthesize(zetaflow.GroupData(5), 3000, systole=0.5, seed=3)
+    tp = zetaflow.TruncationPolicy(lmax=16.0, tail_eps=1.0)
+    plan = ls.power_table(tp.lmax)
+    chunks = plan.chunks()
+    assert len(chunks) >= 2
+    calls = []
+    evaluate_all = chars.evaluate_all
+    monkeypatch.setattr(zeta, "evaluate_all",
+                        lambda tables, angles: calls.append(len(angles)) or evaluate_all(tables, angles))
+    for sigma in ((0, 0), (1, 0)):
+        zetaflow.selberg_log(6.0, sigma, ls, tp)
+        for factorization in (
+            lambda: zeta.ruelle_factorization([9.0, 9.5 + 1j], sigma, ls, tp),
+            lambda: zetaflow.ruelle_factorized_log(9.0, sigma, ls, tp),
+        ):
+            calls.clear()
+            factorization()
+            assert calls == [len(plan.length[r]) for r in chunks]
+        zetaflow.heat_totals(ls, sigma, [0.3, 0.6], tp)
+    assert plan._characters
+    for family, highest in plan._characters:
+        assert family == "D" and len(highest) == ls.gd.n
 
 
 def test_public_names_resolve():

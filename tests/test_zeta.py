@@ -316,6 +316,13 @@ def test_z_p_log_shifts_into_selberg_series(ls3):
     assert a.value == pytest.approx(b.value, abs=1e-15)
 
 
+def test_z_p_log_refuses_a_degree_that_is_not_an_int(ls5):
+    tp = TruncationPolicy(lmax=20.0, tail_eps=1.0)
+    for p in (2.5, 2.0, True):
+        with pytest.raises(ValidationError, match="exterior power degree: expected an integer"):
+            z_p_log(9.0, p, (0, 0), ls5, tp)
+
+
 def test_series_kind_validation(ls3):
     with pytest.raises(ValidationError):
         abscissa_estimate(ls3, "other")
