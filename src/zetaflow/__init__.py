@@ -61,6 +61,7 @@ _EXPORTS = {
         "abscissa_estimate",
         "det_term",
         "log_derivative",
+        "ruelle_factorization",
         "ruelle_factorized_log",
         "ruelle_log",
         "selberg_log",

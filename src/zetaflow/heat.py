@@ -27,7 +27,6 @@ from .chars import CharacterTable
 from .errors import DomainError, ValidationError
 from .plancherel import PlancherelPolynomial, plancherel_polynomial
 from .spectra import EigenSpectrum, LengthSpectrum
-from .summation import BLOCK
 from .zeta import SeriesValue, TruncationPolicy, _sigma_table
 
 # exp(x) is exactly 0 in double precision for every x below this
@@ -65,9 +64,10 @@ def plancherel_heat_integral(P: PlancherelPolynomial, t: float) -> complex:
     raise DomainError(f"identity heat term overflows at t = {t!r}; raise t")
 
 
-def _reached(length: float, t: float) -> bool:
+def _reached(length: float, t):
     """Whether the heat kernel exp(-length^2 / 4t) is nonzero in double
-    precision, that is its exponent at least _EXP_UNDERFLOW."""
+    precision, that is its exponent at least _EXP_UNDERFLOW; elementwise for
+    an array of times."""
     return -(length ** 2) / (4.0 * t) >= _EXP_UNDERFLOW
 
 
@@ -85,13 +85,13 @@ def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> l
     reaches makes its prefactors (det from the det column if built, else
     det_rows) and -L^2 once, then each such time's terms: the powers before
     the first with exponent below _EXP_UNDERFLOW, zero-filled to the end of
-    its block, so the block partials are the whole chunk's but for the
-    blocks after it, exact zeros that add nothing and are not summed."""
-    scales = [_kernel_scale(t) for t in times]
+    the chunk, one summation block, so its partial is the whole block's; a
+    chunk whose first power a time's kernel does not reach yields None."""
+    scales, grid = [_kernel_scale(t) for t in times], np.array(times, dtype=float)
     rho, det = float(plan.gd.rho_norm), vars(plan).get("det")
 
     def terms(r: slice) -> Iterator[np.ndarray | None]:
-        live = [_reached(plan.length[r.start], t) for t in times]
+        live = _reached(plan.length[r.start], grid).tolist()
         if any(live):
             chars = plan.character(sigma_table)
             base = (plan.l0(r) * plan.chi_trace[r] * chars[r] * np.exp(-rho * plan.length[r])
@@ -104,7 +104,7 @@ def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> l
             exponent = square / (4.0 * t)
             # the exponents descend: the dead powers are the last ones
             dead = exponent.size - np.searchsorted(exponent[::-1], _EXP_UNDERFLOW)
-            out = np.zeros(min(exponent.size, -(-dead // BLOCK) * BLOCK), dtype=complex)
+            out = np.zeros(exponent.size, dtype=complex)
             np.multiply(base[:dead], np.exp(exponent[:dead]) / scale, out=out[:dead])
             yield out
 

@@ -22,8 +22,8 @@ kernels, in one pass for all the times of a grid or series of a call. The
 plan stores four columns per power in 32 bytes: length (float64), j and
 class index (int32) and twist trace (complex128). The class length l0,
 1/j and the power angles j * theta are rebuilt from them for one chunk of
-summation.CHUNK powers at a time, by the same arithmetic, so every
-plan-sized computation holds temporaries of one chunk only; the build
+summation.BLOCK powers at a time, by the same arithmetic, so every
+plan-sized computation holds temporaries of one block only; the build
 makes the traces a chunk at a time and frees each sorting column once
 read, so it peaks below 40 bytes a power; a det column exists only once a
 series or the heat route's resolvent reads it. A spectrum keeps its few
@@ -46,13 +46,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .chars import CharacterTable
 from .errors import DomainError, ValidationError
-from .summation import CHUNK, chunked_sum
+from .summation import BLOCK, chunked_sum
 from .tables import write_text
 from .weights import GroupData
 
@@ -66,10 +66,10 @@ def canonicalize_angles(angles) -> np.ndarray:
     return out
 
 
-def _rows(size: int) -> list[slice]:
-    """Consecutive block-aligned slices of summation.CHUNK rows covering
-    size rows, the last one shorter."""
-    return [slice(start, start + CHUNK) for start in range(0, size, CHUNK)]
+def _rows(size: int) -> Iterator[slice]:
+    """The summation blocks of size rows, one at a time: consecutive slices
+    of summation.BLOCK rows, the last one shorter."""
+    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
 
 
 def _lengths(l0: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -203,9 +203,9 @@ class _PowerTable:
     def size(self) -> int:
         return len(self.length)
 
-    def chunks(self) -> list[slice]:
-        """The rows of the plan as consecutive block-aligned slices of
-        summation.CHUNK powers, the last one shorter."""
+    def chunks(self) -> Iterator[slice]:
+        """The plan's summation blocks in order, one slice at a time:
+        summation.BLOCK powers each, the last one shorter."""
         return _rows(self.size)
 
     def l0(self, rows: slice = slice(None)) -> np.ndarray:
@@ -277,8 +277,13 @@ class _PowerTable:
         log_q = self._log_norms - a * self._class_l0
         floor = np.float64(-math.expm1(-self.lmax)) ** (2 * self.gd.n) if det else 1.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            ratio = np.exp((self.counts + 1) * log_q) / np.maximum(-np.expm1(log_q), 0.0)
-            tail = float(scale * self.dim_chi * np.sum(weight * ratio) / floor)
+            # every step written into log_q or ratio, so two class-sized
+            # arrays are live; J_c + 1.0 is exact, as J_c < 2^53
+            ratio = self.counts + 1.0
+            np.exp(np.multiply(ratio, log_q, out=ratio), out=ratio)
+            ratio /= np.maximum(np.negative(np.expm1(log_q, out=log_q), out=log_q), 0.0, out=log_q)
+            tail = float(scale * self.dim_chi * np.sum(np.multiply(weight, ratio, out=ratio))
+                         / floor)
         if not math.isfinite(tail):
             raise DomainError(f"the per-class tail past lmax = {self.lmax:g} is not a finite "
                               f"number, so no tail bound holds; raise lmax above {self.lmax:g}")

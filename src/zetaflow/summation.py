@@ -7,13 +7,13 @@ from run to run. Hot reductions avoid BLAS on purpose; its internal
 blocking can vary with thread count.
 
 chunked_sum is the one reduction. A series too long to hold at once is
-passed in chunks of CHUNK terms; CHUNK is a whole number of blocks, so the
-chunks are block-aligned and every block partial, hence the sum, is the
-same as for the whole array. A whole array is the one-chunk case; series
-summed side by side keep their own partials and compensation, each the sum
-it has alone. A chunk's whole blocks are summed by one reduction along the
-rows of its (blocks, BLOCK) view, which sums each row as np.sum sums the
-block alone, bit for bit; a trailing part block is summed on its own.
+passed in block-aligned chunks, a plan's one BLOCK each, so every block
+partial, hence the sum, is the same as for the whole array. A whole array
+is the one-chunk case; series summed side by side keep their own partials
+and compensation, each the sum it has alone. A chunk's whole blocks are
+summed by one reduction along the rows of its (blocks, BLOCK) view, which
+sums each row as np.sum sums the block alone, bit for bit; a trailing part
+block is summed on its own.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from typing import Iterable
 import numpy as np
 
 BLOCK = 4096
-# terms per chunk of a plan-sized kernel: bounds its temporaries to a few
-# hundred kB whatever the number of powers
-CHUNK = 4 * BLOCK
 
 
 def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:

@@ -92,8 +92,9 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
             )
         ruelle = kind == "ruelle"
         a = s.real if ruelle else s.real + ls.gd.rho_norm
-        bound = ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0)
-        tails.append(plan.gate(lambda length: True, a, bound,
+        # the weights are an argument only, so the sum pass holds no class column
+        tails.append(plan.gate(lambda length: True, a,
+                               ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0),
                                math.prod(t.norm_bound() for t in tables), not ruelle,
                                policy.tail_eps, ("", f"s = {s}", " or move s to the right")))
     others = list(dict.fromkeys(t for _, tables, _ in series for t in tables[1:]))
@@ -195,7 +196,8 @@ def ruelle_factorized_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Alternating sum over p of z_p_log; agrees with ruelle_log term by
-    term on the shared truncation."""
+    term on the shared truncation. One point's own pass: a grid of points
+    should call ruelle_factorization, which sums every point in one."""
     s = _point(s)
     sig = _sigma_table(ls, sigma)
     factors = _sums(ls, _factors(ls, sig, s, range(2 * ls.gd.n + 1)), tp)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from zetaflow import (
     weyl_character,
     weyl_dim,
 )
+from zetaflow import chars
 from zetaflow.chars import evaluate_all
 from zetaflow.summation import BLOCK
 from zetaflow.weights import as_weight, is_dominant, weyl_orbit
@@ -205,6 +207,37 @@ def test_evaluate_all_pairs_conjugate_weights_across_tables():
                              ((plus, minus, plus), [*want, want[0]])):
         got = evaluate_all(tables, th)
         assert all(np.array_equal(bits(g), bits(e)) for g, e in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("floats", [1, 700, 1 << 17])
+def test_evaluate_all_is_the_same_in_passes_of_any_width(monkeypatch, floats):
+    # passes of one row and of a few rows, added by np.add.accumulate, and
+    # of every row, added a weight at a time, on tables whose weights pair
+    # across them
+    monkeypatch.setattr(chars, "_FLOATS", floats)
+    rng = np.random.default_rng(46)
+    th = _hard_angles(rng, chars._WIDE + 44, 3, 700.0)
+    weights = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, -1), (Fraction(3, 2),) * 3]
+    got = evaluate_all([character_table("D", w) for w in weights], th)
+    for w, values in zip(weights, got, strict=True):
+        assert np.array_equal(bits(values), bits(character_table_loop("D", w, th))), w
+
+
+def test_evaluate_all_holds_one_pass_of_temporaries():
+    # the factorization's exterior pieces at d = 7 on one block of rows:
+    # beyond its outputs, a call holds one pass of at most _FLOATS floats
+    # and its few per-weight index arrays
+    tables = [character_table("D", w) for w in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1),
+                                                (1, 1, -1)]]
+    th = np.random.default_rng(47).uniform(-9.0, 9.0, size=(BLOCK, 3))
+    evaluate_all(tables, th)
+    tracemalloc.start()
+    try:
+        evaluate_all(tables, th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * chars._FLOATS + 16 * BLOCK * len(tables) + 16_384
 
 
 def test_evaluate_all_keeps_the_angle_shape():

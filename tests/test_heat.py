@@ -30,7 +30,7 @@ from zetaflow import heat, spectra
 from zetaflow.cli import main
 from zetaflow.chars import character_table
 from zetaflow.heat import plancherel_heat_integral
-from zetaflow.summation import CHUNK
+from zetaflow.summation import BLOCK
 
 
 def test_spectral_trace_is_a_plain_sum():
@@ -82,16 +82,17 @@ def test_geometric_trace_assembles_identity_and_classes(ls3):
 
 @pytest.fixture(scope="module")
 def chunked7():
-    """A d = 7 spectrum whose plan holds at least 3 chunks, its cutoff and
+    """A d = 7 spectrum whose plan holds at least 12 chunks, its cutoff and
     sigma, and times whose kernels stop in different chunks: at
     t = L^2 / 2984 the exponent -L^2 / 4t is -746, so the kernel of each
     time stops just past the power of length L, here the 100th of each
-    chunk, then the 5000th of the first; the last time reaches every power."""
+    chunk, then the 5000th, in the second; the last time reaches every
+    power."""
     ls = synthesize(GroupData(7), 3000, systole=0.5, seed=5)
     tp = TruncationPolicy(lmax=30.0, tail_eps=math.inf)
     plan = ls.power_table(tp.lmax)
-    assert plan.size >= 3 * CHUNK
-    rows = [*range(100, plan.size, CHUNK), 5000]
+    assert plan.size >= 12 * BLOCK
+    rows = [*range(100, plan.size, BLOCK), 5000]
     times = [float(plan.length[k]) ** 2 / (-4.0 * heat._EXP_UNDERFLOW) for k in rows] + [50.0]
     return ls, tp, (1, 1, 0), times
 

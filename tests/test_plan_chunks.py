@@ -1,9 +1,9 @@
-"""The prepared plan evaluates every plan-sized kernel in block-aligned
-chunks: each derived column, kernel array and sum must be bit for bit the
-whole-array formula's (oracles.WholeArrayPlan), at every plan size around
-a block or chunk edge, and the memory one point needs must not grow with
+"""The prepared plan evaluates every plan-sized kernel one summation block
+at a time: each derived column, kernel array and sum must be bit for bit
+the whole-array formula's (oracles.WholeArrayPlan), at every plan size
+around a block edge, and the memory one point needs must not grow with
 the plan. A built plan keeps 32 bytes a power and its build peaks below 40
-bytes a power plus one chunk."""
+bytes a power plus one block."""
 
 import math
 import tracemalloc
@@ -34,9 +34,10 @@ from zetaflow import (
 from zetaflow import chars, heat, spectra
 from zetaflow.branching import exterior_decomposition
 from zetaflow.chars import character_table, evaluate_all
-from zetaflow.summation import BLOCK, CHUNK, chunked_sum
+from zetaflow.summation import BLOCK, chunked_sum
 
-SIZES = [0, 1, BLOCK - 1, BLOCK, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+# block edges, and plans of 4 blocks, 4 blocks and one power, 12 blocks and 5
+SIZES = [0, 1, BLOCK - 1, BLOCK, 16384, 16385, 49157]
 SIGMA = (1, 0)
 
 
@@ -71,11 +72,11 @@ def sized(request, ls):
     return lmax, ls.power_table(lmax), WholeArrayPlan(ls, lmax)
 
 
-def test_chunks_are_block_aligned_and_cover_the_plan(sized):
+def test_chunks_are_the_summation_blocks_and_cover_the_plan(sized):
     _, plan, _ = sized
-    rows = plan.chunks()
-    assert CHUNK % BLOCK == 0
-    assert [r.start for r in rows] == list(range(0, plan.size, CHUNK))
+    rows = list(plan.chunks())
+    assert [(r.start, r.stop, r.step) for r in rows] == [
+        (start, start + BLOCK, None) for start in range(0, plan.size, BLOCK)]
     assert sum(len(range(plan.size)[r]) for r in rows) == plan.size
 
 
@@ -136,7 +137,7 @@ def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls,
     # underflow to 0 near -745.13 and just above, at and below the -746
     # cutoff where the sum stops
     times = []
-    for edge in range(0, plan.size, CHUNK):
+    for edge in range(0, plan.size, BLOCK):
         first = float(plan.length[edge])
         for exponent in (-740.0, -745.1, -745.2, -746.0 * (1 - 1e-15), -746.0,
                          -746.0 * (1 + 1e-15), -760.0):
@@ -179,9 +180,9 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
         return chunked_sum(chunks, count)
 
     monkeypatch.setattr(spectra, "chunked_sum", recorded)
-    # the first dead power: the first power only live, inside a block, on a
-    # block edge, on a chunk edge, inside a later chunk's block
-    cuts = [k for k in (1, BLOCK // 2 + 3, BLOCK, CHUNK, CHUNK + BLOCK + 7, 2 * CHUNK + 1)
+    # the first dead power: the first power only live, inside a block, on
+    # block edges, inside later blocks
+    cuts = [k for k in (1, BLOCK // 2 + 3, BLOCK, 4 * BLOCK, 5 * BLOCK + 7, 8 * BLOCK + 1)
             if k < plan.size]
     if plan.size:
         cuts.append(plan.size)  # no power dead
@@ -191,10 +192,10 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
         summed.clear()
         [got] = heat._hyperbolic_sums(plan, sig, [t])
         assert same_bits(got, hyperbolic_sum_whole(plan, sig, t))
-        # each chunk with a live power, cut at the end of the block that
-        # holds the first dead one; no terms at the chunks after it
-        want = [min(len(range(plan.size)[r]), -(-(first_dead - r.start) // BLOCK) * BLOCK)
-                if r.start < first_dead else None for r in plan.chunks()]
+        # each chunk with a live power whole, the one holding the first dead
+        # power zero-filled; no terms at the chunks after it
+        want = [len(range(plan.size)[r]) if r.start < first_dead else None
+                for r in plan.chunks()]
         assert summed == [[[size] for size in want]], first_dead
         wants.append(want)
     # every cut in one pass: each time's terms as they were alone
@@ -234,14 +235,14 @@ def test_chunked_sum_equals_one_whole_array_pass(size):
         return total
 
     assert same_bits(alone((values,)), want)
-    for chunk in (BLOCK, CHUNK):
+    for chunk in (BLOCK, 4 * BLOCK):
         assert same_bits(alone(values[i : i + chunk] for i in range(0, size, chunk)), want)
     assert same_bits(alone((values.real,)), block_sum_whole(values.real))
     # a strided view, whose blocks are not contiguous
     assert same_bits(alone((values[::-1],)), block_sum_whole(values[::-1]))
     # three series side by side: every chunk, every chunk past the first
     # reversed and the first chunk's real parts; each sum the one it has alone
-    pieces = [values[i : i + CHUNK] for i in range(0, size, CHUNK)]
+    pieces = [values[i : i + BLOCK] for i in range(0, size, BLOCK)]
     chunks = [(v, v[::-1] if i else None, None if i else v.real) for i, v in enumerate(pieces)]
     want = [want, alone(v[::-1] for v in pieces[1:]), alone(v.real for v in pieces[:1])]
     assert same_bits(chunked_sum(chunks, 3), want)
@@ -265,7 +266,7 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
     length = ls.power_table(50.0).length
     sigma = (0,)
     peaks = {}
-    for size in (3 * CHUNK, 12 * CHUNK):
+    for size in (49152, 196608):
         lmax = 0.5 * float(length[size - 1] + length[size])
         tp = TruncationPolicy(lmax=lmax, tail_eps=math.inf)
         assert ls.power_table(lmax).size == size
@@ -281,14 +282,17 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
             point()  # warm: the plan's characters and det terms
             peaks[name, size] = _traced(point)[2]
     for name in points:
-        small, large = peaks[name, 3 * CHUNK], peaks[name, 12 * CHUNK]
-        # a few chunk-sized temporaries, whatever the plan size: below one
+        small, large = peaks[name, 49152], peaks[name, 196608]
+        # a few block-sized temporaries, whatever the plan size: below one
         # complex column (16 bytes a power) of the longer plan
         assert large <= small + 4096, (name, small, large)
-        assert large < 16 * 12 * CHUNK, (name, small, large)
+        assert large < 16 * 196608, (name, small, large)
+        # class_tail's steps are written into two of its arrays: its five
+        # 20,000-float arrays at once would take 801 kB alone
+        assert large < 801_000, (name, small, large)
 
 
-# spectra shaped like the benchmark's, each with a plan of at least 3 chunks
+# spectra shaped like the benchmark's, each with a plan of at least 12 blocks
 MEMORY_SPECTRA = {
     "d3 dim_chi 1": (lambda: synthesize(GroupData(3), 4000, systole=0.5, seed=5), 60.0),
     "d5 dim_chi 2": (lambda: synthesize(GroupData(5), 2000, systole=0.5, seed=5,
@@ -308,7 +312,7 @@ def built(request):
     ls = make()
     ls.twist_norms, ls.twist_eigen
     plan, kept, peak = _traced(lambda: ls.power_table(lmax))
-    assert plan.size >= 3 * CHUNK
+    assert plan.size >= 12 * BLOCK
     return ls, plan, kept, peak
 
 
@@ -318,9 +322,9 @@ def test_a_plan_keeps_32_bytes_a_power(built):
     assert kept <= 32 * plan.size + 16 * ls.l0.size + SLACK, kept / plan.size
 
 
-def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_chunk(built):
+def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_block(built):
     _, plan, _, peak = built
-    assert peak <= 40 * (plan.size + CHUNK), peak / plan.size
+    assert peak <= 40 * (plan.size + BLOCK), peak / plan.size
 
 
 def test_the_first_trivial_heat_time_keeps_no_prefactor_and_no_det_column(built):
@@ -335,14 +339,14 @@ def test_the_first_trivial_heat_time_keeps_no_prefactor_and_no_det_column(built)
 
 
 def test_det_rows_equal_the_product_of_the_angle_factors_along_the_rows():
-    # n = 3, one chunk of random lengths and power angles j * theta, the
+    # n = 3, one block of random lengths and power angles j * theta, the
     # class angles theta gathered by a shuffled class index
     rng = np.random.default_rng(11)
-    length = rng.uniform(0.05, 40.0, CHUNK)
-    j = rng.integers(1, 60, (CHUNK, 1)).astype(np.int32)
-    theta = rng.uniform(0.0, 2.0 * math.pi, (CHUNK, 3))
+    length = rng.uniform(0.05, 40.0, BLOCK)
+    j = rng.integers(1, 60, (BLOCK, 1)).astype(np.int32)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (BLOCK, 3))
     angles = j * theta
-    order = rng.permutation(CHUNK)
+    order = rng.permutation(BLOCK)
     plan = SimpleNamespace(length=length, j=j[:, 0], class_index=np.argsort(order).astype(np.int32),
                            _class_angles=theta[order], gd=SimpleNamespace(n=3))
     e = np.exp(-length)[:, None]

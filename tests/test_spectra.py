@@ -384,7 +384,7 @@ def test_each_factorization_point_evaluates_its_pieces_once_per_chunk(monkeypatc
     tp = TruncationPolicy(lmax=80.0, tail_eps=1.0)
     s = abscissa_estimate(ls, kind="ruelle") + 2.0
     plan = ls.power_table(tp.lmax)
-    assert len(plan.chunks()) >= 2
+    assert len(list(plan.chunks())) >= 2
     calls = []
     evaluate_all = chars.evaluate_all
 

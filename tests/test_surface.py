@@ -102,7 +102,7 @@ def test_a_plan_keeps_one_character_per_twist(monkeypatch):
     ls = zetaflow.synthesize(zetaflow.GroupData(5), 3000, systole=0.5, seed=3)
     tp = zetaflow.TruncationPolicy(lmax=16.0, tail_eps=1.0)
     plan = ls.power_table(tp.lmax)
-    chunks = plan.chunks()
+    chunks = list(plan.chunks())
     assert len(chunks) >= 2
     calls = []
     evaluate_all = chars.evaluate_all
@@ -329,3 +329,17 @@ def test_one_bounded_plan_sum():
     assert {name: found for name, found in callers.items() if found} == {
         "spectra.py": {"_PowerTable.sum"}
     }
+
+
+def test_a_plan_chunk_is_one_summation_block():
+    # summation has one size, the block, and a plan's chunks are its blocks,
+    # so a plan-sized kernel's temporaries hold one block
+    from zetaflow import GroupData, summation, synthesize
+
+    sizes = {name for name, value in vars(summation).items()
+             if name.isupper() and isinstance(value, int)}
+    assert sizes == {"BLOCK"}
+    plan = synthesize(GroupData(3), 3000, systole=0.5, seed=1).power_table(25.0)
+    assert plan.size > 2 * summation.BLOCK and plan.size % summation.BLOCK
+    assert list(plan.chunks()) == [slice(start, start + summation.BLOCK)
+                             for start in range(0, plan.size, summation.BLOCK)]

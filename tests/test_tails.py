@@ -240,3 +240,24 @@ def test_the_heat_tail_is_tight_on_a_class_at_its_majorants():
         rounding = 64.0 * U * float(np.abs(whole.heat_base(sig) * kernel).sum())
         assert dropped > 1e6 * rounding, t
         assert dropped <= bound <= 2.0 * dropped, (t, bound, dropped)
+
+
+@pytest.mark.parametrize("evaluate, kind", [(selberg_log, "selberg"), (ruelle_log, "ruelle"),
+                                            (log_derivative, "logderiv")])
+def test_the_series_tails_are_tight_on_a_class_at_its_majorants(evaluate, kind):
+    # as for the heat tail: angles 0 and chi = r I put every dropped power at
+    # its majorant, all of one sign at a real s, and with lmax just below the
+    # second power the first dropped power dominates, so bound / dropped is
+    # near 1; a tail halved, or one without its dim_chi, falls below it
+    gd = GroupData(5)
+    ls = LengthSpectrum(gd, [1.0], [[0.0, 0.0]], [1.5 * np.eye(2)], 1.0, 2)
+    sigma = (1, 0)
+    sig = character_table("D", sigma)
+    lmax = 2.0 * (1.0 - 1e-6)
+    assert WholeArrayPlan(ls, lmax).size == 1
+    s = complex(abscissa_estimate(ls, kind) + 1.0)
+    short = evaluate(s, sigma, ls, TruncationPolicy(lmax, math.inf))
+    dropped = abs(evaluate(s, sigma, ls, REFERENCE).value - short.value)
+    terms = WholeArrayPlan(ls, REFERENCE.lmax).terms((sig,), s, kind)
+    assert dropped > 1e6 * 64.0 * U * float(np.abs(terms).sum())
+    assert dropped <= short.tail_bound <= 2.0 * dropped, (short.tail_bound, dropped)
