@@ -166,6 +166,35 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[order[new]], inverse
 
 
+class TableSet(tuple):
+    """CharacterTables evaluated together at many angle arrays, with the
+    weight layout evaluate_all reads, made once: the distinct weights,
+    sorted, those whose terms are made, each table's weights as rows among
+    them and which of those take a conjugate."""
+
+    def __new__(cls, tables: Iterable[CharacterTable]) -> "TableSet":
+        self = super().__new__(cls, tables)
+        if not self:
+            return self
+        # the distinct weights, sorted, and where each one's negative sorts
+        # among them, by the keys of both together (to which -0.0 is 0.0)
+        weights, where = _distinct_rows(np.concatenate([t._weights for t in self]))
+        key = _distinct_rows(np.concatenate([weights, -weights]))[1]
+        own, other = np.split(key, 2)
+        negative = np.searchsorted(own, other)
+        conjugate = negative < np.arange(len(own))
+        conjugate[conjugate] = own[negative[conjugate]] == other[conjugate]
+        # the weights whose terms are made, and each weight's term among them
+        self.mu = weights[~conjugate]
+        row = np.cumsum(~conjugate) - 1
+        row[conjugate] = row[negative[conjugate]]
+        ends = np.cumsum([len(t._weights) for t in self])[:-1]
+        self.pieces = list(zip(np.split(row[where], ends), np.split(conjugate[where], ends), self))
+        # a row's temporaries, each freed once read: terms, phases, one table's scaled terms
+        self.floats = 3 * len(self.mu) + 2 * max(len(t._weights) for t in self)
+        return self
+
+
 def evaluate_all(tables: Sequence[CharacterTable], angles: np.ndarray) -> list[np.ndarray]:
     """The values of each table at ``angles`` of shape (..., rank), bit for
     bit those of evaluating the tables one at a time.
@@ -174,9 +203,11 @@ def evaluate_all(tables: Sequence[CharacterTable], angles: np.ndarray) -> list[n
     and a weight's term is made once, however many tables hold it; a weight
     whose negative sorts first takes the conjugate of that one's term, as
     exp(-i phi) is conj(exp(i phi)) bit for bit and a sum from +0 absorbs
-    the sign of a zero part. A pass over the rows holds at most _FLOATS
-    floats of temporaries; one of _WIDE rows or more adds a weight at a time,
-    a narrower one by np.add.accumulate, the same additions in the same order.
+    the sign of a zero part. A TableSet brings its weight layout; other
+    tables are laid out for this call. A pass over the rows holds at most
+    _FLOATS floats of temporaries; one of _WIDE rows or more adds a weight
+    at a time, a narrower one by np.add.accumulate, the same additions in
+    the same order.
     """
     th = np.asarray(angles, dtype=float)
     for t in tables:
@@ -186,25 +217,11 @@ def evaluate_all(tables: Sequence[CharacterTable], angles: np.ndarray) -> list[n
             )
     if not tables:
         return []
+    layout = tables if isinstance(tables, TableSet) else TableSet(tables)
+    mu = layout.mu
     rows = th.reshape(-1, th.shape[-1])
     outs = [np.zeros(len(rows), dtype=complex) for _ in tables]
-    # the distinct weights, sorted, and where each one's negative sorts among
-    # them, by the keys of both together (to which -0.0 is 0.0)
-    weights, where = _distinct_rows(np.concatenate([t._weights for t in tables]))
-    key = _distinct_rows(np.concatenate([weights, -weights]))[1]
-    own, other = np.split(key, 2)
-    negative = np.searchsorted(own, other)
-    conjugate = negative < np.arange(len(own))
-    conjugate[conjugate] = own[negative[conjugate]] == other[conjugate]
-    # the weights whose terms are made, and each weight's term among them
-    mu = weights[~conjugate]
-    row = np.cumsum(~conjugate) - 1
-    row[conjugate] = row[negative[conjugate]]
-    ends = np.cumsum([len(t._weights) for t in tables])[:-1]
-    pieces = list(zip(np.split(row[where], ends), np.split(conjugate[where], ends), tables))
-    # a row's temporaries, each freed once read: terms, phases, one table's scaled terms
-    floats = 3 * len(mu) + 2 * max(len(t._weights) for t in tables)
-    width = max(1, min(len(rows), _FLOATS // floats))
+    width = max(1, min(len(rows), _FLOATS // layout.floats))
     for start in range(0, len(rows), width):
         block = slice(start, start + width)
         cols = rows[block].T
@@ -217,7 +234,7 @@ def evaluate_all(tables: Sequence[CharacterTable], angles: np.ndarray) -> list[n
         np.exp(np.multiply(phase, 1j, out=terms), out=terms)
         del phase
         scaled = np.empty(cols.shape[1], dtype=complex)
-        for out, (source, conj, t) in zip(outs, pieces):
+        for out, (source, conj, t) in zip(outs, layout.pieces):
             if len(scaled) >= _WIDE:
                 total = out[block]
                 for k, c, m in zip(source.tolist(), conj.tolist(), t._mults.tolist()):

@@ -71,13 +71,7 @@ from .spectra import (
 )
 from .tables import ResultRow, emit_table, write_text
 from .weights import GroupData, weyl_action
-from .zeta import (
-    TruncationPolicy,
-    log_derivative,
-    ruelle_factorization,
-    ruelle_log,
-    selberg_log,
-)
+from .zeta import TruncationPolicy, ruelle_factorization, series_grid
 
 
 @dataclass(frozen=True)
@@ -314,10 +308,11 @@ def _cmd_plancherel(cfg: JobConfig) -> int:
     return 0
 
 
-def _cmd_series(op, cfg: JobConfig) -> int:
+def _cmd_series(kind: str, cfg: JobConfig) -> int:
     grid = _grid(cfg)
     ls, sigma, tp = _spectrum_job(cfg)
-    rows = [ResultRow(s, *op(s, sigma, ls, tp)) for s in grid]
+    values = series_grid(kind, grid, sigma, ls, tp)
+    rows = [ResultRow(s, *value) for s, value in zip(grid, values)]
     emit_table(rows, cfg.format, cfg.output)
     return 0
 
@@ -443,11 +438,11 @@ _COMMANDS = {
         *_SEEDED, "d", "count", "systole", "dim_chi", "chi_norm"), _cmd_gen_spectrum),
     "plancherel": ("evaluate the density", (*_TABLE, "s_grid", "sigma", "d"), _cmd_plancherel),
     "selberg": ("log of the twisted Selberg zeta", _SERIES,
-                lambda cfg: _cmd_series(selberg_log, cfg)),
+                lambda cfg: _cmd_series("selberg", cfg)),
     "ruelle": ("log of the twisted Ruelle zeta", _SERIES,
-               lambda cfg: _cmd_series(ruelle_log, cfg)),
+               lambda cfg: _cmd_series("ruelle", cfg)),
     "log-derivative": ("logarithmic derivative of the Selberg zeta", _SERIES,
-                       lambda cfg: _cmd_series(log_derivative, cfg)),
+                       lambda cfg: _cmd_series("logderiv", cfg)),
     "heat-trace": ("geometric heat trace", (
         *_TABLE, "sigma", "spectrum_path", *_TRUNC, "t_grid"), _cmd_heat_trace),
     "resolvent": (

@@ -82,21 +82,25 @@ def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> l
     """The hyperbolic contribution at each of times, in one pass: the plan's
     sums of the prefactors l0 tr chi char_sigma e^{-|rho| L} / det against
     the heat kernel exp(-L^2 / 4t) / sqrt(4 pi t). A chunk some kernel
-    reaches makes its prefactors (det from the det column if built, else
-    det_rows) and -L^2 once, then each such time's terms: the powers before
-    the first with exponent below _EXP_UNDERFLOW, zero-filled to the end of
-    the chunk, one summation block, so its partial is the whole block's; a
-    chunk whose first power a time's kernel does not reach yields None."""
+    reaches makes its lengths, prefactors (det from the det column if built,
+    else det_rows) and -L^2 once, then each such time's terms: the powers
+    before the first with exponent below _EXP_UNDERFLOW, zero-filled to the
+    end of the chunk, one summation block, so its partial is the whole
+    block's; a chunk whose first power a time's kernel does not reach yields
+    None. The lengths ascend, so the pass ends at the first chunk that no
+    time's kernel reaches."""
     scales, grid = [_kernel_scale(t) for t in times], np.array(times, dtype=float)
     rho, det = float(plan.gd.rho_norm), vars(plan).get("det")
 
-    def terms(r: slice) -> Iterator[np.ndarray | None]:
-        live = _reached(plan.length[r.start], grid).tolist()
-        if any(live):
-            chars = plan.character(sigma_table)
-            base = (plan.l0(r) * plan.chi_trace[r] * chars[r] * np.exp(-rho * plan.length[r])
-                    / (plan.det_rows(r) if det is None else det[r]))
-            square = -plan.length[r] ** 2
+    def terms(r: slice) -> Iterator[np.ndarray | None] | None:
+        live = _reached(plan.length(r.start), grid).tolist()
+        return live_terms(r, live) if any(live) else None
+
+    def live_terms(r: slice, live: list[bool]) -> Iterator[np.ndarray | None]:
+        length = plan.length(r)
+        base = (plan.l0(r) * plan.chi_trace[r] * plan.character(sigma_table)[r]
+                * np.exp(-rho * length) / (plan.det_rows(r) if det is None else det[r]))
+        square = -length ** 2
         for t, scale, reached in zip(times, scales, live):
             if not reached:
                 yield None

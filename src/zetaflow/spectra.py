@@ -19,18 +19,18 @@ the powers j > J_c of each, and the plan's class_tail bounds them by one
 closed-form geometric tail per class. The series and the heat trace
 make one bounded sum over it: the plan's gate, then its sum of their
 kernels, in one pass for all the times of a grid or series of a call. The
-plan stores four columns per power in 32 bytes: length (float64), j and
-class index (int32) and twist trace (complex128). The class length l0,
-1/j and the power angles j * theta are rebuilt from them for one chunk of
-summation.BLOCK powers at a time, by the same arithmetic, so every
-plan-sized computation holds temporaries of one block only; the build
-makes the traces a chunk at a time and frees each sorting column once
-read, so it peaks below 40 bytes a power; a det column exists only once a
-series or the heat route's resolvent reads it. A spectrum keeps its few
-most recently used plans, a plan one character for each of its most
-recently used twists and no product of two. What no cutoff affects, the
-spectrum makes once and every plan reads: the twist eigenvalues with a
-well-conditioned mask, r_c = max(1, ||chi_c||_2) and the growth rate.
+plan stores three columns per power in 24 bytes: j and class index
+(int32) and twist trace (complex128). The power length j * l0, the class
+length l0, 1/j and the power angles j * theta are rebuilt from them for
+one chunk of summation.BLOCK powers at a time, by the same arithmetic, so
+every plan-sized computation holds temporaries of one block only; the
+build makes the traces a chunk at a time and frees each sorting column
+once read, so it peaks below 40 bytes a power; a det column exists only
+once a series or the heat route's resolvent reads it. A spectrum keeps
+its few most recently used plans, a plan one character for each of its
+most recently used twists and no product of two. What no cutoff affects,
+the spectrum makes once and every plan reads: the twist eigenvalues with
+a well-conditioned mask, r_c = max(1, ||chi_c||_2) and the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -44,13 +44,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .chars import CharacterTable
+from .chars import CharacterTable, TableSet, evaluate_all
 from .errors import DomainError, ValidationError
 from .summation import BLOCK, chunked_sum
 from .tables import write_text
@@ -72,10 +72,13 @@ def _rows(size: int) -> Iterator[slice]:
     return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
 
 
-def _lengths(l0: np.ndarray, index: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The power lengths j * l0[index], made in the gathered column."""
-    out = l0[index]
-    return np.multiply(j, out, out=out)
+def _lengths(l0: np.ndarray, index, j, out: np.ndarray | None = None):
+    """The power lengths j * l0[index], made in the gathered column, out if
+    given (np.take gathers a block in half the time of l0[index]; with
+    mode="clip", which in-range indices leave alone, it writes out without a
+    buffer); a float for one power, by the same multiplication."""
+    out = np.take(l0, index, out=out, mode="clip")
+    return np.multiply(j, out, out=out) if out.ndim else float(j * out)
 
 
 def _power_traces(ls: "LengthSpectrum", index: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -128,8 +131,8 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-# a plan holds fewer than 2^_PLAN_POWER_BITS powers at 32 bytes each in its
-# four columns, about 537 MB, plus 8 bytes for the det terms once they are
+# a plan holds fewer than 2^_PLAN_POWER_BITS powers at 24 bytes each in its
+# three columns, about 403 MB, plus 8 bytes for the det terms once they are
 # read as a column and 16 per kept character other than a trivial one; a
 # longer cutoff is refused before the plan allocates anything. j and the
 # class index are int32, which holds every count below 2^_PLAN_POWER_BITS
@@ -155,15 +158,15 @@ def _lru(memo: dict, key, build, limit: int):
 class _PowerTable:
     """Prepared plan for one (spectrum, lmax).
 
-    Stores every power of length <= lmax as four columns sorted by
-    (length, class index, j), 32 bytes a power: length (float64), j and
-    class_index (int32) and chi_trace (complex128), built by whole-array
-    operations on the class columns with the traces made a chunk at a time,
-    and counts, the number J_c of powers of each class. The per-power l0,
-    1/j and angles j * theta are derived for any rows by the methods of
-    those names, bit for bit the values of whole columns; every plan-sized
-    computation runs over chunks(), so its temporaries hold one chunk. The
-    traces are powers of the spectrum's twist_eigen and the tail reads its
+    Stores every power of length <= lmax as three columns sorted by
+    (length, class index, j), 24 bytes a power: j and class_index (int32)
+    and chi_trace (complex128), built by whole-array operations on the class
+    columns with the traces made a chunk at a time, and counts, the number
+    J_c of powers of each class. The per-power length j * l0, l0, 1/j and
+    angles j * theta are derived for any rows by the methods of those names,
+    bit for bit the values of whole columns; every plan-sized computation
+    runs over chunks(), so its temporaries hold one chunk. The traces are
+    powers of the spectrum's twist_eigen and the tail reads its
     twist_norms: a plan factors no twist matrix. Alongside sits the
     point-independent data the evaluators read at every s or t, built on
     first use: the det column, kept for the life of the plan, and the
@@ -182,35 +185,44 @@ class _PowerTable:
         # the powers j = 1..J_c of class 0, then of class 1, ...; fewer than
         # 2^_PLAN_POWER_BITS of them, so j and the class index fit int32
         self.counts = counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
+        lengths = np.empty(int(counts.sum()))
         index = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
         j = np.arange(1, index.size + 1, dtype=np.int32)
         j -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
         # stable, so equal lengths keep their (class index, j) order; a class's
         # lengths rise with j, so its powers stay in ascending j, as
-        # _power_traces needs. Each unsorted column is freed after its last
-        # read; the sorted lengths are made again from the sorted j and class
-        # index, and the traces in sorted order, so no unsorted one exists.
-        order = np.argsort(_lengths(ls.l0, index, j), kind="stable")
-        self.class_index = index[order]
-        del index
-        self.j = j[order]
-        del j, order
-        self.length = _lengths(ls.l0, self.class_index, self.j)
+        # _power_traces needs. The sorted class index and j are written into
+        # the lengths' 8 bytes a power once the sort has read them, a buffer
+        # made before the columns it sorts: what the build then frees (the
+        # unsorted columns and the order) is one piece, which the traces
+        # reuse. Freed in scattered pieces, it left the traces to fresh
+        # pages, 16 bytes a power of resident memory past the build's peak.
+        # The traces are made in sorted order, so no unsorted one exists.
+        order = np.argsort(_lengths(ls.l0, index, j, lengths), kind="stable")
+        columns = lengths.view(np.int32)
+        self.class_index = np.take(index, order, out=columns[:index.size], mode="clip")
+        self.j = np.take(j, order, out=columns[index.size:], mode="clip")
+        del lengths, index, j, order, columns
         self.chi_trace = _power_traces(ls, self.class_index, self.j)
         self._characters: dict[tuple, np.ndarray] = {}
 
     @property
     def size(self) -> int:
-        return len(self.length)
+        return len(self.j)
 
     def chunks(self) -> Iterator[slice]:
         """The plan's summation blocks in order, one slice at a time:
         summation.BLOCK powers each, the last one shorter."""
         return _rows(self.size)
 
+    def length(self, rows: slice | int = slice(None)) -> np.ndarray | float:
+        """The length j * l0 of each power, for the given rows; a float for
+        one row."""
+        return _lengths(self._class_l0, self.class_index[rows], self.j[rows])
+
     def l0(self, rows: slice = slice(None)) -> np.ndarray:
         """The length of each power's primitive class, for the given rows."""
-        return self._class_l0[self.class_index[rows]]
+        return np.take(self._class_l0, self.class_index[rows])
 
     def inv_j(self, rows: slice = slice(None)) -> np.ndarray:
         """1 / j per power, for the given rows."""
@@ -228,7 +240,7 @@ class _PowerTable:
         for r in self.chunks():
             bad = np.flatnonzero(~np.isfinite(self.chi_trace[r]))
             if bad.size:
-                return float(self.length[r.start + bad[0]])
+                return self.length(r.start + int(bad[0]))
         return None
 
     def check(self, reads: Callable[[float], bool]) -> None:
@@ -250,7 +262,7 @@ class _PowerTable:
     def det_rows(self, rows: slice = slice(None)) -> np.ndarray:
         """prod_k (1 - 2 e^{-L} cos(j theta_k) + e^{-2L}) per power of the
         given rows, one angle column at a time in k order, as np.prod."""
-        e = np.exp(-self.length[rows])
+        e = np.exp(-self.length(rows))
         j, index, out = self.j[rows], self.class_index[rows], np.ones(e.size)
         for k in range(self.gd.n):
             out *= 1.0 - 2.0 * e * np.cos(j * self._class_angles[index, k]) + e * e
@@ -305,8 +317,10 @@ class _PowerTable:
     def sum(self, terms: Callable[[slice], Iterable[np.ndarray | None]], count: int) -> list[complex]:
         """The chunked_sum of count series in one pass over the chunks:
         terms(rows) yields each series' terms at the rows in turn, None for
-        one with none there."""
-        return chunked_sum(map(terms, self.chunks()), count)
+        one with none there; terms(rows) None ends the pass, for a sum to
+        which no later chunk adds anything."""
+        return chunked_sum(takewhile(lambda chunk: chunk is not None,
+                                     map(terms, self.chunks())), count)
 
     def character(self, table: CharacterTable) -> np.ndarray:
         """The table's character at the power angles, memoized by (family,
@@ -316,9 +330,9 @@ class _PowerTable:
         def build() -> np.ndarray:
             if not any(table.highest):
                 return np.broadcast_to(np.complex128(1), (self.size,))
-            out = np.empty(self.size, dtype=complex)
+            out, tables = np.empty(self.size, dtype=complex), TableSet((table,))
             for rows in self.chunks():
-                out[rows] = table.evaluate(self.angles(rows))
+                out[rows] = evaluate_all(tables, self.angles(rows))[0]
             return out
 
         return _lru(self._characters, (table.family, table.highest), build, _PRODUCTS_PER_PLAN)

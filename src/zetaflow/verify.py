@@ -382,9 +382,12 @@ def _abs_terms(ls: LengthSpectrum, s: complex, lmax: float, kind: str) -> float:
     lmax: what the rounding of that series scales with."""
     plan = ls.power_table(lmax)
     weight = plan.l0() if kind == "logderiv" else plan.inv_j()
+    # e^{-a L} made in the derived length column
+    decay = plan.length()
+    a = s.real if kind == "ruelle" else s.real + ls.gd.rho_norm
+    np.exp(np.multiply(-a, decay, out=decay), out=decay)
     if kind == "ruelle":
-        return float(np.sum(weight * np.abs(plan.chi_trace) * np.exp(-s.real * plan.length)))
-    decay = np.exp(-(s.real + ls.gd.rho_norm) * plan.length)
+        return float(np.sum(weight * np.abs(plan.chi_trace) * decay))
     return float(np.sum(weight * np.abs(plan.chi_trace) * decay / plan.det))
 
 

@@ -11,10 +11,11 @@ class's ratio q_c is below 1. Everything that does not depend on s (power
 columns, per-class power counts, det terms, the character of sigma, the
 refusals of (spectrum, lmax) alone) comes from the prepared plan of
 (spectrum, lmax), looked up once per call, whose gate takes the call's
-series in turn and whose sum adds them all in one pass: a factorization
-point's Ruelle series and exterior pieces side by side, each chunk making
-and dropping the sigma tensor psi characters. Only the factorization
-imports the branching layer, inside its functions, so no other job loads it.
+series in turn and whose sum adds them all in one pass: every point of a
+command-line grid (series_grid), or a factorization point's Ruelle series
+and exterior pieces side by side, each chunk making and dropping the sigma
+tensor psi characters. Only the factorization imports the branching
+layer, inside its functions, so no other job loads it.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import CharacterTable, character_table, evaluate_all
+from .chars import CharacterTable, TableSet, character_table, evaluate_all
 from .errors import DomainError, ValidationError
 from .spectra import LengthSpectrum
 from .weights import GroupData
@@ -79,7 +80,9 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
     a = Re s + |rho| (Re s, no det term, for Ruelle), weight 1/(J_c + 1) for
     the logs and l0_c for the log derivative; then one pass of the plan's
     sum. A series' characters: the plan's character of its first table times
-    its other tables, which each chunk evaluates by one evaluate_all call."""
+    its other tables, which each chunk evaluates by one evaluate_all call of
+    one TableSet. Each chunk derives its lengths once, and a series whose
+    head, weight * tr chi * characters, is the previous series' reuses it."""
     plan = ls.power_table(policy.lmax)
     series = [item for group in groups for item in group]
     tails = []
@@ -97,21 +100,27 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
                                ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0),
                                math.prod(t.norm_bound() for t in tables), not ruelle,
                                policy.tail_eps, ("", f"s = {s}", " or move s to the right")))
-    others = list(dict.fromkeys(t for _, tables, _ in series for t in tables[1:]))
+    others = TableSet(dict.fromkeys(t for _, tables, _ in series for t in tables[1:]))
     rho = float(ls.gd.rho_norm)
 
     def terms(r: slice) -> Iterator[np.ndarray]:
         values = dict(zip(others, evaluate_all(others, plan.angles(r)))) if others else {}
+        length, key = plan.length(r), None
         for kind, tables, s in series:
-            chars = plan.character(tables[0])[r]
-            for table in tables[1:]:
-                chars = chars * values[table]
+            if key != (kind == "logderiv", tables):
+                key = (kind == "logderiv", tables)
+                chars = plan.character(tables[0])[r]
+                for table in tables[1:]:
+                    chars = chars * values[table]
+                weight = plan.l0(r) if kind == "logderiv" else -plan.inv_j(r)
+                head = weight * plan.chi_trace[r] * chars
+            # np.multiply keeps head first: numpy's temporary elision may swap
+            # `named * temporary` on long arrays, and complex products are not
+            # bitwise commutative
             if kind == "ruelle":
-                yield -plan.inv_j(r) * plan.chi_trace[r] * chars * np.exp(-s * plan.length[r])
+                yield np.multiply(head, np.exp(-s * length))
             else:
-                weight = -plan.inv_j(r) if kind == "selberg" else plan.l0(r)
-                yield (weight * plan.chi_trace[r] * chars
-                       * np.exp(-(s + rho) * plan.length[r]) / plan.det[r])
+                yield np.multiply(head, np.exp(-(s + rho) * length)) / plan.det[r]
 
     sums = zip(plan.sum(terms, len(series)), tails)
     return [_added(itertools.islice(sums, len(group))) for group in groups]
@@ -143,21 +152,33 @@ def selberg_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated log of the twisted Selberg zeta at s, with tail bound."""
-    return _sums(ls, [[("selberg", (_sigma_table(ls, sigma),), _point(s))]], tp)[0]
+    return series_grid("selberg", [s], sigma, ls, tp)[0]
 
 
 def ruelle_log(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated log of the twisted Ruelle zeta at s, with tail bound."""
-    return _sums(ls, [[("ruelle", (_sigma_table(ls, sigma),), _point(s))]], tp)[0]
+    return series_grid("ruelle", [s], sigma, ls, tp)[0]
 
 
 def log_derivative(
     s: complex, sigma: Sequence[object], ls: LengthSpectrum, tp: TruncationPolicy
 ) -> SeriesValue:
     """Truncated logarithmic derivative of the Selberg zeta at s."""
-    return _sums(ls, [[("logderiv", (_sigma_table(ls, sigma),), _point(s))]], tp)[0]
+    return series_grid("logderiv", [s], sigma, ls, tp)[0]
+
+
+def series_grid(
+    kind: str, points: Sequence[complex], sigma: Sequence[object], ls: LengthSpectrum,
+    tp: TruncationPolicy,
+) -> list[SeriesValue]:
+    """The series of kind ("selberg", "ruelle" or "logderiv") at each of
+    points, each bit for bit the one-point evaluator's: every point checked
+    finite, then refused point by point in that order, then all summed in
+    one pass."""
+    sig = _sigma_table(ls, sigma)
+    return _sums(ls, [[(kind, (sig,), s)] for s in map(_point, points)], tp)
 
 
 def abscissa_estimate(ls: LengthSpectrum, kind: str = "selberg") -> float:

@@ -90,17 +90,17 @@ def hyperbolic_sum_whole(plan, sigma_table, t: float) -> complex:
     is at least -746) exponentiated whole, its underflowed terms included,
     and every term summed: the sum from before the chunk where the kernel
     underflows was cut at its first dead power."""
-    live = [r for r in plan.chunks() if -(plan.length[r.start] ** 2) / (4.0 * t) >= -746.0]
+    live = [r for r in plan.chunks() if -(plan.length(r.start) ** 2) / (4.0 * t) >= -746.0]
     if not live:
         return 0j
     chars = sigma_table.evaluate(plan.angles())
     det = vars(plan).get("det")
     rho = float(plan.gd.rho_norm)
-    base = (plan.l0() * plan.chi_trace * chars * np.exp(-rho * plan.length)
+    base = (plan.l0() * plan.chi_trace * chars * np.exp(-rho * plan.length())
             / (plan.det_rows() if det is None else det))
     scale = math.sqrt(4.0 * math.pi * t)
     return block_sum_whole(np.concatenate(
-        [base[r] * (np.exp(-plan.length[r] ** 2 / (4.0 * t)) / scale) for r in live]))
+        [base[r] * (np.exp(-plan.length(r) ** 2 / (4.0 * t)) / scale) for r in live]))
 
 
 def weyl_orbit_signed_permutations(w, family: str) -> set[tuple]:
@@ -451,12 +451,12 @@ def powers_up_to(ls, lmax: float) -> list[ClassPower]:
     library's prepared plan evaluates as whole arrays.
     """
     t = ls.power_table(lmax)
-    angles = t.angles()
+    angles, length = t.angles(), t.length()
     return [
         ClassPower(
             class_index=int(t.class_index[i]),
             j=int(t.j[i]),
-            length=float(t.length[i]),
+            length=float(length[i]),
             angles=tuple(float(a) for a in angles[i]),
             chi_trace=complex(t.chi_trace[i]),
         )
@@ -607,14 +607,15 @@ def block_sum_whole(values) -> complex:
 
 class WholeArrayPlan:
     """The prepared plan's derived columns and kernels as whole-array
-    formulas over its four stored columns, every plan-sized temporary alive
+    formulas over its three stored columns, every plan-sized temporary alive
     at once: the reference for the plan's chunked evaluation."""
 
     def __init__(self, ls, lmax: float):
         t = ls.power_table(lmax)
         self.gd = ls.gd
         self.size = t.size
-        self.length, self.j, self.chi_trace = t.length, t.j, t.chi_trace
+        self.j, self.chi_trace = t.j, t.chi_trace
+        self.length = t.j * ls.l0[t.class_index]
         self.l0 = ls.l0[t.class_index]
         self.angles = t.j[:, None] * ls.angles[t.class_index]
         self.inv_j = 1.0 / t.j

@@ -14,7 +14,7 @@ from zetaflow import (
     weyl_dim,
 )
 from zetaflow import chars
-from zetaflow.chars import evaluate_all
+from zetaflow.chars import TableSet, evaluate_all
 from zetaflow.summation import BLOCK
 from zetaflow.weights import as_weight, is_dominant, weyl_orbit
 
@@ -186,11 +186,16 @@ def test_evaluate_all_is_bit_identical_to_one_table_at_a_time(rank):
     weights += [("D", w) for w in D_WEIGHTS if len(w) == rank]
     longest = max(sum(abs(float(c)) for c in w) for _, w in weights)
     th = _hard_angles(rng, 2 * BLOCK + 77, rank, 2000.0 / longest)
-    got = evaluate_all([character_table(fam, w) for fam, w in weights], th)
+    tables = [character_table(fam, w) for fam, w in weights]
+    got = evaluate_all(tables, th)
     assert len(got) == len(weights)
-    for (fam, w), values in zip(weights, got):
+    # a TableSet's layout, made once, read by calls on each block of rows
+    layout = TableSet(tables)
+    blocks = [evaluate_all(layout, th[i:i + BLOCK]) for i in range(0, len(th), BLOCK)]
+    for (fam, w), values, *pieces in zip(weights, got, *blocks):
         want = character_table_loop(fam, w, th)
         assert np.array_equal(bits(values), bits(want)), (fam, w)
+        assert np.array_equal(bits(np.concatenate(pieces)), bits(want)), (fam, w)
         assert np.array_equal(bits(character_table(fam, w).evaluate(th)), bits(want)), (fam, w)
 
 

@@ -12,12 +12,15 @@ import pytest
 
 from oracles import read_table
 from zetaflow import (
+    DomainError,
     EigenSpectrum,
     GroupData,
     LengthSpectrum,
     TruncationPolicy,
     ValidationError,
     load_length_spectrum,
+    log_derivative,
+    ruelle_log,
     save,
     selberg_log,
     synthesize,
@@ -74,6 +77,55 @@ def test_selberg_matches_library(workdir, capsys):
         assert row.value == ref.value
         assert row.tail_bound == ref.tail_bound
     assert [r.s for r in rows] == [3.5 + 0j, 4 + 1j]
+
+
+@pytest.mark.parametrize("command, evaluate", [("selberg", selberg_log),
+                                               ("ruelle", ruelle_log),
+                                               ("log-derivative", log_derivative)])
+def test_a_series_grid_is_one_pass_equal_to_each_point_alone(workdir, capsys, monkeypatch,
+                                                            command, evaluate):
+    from zetaflow import spectra
+
+    counts = []
+    chunked_sum = spectra.chunked_sum
+    monkeypatch.setattr(spectra, "chunked_sum",
+                        lambda chunks, count: counts.append(count) or chunked_sum(chunks, count))
+    points = [f"{3.5 + 0.25 * k}{0.5 * (k % 5) - 1.0:+}j" for k in range(16)]
+    code, out, err = _run(capsys, [
+        command, "--spectrum", str(workdir / "spectrum.json"), "--sigma", "0", "--lmax", "30",
+        *[arg for s in points for arg in ("--s", s)],
+    ])
+    assert code == 0, err
+    assert counts == [16]
+    path = workdir / f"{command}-grid.csv"
+    path.write_text(out)
+    rows = read_table(path)
+    assert [r.s for r in rows] == [complex(s) for s in points]
+    ls = load_length_spectrum(workdir / "spectrum.json")
+    tp = TruncationPolicy(lmax=30.0)
+    for row in rows:
+        ref = evaluate(row.s, (0,), ls, tp)
+        assert (row.value.real.hex(), row.value.imag.hex(), row.tail_bound.hex()) == (
+            ref.value.real.hex(), ref.value.imag.hex(), ref.tail_bound.hex())
+
+
+@pytest.mark.parametrize("points, refusing", [
+    # the fourth point's tail exceeds tail_eps; the fifth is left of the abscissa
+    (["5", "4+1j", "3", "2", "0.5", "6"], "2"),
+    (["5", "0.5", "2"], "0.5"),
+])
+def test_a_series_grid_refuses_at_its_first_refusing_point(workdir, capsys, points, refusing):
+    ls = load_length_spectrum(workdir / "spectrum.json")
+    tp = TruncationPolicy(lmax=4.0, tail_eps=1e-5)
+    for s in points[:points.index(refusing)]:
+        selberg_log(complex(s), (0,), ls, tp)
+    with pytest.raises(DomainError) as refusal:
+        selberg_log(complex(refusing), (0,), ls, tp)
+    code, out, err = _run(capsys, [
+        "selberg", "--spectrum", str(workdir / "spectrum.json"), "--sigma", "0", "--lmax", "4",
+        "--tail-eps", "1e-5", *[arg for s in points for arg in ("--s", s)],
+    ])
+    assert (code, out, err) == (2, "", f"domain error: {refusal.value}\n")
 
 
 def test_empty_spectrum_yields_zero_rows(tmp_path, capsys):

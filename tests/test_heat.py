@@ -93,7 +93,7 @@ def chunked7():
     plan = ls.power_table(tp.lmax)
     assert plan.size >= 12 * BLOCK
     rows = [*range(100, plan.size, BLOCK), 5000]
-    times = [float(plan.length[k]) ** 2 / (-4.0 * heat._EXP_UNDERFLOW) for k in rows] + [50.0]
+    times = [plan.length(k) ** 2 / (-4.0 * heat._EXP_UNDERFLOW) for k in rows] + [50.0]
     return ls, tp, (1, 1, 0), times
 
 
@@ -127,6 +127,30 @@ def test_heat_totals_match_scalar_calls(ls3, chunked7):
     _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, heat_totals(ls, sigma, times, tp))
     grid = [v.value for v in geometric_heat_trace(ls, sigma, times, tp)]
     _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, grid)
+
+
+def test_a_heat_pass_ends_at_the_first_chunk_no_time_reaches(chunked7, monkeypatch):
+    # the first three times stop in the first three chunks: the pass visits
+    # those three of the plan's twelve or more, each sum as before
+    ls, tp, sigma, times = chunked7
+    plan = ls.power_table(tp.lmax)
+    visited = []
+    chunked_sum = spectra.chunked_sum
+
+    def counted(chunks, count):
+        return chunked_sum((visited.append(chunk) or chunk for chunk in chunks), count)
+
+    monkeypatch.setattr(spectra, "chunked_sum", counted)
+    grid = times[:3]
+    totals = heat_totals(ls, sigma, grid, tp)
+    assert len(visited) == 3 < len(list(plan.chunks()))
+    assert len(visited) == sum(heat._reached(plan.length(r.start), max(grid))
+                               for r in plan.chunks())
+    _totals_match_the_whole_plan_oracle(ls, sigma, tp, grid, totals)
+    # a grid no kernel reaches visits no chunk
+    visited.clear()
+    heat_totals(ls, sigma, [plan.length(0) ** 2 / 3000.0], tp)
+    assert visited == []
 
 
 def test_tail_bound_is_honest_in_time(ls3_twisted):
@@ -177,7 +201,7 @@ def test_heat_totals_below_the_kernel_underflow(ls3, chunked7):
     # identity part is left
     sigma = (0,)
     tp = TruncationPolicy(lmax=10.0, tail_eps=1.0)
-    lmin = float(ls3.power_table(tp.lmax).length[0])
+    lmin = ls3.power_table(tp.lmax).length(0)
     ts = np.geomspace(1e-6, 0.5, 13)
     dead = np.exp(-(lmin**2) / (4.0 * ts)) == 0.0
     assert dead.any() and not dead.all()
@@ -191,7 +215,7 @@ def test_heat_totals_below_the_kernel_underflow(ls3, chunked7):
     # the first power, and into the later chunks, in one grid
     ls, tp, sigma, times = chunked7
     plan = ls.power_table(tp.lmax)
-    first = float(plan.length[0]) ** 2 / (-4.0 * heat._EXP_UNDERFLOW)
+    first = plan.length(0) ** 2 / (-4.0 * heat._EXP_UNDERFLOW)
     grid = [1e-6, first * (1 - 1e-12), first, *times, first * 1.001]
     totals = heat_totals(ls, sigma, np.array(grid), tp)
     P = plancherel_polynomial(ls.gd, sigma)
@@ -411,7 +435,7 @@ def test_an_empty_grid_sums_nothing_and_reaches_no_power(monkeypatch):
     assert totals.shape == (0,) and totals.dtype == complex and sums == []
     # the one check reads no power, the overflowing ones included
     [reads] = checks
-    assert not any(reads(length) for length in ls.power_table(tp.lmax).length.tolist())
+    assert not any(reads(length) for length in ls.power_table(tp.lmax).length().tolist())
 
 
 def test_a_grid_certifies_no_tail_and_a_single_time_one(monkeypatch):

@@ -2,11 +2,12 @@
 at a time: each derived column, kernel array and sum must be bit for bit
 the whole-array formula's (oracles.WholeArrayPlan), at every plan size
 around a block edge, and the memory one point needs must not grow with
-the plan. A built plan keeps 32 bytes a power and its build peaks below 40
+the plan. A built plan keeps 24 bytes a power and its build peaks below 40
 bytes a power plus one block."""
 
 import math
 import tracemalloc
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,7 +59,7 @@ def ls():
 def cutoff_for(ls, size: int) -> float:
     """A cutoff whose plan holds exactly size powers: halfway between the
     size-th and the next power length of a longer plan."""
-    length = ls.power_table(15.0).length
+    length = ls.power_table(15.0).length()
     assert length.size > size
     if size == 0:
         return 0.5 * float(length[0])
@@ -82,6 +83,8 @@ def test_chunks_are_the_summation_blocks_and_cover_the_plan(sized):
 
 def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
     lmax, plan, whole = sized
+    assert same_bits(plan.length(), whole.length)
+    assert all(same_bits(plan.length(k), whole.length[k]) for k in range(min(plan.size, 3)))
     assert same_bits(plan.l0(), whole.l0)
     assert same_bits(plan.inv_j(), whole.inv_j)
     assert same_bits(plan.angles(), whole.angles)
@@ -138,7 +141,7 @@ def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls,
     # cutoff where the sum stops
     times = []
     for edge in range(0, plan.size, BLOCK):
-        first = float(plan.length[edge])
+        first = plan.length(edge)
         for exponent in (-740.0, -745.1, -745.2, -746.0 * (1 - 1e-15), -746.0,
                          -746.0 * (1 + 1e-15), -760.0):
             t = first * first / (-4.0 * exponent)
@@ -157,7 +160,7 @@ def _time_cutting_at(plan, first_dead: int) -> float:
     """A time at which the kernel exponent -L^2 / 4t is at least the
     underflow cutoff before power first_dead and below it from there on;
     the plan's length past its last power when first_dead is its size."""
-    length = plan.length
+    length = plan.length()
     end = float(length[first_dead]) if first_dead < plan.size else 2.0 * float(length[-1])
     middle = 0.5 * (float(length[first_dead - 1]) + end)
     t = middle * middle / (-4.0 * heat._EXP_UNDERFLOW)
@@ -193,24 +196,25 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
         [got] = heat._hyperbolic_sums(plan, sig, [t])
         assert same_bits(got, hyperbolic_sum_whole(plan, sig, t))
         # each chunk with a live power whole, the one holding the first dead
-        # power zero-filled; no terms at the chunks after it
-        want = [len(range(plan.size)[r]) if r.start < first_dead else None
-                for r in plan.chunks()]
+        # power zero-filled; the pass ends before the chunks after it
+        want = [len(range(plan.size)[r]) for r in plan.chunks() if r.start < first_dead]
         assert summed == [[[size] for size in want]], first_dead
         wants.append(want)
-    # every cut in one pass: each time's terms as they were alone
+    # every cut in one pass: each time's terms as they were alone, None past
+    # its cut, up to the chunks the longest time reaches
     times = [_time_cutting_at(plan, first_dead) for first_dead in cuts]
     summed.clear()
     for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times)):
         assert same_bits(got, hyperbolic_sum_whole(plan, sig, t)), t
-    assert summed == ([[list(sizes) for sizes in zip(*wants)]] if cuts else [])
+    assert summed == ([[list(sizes) for sizes in zip_longest(*wants)]] if cuts else [])
 
 
 def test_a_trivial_character_is_all_ones_and_evaluates_nothing(sized, monkeypatch):
     _, plan, _ = sized
     calls = []
-    monkeypatch.setattr(chars, "evaluate_all",
-                        lambda tables, angles: calls.append(tables) or evaluate_all(tables, angles))
+    for module in (chars, spectra):
+        monkeypatch.setattr(module, "evaluate_all",
+                            lambda tables, angles: calls.append(tables) or evaluate_all(tables, angles))
     trivial = character_table("D", (0, 0))
     reference = character_table_loop("D", (0, 0), plan.angles())
     plan._characters.pop(("D", trivial.highest), None)
@@ -263,7 +267,7 @@ def _traced(evaluate) -> tuple[object, int, int]:
 
 def test_one_point_needs_no_more_memory_on_a_longer_plan():
     ls = synthesize(GroupData(3), 20000, systole=0.5, seed=3)
-    length = ls.power_table(50.0).length
+    length = ls.power_table(50.0).length()
     sigma = (0,)
     peaks = {}
     for size in (49152, 196608):
@@ -316,10 +320,10 @@ def built(request):
     return ls, plan, kept, peak
 
 
-def test_a_plan_keeps_32_bytes_a_power(built):
-    # length, j, class index and trace; counts and log r_c per class
+def test_a_plan_keeps_24_bytes_a_power(built):
+    # j, class index and trace; counts and log r_c per class
     ls, plan, kept, _ = built
-    assert kept <= 32 * plan.size + 16 * ls.l0.size + SLACK, kept / plan.size
+    assert kept <= 24 * plan.size + 16 * ls.l0.size + SLACK, kept / plan.size
 
 
 def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_block(built):
@@ -347,7 +351,8 @@ def test_det_rows_equal_the_product_of_the_angle_factors_along_the_rows():
     theta = rng.uniform(0.0, 2.0 * math.pi, (BLOCK, 3))
     angles = j * theta
     order = rng.permutation(BLOCK)
-    plan = SimpleNamespace(length=length, j=j[:, 0], class_index=np.argsort(order).astype(np.int32),
+    plan = SimpleNamespace(length=length.__getitem__, j=j[:, 0],
+                           class_index=np.argsort(order).astype(np.int32),
                            _class_angles=theta[order], gd=SimpleNamespace(n=3))
     e = np.exp(-length)[:, None]
     want = np.prod(1.0 - 2.0 * e * np.cos(angles) + e * e, axis=1)

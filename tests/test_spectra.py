@@ -33,7 +33,7 @@ from zetaflow import (
     selberg_log,
     synthesize,
 )
-from zetaflow import chars, zeta
+from zetaflow import chars, spectra, zeta
 from zetaflow.branching import exterior_decomposition
 from zetaflow.spectra import (
     _PLANS_PER_SPECTRUM,
@@ -190,7 +190,7 @@ def test_plan_columns_equal_the_per_class_loop(name):
         want = power_table_loop(ls, lmax)
         for column, expected in want.items():
             got = getattr(plan, column)
-            if column in ("l0", "angles"):
+            if column in ("length", "l0", "angles"):
                 got = got()
             assert got.dtype == expected.dtype, (column, lmax)
             assert got.shape == expected.shape, (column, lmax)
@@ -378,6 +378,20 @@ def test_one_plan_lookup_per_point(gd3, monkeypatch):
         assert lookups == [tp.lmax]
 
 
+def test_a_pass_lays_out_each_table_set_once(monkeypatch):
+    # sigma's character and a factorization point's exterior pieces, each
+    # laid out (two _distinct_rows sorts) once per pass, not once a chunk
+    ls = synthesize(GroupData(7), 400, systole=0.6, seed=26)
+    tp = TruncationPolicy(lmax=80.0, tail_eps=1.0)
+    plan = ls.power_table(tp.lmax)
+    assert len(list(plan.chunks())) >= 2
+    sorts = []
+    distinct_rows = chars._distinct_rows
+    monkeypatch.setattr(chars, "_distinct_rows", lambda a: sorts.append(len(a)) or distinct_rows(a))
+    ruelle_factorized_log(abscissa_estimate(ls, kind="ruelle") + 2.0, (1, 0, 0), ls, tp)
+    assert len(sorts) == 2 * 2
+
+
 @pytest.mark.parametrize("sigma", [(0, 0, 0), (1, 0, 0)])
 def test_each_factorization_point_evaluates_its_pieces_once_per_chunk(monkeypatch, sigma):
     ls = synthesize(GroupData(7), 400, systole=0.6, seed=26)
@@ -393,14 +407,14 @@ def test_each_factorization_point_evaluates_its_pieces_once_per_chunk(monkeypatc
         return evaluate_all(tables, angles)
 
     # every module that evaluates characters holds evaluate_all by name
-    for module in (chars, zeta):
+    for module in (chars, spectra, zeta):
         monkeypatch.setattr(module, "evaluate_all", counted)
 
     sig = ("D", as_weight(sigma))
     ruelle_log(s, sigma, ls, tp)
     # the plan keeps sigma's character, built a chunk at a time unless it is
     # trivial, all ones without a call
-    chunks = [len(plan.length[r]) for r in plan.chunks()]
+    chunks = [len(plan.length(r)) for r in plan.chunks()]
     assert calls == ([] if not any(sigma) else [({sig}, n) for n in chunks])
     assert list(plan._characters) == [sig]
     # each point evaluates every distinct exterior piece, one call a chunk,

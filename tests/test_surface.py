@@ -116,7 +116,7 @@ def test_a_plan_keeps_one_character_per_twist(monkeypatch):
         ):
             calls.clear()
             factorization()
-            assert calls == [len(plan.length[r]) for r in chunks]
+            assert calls == [len(plan.length(r)) for r in chunks]
         zetaflow.heat_totals(ls, sigma, [0.3, 0.6], tp)
     assert plan._characters
     for family, highest in plan._characters:
