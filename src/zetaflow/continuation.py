@@ -25,7 +25,7 @@ from .heat import heat_totals
 from .plancherel import PlancherelPolynomial, horner, plancherel_polynomial
 from .quadrature import half_line_integral, path_integral, segment_integral
 from .spectra import EigenSpectrum, LengthSpectrum, checked_volume
-from .zeta import SeriesValue, TruncationPolicy, log_derivative
+from .zeta import SeriesValue, TruncationPolicy, series_grid
 
 _PATH_MARGIN = 1e-3
 _LOCATE_TOL = 1e-6
@@ -323,7 +323,7 @@ def resolvent_trace_geometric(
 ) -> SeriesValue:
     """Anchored resolvent trace from the geometric side:
     sum_i c_i [ (pi/s_i) dim_chi volume P(s_i) + L(s_i) / (2 s_i) ]
-    with L the truncated log-derivative series."""
+    with L the truncated log-derivative series, one pass for all anchors."""
     for a in aset.anchors:
         if (a * a).real <= 0:
             raise DomainError(f"anchor {a} has Re(s^2) <= 0")
@@ -332,8 +332,8 @@ def resolvent_trace_geometric(
     dimvol = ls.dim_chi * ls.volume
     total = 0j
     tail = 0.0
-    for si, ci in zip(aset.anchors, coeffs):
-        ld = log_derivative(si, sigma, ls, tp)
+    values = series_grid("logderiv", aset.anchors, sigma, ls, tp)
+    for si, ci, ld in zip(aset.anchors, coeffs, values):
         total += ci * ((math.pi / si) * dimvol * P(si) + ld.value / (2.0 * si))
         tail += abs(ci / (2.0 * si)) * ld.tail_bound
     return SeriesValue(total, tail)

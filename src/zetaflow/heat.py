@@ -10,7 +10,7 @@ SeriesValue; heat_totals checks its longest time once and certifies no
 tail. The bound is the series' per-class tail of the dropped powers, since
 past lmax the kernel exp(-L^2 / 4t) is at most exp(-L lmax / 4t); it holds
 at any t > 0 where every class's ratio q_c = r_c exp(-(|rho| + lmax/4t) l0_c)
-is below 1, and the plan refuses it elsewhere, naming a longer cutoff. The
+is below 1, and class_tail refuses it elsewhere, naming a longer cutoff. The
 spectral sum and the geometric expansion are never assumed to agree here;
 the resolvent identities downstream test that through independent routes.
 """
@@ -78,7 +78,7 @@ def _kernel_scale(t: float) -> float:
     return scale if scale < math.inf else math.sqrt(4.0 * math.pi) * math.sqrt(t)
 
 
-def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> list[complex]:
+def _hyperbolic_sums(plan, sig: CharacterTable, times: list[float], rho: float) -> list[complex]:
     """The hyperbolic contribution at each of times, in one pass: the plan's
     sums of the prefactors l0 tr chi char_sigma e^{-|rho| L} / det against
     the heat kernel exp(-L^2 / 4t) / sqrt(4 pi t). A chunk some kernel
@@ -90,7 +90,7 @@ def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> l
     None. The lengths ascend, so the pass ends at the first chunk that no
     time's kernel reaches."""
     scales, grid = [_kernel_scale(t) for t in times], np.array(times, dtype=float)
-    rho, det = float(plan.gd.rho_norm), vars(plan).get("det")
+    det = vars(plan).get("det")
 
     def terms(r: slice) -> Iterator[np.ndarray | None] | None:
         live = _reached(plan.length(r.start), grid).tolist()
@@ -98,7 +98,7 @@ def _hyperbolic_sums(plan, sigma_table: CharacterTable, times: list[float]) -> l
 
     def live_terms(r: slice, live: list[bool]) -> Iterator[np.ndarray | None]:
         length = plan.length(r)
-        base = (plan.l0(r) * plan.chi_trace[r] * plan.character(sigma_table)[r]
+        base = (plan.l0(r) * plan.chi_trace[r] * plan.character(sig)[r]
                 * np.exp(-rho * length) / (plan.det_rows(r) if det is None else det[r]))
         square = -length ** 2
         for t, scale, reached in zip(times, scales, live):
@@ -128,19 +128,20 @@ def geometric_heat_trace(
 ) -> list[SeriesValue]:
     """The geometric heat trace at each time t of ts, with a bound on the
     dropped powers: past lmax, e^{-L^2/4t} is at most e^{-L lmax/4t}, so the
-    plan's per-class tail at a = |rho| + lmax/4t with weight l0_c, times
+    spectrum's per-class tail at a = |rho| + lmax/4t with weight l0_c, times
     dim sigma / sqrt(4 pi t), bounds them. Time by time: the time check, the
     plan's gate (its refusals read the powers the kernel reaches) and the
     identity part; then one pass sums every hyperbolic part."""
     P, plan, sig = _setup(ls, sigma, ts[:1], tp)
     parts = []
+    rho = float(ls.gd.rho_norm)
     for t in ts:
         _check_time(t)
-        a, scale = float(ls.gd.rho_norm) + tp.lmax / (4.0 * t), sig.norm_bound() / _kernel_scale(t)
-        tail = plan.gate(lambda length: _reached(length, t), a, ls.l0, scale, True, tp.tail_eps,
-                         ("heat ", f"t = {t:g}", ""))
+        a, scale = rho + tp.lmax / (4.0 * t), sig.norm_bound() / _kernel_scale(t)
+        tail = plan.gate(ls, lambda length: _reached(length, t), a, "l0", scale, True,
+                         tp.tail_eps, ("heat ", f"t = {t:g}", ""))
         parts.append((ls.dim_chi * ls.volume * plancherel_heat_integral(P, t), tail))
-    sums = _hyperbolic_sums(plan, sig, list(ts))
+    sums = _hyperbolic_sums(plan, sig, list(ts), rho)
     return [SeriesValue(identity + h, tail) for (identity, tail), h in zip(parts, sums)]
 
 
@@ -158,5 +159,6 @@ def heat_totals(
     P, plan, sig = _setup(ls, sigma, times, tp)
     plan.check(lambda length: bool(times) and _reached(length, max(times)))
     identities = [ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) for t in times]
-    totals = [i + h for i, h in zip(identities, _hyperbolic_sums(plan, sig, times))]
+    hyperbolic = _hyperbolic_sums(plan, sig, times, float(ls.gd.rho_norm))
+    totals = [i + h for i, h in zip(identities, hyperbolic)]
     return np.array(totals, dtype=complex).reshape(ts.shape)

@@ -11,13 +11,13 @@ tests and demos.
 
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
-enumeration with the count J_c of each class's powers, plus everything
-that does not depend on the evaluation point (det terms, characters) and
-the refusals that depend on (spectrum, lmax) alone; the evaluators only
-read it. A document lists finitely many classes, so a cutoff drops only
-the powers j > J_c of each, and the plan's class_tail bounds them by one
-closed-form geometric tail per class. The series and the heat trace
-make one bounded sum over it: the plan's gate, then its sum of their
+enumeration, plus everything that does not depend on the evaluation point
+(det terms, characters) and the refusals that depend on (spectrum, lmax)
+alone; the evaluators only read it. A document lists finitely many
+classes, so a cutoff drops only the powers j > J_c of each, and the
+spectrum's class_tail bounds them by one closed-form geometric tail per
+class, at any cutoff and without a plan. The series and the heat trace
+make one bounded sum over a plan: its gate, then its sum of their
 kernels, in one pass for all the times of a grid or series of a call. The
 plan stores three columns per power in 24 bytes: j and class index
 (int32) and twist trace (complex128). The power length j * l0, the class
@@ -29,8 +29,9 @@ once read, so it peaks below 40 bytes a power; a det column exists only
 once a series or the heat route's resolvent reads it. A spectrum keeps
 its few most recently used plans, a plan one character for each of its
 most recently used twists and no product of two. What no cutoff affects,
-the spectrum makes once and every plan reads: the twist eigenvalues with
-a well-conditioned mask, r_c = max(1, ||chi_c||_2) and the growth rate.
+the spectrum makes once: the twist eigenvalues with a well-conditioned
+mask, which every plan reads, r_c = max(1, ||chi_c||_2), which every tail
+reads, and the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -161,30 +162,28 @@ class _PowerTable:
     Stores every power of length <= lmax as three columns sorted by
     (length, class index, j), 24 bytes a power: j and class_index (int32)
     and chi_trace (complex128), built by whole-array operations on the class
-    columns with the traces made a chunk at a time, and counts, the number
-    J_c of powers of each class. The per-power length j * l0, l0, 1/j and
-    angles j * theta are derived for any rows by the methods of those names,
-    bit for bit the values of whole columns; every plan-sized computation
-    runs over chunks(), so its temporaries hold one chunk. The traces are
-    powers of the spectrum's twist_eigen and the tail reads its
-    twist_norms: a plan factors no twist matrix. Alongside sits the
-    point-independent data the evaluators read at every s or t, built on
-    first use: the det column, kept for the life of the plan, and the
-    character of each of the _PRODUCTS_PER_PLAN most recently used twists.
-    No product of characters and no heat prefactor is kept. The one bounded
-    sum of the series and the heat trace is gate, then sum.
+    columns with the traces made a chunk at a time. The per-power length
+    j * l0, l0, 1/j and angles j * theta are derived for any rows by the
+    methods of those names from the spectrum's l0 and angle columns, bit for
+    bit the values of whole columns; every plan-sized computation runs over
+    chunks(), so its temporaries hold one chunk. The plan keeps those two
+    columns but not the spectrum, whose plan memo would make a reference
+    cycle. The traces are powers of the spectrum's twist_eigen: a plan
+    factors no twist matrix. Alongside sits the point-independent data the
+    evaluators read at every s or t, built on first use: the det column,
+    kept for the life of the plan, and the character of each of the
+    _PRODUCTS_PER_PLAN most recently used twists. No product of characters
+    and no heat prefactor is kept. The one bounded sum of the series and
+    the heat trace is gate, then sum.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
-        self.gd = ls.gd
         self.lmax = lmax
-        self.dim_chi = ls.dim_chi
         self._class_l0 = ls.l0
         self._class_angles = ls.angles
-        self._log_norms = np.log(ls.twist_norms)
         # the powers j = 1..J_c of class 0, then of class 1, ...; fewer than
         # 2^_PLAN_POWER_BITS of them, so j and the class index fit int32
-        self.counts = counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
+        counts = _max_power(ls.l0, lmax, _PLAN_POWER_BITS)
         lengths = np.empty(int(counts.sum()))
         index = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
         j = np.arange(1, index.size + 1, dtype=np.int32)
@@ -202,7 +201,7 @@ class _PowerTable:
         columns = lengths.view(np.int32)
         self.class_index = np.take(index, order, out=columns[:index.size], mode="clip")
         self.j = np.take(j, order, out=columns[index.size:], mode="clip")
-        del lengths, index, j, order, columns
+        del lengths, index, j, order, columns, counts
         self.chi_trace = _power_traces(ls, self.class_index, self.j)
         self._characters: dict[tuple, np.ndarray] = {}
 
@@ -231,7 +230,7 @@ class _PowerTable:
     def angles(self, rows: slice = slice(None)) -> np.ndarray:
         """The angles j * theta of each power, (rows, n), never reduced mod
         2 pi."""
-        return self.j[rows, None] * self._class_angles[self.class_index[rows]]
+        return self.j[rows, None] * np.take(self._class_angles, self.class_index[rows], axis=0)
 
     @cached_property
     def overflow_length(self) -> float | None:
@@ -263,9 +262,9 @@ class _PowerTable:
         """prod_k (1 - 2 e^{-L} cos(j theta_k) + e^{-2L}) per power of the
         given rows, one angle column at a time in k order, as np.prod."""
         e = np.exp(-self.length(rows))
-        j, index, out = self.j[rows], self.class_index[rows], np.ones(e.size)
-        for k in range(self.gd.n):
-            out *= 1.0 - 2.0 * e * np.cos(j * self._class_angles[index, k]) + e * e
+        out = np.ones(e.size)
+        for angle in self.angles(rows).T:
+            out *= 1.0 - 2.0 * e * np.cos(angle) + e * e
         return out
 
     @cached_property
@@ -276,38 +275,13 @@ class _PowerTable:
             out[rows] = self.det_rows(rows)
         return out
 
-    def class_tail(self, a: float, weight: np.ndarray, scale: float, det: bool = True) -> float:
-        """A bound on the sum over the dropped powers j > J_c of
-        scale * w |tr chi_c^j| e^{-a j l0_c} / det, where weight_c bounds each
-        dropped power's w (1/(J_c + 1) bounds 1/j): one geometric tail per
-        class, scale * dim_chi / floor * sum_c weight_c q_c^(J_c+1) / (1 - q_c)
-        with q_c = r_c e^{-a l0_c} and r_c the spectrum's twist_norms. It holds
-        as |tr chi_c^j| <= dim_chi r_c^j and every det term past lmax is at
-        least floor = (1 - e^{-lmax})^(2n); det=False takes floor = 1. A class
-        with q_c >= 1 has no such tail, and a bound that is not a finite
-        number is refused."""
-        log_q = self._log_norms - a * self._class_l0
-        floor = np.float64(-math.expm1(-self.lmax)) ** (2 * self.gd.n) if det else 1.0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # every step written into log_q or ratio, so two class-sized
-            # arrays are live; J_c + 1.0 is exact, as J_c < 2^53
-            ratio = self.counts + 1.0
-            np.exp(np.multiply(ratio, log_q, out=ratio), out=ratio)
-            ratio /= np.maximum(np.negative(np.expm1(log_q, out=log_q), out=log_q), 0.0, out=log_q)
-            tail = float(scale * self.dim_chi * np.sum(np.multiply(weight, ratio, out=ratio))
-                         / floor)
-        if not math.isfinite(tail):
-            raise DomainError(f"the per-class tail past lmax = {self.lmax:g} is not a finite "
-                              f"number, so no tail bound holds; raise lmax above {self.lmax:g}")
-        return tail
-
-    def gate(self, reads: Callable[[float], bool], a: float, weight: np.ndarray, scale: float,
-             det: bool, tail_eps: float, refusal: tuple[str, str, str]) -> float:
-        """check(reads), then the tail class_tail(a, weight, scale, det), refused
-        above tail_eps with the (noun, point, advice) of refusal: "certified
-        {noun}tail ... at {point}; raise lmax above ...{advice}"."""
+    def gate(self, ls: "LengthSpectrum", reads: Callable[[float], bool], a: float, weight: str,
+             scale: float, det: bool, tail_eps: float, refusal: tuple[str, str, str]) -> float:
+        """check(reads), then the tail ls.class_tail(lmax, a, weight, scale, det)
+        of the plan's spectrum, refused above tail_eps with the (noun, point,
+        advice) of refusal: "certified {noun}tail ... at {point}; raise lmax above ...{advice}"."""
         self.check(reads)
-        tail = self.class_tail(a, weight, scale, det)
+        tail = ls.class_tail(self.lmax, a, weight, scale, det)
         if tail > tail_eps:
             noun, point, advice = refusal
             raise DomainError(f"certified {noun}tail {tail:.3e} exceeds tail_eps {tail_eps:.1e} "
@@ -418,6 +392,31 @@ class LengthSpectrum:
         # unitary twists come back as 1 + eps; do not let rounding leak into k
         return max((math.log(float(r[i])) / float(self.l0[i])
                     for i in np.flatnonzero(r > 1.0 + 1e-12)), default=0.0)
+
+    def class_tail(self, lmax: float, a: float, weight: str, scale: float, det: bool = True) -> float:
+        """A bound on the sum over the powers j > J_c dropped at cutoff lmax
+        of scale * w |tr chi_c^j| e^{-a j l0_c} / det, where weight names the
+        w_c that bounds each dropped power's w: "inv_j", 1/(J_c + 1), bounds
+        1/j, and "l0" is l0_c. One geometric tail per class, scale * dim_chi
+        / floor * sum_c w_c q_c^(J_c+1) / (1 - q_c) with q_c = r_c e^{-a l0_c}
+        and r_c the twist_norms. It holds as |tr chi_c^j| <= dim_chi r_c^j and
+        every det term past lmax is at least floor = (1 - e^{-lmax})^(2n);
+        det=False takes floor = 1. A class with q_c >= 1 has no such tail, and
+        a bound that is not a finite number is refused. No plan is read."""
+        log_q = np.log(self.twist_norms) - a * self.l0
+        floor = np.float64(-math.expm1(-lmax)) ** (2 * self.gd.n) if det else 1.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # every step written into log_q or ratio, so with w three class-sized
+            # arrays are live; J_c + 1.0 is exact, as J_c < 2^53
+            ratio = _max_power(self.l0, lmax, 53) + 1.0
+            w = self.l0 if weight == "l0" else 1.0 / ratio
+            np.exp(np.multiply(ratio, log_q, out=ratio), out=ratio)
+            ratio /= np.maximum(np.negative(np.expm1(log_q, out=log_q), out=log_q), 0.0, out=log_q)
+            tail = float(scale * self.dim_chi * np.sum(np.multiply(w, ratio, out=ratio)) / floor)
+        if not math.isfinite(tail):
+            raise DomainError(f"the per-class tail past lmax = {lmax:g} is not a finite "
+                              f"number, so no tail bound holds; raise lmax above {lmax:g}")
+        return tail
 
     def power_table(self, lmax: float) -> _PowerTable:
         """The prepared plan of this spectrum at cutoff lmax. The last

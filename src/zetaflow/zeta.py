@@ -5,11 +5,11 @@ at a policy length. Each evaluator returns the deterministic block sum of
 its terms together with a tail bound on the powers it drops: a document
 lists finitely many classes, so past the cutoff only the powers j > J_c
 of each class are missing, and their closed-form geometric tail per class
-bounds them (the plan's class_tail). A point at or left of
+bounds them (the spectrum's class_tail). A point at or left of
 abscissa_estimate is refused first, at every cutoff; right of it every
 class's ratio q_c is below 1. Everything that does not depend on s (power
-columns, per-class power counts, det terms, the character of sigma, the
-refusals of (spectrum, lmax) alone) comes from the prepared plan of
+columns, det terms, the character of sigma, the refusals of
+(spectrum, lmax) alone) comes from the prepared plan of
 (spectrum, lmax), looked up once per call, whose gate takes the call's
 series in turn and whose sum adds them all in one pass: every point of a
 command-line grid (series_grid), or a factorization point's Ruelle series
@@ -95,9 +95,7 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
             )
         ruelle = kind == "ruelle"
         a = s.real if ruelle else s.real + ls.gd.rho_norm
-        # the weights are an argument only, so the sum pass holds no class column
-        tails.append(plan.gate(lambda length: True, a,
-                               ls.l0 if kind == "logderiv" else 1.0 / (plan.counts + 1.0),
+        tails.append(plan.gate(ls, lambda length: True, a, "l0" if kind == "logderiv" else "inv_j",
                                math.prod(t.norm_bound() for t in tables), not ruelle,
                                policy.tail_eps, ("", f"s = {s}", " or move s to the right")))
     others = TableSet(dict.fromkeys(t for _, tables, _ in series for t in tables[1:]))

@@ -82,20 +82,19 @@ def char_D_mp(weight, angles, dps: int = 50) -> complex:
         return complex((cos_l + (1j**n) * sin_l) / den)
 
 
-def hyperbolic_sum_whole(plan, sigma_table, t: float) -> complex:
-    """heat._hyperbolic_sums at the one time t, with the prefactors of the
-    whole plan, l0 tr chi char_sigma e^{-|rho| L} / det, their det terms
-    the plan's det column if built and det_rows of every power otherwise,
-    and the kernel of every live chunk (one whose first exponent -L^2 / 4t
-    is at least -746) exponentiated whole, its underflowed terms included,
-    and every term summed: the sum from before the chunk where the kernel
-    underflows was cut at its first dead power."""
+def hyperbolic_sum_whole(plan, sigma_table, t: float, rho: float) -> complex:
+    """heat._hyperbolic_sums at the one time t and |rho| = rho, with the
+    prefactors of the whole plan, l0 tr chi char_sigma e^{-|rho| L} / det,
+    their det terms the plan's det column if built and det_rows of every
+    power otherwise, and the kernel of every live chunk (one whose first
+    exponent -L^2 / 4t is at least -746) exponentiated whole, its
+    underflowed terms included, and every term summed: the sum from before
+    the chunk where the kernel underflows was cut at its first dead power."""
     live = [r for r in plan.chunks() if -(plan.length(r.start) ** 2) / (4.0 * t) >= -746.0]
     if not live:
         return 0j
     chars = sigma_table.evaluate(plan.angles())
     det = vars(plan).get("det")
-    rho = float(plan.gd.rho_norm)
     base = (plan.l0() * plan.chi_trace * chars * np.exp(-rho * plan.length())
             / (plan.det_rows() if det is None else det))
     scale = math.sqrt(4.0 * math.pi * t)

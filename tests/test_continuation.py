@@ -21,6 +21,7 @@ from zetaflow import (
     contour_residue,
     heat_resolvent_identity,
     heat_totals,
+    log_derivative,
     log_zeta_ratio,
     moment_sum,
     partial_fraction_coeffs,
@@ -33,6 +34,7 @@ from zetaflow import (
     small_t_combination,
     synthesize,
 )
+from zetaflow import spectra
 from zetaflow.quadrature import half_line_integral
 
 
@@ -222,6 +224,26 @@ def test_resolvent_geometric_and_heat_routes_agree(gd3):
     geo = resolvent_trace_geometric(ls, (0,), aset, tp)
     heat = resolvent_trace_via_heat(ls, (0,), aset, tp)
     assert abs(geo.value - heat.value) <= 1e-6 * abs(heat.value) + geo.tail_bound + heat.tail_bound
+
+
+def test_the_geometric_route_sums_every_anchor_in_one_pass(gd3, monkeypatch):
+    # k anchors, one chunked_sum of k series, each anchor's term bit for bit
+    # the one its own log_derivative call gives
+    ls = synthesize(gd3, 80, systole=0.6, seed=14)
+    tp = TruncationPolicy(lmax=36.0, tail_eps=1e-6)
+    aset = anchor_set([2.0, 3.0, 4.0 + 0.5j])
+    P, dimvol = plancherel_polynomial(gd3, (0,)), ls.dim_chi * ls.volume
+    total, tail = 0j, 0.0
+    for si, ci in zip(aset.anchors, partial_fraction_coeffs(aset)):
+        ld = log_derivative(si, (0,), ls, tp)
+        total += ci * ((math.pi / si) * dimvol * P(si) + ld.value / (2.0 * si))
+        tail += abs(ci / (2.0 * si)) * ld.tail_bound
+    counts = []
+    chunked_sum = spectra.chunked_sum
+    monkeypatch.setattr(spectra, "chunked_sum",
+                        lambda chunks, count: counts.append(count) or chunked_sum(chunks, count))
+    assert resolvent_trace_geometric(ls, (0,), aset, tp) == (total, tail)
+    assert counts == [aset.size]
 
 
 def test_resolvent_route_guards(gd3, ls3):

@@ -104,7 +104,7 @@ def _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, totals):
     P = plancherel_polynomial(ls.gd, sigma)
     for t, total in zip(times, totals):
         want = (ls.dim_chi * ls.volume * plancherel_heat_integral(P, t)
-                + hyperbolic_sum_whole(plan, sig, t))
+                + hyperbolic_sum_whole(plan, sig, t, ls.gd.rho_norm))
         assert (total.real.hex(), total.imag.hex()) == (want.real.hex(), want.imag.hex()), t
         assert total == geometric_heat_trace(ls, sigma, [t], tp)[0].value
 
@@ -443,9 +443,9 @@ def test_a_grid_certifies_no_tail_and_a_single_time_one(monkeypatch):
     tp = TruncationPolicy(lmax=12.0, tail_eps=1.0)
     times = [0.5, 1.0, 2.0, 4.0]
     tails = []
-    class_tail = spectra._PowerTable.class_tail
-    monkeypatch.setattr(spectra._PowerTable, "class_tail",
-                        lambda plan, *args: tails.append(args) or class_tail(plan, *args))
+    class_tail = spectra.LengthSpectrum.class_tail
+    monkeypatch.setattr(spectra.LengthSpectrum, "class_tail",
+                        lambda ls, *args: tails.append(args) or class_tail(ls, *args))
     totals = heat_totals(ls, (0,), np.array(times), tp)
     assert tails == []
     singles = [geometric_heat_trace(ls, (0,), [t], tp)[0] for t in times]

@@ -97,11 +97,11 @@ def test_derived_columns_and_kernels_equal_the_whole_array_formulas(ls, sized):
 
 def test_class_tail_equals_the_scalar_oracle(ls, sized):
     # every class is in the tail, with J_c = 0 on the empty plan
-    lmax, plan, _ = sized
+    lmax, _, _ = sized
     a = ls.gd.rho_norm + ls.twist_rate + 1.5
-    got = plan.class_tail(a, 1.0 / (plan.counts + 1.0), 2.0)
+    got = ls.class_tail(lmax, a, "inv_j", 2.0)
     assert math.isclose(got, class_tail_loop(ls, lmax, a, "inv_j", 2.0), rel_tol=1e-12)
-    got = plan.class_tail(a, ls.l0, 3.0, det=False)
+    got = ls.class_tail(lmax, a, "l0", 3.0, det=False)
     assert math.isclose(got, class_tail_loop(ls, lmax, a, "l0", 3.0, det=False), rel_tol=1e-12)
 
 
@@ -145,14 +145,14 @@ def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls,
         for exponent in (-740.0, -745.1, -745.2, -746.0 * (1 - 1e-15), -746.0,
                          -746.0 * (1 + 1e-15), -760.0):
             t = first * first / (-4.0 * exponent)
-            [got] = heat._hyperbolic_sums(plan, sig, [t])
+            [got] = heat._hyperbolic_sums(plan, sig, [t], ls.gd.rho_norm)
             assert same_bits(got, whole.hyperbolic_sum(sig, t)), (edge, exponent)
             times.append(t)
             if exponent < -746.0:
                 # what the stop skips is exact zeros in the whole-array kernel
                 assert not np.exp(-whole.length[edge:] ** 2 / (4.0 * t)).any()
     # all the times in one pass, each stopping in its own chunk
-    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times)):
+    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times, ls.gd.rho_norm)):
         assert same_bits(got, whole.hyperbolic_sum(sig, t)), t
 
 
@@ -193,8 +193,8 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
     for first_dead in cuts:
         t = _time_cutting_at(plan, first_dead)
         summed.clear()
-        [got] = heat._hyperbolic_sums(plan, sig, [t])
-        assert same_bits(got, hyperbolic_sum_whole(plan, sig, t))
+        [got] = heat._hyperbolic_sums(plan, sig, [t], ls.gd.rho_norm)
+        assert same_bits(got, hyperbolic_sum_whole(plan, sig, t, ls.gd.rho_norm))
         # each chunk with a live power whole, the one holding the first dead
         # power zero-filled; the pass ends before the chunks after it
         want = [len(range(plan.size)[r]) for r in plan.chunks() if r.start < first_dead]
@@ -204,8 +204,8 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
     # its cut, up to the chunks the longest time reaches
     times = [_time_cutting_at(plan, first_dead) for first_dead in cuts]
     summed.clear()
-    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times)):
-        assert same_bits(got, hyperbolic_sum_whole(plan, sig, t)), t
+    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times, ls.gd.rho_norm)):
+        assert same_bits(got, hyperbolic_sum_whole(plan, sig, t, ls.gd.rho_norm)), t
     assert summed == ([[list(sizes) for sizes in zip_longest(*wants)]] if cuts else [])
 
 
@@ -321,9 +321,9 @@ def built(request):
 
 
 def test_a_plan_keeps_24_bytes_a_power(built):
-    # j, class index and trace; counts and log r_c per class
-    ls, plan, kept, _ = built
-    assert kept <= 24 * plan.size + 16 * ls.l0.size + SLACK, kept / plan.size
+    # j, class index and trace, and nothing per class
+    _, plan, kept, _ = built
+    assert kept <= 24 * plan.size + SLACK, kept / plan.size
 
 
 def test_a_plan_build_peaks_below_40_bytes_a_power_and_a_block(built):
@@ -344,7 +344,7 @@ def test_the_first_trivial_heat_time_keeps_no_prefactor_and_no_det_column(built)
 
 def test_det_rows_equal_the_product_of_the_angle_factors_along_the_rows():
     # n = 3, one block of random lengths and power angles j * theta, the
-    # class angles theta gathered by a shuffled class index
+    # class angles theta gathered by a shuffled class index in the plan's angles()
     rng = np.random.default_rng(11)
     length = rng.uniform(0.05, 40.0, BLOCK)
     j = rng.integers(1, 60, (BLOCK, 1)).astype(np.int32)
@@ -353,7 +353,8 @@ def test_det_rows_equal_the_product_of_the_angle_factors_along_the_rows():
     order = rng.permutation(BLOCK)
     plan = SimpleNamespace(length=length.__getitem__, j=j[:, 0],
                            class_index=np.argsort(order).astype(np.int32),
-                           _class_angles=theta[order], gd=SimpleNamespace(n=3))
+                           _class_angles=theta[order],
+                           angles=lambda rows: spectra._PowerTable.angles(plan, rows))
     e = np.exp(-length)[:, None]
     want = np.prod(1.0 - 2.0 * e * np.cos(angles) + e * e, axis=1)
     assert same_bits(spectra._PowerTable.det_rows(plan, slice(None)), want)

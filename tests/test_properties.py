@@ -65,9 +65,10 @@ def _dropped(ls: LengthSpectrum, plan, a: float) -> float:
     below 1e-30 of its value at j = J_c + 1."""
     mp.mp.dps = 40
     total = mp.mpf(0)
+    counts = np.bincount(plan.class_index, minlength=ls.l0.size)
     for c, (l0, theta, chi) in enumerate(zip(ls.l0, ls.angles, ls.chi)):
         q = mp.mpf(float(ls.twist_norms[c])) * mp.exp(-a * mp.mpf(l0))
-        first = int(plan.counts[c]) + 1
+        first = int(counts[c]) + 1
         chi = mp.matrix(chi.tolist())
         power = chi ** first
         for j in range(first, first + int(mp.ceil(-30 / mp.log10(q))) + 1):
@@ -86,7 +87,7 @@ def test_the_class_tail_covers_the_exact_dropped_part(document, margin):
     plan = ls.power_table(lmax)
     # a past every class's q_c = r_c e^{-a l0_c} = 1, so each class has a tail
     a = float(np.max(np.log(ls.twist_norms) / ls.l0)) + margin
-    tail = plan.class_tail(a, 1.0 / (plan.counts + 1.0), 1.0)
+    tail = ls.class_tail(lmax, a, "inv_j", 1.0)
     # the bound is a float sum of float terms: rounding of a few units
     assert tail >= _dropped(ls, plan, a) * (1.0 - 1e-12)
 

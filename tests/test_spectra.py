@@ -217,16 +217,19 @@ def test_jordan_blocks_of_different_counts_equal_the_per_class_loop_bit_for_bit(
     assert not good[0::4].any() and good.sum() == 45
     for lmax in (4.0, 9.5, 30.0):
         plan = ls.power_table(lmax)
-        assert len(set(plan.counts[~good].tolist())) >= 4
+        counts = np.bincount(plan.class_index, minlength=ls.l0.size)
+        assert len(set(counts[~good].tolist())) >= 4
         want = power_table_loop(ls, lmax)["chi_trace"]
         assert np.array_equal(plan.chi_trace.view(np.uint64), want.view(np.uint64)), lmax
 
 
 def test_a_second_plan_factors_no_twist_matrix(monkeypatch):
     # the eigenvalues, well-conditioned mask and norms come from the
-    # spectrum, made at its first plan; a later cutoff only reads them
+    # spectrum, made at its first plan and tail; a later cutoff only reads them
     ls = PLAN_SPECTRA["d3 Jordan block"]()
     ls.power_table(6.0)
+    a = ls.twist_rate + 2.0
+    first = ls.class_tail(6.0, a, "inv_j", 1.0)
 
     def refused(*args, **kwargs):
         raise AssertionError("a second plan called np.linalg")
@@ -235,6 +238,7 @@ def test_a_second_plan_factors_no_twist_matrix(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refused)
     plan = ls.power_table(9.0)
     assert plan.size > ls.power_table(6.0).size and ls.twist_rate > 0.0
+    assert 0.0 < ls.class_tail(9.0, a, "inv_j", 1.0) < first
 
 
 def test_twist_arrays_are_read_only():
@@ -268,13 +272,23 @@ def test_class_tail_matches_the_scalar_oracle(ls3, ls3_twisted):
         lmax = 4.0 * float(ls.l0.max())
         plan = ls.power_table(lmax)
         a = abscissa_estimate(ls) + ls.gd.rho_norm + 0.3
-        assert plan.counts.tolist() == [int(lmax / l0) for l0 in ls.l0.tolist()]
-        got = plan.class_tail(a, 1.0 / (plan.counts + 1.0), 1.5)
+        counts = np.bincount(plan.class_index, minlength=ls.l0.size)
+        assert counts.tolist() == [int(lmax / l0) for l0 in ls.l0.tolist()]
+        got = ls.class_tail(lmax, a, "inv_j", 1.5)
         assert math.isclose(got, class_tail_loop(ls, lmax, a, "inv_j", 1.5), rel_tol=1e-12)
-        got = plan.class_tail(a, ls.l0, 1.0, det=False)
+        got = ls.class_tail(lmax, a, "l0", 1.0, det=False)
         assert math.isclose(got, class_tail_loop(ls, lmax, a, "l0", 1.0, det=False), rel_tol=1e-12)
     # unitary twists stay bounded, so no exponential rate is needed
     assert ls3.twist_rate == 0.0
+
+
+def test_a_class_tail_needs_no_plan(gd3):
+    # J_c at a fresh cutoff comes from the class lengths: no plan is built
+    ls = synthesize(gd3, 60, systole=0.5, seed=33, dim_chi=2, chi_norm=1.1)
+    a = abscissa_estimate(ls) + ls.gd.rho_norm + 0.3
+    got = ls.class_tail(7.0, a, "inv_j", 1.5)
+    assert ls._plans == {}
+    assert math.isclose(got, class_tail_loop(ls, 7.0, a, "inv_j", 1.5), rel_tol=1e-12)
 
 
 def test_a_class_tail_that_is_not_finite_is_refused(gd3):
@@ -282,16 +296,15 @@ def test_a_class_tail_that_is_not_finite_is_refused(gd3):
     # q_c >= 1, left of the abscissa, has no geometric tail
     ls = LengthSpectrum(gd=gd3, l0=[1e-201, 1.0], angles=[[0.5], [1.5]],
                         chi=np.ones((2, 1, 1)), volume=1.0, dim_chi=1)
-    plan = ls.power_table(1e-200)
     with pytest.raises(DomainError, match=re.escape(
             "the per-class tail past lmax = 1e-200 is not a finite number, so no tail "
             "bound holds; raise lmax above 1e-200")):
-        plan.class_tail(3.0, ls.l0, 1.0)
-    assert math.isfinite(plan.class_tail(3.0, ls.l0, 1.0, det=False))
+        ls.class_tail(1e-200, 3.0, "l0", 1.0)
+    assert math.isfinite(ls.class_tail(1e-200, 3.0, "l0", 1.0, det=False))
     grown = LengthSpectrum(gd=gd3, l0=[1.0], angles=[[0.5]], chi=[[[3.0]]], volume=1.0,
                            dim_chi=1)
     with pytest.raises(DomainError, match="no tail bound holds"):
-        grown.power_table(5.0).class_tail(1.0, np.ones(1), 1.0, det=False)
+        grown.class_tail(5.0, 1.0, "l0", 1.0, det=False)
 
 
 def test_spectrum_refusals(gd3, ls3, tmp_path):
@@ -328,7 +341,7 @@ def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
     def evaluate(lmax):
         plan = ls.power_table(lmax)
         value = selberg_log(4.0, (0,), ls, TruncationPolicy(lmax=lmax, tail_eps=1.0))
-        return ls.twist_rate, plan.counts.tolist(), plan.size, value
+        return ls.twist_rate, plan.class_index.tolist(), plan.size, value
 
     first = {lmax: evaluate(lmax) for lmax in cutoffs}
     assert list(ls._plans) == cutoffs[-_PLANS_PER_SPECTRUM:]

@@ -3,8 +3,10 @@ only bounded memos, no unused imports, no unread definition or member, and
 an ``__all__`` that resolves."""
 
 import ast
+import gc
 import importlib
 import pkgutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,29 @@ def test_a_plans_only_per_twist_memo_is_its_characters():
     plan = ls.power_table(tp.lmax)
     memos = {name for name, value in vars(plan).items() if isinstance(value, dict)}
     assert memos == {"_characters"}
+
+
+def test_a_plan_holds_its_power_columns_and_no_class_state():
+    # after a series, a heat trace and the heat route: the stored columns,
+    # the spectrum's l0 and angle columns by reference, and the memos; no
+    # per-class count, norm or constant, and no reference to the spectrum,
+    # which its plan memo would make a cycle that only the collector frees
+    ls = zetaflow.synthesize(zetaflow.GroupData(5), 40, systole=0.5, seed=3)
+    tp = zetaflow.TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    zetaflow.selberg_log(6.0, (0, 0), ls, tp)
+    zetaflow.geometric_heat_trace(ls, (1, 0), [0.3], tp)
+    zetaflow.resolvent_trace_via_heat(ls, (0, 0), zetaflow.anchor_set([2, 3, 4]), tp)
+    plan = ls.power_table(tp.lmax)
+    assert set(vars(plan)) == {"lmax", "_class_l0", "_class_angles", "j", "class_index",
+                               "chi_trace", "_characters", "det", "overflow_length"}
+    assert plan._class_l0 is ls.l0 and plan._class_angles is ls.angles
+    gone = weakref.ref(ls)
+    gc.disable()
+    try:
+        del ls, plan
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_a_plan_keeps_one_character_per_twist(monkeypatch):

@@ -149,15 +149,16 @@ def test_heat_tail_covers_the_dropped_terms(d):
 
 
 def test_a_tail_that_starts_one_power_late_is_caught(monkeypatch):
-    # q_c^(J_c + 2) instead of q_c^(J_c + 1) leaves out each class's first
-    # dropped power
-    original = spectra._PowerTable.class_tail
+    # J_c + 1 counted for J_c, so the tail starts at q_c^(J_c + 2) and
+    # leaves out each class's first dropped power
+    original, max_power = spectra.LengthSpectrum.class_tail, spectra._max_power
 
-    def late(plan, a, weight, scale, det=True):
-        q = np.exp(plan._log_norms - a * plan._class_l0)
-        return original(plan, a, weight * q, scale, det)
+    def late(ls, *args):
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_max_power", lambda *count: max_power(*count) + 1)
+            return original(ls, *args)
 
-    monkeypatch.setattr(spectra._PowerTable, "class_tail", late)
+    monkeypatch.setattr(spectra.LengthSpectrum, "class_tail", late)
     for d in SPECTRA:
         assert _uncovered(_series_cases(d)), d
         assert _uncovered(_heat_cases(d)), d

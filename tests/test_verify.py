@@ -82,13 +82,14 @@ def test_growth_suite_fails_without_the_twist_rate(monkeypatch):
     monkeypatch.setattr(spectra.LengthSpectrum, "twist_rate", property(lambda self: 0.0))
     results = run_suite("growth")
     assert [(r.name, r.passed) for r in results] == [(names[0], True), (names[1], True)]
-    original = spectra._PowerTable.class_tail
+    original, max_power = spectra.LengthSpectrum.class_tail, spectra._max_power
 
-    def late(plan, a, weight, scale, det=True):
-        q = np.exp(plan._log_norms - a * plan._class_l0)
-        return original(plan, a, weight * q, scale, det)
+    def late(ls, *args):
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_max_power", lambda *count: max_power(*count) + 1)
+            return original(ls, *args)
 
-    monkeypatch.setattr(spectra._PowerTable, "class_tail", late)
+    monkeypatch.setattr(spectra.LengthSpectrum, "class_tail", late)
     results = run_suite("growth")
     assert [(r.name, r.passed) for r in results] == [(names[0], True), (names[1], False)]
 
