@@ -33,10 +33,26 @@ _LOCATE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Auxiliary points in the convergence half-plane, pairwise distinct
-    with pairwise distinct squares, at least two of them."""
+    """Auxiliary points in the convergence half-plane, as complex numbers,
+    with pairwise distinct squares, at least two of them, checked on init."""
 
     anchors: tuple[complex, ...]
+
+    def __post_init__(self) -> None:
+        pts = tuple(complex(a) for a in self.anchors)
+        for a in pts:
+            if not cmath.isfinite(a):
+                raise ValidationError(f"non-finite anchor {a}")
+        if len(pts) < 2:
+            raise ValidationError(f"an anchor set needs at least 2 points, got {len(pts)}")
+        squares = [a * a for a in pts]
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if abs(squares[i] - squares[j]) < 1e-12 * (1 + abs(squares[i])):
+                    raise ValidationError(
+                        f"anchors {pts[i]} and {pts[j]} have coinciding squares"
+                    )
+        object.__setattr__(self, "anchors", pts)
 
     @property
     def size(self) -> int:
@@ -44,20 +60,7 @@ class AnchorSet:
 
 
 def anchor_set(anchors: Sequence[complex]) -> AnchorSet:
-    pts = tuple(complex(a) for a in anchors)
-    for a in pts:
-        if not cmath.isfinite(a):
-            raise ValidationError(f"non-finite anchor {a}")
-    if len(pts) < 2:
-        raise ValidationError(f"an anchor set needs at least 2 points, got {len(pts)}")
-    squares = [a * a for a in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(squares[i] - squares[j]) < 1e-12 * (1 + abs(squares[i])):
-                raise ValidationError(
-                    f"anchors {pts[i]} and {pts[j]} have coinciding squares"
-                )
-    return AnchorSet(anchors=pts)
+    return AnchorSet(anchors=tuple(anchors))
 
 
 def partial_fraction_coeffs(aset: AnchorSet) -> tuple[complex, ...]:
@@ -87,8 +90,6 @@ def _exp_remainder(x: np.ndarray, k: int) -> np.ndarray:
     # e^x minus its Taylor polynomial of degree k-1, by the tail series
     # sum_{l >= k} x^l / l!. Caller guarantees |x| < 1, where 34 extra
     # terms put the truncation far below double precision.
-    if k == 0:
-        return np.exp(x)
     acc = np.zeros(x.shape, dtype=complex)
     for l in range(k + 34, k, -1):
         acc = (acc + 1.0) * x / l
@@ -364,9 +365,7 @@ def resolvent_trace_via_heat(
     for a in aset.anchors:
         if (a * a).real <= 0:
             raise DomainError(f"anchor {a} has Re(s^2) <= 0; the time integral diverges")
-    plan = ls.power_table(tp.lmax)
-    plan.check(lambda length: True)
-    plan.det  # one det column for the quadrature's many heat grids
+    ls.power_table(tp.lmax).check(lambda length: True)
 
     def f(t: np.ndarray) -> np.ndarray:
         w = small_t_combination(aset, t)

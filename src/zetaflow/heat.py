@@ -78,19 +78,19 @@ def _kernel_scale(t: float) -> float:
     return scale if scale < math.inf else math.sqrt(4.0 * math.pi) * math.sqrt(t)
 
 
-def _hyperbolic_sums(plan, sig: CharacterTable, times: list[float], rho: float) -> list[complex]:
+def _hyperbolic_sums(plan, sig: CharacterTable, times: list[float], rho: float,
+                     det: np.ndarray | None) -> list[complex]:
     """The hyperbolic contribution at each of times, in one pass: the plan's
     sums of the prefactors l0 tr chi char_sigma e^{-|rho| L} / det against
     the heat kernel exp(-L^2 / 4t) / sqrt(4 pi t). A chunk some kernel
-    reaches makes its lengths, prefactors (det from the det column if built,
-    else det_rows) and -L^2 once, then each such time's terms: the powers
-    before the first with exponent below _EXP_UNDERFLOW, zero-filled to the
-    end of the chunk, one summation block, so its partial is the whole
-    block's; a chunk whose first power a time's kernel does not reach yields
-    None. The lengths ascend, so the pass ends at the first chunk that no
-    time's kernel reaches."""
+    reaches makes its lengths, prefactors (det terms read from det, the
+    plan's det column, if given, else made by det_rows) and -L^2 once, then
+    each such time's terms: the powers before the first with exponent below
+    _EXP_UNDERFLOW, zero-filled to the end of the chunk, one summation
+    block, so its partial is the whole block's; a chunk whose first power a
+    time's kernel does not reach yields None. The lengths ascend, so the
+    pass ends at the first chunk that no time's kernel reaches."""
     scales, grid = [_kernel_scale(t) for t in times], np.array(times, dtype=float)
-    det = vars(plan).get("det")
 
     def terms(r: slice) -> Iterator[np.ndarray | None] | None:
         live = _reached(plan.length(r.start), grid).tolist()
@@ -141,7 +141,7 @@ def geometric_heat_trace(
         tail = plan.gate(ls, lambda length: _reached(length, t), a, "l0", scale, True,
                          tp.tail_eps, ("heat ", f"t = {t:g}", ""))
         parts.append((ls.dim_chi * ls.volume * plancherel_heat_integral(P, t), tail))
-    sums = _hyperbolic_sums(plan, sig, list(ts), rho)
+    sums = _hyperbolic_sums(plan, sig, list(ts), rho, None)
     return [SeriesValue(identity + h, tail) for (identity, tail), h in zip(parts, sums)]
 
 
@@ -152,13 +152,14 @@ def heat_totals(
     to ``geometric_heat_trace`` at that time bit for bit; the plan refuses
     the grid as it refuses its longest time, whose kernel reaches the most
     powers (an empty grid's, none). Tail bounds are not certified per
-    time; callers quantify their own error budget.
+    time; callers quantify their own error budget. A quadrature calls it
+    on many grids, so it reads the plan's det column, built once.
     """
     ts = np.asarray(ts, dtype=float)
     times = ts.ravel().tolist()
     P, plan, sig = _setup(ls, sigma, times, tp)
     plan.check(lambda length: bool(times) and _reached(length, max(times)))
     identities = [ls.dim_chi * ls.volume * plancherel_heat_integral(P, t) for t in times]
-    hyperbolic = _hyperbolic_sums(plan, sig, times, float(ls.gd.rho_norm))
+    hyperbolic = _hyperbolic_sums(plan, sig, times, float(ls.gd.rho_norm), plan.det)
     totals = [i + h for i, h in zip(identities, hyperbolic)]
     return np.array(totals, dtype=complex).reshape(ts.shape)

@@ -11,27 +11,27 @@ tests and demos.
 
 Every evaluation at a cutoff lmax reads one prepared plan per
 (spectrum, lmax), returned by LengthSpectrum.power_table: the power
-enumeration, plus everything that does not depend on the evaluation point
-(det terms, characters) and the refusals that depend on (spectrum, lmax)
-alone; the evaluators only read it. A document lists finitely many
-classes, so a cutoff drops only the powers j > J_c of each, and the
-spectrum's class_tail bounds them by one closed-form geometric tail per
-class, at any cutoff and without a plan. The series and the heat trace
-make one bounded sum over a plan: its gate, then its sum of their
-kernels, in one pass for all the times of a grid or series of a call. The
-plan stores three columns per power in 24 bytes: j and class index
-(int32) and twist trace (complex128). The power length j * l0, the class
-length l0, 1/j and the power angles j * theta are rebuilt from them for
-one chunk of summation.BLOCK powers at a time, by the same arithmetic, so
-every plan-sized computation holds temporaries of one block only; the
+enumeration and the refusals that depend on (spectrum, lmax) alone; the
+evaluators only read it. A document lists finitely many classes, so a
+cutoff drops only the powers j > J_c of each, and the spectrum's
+class_tail bounds them by one closed-form geometric tail per class, at
+any cutoff and without a plan. The series and the heat trace make one
+bounded sum over a plan: its gate, then its sum of their kernels, in one
+pass for all the times of a grid or series of a call. The plan stores
+three columns per power in 24 bytes: j and class index (int32) and twist
+trace (complex128). The power length j * l0, the class length l0, 1/j and
+the power angles j * theta are rebuilt from them for one chunk of
+summation.BLOCK powers at a time, by the same arithmetic, so every
+plan-sized computation holds temporaries of one block only; the
 build makes the traces a chunk at a time and frees each sorting column
-once read, so it peaks below 40 bytes a power; a det column exists only
-once a series or the heat route's resolvent reads it. A spectrum keeps
-its few most recently used plans, a plan one character for each of its
-most recently used twists and no product of two. What no cutoff affects,
-the spectrum makes once: the twist eigenvalues with a well-conditioned
-mask, which every plan reads, r_c = max(1, ||chi_c||_2), which every tail
-reads, and the growth rate.
+once read, so it peaks below 40 bytes a power. Only the heat trace keeps
+columns on a plan, as only its callers read a plan more than once: the
+character of its latest twist, and the det column once heat_totals reads
+it; a series pass makes its characters and det terms a chunk at a time
+and keeps none. A spectrum keeps its few most recently used plans. What
+no cutoff affects, the spectrum makes once: the twist eigenvalues with a
+well-conditioned mask, which every plan reads, r_c = max(1, ||chi_c||_2),
+which every tail reads, and the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -133,15 +133,13 @@ def _max_power(l0: np.ndarray, lmax: float, bits: int = 63) -> np.ndarray:
 
 
 # a plan holds fewer than 2^_PLAN_POWER_BITS powers at 24 bytes each in its
-# three columns, about 403 MB, plus 8 bytes for the det terms once they are
-# read as a column and 16 per kept character other than a trivial one; a
+# three columns, about 403 MB, plus 8 bytes for the det terms once the heat
+# trace reads them as a column and 16 for its character unless trivial; a
 # longer cutoff is refused before the plan allocates anything. j and the
 # class index are int32, which holds every count below 2^_PLAN_POWER_BITS
 _PLAN_POWER_BITS = 24
-# plans kept per spectrum, and characters kept per plan, one per twist; the
-# least recently used entry is evicted first
+# plans kept per spectrum; the least recently used is evicted first
 _PLANS_PER_SPECTRUM = 4
-_PRODUCTS_PER_PLAN = 16
 
 
 def _lru(memo: dict, key, build, limit: int):
@@ -169,12 +167,11 @@ class _PowerTable:
     chunks(), so its temporaries hold one chunk. The plan keeps those two
     columns but not the spectrum, whose plan memo would make a reference
     cycle. The traces are powers of the spectrum's twist_eigen: a plan
-    factors no twist matrix. Alongside sits the point-independent data the
-    evaluators read at every s or t, built on first use: the det column,
-    kept for the life of the plan, and the character of each of the
-    _PRODUCTS_PER_PLAN most recently used twists. No product of characters
-    and no heat prefactor is kept. The one bounded sum of the series and
-    the heat trace is gate, then sum.
+    factors no twist matrix. Alongside sits what the heat trace reads at
+    every t, built on first use: the character of the last twist read,
+    and the det column, kept for the life of the plan. A series reads
+    neither. The one bounded sum of the series and the heat trace is gate,
+    then sum.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -297,10 +294,10 @@ class _PowerTable:
                                      map(terms, self.chunks())), count)
 
     def character(self, table: CharacterTable) -> np.ndarray:
-        """The table's character at the power angles, memoized by (family,
-        highest). A trivial one, highest weight 0, is all ones at any finite
-        angles: a read-only zero-stride view of one 1 + 0j, 16 bytes, built
-        without the angles; any other is evaluated a chunk at a time."""
+        """The table's character at the power angles, kept until another
+        table's is read. A trivial one, highest weight 0, is all ones at any
+        finite angles: a read-only zero-stride view of one 1 + 0j, 16 bytes,
+        built without the angles; any other is evaluated a chunk at a time."""
         def build() -> np.ndarray:
             if not any(table.highest):
                 return np.broadcast_to(np.complex128(1), (self.size,))
@@ -309,7 +306,7 @@ class _PowerTable:
                 out[rows] = evaluate_all(tables, self.angles(rows))[0]
             return out
 
-        return _lru(self._characters, (table.family, table.highest), build, _PRODUCTS_PER_PLAN)
+        return _lru(self._characters, (table.family, table.highest), build, 1)
 
 
 def checked_volume(dim_chi: object, volume: object) -> int | float:
@@ -549,8 +546,6 @@ def _list_template(shape: tuple[int, ...], level: int) -> str:
     opened at nesting level ``level``, with a %r slot per number."""
     if not shape:
         return "%r"
-    if not shape[0]:
-        return "[]"
     pad = "\n" + " " * (level + 1)
     item = _list_template(shape[1:], level + 1)
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * level + "]"

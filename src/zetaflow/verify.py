@@ -55,6 +55,7 @@ from .zeta import (
     ruelle_factorization,
     ruelle_log,
     selberg_log,
+    series_grid,
 )
 
 
@@ -325,11 +326,6 @@ def suite_plancherel(seed: int = 0) -> list[CheckResult]:
 # ------------------------------------------------------------------- zeta
 
 
-def _fd_derivative(f: Callable[[complex], complex], s: complex) -> complex:
-    h = 1e-2
-    return (-f(s + 2 * h) + 8 * f(s + h) - 8 * f(s - h) + f(s - 2 * h)) / (12 * h)
-
-
 def suite_zeta(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     gd = GroupData(3)
@@ -338,11 +334,16 @@ def suite_zeta(seed: int = 0) -> list[CheckResult]:
     tp = TruncationPolicy(lmax=40.0, tail_eps=1e-13)
     a = abscissa_estimate(ls)
 
+    h = 1e-2  # the step of a five-point central difference of log Z
+    points = [complex(a + 1.0 + rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0))
+              for _ in range(10)]
+    directs = series_grid("logderiv", points, sigma, ls, tp)
+    logs = series_grid("selberg", [z for s in points for z in (s + 2 * h, s + h, s - h, s - 2 * h)],
+                       sigma, ls, tp)
     fd_err = 0.0
-    for _ in range(10):
-        s = complex(a + 1.0 + rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0))
-        direct = log_derivative(s, sigma, ls, tp).value
-        fd = _fd_derivative(lambda z: selberg_log(z, sigma, ls, tp).value, s)
+    for i, direct in enumerate(v.value for v in directs):
+        f2, f1, fm1, fm2 = (v.value for v in logs[4 * i:4 * i + 4])
+        fd = (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
         fd_err = max(fd_err, abs(direct - fd) / max(1e-30, abs(direct)))
 
     fact_err = 0.0
@@ -388,7 +389,7 @@ def _abs_terms(ls: LengthSpectrum, s: complex, lmax: float, kind: str) -> float:
     np.exp(np.multiply(-a, decay, out=decay), out=decay)
     if kind == "ruelle":
         return float(np.sum(weight * np.abs(plan.chi_trace) * decay))
-    return float(np.sum(weight * np.abs(plan.chi_trace) * decay / plan.det))
+    return float(np.sum(weight * np.abs(plan.chi_trace) * decay / plan.det_rows()))
 
 
 def suite_growth(seed: int = 0) -> list[CheckResult]:

@@ -7,15 +7,15 @@ lists finitely many classes, so past the cutoff only the powers j > J_c
 of each class are missing, and their closed-form geometric tail per class
 bounds them (the spectrum's class_tail). A point at or left of
 abscissa_estimate is refused first, at every cutoff; right of it every
-class's ratio q_c is below 1. Everything that does not depend on s (power
-columns, det terms, the character of sigma, the refusals of
-(spectrum, lmax) alone) comes from the prepared plan of
-(spectrum, lmax), looked up once per call, whose gate takes the call's
-series in turn and whose sum adds them all in one pass: every point of a
-command-line grid (series_grid), or a factorization point's Ruelle series
-and exterior pieces side by side, each chunk making and dropping the sigma
-tensor psi characters. Only the factorization imports the branching
-layer, inside its functions, so no other job loads it.
+class's ratio q_c is below 1. The power columns and the refusals of
+(spectrum, lmax) alone come from the prepared plan of (spectrum, lmax),
+looked up once per call, whose gate takes the call's series in turn and
+whose sum adds them all in one pass: every point of a command-line grid
+(series_grid), or a factorization point's Ruelle series and exterior
+pieces side by side. Each chunk of the pass makes and drops its det terms
+and its characters, sigma's included, so a series keeps nothing on the
+plan. Only the factorization imports the branching layer, inside its
+functions, so no other job loads it.
 
 Sign conventions: log Z(s) = - sum over powers of
 (1/j) tr chi char_sigma exp(-(s + |rho|) length) / det_term, the Ruelle
@@ -79,10 +79,11 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
     in turn. Series by series, the abscissa refusal and the plan's gate at
     a = Re s + |rho| (Re s, no det term, for Ruelle), weight 1/(J_c + 1) for
     the logs and l0_c for the log derivative; then one pass of the plan's
-    sum. A series' characters: the plan's character of its first table times
-    its other tables, which each chunk evaluates by one evaluate_all call of
-    one TableSet. Each chunk derives its lengths once, and a series whose
-    head, weight * tr chi * characters, is the previous series' reuses it."""
+    sum. A series' characters: the product of its tables' values in order,
+    a trivial table's a zero-stride 1 + 0j and every other evaluated once a
+    chunk, by one evaluate_all call of the pass's one TableSet. Each chunk
+    derives its lengths and det terms once, and a series whose head,
+    weight * tr chi * characters, is the previous series' reuses it."""
     plan = ls.power_table(policy.lmax)
     series = [item for group in groups for item in group]
     tails = []
@@ -98,18 +99,21 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
         tails.append(plan.gate(ls, lambda length: True, a, "l0" if kind == "logderiv" else "inv_j",
                                math.prod(t.norm_bound() for t in tables), not ruelle,
                                policy.tail_eps, ("", f"s = {s}", " or move s to the right")))
-    others = TableSet(dict.fromkeys(t for _, tables, _ in series for t in tables[1:]))
+    evaluated = TableSet(dict.fromkeys(t for _, ts, _ in series for t in ts if any(t.highest)))
+    needs_det = any(kind != "ruelle" for kind, _, _ in series)
     rho = float(ls.gd.rho_norm)
 
     def terms(r: slice) -> Iterator[np.ndarray]:
-        values = dict(zip(others, evaluate_all(others, plan.angles(r)))) if others else {}
         length, key = plan.length(r), None
+        one = np.broadcast_to(np.complex128(1), length.shape)
+        values = dict(zip(evaluated, evaluate_all(evaluated, plan.angles(r)))) if evaluated else {}
+        det = plan.det_rows(r) if needs_det else None
         for kind, tables, s in series:
             if key != (kind == "logderiv", tables):
                 key = (kind == "logderiv", tables)
-                chars = plan.character(tables[0])[r]
+                chars = values.get(tables[0], one)
                 for table in tables[1:]:
-                    chars = chars * values[table]
+                    chars = chars * values.get(table, one)
                 weight = plan.l0(r) if kind == "logderiv" else -plan.inv_j(r)
                 head = weight * plan.chi_trace[r] * chars
             # np.multiply keeps head first: numpy's temporary elision may swap
@@ -118,7 +122,7 @@ def _sums(ls: LengthSpectrum, groups: Sequence[Sequence[tuple]],
             if kind == "ruelle":
                 yield np.multiply(head, np.exp(-s * length))
             else:
-                yield np.multiply(head, np.exp(-(s + rho) * length)) / plan.det[r]
+                yield np.multiply(head, np.exp(-(s + rho) * length)) / det
 
     sums = zip(plan.sum(terms, len(series)), tails)
     return [_added(itertools.islice(sums, len(group))) for group in groups]

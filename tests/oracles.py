@@ -85,8 +85,7 @@ def char_D_mp(weight, angles, dps: int = 50) -> complex:
 def hyperbolic_sum_whole(plan, sigma_table, t: float, rho: float) -> complex:
     """heat._hyperbolic_sums at the one time t and |rho| = rho, with the
     prefactors of the whole plan, l0 tr chi char_sigma e^{-|rho| L} / det,
-    their det terms the plan's det column if built and det_rows of every
-    power otherwise, and the kernel of every live chunk (one whose first
+    their det terms det_rows of every power, and the kernel of every live chunk (one whose first
     exponent -L^2 / 4t is at least -746) exponentiated whole, its
     underflowed terms included, and every term summed: the sum from before
     the chunk where the kernel underflows was cut at its first dead power."""
@@ -94,9 +93,8 @@ def hyperbolic_sum_whole(plan, sigma_table, t: float, rho: float) -> complex:
     if not live:
         return 0j
     chars = sigma_table.evaluate(plan.angles())
-    det = vars(plan).get("det")
     base = (plan.l0() * plan.chi_trace * chars * np.exp(-rho * plan.length())
-            / (plan.det_rows() if det is None else det))
+            / plan.det_rows())
     scale = math.sqrt(4.0 * math.pi * t)
     return block_sum_whole(np.concatenate(
         [base[r] * (np.exp(-plan.length(r) ** 2 / (4.0 * t)) / scale) for r in live]))

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import half_line_integral_reeval, resolvent_kernel_mp, vandermonde_coeffs
 from zetaflow import (
+    AnchorSet,
     DomainError,
     EigenSpectrum,
     GroupData,
@@ -49,6 +50,15 @@ def test_anchor_set_validation():
     for bad in (complex("nan"), complex("inf"), complex("1+nanj")):
         with pytest.raises(ValidationError, match=re.escape(f"non-finite anchor {bad}")):
             anchor_set((bad, 2.0))
+
+
+def test_an_anchor_set_made_directly_is_checked_as_anchor_set_checks_it():
+    with pytest.raises(ValidationError, match="at least 2 points, got 1"):
+        AnchorSet(anchors=(2.0,))
+    with pytest.raises(ValidationError, match="coinciding squares"):
+        partial_fraction_coeffs(AnchorSet(anchors=(2.0, -2.0)))
+    assert AnchorSet(anchors=(1, 2.5)) == anchor_set([1, 2.5])
+    assert AnchorSet(anchors=(1, 2.5)).anchors == (1 + 0j, 2.5 + 0j)
 
 
 def test_partial_fraction_coefficients():

@@ -116,17 +116,17 @@ def test_heat_totals_match_scalar_calls(ls3, chunked7):
     grid = heat_totals(ls3, sigma, ts, tp)
     for t, v in zip(ts, grid):
         assert v == geometric_heat_trace(ls3, sigma, [float(t)], tp)[0].value
-    # one pass over a plan of several chunks, each time stopping in its own,
-    # with the det terms made a chunk at a time and then read from the column
+    # one pass over a plan of several chunks, each time stopping in its own:
+    # geometric_heat_trace makes the det terms a chunk at a time and keeps
+    # none, heat_totals reads them from the plan's det column
     ls, tp, sigma, times = chunked7
     plan = ls.power_table(tp.lmax)
     vars(plan).pop("det", None)
-    _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, heat_totals(ls, sigma, times, tp))
-    assert "det" not in vars(plan)
-    plan.det
-    _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, heat_totals(ls, sigma, times, tp))
     grid = [v.value for v in geometric_heat_trace(ls, sigma, times, tp)]
     _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, grid)
+    assert "det" not in vars(plan)
+    _totals_match_the_whole_plan_oracle(ls, sigma, tp, times, heat_totals(ls, sigma, times, tp))
+    assert "det" in vars(plan)
 
 
 def test_a_heat_pass_ends_at_the_first_chunk_no_time_reaches(chunked7, monkeypatch):

@@ -145,14 +145,15 @@ def test_heat_sums_around_the_underflow_cutoff_equal_the_whole_array_formula(ls,
         for exponent in (-740.0, -745.1, -745.2, -746.0 * (1 - 1e-15), -746.0,
                          -746.0 * (1 + 1e-15), -760.0):
             t = first * first / (-4.0 * exponent)
-            [got] = heat._hyperbolic_sums(plan, sig, [t], ls.gd.rho_norm)
+            [got] = heat._hyperbolic_sums(plan, sig, [t], ls.gd.rho_norm, None)
             assert same_bits(got, whole.hyperbolic_sum(sig, t)), (edge, exponent)
             times.append(t)
             if exponent < -746.0:
                 # what the stop skips is exact zeros in the whole-array kernel
                 assert not np.exp(-whole.length[edge:] ** 2 / (4.0 * t)).any()
-    # all the times in one pass, each stopping in its own chunk
-    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times, ls.gd.rho_norm)):
+    # all the times in one pass, each stopping in its own chunk, with the
+    # det terms read from the plan's column
+    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times, ls.gd.rho_norm, plan.det)):
         assert same_bits(got, whole.hyperbolic_sum(sig, t)), t
 
 
@@ -193,7 +194,7 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
     for first_dead in cuts:
         t = _time_cutting_at(plan, first_dead)
         summed.clear()
-        [got] = heat._hyperbolic_sums(plan, sig, [t], ls.gd.rho_norm)
+        [got] = heat._hyperbolic_sums(plan, sig, [t], ls.gd.rho_norm, None)
         assert same_bits(got, hyperbolic_sum_whole(plan, sig, t, ls.gd.rho_norm))
         # each chunk with a live power whole, the one holding the first dead
         # power zero-filled; the pass ends before the chunks after it
@@ -204,7 +205,7 @@ def test_heat_sums_cut_at_the_first_dead_power_equal_the_whole_chunk_kernel(
     # its cut, up to the chunks the longest time reaches
     times = [_time_cutting_at(plan, first_dead) for first_dead in cuts]
     summed.clear()
-    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times, ls.gd.rho_norm)):
+    for t, got in zip(times, heat._hyperbolic_sums(plan, sig, times, ls.gd.rho_norm, None)):
         assert same_bits(got, hyperbolic_sum_whole(plan, sig, t, ls.gd.rho_norm)), t
     assert summed == ([[list(sizes) for sizes in zip_longest(*wants)]] if cuts else [])
 
@@ -283,7 +284,7 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
             "factorization": lambda: ruelle_factorized_log(3.0 + 0.5j, sigma, ls, tp),
         }
         for name, point in points.items():
-            point()  # warm: the plan's characters and det terms
+            point()  # warm: the twist norms, the plan's overflow length and lazy imports
             peaks[name, size] = _traced(point)[2]
     for name in points:
         small, large = peaks[name, 49152], peaks[name, 196608]
@@ -291,8 +292,9 @@ def test_one_point_needs_no_more_memory_on_a_longer_plan():
         # complex column (16 bytes a power) of the longer plan
         assert large <= small + 4096, (name, small, large)
         assert large < 16 * 196608, (name, small, large)
-        # class_tail's steps are written into two of its arrays: its five
-        # 20,000-float arrays at once would take 801 kB alone
+        # class_tail's steps are written into three of its arrays (log_q,
+        # ratio and the 1/(J_c + 1) weight): its five 20,000-float arrays at
+        # once would take 801 kB alone
         assert large < 801_000, (name, small, large)
 
 

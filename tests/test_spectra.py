@@ -22,11 +22,15 @@ from zetaflow import (
     TruncationPolicy,
     ValidationError,
     abscissa_estimate,
+    anchor_set,
     counting_function,
     geometric_heat_trace,
+    heat_totals,
     load_eigen_spectrum,
     load_length_spectrum,
     log_derivative,
+    resolvent_trace_geometric,
+    ruelle_factorization,
     ruelle_factorized_log,
     ruelle_log,
     save,
@@ -37,7 +41,6 @@ from zetaflow import chars, spectra, zeta
 from zetaflow.branching import exterior_decomposition
 from zetaflow.spectra import (
     _PLANS_PER_SPECTRUM,
-    _PRODUCTS_PER_PLAN,
     canonicalize_angles,
     eigen_spectrum_from_dict,
     length_spectrum_from_dict,
@@ -351,24 +354,49 @@ def test_plan_cache_is_bounded_and_results_survive_eviction(gd3):
 
 
 def test_plan_memos_are_bounded_and_characters_survive_eviction(gd3):
+    # the plan keeps the character of the last twist the heat trace read;
+    # another twist's evicts it, and the series read none
     ls = synthesize(gd3, 60, systole=0.5, seed=24)
     tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
     plan = ls.power_table(tp.lmax)
-    sigmas = [(k,) for k in range(_PRODUCTS_PER_PLAN + 4)]
+    sigmas = [(k,) for k in range(4)]
 
     def evaluate(sigma):
         return selberg_log(4.0, sigma, ls, tp), geometric_heat_trace(ls, sigma, [0.5], tp)[0]
 
     first = evaluate(sigmas[0])
-    key = next(iter(plan._characters))
+    [key] = plan._characters
     character = plan._characters[key].copy()
     for sigma in sigmas[1:]:
         evaluate(sigma)
-    assert len(plan._characters) == _PRODUCTS_PER_PLAN
-    assert key not in plan._characters
+        assert list(plan._characters) == [("D", as_weight(sigma))]
     assert evaluate(sigmas[0]) == first
+    assert list(plan._characters) == [key]
     assert plan._characters[key].tobytes() == character.tobytes()
     assert ls.power_table(tp.lmax) is plan
+
+
+def test_only_the_heat_trace_keeps_columns_on_a_plan(gd3):
+    # on a fresh plan at a non-trivial twist: the series, the Ruelle
+    # factorization and the geometric resolvent keep nothing; the heat
+    # trace keeps its twist's character, and heat_totals the det column
+    ls = synthesize(gd3, 60, systole=0.5, seed=24, dim_chi=2, chi_norm=1.1)
+    tp = TruncationPolicy(lmax=8.0, tail_eps=1.0)
+    sigma = (1,)
+    s = abscissa_estimate(ls, kind="ruelle") + 2.0
+    plan = ls.power_table(tp.lmax)
+    for point in (lambda: selberg_log(s, sigma, ls, tp), lambda: log_derivative(s, sigma, ls, tp),
+                  lambda: ruelle_log(s, sigma, ls, tp),
+                  lambda: ruelle_factorization([s, s + 1j], sigma, ls, tp),
+                  lambda: resolvent_trace_geometric(ls, sigma, anchor_set([s, s + 1]), tp)):
+        point()
+        assert "det" not in vars(plan) and plan._characters == {}
+    geometric_heat_trace(ls, sigma, [0.5, 1.0], tp)
+    assert list(plan._characters) == [("D", as_weight(sigma))]
+    assert "det" not in vars(plan)
+    heat_totals(ls, sigma, np.array([0.5, 1.0]), tp)
+    assert list(plan._characters) == [("D", as_weight(sigma))]
+    assert "det" in vars(plan)
 
 
 def test_one_plan_lookup_per_point(gd3, monkeypatch):
@@ -392,8 +420,9 @@ def test_one_plan_lookup_per_point(gd3, monkeypatch):
 
 
 def test_a_pass_lays_out_each_table_set_once(monkeypatch):
-    # sigma's character and a factorization point's exterior pieces, each
-    # laid out (two _distinct_rows sorts) once per pass, not once a chunk
+    # sigma's character and a factorization point's exterior pieces, in one
+    # TableSet laid out (two _distinct_rows sorts) once per pass, not once a
+    # chunk
     ls = synthesize(GroupData(7), 400, systole=0.6, seed=26)
     tp = TruncationPolicy(lmax=80.0, tail_eps=1.0)
     plan = ls.power_table(tp.lmax)
@@ -402,7 +431,7 @@ def test_a_pass_lays_out_each_table_set_once(monkeypatch):
     distinct_rows = chars._distinct_rows
     monkeypatch.setattr(chars, "_distinct_rows", lambda a: sorts.append(len(a)) or distinct_rows(a))
     ruelle_factorized_log(abscissa_estimate(ls, kind="ruelle") + 2.0, (1, 0, 0), ls, tp)
-    assert len(sorts) == 2 * 2
+    assert len(sorts) == 2
 
 
 @pytest.mark.parametrize("sigma", [(0, 0, 0), (1, 0, 0)])
@@ -425,20 +454,21 @@ def test_each_factorization_point_evaluates_its_pieces_once_per_chunk(monkeypatc
 
     sig = ("D", as_weight(sigma))
     ruelle_log(s, sigma, ls, tp)
-    # the plan keeps sigma's character, built a chunk at a time unless it is
-    # trivial, all ones without a call
+    # sigma's character is made a chunk at a time and not kept; a trivial
+    # one is all ones without a call
     chunks = [len(plan.length(r)) for r in plan.chunks()]
     assert calls == ([] if not any(sigma) else [({sig}, n) for n in chunks])
-    assert list(plan._characters) == [sig]
-    # each point evaluates every distinct exterior piece, one call a chunk,
-    # and keeps no product of sigma with a piece
+    assert plan._characters == {}
+    # each point evaluates sigma and every distinct non-trivial exterior
+    # piece, one call a chunk, and keeps no character
     pieces = {("D", psi) for p in range(7) for psi in exterior_decomposition(ls.gd, p)}
     assert len(pieces) == 5
+    evaluated = {piece for piece in pieces | {sig} if any(piece[1])}
     for point in (s, s + 0.5j):
         calls.clear()
         ruelle_factorized_log(point, sigma, ls, tp)
-        assert calls == [(pieces, n) for n in chunks]
-        assert list(plan._characters) == [sig]
+        assert calls == [(evaluated, n) for n in chunks]
+        assert plan._characters == {}
 
 
 def test_save_and_load_round_trip(tmp_path, ls3_twisted):
