@@ -29,9 +29,9 @@ columns on a plan, as only its callers read a plan more than once: the
 character of its latest twist, and the det column once heat_totals reads
 it; a series pass makes its characters and det terms a chunk at a time
 and keeps none. A spectrum keeps its few most recently used plans. What
-no cutoff affects, the spectrum makes once: the twist eigenvalues with a
-well-conditioned mask, which every plan reads, r_c = max(1, ||chi_c||_2),
-which every tail reads, and the growth rate.
+no cutoff affects, the spectrum makes once: the twist eigenvalues, which
+every plan reads, r_c = max(1, ||chi_c||_2), which every tail reads, and
+the growth rate.
 
 Angle conventions: primitive angles are canonicalized into [0, 2 pi) when
 a spectrum is loaded or synthesized, which fixes the spin lift once; the
@@ -83,39 +83,22 @@ def _lengths(l0: np.ndarray, index, j, out: np.ndarray | None = None):
 
 
 def _power_traces(ls: "LengthSpectrum", index: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """tr(chi[index]^j) per (class, power) pair, each class's powers in
-    ascending j, written into the column one chunk at a time. Twists of
-    dimension > 1 take their eigenvalues' powers from the spectrum's
-    twist_eigen where the eigenvector basis is well conditioned, repeated
-    multiplication elsewhere, one power of every such class at a time."""
+    """tr(chi[index]^j) per (class, power) pair, written into the column one
+    chunk at a time. Twists of dimension > 1 take the sum of their
+    eigenvalues' j-th powers, from the spectrum's twist_eigen: the Schur form
+    of any square matrix is triangular with those powers on the diagonal of
+    its j-th power, so the sum is the trace, defective twists included."""
     out = np.empty(index.size, dtype=complex)
     if ls.dim_chi == 1:
         for r in _rows(index.size):
             np.power(ls.chi[index[r], 0, 0], j[r], out=out[r])
         return out
-    vals, good_class = ls.twist_eigen
-    # 0 for the ill-conditioned classes, whose rows the loop below refills
-    vals = np.where(good_class[:, None], vals, 0)
+    vals = ls.twist_eigen
     for r in _rows(index.size):
         powers = vals[index[r]]
         np.power(powers, j[r, None], out=powers)
         np.sum(powers, axis=1, out=out[r])
         del powers  # before the next chunk's gather
-    # the ill-conditioned rows grouped by class (stable sort; np.unique
-    # imports numpy.ma), j = 1..J_c each; the classes by descending J_c, so
-    # those with a j-th power lead, and chi^j = chi^(j-1) chi for all at once
-    rows = np.flatnonzero(~good_class[index])
-    rows = rows[np.argsort(index[rows], kind="stable")]
-    first = np.flatnonzero(j[rows] == 1)
-    count = np.diff(first, append=rows.size)
-    by_count = np.argsort(-count, kind="stable")
-    first, count = first[by_count], count[by_count]
-    power = chi = ls.chi[index[rows[first]]]
-    for k in range(count.max(initial=0)):
-        live = np.count_nonzero(count > k)
-        if k:
-            power = power[:live] @ chi[:live]
-        out[rows[first[:live] + k]] = np.trace(power, axis1=1, axis2=2)
     return out
 
 
@@ -166,12 +149,12 @@ class _PowerTable:
     bit the values of whole columns; every plan-sized computation runs over
     chunks(), so its temporaries hold one chunk. The plan keeps those two
     columns but not the spectrum, whose plan memo would make a reference
-    cycle. The traces are powers of the spectrum's twist_eigen: a plan
-    factors no twist matrix. Alongside sits what the heat trace reads at
-    every t, built on first use: the character of the last twist read,
-    and the det column, kept for the life of the plan. A series reads
-    neither. The one bounded sum of the series and the heat trace is gate,
-    then sum.
+    cycle. Each trace is a sum of powers of the spectrum's twist_eigen,
+    for every class alike: a plan factors no twist matrix. Alongside sits
+    what the heat trace reads at every t, built on first use: the character
+    of the last twist read, and the det column, kept for the life of the
+    plan. A series reads neither. The one bounded sum of the series and the
+    heat trace is gate, then sum.
     """
 
     def __init__(self, ls: "LengthSpectrum", lmax: float):
@@ -186,14 +169,14 @@ class _PowerTable:
         j = np.arange(1, index.size + 1, dtype=np.int32)
         j -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
         # stable, so equal lengths keep their (class index, j) order; a class's
-        # lengths rise with j, so its powers stay in ascending j, as
-        # _power_traces needs. The sorted class index and j are written into
-        # the lengths' 8 bytes a power once the sort has read them, a buffer
-        # made before the columns it sorts: what the build then frees (the
-        # unsorted columns and the order) is one piece, which the traces
-        # reuse. Freed in scattered pieces, it left the traces to fresh
-        # pages, 16 bytes a power of resident memory past the build's peak.
-        # The traces are made in sorted order, so no unsorted one exists.
+        # lengths rise with j, so its powers stay in ascending j. The sorted
+        # class index and j are written into the lengths' 8 bytes a power
+        # once the sort has read them, a buffer made before the columns it
+        # sorts: what the build then frees (the unsorted columns and the
+        # order) is one piece, which the traces reuse. Freed in scattered
+        # pieces, it left the traces to fresh pages, 16 bytes a power of
+        # resident memory past the build's peak. The traces are made in
+        # sorted order, so no unsorted one exists.
         order = np.argsort(_lengths(ls.l0, index, j, lengths), kind="stable")
         columns = lengths.view(np.int32)
         self.class_index = np.take(index, order, out=columns[:index.size], mode="clip")
@@ -370,16 +353,11 @@ class LengthSpectrum:
         return norms
 
     @cached_property
-    def twist_eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues (N, dim_chi) of each chi_c and the mask (N,) of the
-        well-conditioned eigenvector bases (finite cond < 1e8), read-only."""
-        vals, vecs = np.linalg.eig(self.chi)
-        with np.errstate(all="ignore"):
-            cond = np.linalg.cond(vecs)
-        good = np.isfinite(cond) & (cond < 1e8)
+    def twist_eigen(self) -> np.ndarray:
+        """The eigenvalues (N, dim_chi) of each chi_c, read-only."""
+        vals = np.linalg.eigvals(self.chi)
         vals.setflags(write=False)
-        good.setflags(write=False)
-        return vals, good
+        return vals
 
     @cached_property
     def twist_rate(self) -> float:

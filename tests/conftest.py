@@ -2,11 +2,25 @@ import gc
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from zetaflow import GroupData, synthesize
+
+
+def pytest_report_header(config):
+    """numpy's version and CPU dispatch. Printed values, and so the golden
+    digests, hold for one numpy build and dispatch: a digest mismatch on
+    another machine can be read against this line."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+    return (f"numpy {np.__version__}, CPU dispatch: baseline {' '.join(umath.__cpu_baseline__)},"
+            f" found {' '.join(found)}")
 
 
 @pytest.fixture(autouse=True)

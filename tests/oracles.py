@@ -482,28 +482,17 @@ def L_sym(gd, cp: ClassPower, sigma) -> complex:
 def trace_powers(chi: np.ndarray, jmax: int) -> np.ndarray:
     """tr(chi^j) for j = 1..jmax of one twist matrix.
 
-    Eigenvalue route when the eigenvector basis is well conditioned,
-    repeated multiplication otherwise; one eigendecomposition per class,
-    against the library's single batched one.
+    The sum of the eigenvalues' j-th powers, every twist alike, defective
+    ones included; one eigvals call per class, against the library's single
+    batched one.
     """
     if jmax < 1:
         return np.empty(0, dtype=complex)
     if chi.shape == (1, 1):
         lam = complex(chi[0, 0])
         return lam ** np.arange(1, jmax + 1)
-    vals, vecs = np.linalg.eig(chi)
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(vecs)
-    if np.isfinite(cond) and cond < 1e8:
-        powers = vals[None, :] ** np.arange(1, jmax + 1)[:, None]
-        return powers.sum(axis=1)
-    out = np.empty(jmax, dtype=complex)
-    acc = np.array(chi)
-    out[0] = np.trace(acc)
-    for i in range(1, jmax):
-        acc = acc @ chi
-        out[i] = np.trace(acc)
-    return out
+    powers = np.linalg.eigvals(chi)[None, :] ** np.arange(1, jmax + 1)[:, None]
+    return powers.sum(axis=1)
 
 
 def power_table_loop(ls, lmax: float) -> dict[str, np.ndarray]:

@@ -646,8 +646,8 @@ def test_a_command_line_run_freezes_the_heap_on_every_way_out(workdir):
 
 def test_a_twisted_selberg_run_leaves_numpy_ma_unimported(tmp_path):
     # numpy.ma takes 10-25 ms and about 1.5 MB to import, and no command
-    # needs it; class 3 gets a Jordan block, so the plan build also takes
-    # its per-class multiplication route
+    # needs it; class 3 gets a Jordan block, whose traces the plan build
+    # takes from its eigenvalues like every other class's
     ls = synthesize(GroupData(3), 40, systole=0.5, seed=29, dim_chi=2)
     chi = ls.chi.copy()
     chi[3] = [[np.exp(0.3j), 1.0], [0.0, np.exp(0.3j)]]
